@@ -32,9 +32,7 @@ from .linalg import (
     SingularCoreError,
     SolverError,
     assemble_system,
-    residual_norm,
     solve_bordered,
-    solve_bordered_dense,
 )
 from .metrics import (
     ConvergenceRow,

@@ -8,7 +8,8 @@ The Newton linearization of every time-stepping scheme in this package fits a
 single template.  With the new curve ``X``, curvature ``kappa`` and the
 multipliers ``lam`` (perimeter law) and ``eta`` (area law) as unknowns, and a
 frozen reference polygon supplying the lumped masses ``m``, lumped normal
-weights ``omega`` and stiffness matrix ``S``, the residual rows are
+weights ``omega`` and the periodic tridiagonal stiffness ``S``, the residual
+rows are
 
 * velocity row (one per vertex, scaled by ``tau * alpha / delta0`` so that the
   position block of its Jacobian equals the transpose of the curvature
@@ -28,11 +29,12 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import _as_vertices, _shoelace, edge_lengths, edge_vectors
+from .geometry import _as_vertices, _forward_difference, _shoelace, edge_lengths, edge_vectors
 
 __all__ = [
     "lumped_masses",
     "normal_weights",
+    "stiffness_stencil",
     "stiffness_matrix",
     "lumped_inner",
     "stiffness_inner",
@@ -52,8 +54,16 @@ __all__ = [
 
 def lumped_masses(curve) -> np.ndarray:
     """Vertex masses m_k = (|h_{k-1}| + |h_k|) / 2 of the lumped inner product."""
-    ell = edge_lengths(curve)
-    return 0.5 * (ell + np.roll(ell, 1))
+    return _sum_with_previous(edge_lengths(curve), 0.5)
+
+
+def _sum_with_previous(a: np.ndarray, scale: float) -> np.ndarray:
+    # scale * (a_k + a_{k-1}) along the first axis, periodic
+    out = np.empty(a.shape)
+    np.add(a[1:], a[:-1], out=out[1:])
+    np.add(a[:1], a[-1:], out=out[:1])
+    out *= scale
+    return out
 
 
 def normal_weights(curve) -> np.ndarray:
@@ -65,19 +75,41 @@ def normal_weights(curve) -> np.ndarray:
     """
     h = edge_vectors(curve)
     ln = np.column_stack((h[:, 1], -h[:, 0]))  # |h_j| n_j without normalizing
-    return 0.5 * (ln + np.roll(ln, 1, axis=0))
+    return _sum_with_previous(ln, 0.5)
+
+
+def stiffness_stencil(weights: np.ndarray) -> np.ndarray:
+    """Rows of the periodic tridiagonal stiffness matrix from the edge weights
+    w_j = 1 / |h_j|: an (N, 3) array whose row k holds the coefficients of
+    u_{k-1}, u_k and u_{k+1} in (S u)_k = -w_{k-1} u_{k-1} + (w_{k-1} + w_k) u_k
+    - w_k u_{k+1}."""
+    st = np.empty((len(weights), 3))
+    st[0, 0] = -weights[-1]
+    st[1:, 0] = -weights[:-1]
+    st[:, 1] = _sum_with_previous(weights, 1.0)
+    st[:, 2] = -weights
+    return st
+
+
+def stiffness_apply(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(S u)_k = w_{k-1} (u_k - u_{k-1}) - w_k (u_{k+1} - u_k) for a nodal
+    scalar (N,) or vector (N, 2) field, as the difference of edge fluxes."""
+    flux = _forward_difference(u)
+    flux *= weights if u.ndim == 1 else weights[:, None]
+    out = np.empty(flux.shape)
+    np.subtract(flux[:-1], flux[1:], out=out[1:])
+    np.subtract(flux[-1:], flux[:1], out=out[:1])
+    return out
 
 
 def stiffness_matrix(curve) -> sp.csr_matrix:
     """Periodic tridiagonal stiffness matrix of arclength derivatives:
     (S u)_k = (u_k - u_{k-1}) / |h_{k-1}| + (u_k - u_{k+1}) / |h_k|."""
-    ell = edge_lengths(curve)
-    w = 1.0 / ell
-    n = len(ell)
-    diag = w + np.roll(w, 1)
+    st = stiffness_stencil(1.0 / edge_lengths(curve))
+    n = len(st)
     rows = np.concatenate((np.arange(n), np.arange(n), np.arange(n)))
     cols = np.concatenate((np.arange(n), (np.arange(n) + 1) % n, (np.arange(n) - 1) % n))
-    data = np.concatenate((diag, -w, -np.roll(w, 1)))
+    data = np.concatenate((st[:, 1], st[:, 2], st[:, 0]))
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
@@ -127,7 +159,10 @@ def perimeter_gradient(curve) -> np.ndarray:
     tangents u_j = h_j / |h_j|."""
     h = edge_vectors(curve)
     u = h / np.hypot(h[:, 0], h[:, 1])[:, None]
-    return np.roll(u, 1, axis=0) - u
+    grad = np.empty(u.shape)
+    np.subtract(u[:-1], u[1:], out=grad[1:])
+    np.subtract(u[-1:], u[:1], out=grad[:1])
+    return grad
 
 
 def variation_perimeter(curve, direction) -> float:
@@ -180,10 +215,10 @@ def deinterleave(z: np.ndarray) -> np.ndarray:
 
 class ReferenceGeometry:
     """Frozen reference polygon with the quantities every Newton assembly
-    reuses: lumped masses, normal weights, stiffness matrix and its expansion
-    to interleaved vector fields."""
+    reuses: lumped masses, normal weights, the edge weights 1 / |h_j| and the
+    stiffness stencil built from them."""
 
-    __slots__ = ("vertices", "lengths", "mass", "omega", "S", "S2", "perimeter")
+    __slots__ = ("vertices", "lengths", "mass", "omega", "weights", "stencil", "perimeter")
 
     def __init__(self, curve) -> None:
         v = _as_vertices(curve)
@@ -192,11 +227,10 @@ class ReferenceGeometry:
         if (self.lengths == 0.0).any():
             bad = int(np.flatnonzero(self.lengths == 0.0)[0])
             raise ValueError(f"zero-length edge at index {bad}")
-        self.mass = 0.5 * (self.lengths + np.roll(self.lengths, 1))
+        self.mass = _sum_with_previous(self.lengths, 0.5)
         self.omega = normal_weights(self.vertices)
-        self.S = stiffness_matrix(self.vertices)
-        # interleaved layout: index 2k + c for vertex k, component c
-        self.S2 = sp.kron(self.S, sp.identity(2, format="csr"), format="csr")
+        self.weights = 1.0 / self.lengths
+        self.stencil = stiffness_stencil(self.weights)
         self.perimeter = float(self.lengths.sum())
 
     @property
@@ -251,10 +285,16 @@ class NewtonIterate(NamedTuple):
 class NewtonBlocks:
     """Blocks of one Newton step's bordered linear system.
 
-    Core rows/columns: P is the N x 2N velocity-row position block, Q the
-    N x N curvature block of the velocity rows (stiffness scaled by the tau
-    conventions), R the symmetric 2N x 2N position block of the curvature
-    rows whose kappa block is exactly P^T.  Border columns a1 (lam) and a2
+    The core couples each vertex only to itself and its two neighbours, so
+    its blocks are stored per vertex.  P (N, 2) is the velocity-row position
+    block: velocity row k holds P[k] on (x_k, y_k), and by the row scaling
+    the curvature rows (k, x) and (k, y) hold P[k, 0] and P[k, 1] on kappa_k
+    (the kappa block is exactly P^T).  Q (N, 3) is the periodic tridiagonal
+    curvature block of the velocity rows (stiffness scaled by the tau
+    conventions): row k holds Q[k] on kappa_{k-1}, kappa_k, kappa_{k+1}.
+    R (N, 3) is the position block of the curvature rows, the same for both
+    components: row (k, c) holds R[k] on component c of X_{k-1}, X_k,
+    X_{k+1}.  Indices are periodic.  Border columns a1 (lam) and a2
     (eta) live in the velocity rows; border rows (b1 | b2) and (c | 0) are the
     linearized perimeter and area laws, with the gradients b1 and c evaluated
     exactly on the iterate's polygon.  F1 (N), F2 (2N), f1, f2 hold the
@@ -262,9 +302,9 @@ class NewtonBlocks:
     Absent multipliers leave the matching fields None.
     """
 
-    P: sp.spmatrix
-    Q: sp.spmatrix
-    R: sp.spmatrix
+    P: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
     a1: Optional[np.ndarray]
     a2: Optional[np.ndarray]
     b1: Optional[np.ndarray]
@@ -291,11 +331,11 @@ def residual_vector(ctx: SchemeContext, ref: ReferenceGeometry, it: NewtonIterat
     kappa_eff, lam_eff, eta_eff, x_eff = _effective(ctx, it)
     s_flux = tau * ctx.alpha / ctx.delta0
     s_time = ctx.alpha / ctx.delta0
-    Skap = ref.S @ kappa_eff
+    Skap = stiffness_apply(ref.weights, kappa_eff)
     r1 = s_time * ((ctx.delta0 * it.X + ctx.xhist) * ref.omega).sum(axis=1) + s_flux * (
         Skap - lam_eff * ref.mass * kappa_eff - eta_eff * ref.mass
     )
-    r2 = (kappa_eff[:, None] * ref.omega - ref.S @ x_eff).ravel()
+    r2 = (kappa_eff[:, None] * ref.omega - stiffness_apply(ref.weights, x_eff)).ravel()
     parts = [r1, r2]
     if ctx.use_perimeter:
         L_it = float(edge_lengths(it.X).sum())
@@ -313,14 +353,14 @@ def assemble_newton_blocks(ctx: SchemeContext, ref: ReferenceGeometry, it: Newto
     n = ref.n
     kappa_eff, lam_eff, eta_eff, _ = _effective(ctx, it)
     s_flux = tau * ctx.alpha / ctx.delta0
-    Skap = ref.S @ kappa_eff
+    Skap = stiffness_apply(ref.weights, kappa_eff)
 
-    rows = np.repeat(np.arange(n), 2)
-    cols = np.arange(2 * n)
-    P = sp.csr_matrix((ctx.alpha * ref.omega.ravel(), (rows, cols)), shape=(n, 2 * n))
-    M = sp.diags(ref.mass)
-    Q = (s_flux * ctx.alpha) * (ref.S - lam_eff * M)
-    R = (-ctx.alpha_x) * ref.S2
+    P = ctx.alpha * ref.omega
+    # only Q's diagonal, -lam_eff M, and the borders depend on the iterate
+    Q = ref.stencil.copy()
+    Q[:, 1] -= lam_eff * ref.mass
+    Q *= s_flux * ctx.alpha
+    R = (-ctx.alpha_x) * ref.stencil
 
     a1 = (-s_flux * ctx.alpha) * (ref.mass * kappa_eff) if ctx.use_perimeter else None
     a2 = (-s_flux * ctx.alpha) * ref.mass if ctx.use_area else None

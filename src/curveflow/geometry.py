@@ -48,7 +48,11 @@ def _as_vertices(curve) -> np.ndarray:
 def _shoelace(vertices: np.ndarray) -> float:
     x = vertices[:, 0]
     y = vertices[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    # contiguous rows holding x_{k+1} and y_{k+1}
+    nxt = np.empty((2, len(vertices)))
+    nxt[:, :-1] = vertices[1:].T
+    nxt[:, -1] = vertices[0]
+    return 0.5 * float(np.dot(x, nxt[1]) - np.dot(nxt[0], y))
 
 
 class PolygonalCurve:
@@ -112,8 +116,15 @@ class EdgeData(NamedTuple):
 
 def edge_vectors(curve) -> np.ndarray:
     """Edge vectors h_j = X_{j+1} - X_j as an (N, 2) array."""
-    v = _as_vertices(curve)
-    return np.roll(v, -1, axis=0) - v
+    return _forward_difference(_as_vertices(curve))
+
+
+def _forward_difference(a: np.ndarray) -> np.ndarray:
+    """a_{k+1} - a_k along the first axis, periodic."""
+    d = np.empty(a.shape)
+    np.subtract(a[1:], a[:-1], out=d[:-1])
+    np.subtract(a[:1], a[-1:], out=d[-1:])
+    return d
 
 
 def edge_lengths(curve) -> np.ndarray:

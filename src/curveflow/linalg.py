@@ -1,17 +1,22 @@
-"""Direct solver for the bordered sparse systems produced by the Newton
+"""Direct solver for the bordered systems produced by the Newton
 linearization.
 
-The systems have a 3N x 3N sparse core
+The systems have a 3N x 3N core
 
     [ P  Q  ]   rows: velocity (N), curvature (2N)
     [ R  P^T]   cols: position (2N, interleaved), curvature (N)
 
 bordered by up to two dense columns (the multipliers) and the matching dense
-rows (the linearized conservation laws).  The core is factored once with
-SuperLU; the multipliers come from the small Schur complement, whose
-singularity is detected explicitly because it carries the geometric
-degeneracy of an equilibrium (constant curvature makes the two border
-columns parallel).
+rows (the linearized conservation laws).  Every block of the core couples a
+vertex only to itself and its two neighbours.  Ordering the unknowns per
+vertex as (x_k, y_k, kappa_k) and the equations as (curvature x, curvature y,
+velocity) turns the core into a band matrix with three sub- and three
+superdiagonals, plus six wrap entries in the corners that close the curve
+(vertex 0 against vertex N-1).  The band is factored with LAPACK's banded LU,
+the wrap entries are folded in by a rank-6 Woodbury correction, and the
+multipliers come from the small Schur complement, whose singularity is
+detected explicitly because it carries the geometric degeneracy of an
+equilibrium (constant curvature makes the two border columns parallel).
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .femcore import NewtonBlocks
 
@@ -29,11 +33,10 @@ __all__ = [
     "SolverError",
     "SingularCoreError",
     "EquilibriumDegeneracyError",
+    "PeriodicBandCore",
     "BorderedSystem",
     "assemble_system",
     "solve_bordered",
-    "solve_bordered_dense",
-    "residual_norm",
 ]
 
 
@@ -42,7 +45,7 @@ class SolverError(Exception):
 
 
 class SingularCoreError(SolverError):
-    """The sparse core block could not be factored."""
+    """The core block could not be factored."""
 
 
 class EquilibriumDegeneracyError(SolverError):
@@ -57,13 +60,38 @@ class EquilibriumDegeneracyError(SolverError):
     """
 
 
+# sub- and superdiagonals of the core in per-vertex order: a vertex's
+# equations reach at most the same component of a neighbouring vertex
+KL = KU = 3
+_DIAG = KL + KU  # LAPACK band storage: A[i, j] sits at band[_DIAG + i - j, j]
+
+
+@dataclass
+class PeriodicBandCore:
+    """The 3N x 3N core in per-vertex order: its band part in LAPACK band
+    storage (2 KL + KU + 1 rows, the first KL of them workspace for the
+    factorization), and the six wrap entries outside the band.  They
+    are A[c, 3N - 3 + c] (vertex 0's equations on vertex N-1) and
+    A[3N - 3 + c, c] (vertex N-1's on vertex 0), c = 0, 1, 2, in that
+    order."""
+
+    band: np.ndarray
+    wrap: np.ndarray
+
+    @property
+    def shape(self):
+        m = self.band.shape[1]
+        return (m, m)
+
+
 @dataclass
 class BorderedSystem:
-    """Sparse core plus dense borders, rhs ordered [velocity, curvature,
-    perimeter?, area?]; unknowns ordered [position (2N), curvature (N),
-    lam?, eta?].  nb in {0, 1, 2} counts the borders actually present."""
+    """Core plus dense borders, rows and unknowns in per-vertex order: rhs
+    holds the equations (curvature x, curvature y, velocity) of each vertex,
+    then perimeter?, area?; unknowns are (x_k, y_k, kappa_k) per vertex, then
+    lam?, eta?.  nb in {0, 1, 2} counts the borders actually present."""
 
-    core: sp.spmatrix
+    core: PeriodicBandCore
     border_cols: Optional[np.ndarray]  # (3N, nb)
     border_rows: Optional[np.ndarray]  # (nb, 3N)
     corner: Optional[np.ndarray]  # (nb, nb)
@@ -71,33 +99,69 @@ class BorderedSystem:
     nb: int
 
 
+def _per_vertex(pair: np.ndarray, single: np.ndarray) -> np.ndarray:
+    # an interleaved (2N,) position or curvature-row part and an (N,)
+    # curvature or velocity-row part, merged into per-vertex order (3N,)
+    n = len(single)
+    out = np.empty((n, 3))
+    out[:, :2] = pair.reshape(n, 2)
+    out[:, 2] = single
+    return out.ravel()
+
+
+def _core(blocks: NewtonBlocks) -> PeriodicBandCore:
+    P, Q, R = blocks.P, blocks.Q, blocks.R
+    n = len(P)
+    # Fortran order, as LAPACK takes it; band3[k, c, r] = band[r, 3k + c]
+    # is the band row r of the column of unknown c at vertex k
+    band = np.zeros((2 * KL + KU + 1, 3 * n), order="F")
+    band3 = band.T.reshape(n, 3, -1)
+    # i - j = 0: the diagonals of R and Q
+    band3[:, :2, _DIAG] = R[:, 1:2]
+    band3[:, 2, _DIAG] = Q[:, 1]
+    # i - j = -3 (row 3(k-1) + c, column 3k + c): row k-1's coefficient of vertex k
+    band3[1:, :2, _DIAG - 3] = R[:-1, 2:3]
+    band3[1:, 2, _DIAG - 3] = Q[:-1, 2]
+    # i - j = +3 (row 3(k+1) + c, column 3k + c): row k+1's coefficient of vertex k
+    band3[:-1, :2, _DIAG + 3] = R[1:, 0:1]
+    band3[:-1, 2, _DIAG + 3] = Q[1:, 0]
+    # i - j = +2, +1: P in the velocity row, columns x_k and y_k
+    band3[:, 0, _DIAG + 2] = P[:, 0]
+    band3[:, 1, _DIAG + 1] = P[:, 1]
+    # i - j = -2, -1: P^T in the curvature rows, column kappa_k
+    band3[:, 2, _DIAG - 2] = P[:, 0]
+    band3[:, 2, _DIAG - 1] = P[:, 1]
+    wrap = np.array([R[0, 0], R[0, 0], Q[0, 0], R[-1, 2], R[-1, 2], Q[-1, 2]])
+    return PeriodicBandCore(band=band, wrap=wrap)
+
+
 def assemble_system(blocks: NewtonBlocks) -> BorderedSystem:
-    """Pack Newton blocks into one bordered system.
+    """Pack Newton blocks into one bordered system in per-vertex order.
 
     Border order is always lam before eta, in both the extra columns and the
     extra rows; schemes with a single multiplier get nb = 1.
     """
-    n = blocks.Q.shape[0]
-    core = sp.bmat([[blocks.P, blocks.Q], [blocks.R, blocks.P.T]], format="csc")
-
+    n = len(blocks.P)
+    zeros = np.zeros(2 * n)
     cols = []
     if blocks.a1 is not None:
-        cols.append(np.concatenate((blocks.a1, np.zeros(2 * n))))
+        cols.append(_per_vertex(zeros, blocks.a1))
     if blocks.a2 is not None:
-        cols.append(np.concatenate((blocks.a2, np.zeros(2 * n))))
+        cols.append(_per_vertex(zeros, blocks.a2))
     rows = []
     tail = []
     if blocks.b1 is not None:
-        rows.append(np.concatenate((blocks.b1, blocks.b2)))
+        rows.append(_per_vertex(blocks.b1, blocks.b2))
         tail.append(blocks.f1)
     if blocks.c is not None:
-        rows.append(np.concatenate((blocks.c, np.zeros(n))))
+        rows.append(_per_vertex(blocks.c, np.zeros(n)))
         tail.append(blocks.f2)
     nb = len(cols)
     if len(rows) != nb:
         raise ValueError(f"{nb} border columns but {len(rows)} border rows")
 
-    rhs = np.concatenate((blocks.F1, blocks.F2, np.array(tail)))
+    core = _core(blocks)
+    rhs = np.concatenate((_per_vertex(blocks.F2, blocks.F1), np.array(tail)))
     if nb == 0:
         return BorderedSystem(core=core, border_cols=None, border_rows=None, corner=None, rhs=rhs, nb=0)
     return BorderedSystem(
@@ -108,6 +172,36 @@ def assemble_system(blocks: NewtonBlocks) -> BorderedSystem:
         rhs=rhs,
         nb=nb,
     )
+
+
+def _solve_core(core: PeriodicBandCore, rhs: np.ndarray) -> np.ndarray:
+    """core^{-1} rhs for an (m, k) rhs: one banded LU of the band part B,
+    one banded solve for the rhs and the unit columns of the six wrap rows
+    together, then the Woodbury correction for the wrap entries:
+    A = B + W V^T, with W's columns the wrap values at their rows and V's
+    the unit vectors of their columns."""
+    m = core.shape[0]
+    lu, piv, info = dgbtrf(core.band, KL, KU)
+    if info > 0:
+        raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
+    if info < 0:
+        raise ValueError(f"dgbtrf rejected argument {-info}")
+    k = rhs.shape[1]
+    wrap_rows = np.array([0, 1, 2, m - 3, m - 2, m - 1])
+    wrap_cols = np.array([m - 3, m - 2, m - 1, 0, 1, 2])
+    stacked = np.zeros((m, k + 6), order="F")
+    stacked[:, :k] = rhs
+    stacked[wrap_rows, k + np.arange(6)] = 1.0
+    sol, info = dgbtrs(lu, KL, KU, stacked, piv, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"dgbtrs rejected argument {-info}")
+    z, bw = sol[:, :k], sol[:, k:] * core.wrap  # B^{-1} rhs, B^{-1} W
+    capacitance = np.eye(6) + bw[wrap_cols]
+    try:
+        correction = np.linalg.solve(capacitance, z[wrap_cols])
+    except np.linalg.LinAlgError as exc:
+        raise SingularCoreError(f"core is singular through its wrap entries: {exc}") from exc
+    return z - bw @ correction
 
 
 def solve_bordered(system: BorderedSystem) -> np.ndarray:
@@ -121,17 +215,11 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
     rhs entry) or a border column by any positive factor changes neither the
     verdict nor, beyond rounding, the solution."""
     m = system.core.shape[0]
-    try:
-        lu = spla.splu(system.core.tocsc())
-    except RuntimeError as exc:
-        raise SingularCoreError(f"core factorization failed: {exc}") from exc
-    g = lu.solve(system.rhs[:m])
     if system.nb == 0:
-        return g
+        return _in_block_order(_solve_core(system.core, system.rhs[:m, None])[:, 0])
 
-    Y = lu.solve(system.border_cols)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    both = _solve_core(system.core, np.column_stack((system.rhs[:m], system.border_cols)))
+    g, Y = both[:, 0], both[:, 1:]
     schur = system.corner - system.border_rows @ Y
     h = system.rhs[m:] - system.border_rows @ g
 
@@ -149,40 +237,16 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
             f"multiplier Schur complement is singular (equilibrated singular values {sing})"
         )
     mu = col_scale * (Vt.T @ ((U.T @ (row_scale * h)) / sing))
-    z = g - Y @ mu
-    return np.concatenate((z, mu))
+    return np.concatenate((_in_block_order(g - Y @ mu), mu))
+
+
+def _in_block_order(z: np.ndarray) -> np.ndarray:
+    # per-vertex (x_k, y_k, kappa_k) -> [position (2N, interleaved), curvature (N)]
+    z3 = z.reshape(-1, 3)
+    return np.concatenate((z3[:, :2].ravel(), z3[:, 2]))
 
 
 def _reciprocal(values: np.ndarray) -> np.ndarray:
     # 1 / values, with 1 where a value is 0 (an all-zero border row or column
     # stays zero and is then flagged by the singular-value test)
     return 1.0 / np.where(values > 0.0, values, 1.0)
-
-
-def solve_bordered_dense(system: BorderedSystem) -> np.ndarray:
-    """Reference solve of the same system as one dense matrix (test oracle;
-    refuses cores larger than 3 * 64)."""
-    m = system.core.shape[0]
-    if m > 192:
-        raise ValueError(f"dense fallback limited to cores of size <= 192, got {m}")
-    full = np.zeros((m + system.nb, m + system.nb))
-    full[:m, :m] = system.core.toarray()
-    if system.nb:
-        full[:m, m:] = system.border_cols
-        full[m:, :m] = system.border_rows
-        full[m:, m:] = system.corner
-    return np.linalg.solve(full, system.rhs)
-
-
-def residual_norm(system: BorderedSystem, z: np.ndarray) -> float:
-    """Max-norm residual ||M z - rhs||_inf computed blockwise (the full
-    matrix is never formed)."""
-    m = system.core.shape[0]
-    zc = z[:m]
-    top = system.core @ zc - system.rhs[:m]
-    if system.nb:
-        mu = z[m:]
-        top += system.border_cols @ mu
-        bottom = system.border_rows @ zc + system.corner @ mu - system.rhs[m:]
-        return float(max(np.abs(top).max(), np.abs(bottom).max()))
-    return float(np.abs(top).max())

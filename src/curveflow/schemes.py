@@ -269,14 +269,15 @@ def newton_outer(
     Applies full updates until max(|dX|_inf, |dkappa|_inf, |dlam|, |deta|)
     <= tol; even a start that is already a root costs one linear solve.
     Returns (iterate, iterations, final update norm); the step functions wrap
-    the counters into a StepReport.
+    the counters into a StepReport.  A non-finite update component raises
+    NewtonDivergenceError at once, with last_norm = inf.
     """
     it = start
     norm = math.inf
     for iteration in range(1, max_newton + 1):
         blocks = model(it)
         z = solve_bordered(assemble_system(blocks))
-        n = blocks.Q.shape[0]
+        n = blocks.P.shape[0]
         dX = deinterleave(z[: 2 * n])
         dk = z[2 * n : 3 * n]
         pos = 3 * n
@@ -286,13 +287,20 @@ def newton_outer(
             pos += 1
         if blocks.a2 is not None:
             deta = float(z[pos])
+        sizes = {
+            "position": float(np.abs(dX).max()),
+            "curvature": float(np.abs(dk).max()),
+            "lam": abs(dlam),
+            "eta": abs(deta),
+        }
+        for name, size in sizes.items():
+            # Python's max drops a NaN unless it comes first
+            if not math.isfinite(size):
+                raise NewtonDivergenceError(
+                    f"non-finite {name} update at Newton iteration {iteration}", last_norm=math.inf
+                )
+        norm = max(sizes.values())
         it = NewtonIterate(it.X + dX, it.kappa + dk, it.lam + dlam, it.eta + deta)
-        norm = max(
-            float(np.abs(dX).max()),
-            float(np.abs(dk).max()),
-            abs(dlam),
-            abs(deta),
-        )
         if norm <= tol:
             return it, iteration, norm
     raise NewtonDivergenceError(

@@ -14,7 +14,6 @@ from typing import Dict, Optional
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse as sp
 
 from curveflow.femcore import NewtonBlocks
 
@@ -252,48 +251,73 @@ def oracle_bdf2_step(Vm: np.ndarray, Vm1: np.ndarray, tau: float, flavor: str, A
 
 
 def dense_from_blocks(blocks: NewtonBlocks):
-    """Assemble the full dense Newton matrix and right-hand side directly
-    from the block fields: core [[P, Q], [R, P^T]], border columns in the
-    velocity rows, border rows (b1|b2) and (c|0), zero corner."""
-    n = blocks.Q.shape[0]
+    """Assemble the full dense Newton matrix and right-hand side entry by
+    entry from the block fields.  Rows: velocity k, then curvature (k, c) at
+    n + 2k + c, then the border rows (b1|b2) and (c|0); columns: position
+    (k, c) at 2k + c, curvature k at 2n + k, then lam and eta; zero corner.
+    P[k] sits on (x_k, y_k) in velocity row k and, transposed, on kappa_k in
+    the curvature rows of vertex k; Q[k] and R[k] hold the coefficients of
+    vertices k-1, k, k+1 (periodic)."""
+    n = len(blocks.F1)
     nb = (blocks.a1 is not None) + (blocks.a2 is not None)
     dim = 3 * n + nb
     M = np.zeros((dim, dim))
-    M[:n, : 2 * n] = np.asarray(blocks.P.todense())
-    M[:n, 2 * n : 3 * n] = np.asarray(blocks.Q.todense())
-    M[n : 3 * n, : 2 * n] = np.asarray(blocks.R.todense())
-    M[n : 3 * n, 2 * n : 3 * n] = np.asarray(blocks.P.T.todense())
+    for k in range(n):
+        for c in range(2):
+            M[k, 2 * k + c] += blocks.P[k, c]
+            M[n + 2 * k + c, 2 * n + k] += blocks.P[k, c]
+        for s, j in enumerate(((k - 1) % n, k, (k + 1) % n)):
+            M[k, 2 * n + j] += blocks.Q[k, s]
+            for c in range(2):
+                M[n + 2 * k + c, 2 * j + c] += blocks.R[k, s]
     rhs = np.concatenate([blocks.F1, blocks.F2, np.zeros(nb)])
     col = 3 * n
-    if blocks.a1 is not None:
-        M[:n, col] = blocks.a1
-        col += 1
-    if blocks.a2 is not None:
-        M[:n, col] = blocks.a2
+    for a in (blocks.a1, blocks.a2):
+        if a is not None:
+            for k in range(n):
+                M[k, col] = a[k]
+            col += 1
     row = 3 * n
-    if blocks.b1 is not None:
-        M[row, : 2 * n] = blocks.b1
-        M[row, 2 * n : 3 * n] = blocks.b2
-        rhs[row] = blocks.f1
+    for pos_part, kap_part, f in ((blocks.b1, blocks.b2, blocks.f1), (blocks.c, None, blocks.f2)):
+        if pos_part is None:
+            continue
+        for j in range(2 * n):
+            M[row, j] = pos_part[j]
+        if kap_part is not None:
+            for k in range(n):
+                M[row, 2 * n + k] = kap_part[k]
+        rhs[row] = f
         row += 1
-    if blocks.c is not None:
-        M[row, : 2 * n] = blocks.c
-        rhs[row] = blocks.f2
     return M, rhs
 
 
+def solve_bordered_dense(blocks: NewtonBlocks) -> np.ndarray:
+    """Solve the Newton system as one dense matrix; refuses cores larger
+    than 3 * 64."""
+    m = 3 * len(blocks.F1)
+    if m > 192:
+        raise ValueError(f"dense solve limited to cores of size <= 192, got {m}")
+    M, rhs = dense_from_blocks(blocks)
+    return np.linalg.solve(M, rhs)
+
+
+def residual_norm(blocks: NewtonBlocks, z: np.ndarray) -> float:
+    """Max-norm residual ||M z - rhs||_inf of the dense Newton system."""
+    M, rhs = dense_from_blocks(blocks)
+    return float(np.abs(M @ z - rhs).max())
+
+
 def random_blocks(rng: np.random.Generator, n: int = 8, flavor: str = "both") -> NewtonBlocks:
-    """Random dense-filled blocks with the bordered layout; flavor picks
-    which borders exist ('none', 'lam', 'eta', 'both')."""
-    P = sp.csr_matrix(rng.standard_normal((n, 2 * n)))
-    Q = sp.csr_matrix(rng.standard_normal((n, n)))
-    R = sp.csr_matrix(rng.standard_normal((2 * n, 2 * n)))
+    """Random blocks with the bordered layout, a random value on every
+    structural nonzero of the core (the wrap entries Q[0, 0], R[0, 0],
+    Q[-1, 2] and R[-1, 2] included); flavor picks which borders exist
+    ('none', 'lam', 'eta', 'both')."""
     with_lam = flavor in ("lam", "both")
     with_eta = flavor in ("eta", "both")
     return NewtonBlocks(
-        P=P,
-        Q=Q,
-        R=R,
+        P=rng.standard_normal((n, 2)),
+        Q=rng.standard_normal((n, 3)),
+        R=rng.standard_normal((n, 3)),
         a1=rng.standard_normal(n) if with_lam else None,
         a2=rng.standard_normal(n) if with_eta else None,
         b1=rng.standard_normal(2 * n) if with_lam else None,

@@ -322,11 +322,11 @@ def test_09_property_battery(ellipse_runs):
     mc_big = abs(exact - estimate) / sigma
     mc_big_ok = mc_big <= 3.0
 
-    # bordered solver against a dense oracle on 100 random systems
+    # bordered solver against a dense oracle on 120 random systems, N = 3, 4, 8
     solver_worst = 0.0
     flavors = ("both", "lam", "eta", "none")
-    for i in range(100):
-        blocks = random_blocks(rng, n=8, flavor=flavors[i % 4])
+    for i in range(120):
+        blocks = random_blocks(rng, n=(3, 4, 8)[(i // 4) % 3], flavor=flavors[i % 4])
         dense_m, dense_rhs = dense_from_blocks(blocks)
         expected = np.linalg.solve(dense_m, dense_rhs)
         got = solve_bordered(assemble_system(blocks))

@@ -19,12 +19,14 @@ from curveflow.femcore import (
     normal_weights,
     perimeter_gradient,
     residual_vector,
+    stiffness_apply,
     stiffness_inner,
     stiffness_matrix,
+    stiffness_stencil,
     variation_area,
     variation_perimeter,
 )
-from curveflow.geometry import generate_ellipse, generate_mikula, signed_area
+from curveflow.geometry import edge_vectors, generate_ellipse, generate_mikula, generate_rectangle, signed_area
 
 import oracles
 
@@ -186,9 +188,36 @@ def test_reference_geometry_consistency():
     assert np.array_equal(ref.mass, lumped_masses(v))
     assert np.array_equal(ref.omega, normal_weights(v))
     assert ref.perimeter == pytest.approx(oracles.loop_perimeter(v), rel=1e-14)
-    field = rng.standard_normal((len(v), 2))
-    expanded = deinterleave(ref.S2 @ interleave(field))
-    assert np.allclose(expanded, ref.S @ field, rtol=1e-13, atol=1e-14)
+    assert np.array_equal(ref.weights, 1.0 / ref.lengths)
+    assert np.array_equal(ref.stencil, stiffness_stencil(ref.weights))
+    S = stiffness_matrix(v).toarray()
+    for k in range(len(v)):
+        assert list(ref.stencil[k]) == [S[k, k - 1], S[k, k], S[k, (k + 1) % len(v)]]
+    for field in (rng.standard_normal(len(v)), rng.standard_normal((len(v), 2))):
+        applied = stiffness_apply(ref.weights, field)
+        assert np.allclose(applied, oracles.loop_stiffness_apply(v, field), rtol=1e-13, atol=1e-13)
+
+
+def test_slice_arithmetic_is_bitwise_the_roll_formula():
+    # the per-iteration helpers shift by slicing; they must reproduce the
+    # periodic np.roll expressions bit for bit
+    curves = (wiggly(3), wiggly(), generate_mikula(160).vertices, generate_rectangle(4.0, 1.0, 160).vertices)
+    for v in curves:
+        h = np.roll(v, -1, axis=0) - v
+        assert np.array_equal(edge_vectors(v), h)
+        x, y = v[:, 0], v[:, 1]
+        assert signed_area(v) == 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+        ell = np.hypot(h[:, 0], h[:, 1])
+        assert np.array_equal(lumped_masses(v), 0.5 * (ell + np.roll(ell, 1)))
+        ln = np.column_stack((h[:, 1], -h[:, 0]))
+        assert np.array_equal(normal_weights(v), 0.5 * (ln + np.roll(ln, 1, axis=0)))
+        u = h / ell[:, None]
+        assert np.array_equal(perimeter_gradient(v), np.roll(u, 1, axis=0) - u)
+        w = 1.0 / ell
+        stencil = stiffness_stencil(w)
+        assert np.array_equal(stencil[:, 0], -np.roll(w, 1))
+        assert np.array_equal(stencil[:, 1], w + np.roll(w, 1))
+        assert np.array_equal(stencil[:, 2], -w)
 
 
 def test_reference_geometry_rejects_zero_edge():

@@ -1,20 +1,24 @@
-"""Bordered sparse solver against a dense oracle, plus its failure modes."""
+"""Bordered banded solver against a dense oracle, plus its failure modes."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from curveflow.femcore import NewtonBlocks
+from curveflow.femcore import (
+    NewtonBlocks,
+    NewtonIterate,
+    ReferenceGeometry,
+    SchemeContext,
+    assemble_newton_blocks,
+    initial_curvature,
+)
 from curveflow.linalg import (
     EquilibriumDegeneracyError,
     SingularCoreError,
     SolverError,
     assemble_system,
-    residual_norm,
     solve_bordered,
-    solve_bordered_dense,
 )
 
 import oracles
@@ -23,36 +27,71 @@ rng = np.random.default_rng(77010)
 
 
 def test_solver_matches_dense_oracle():
+    # N = 3 and 4 put the wrap entries next to (or, for N = 3, one vertex
+    # from) the band's own coupling of vertices 0 and N-1
     flavors = ["none", "lam", "eta", "both"]
-    for trial in range(100):
-        blocks = oracles.random_blocks(rng, n=8, flavor=flavors[trial % 4])
-        system = assemble_system(blocks)
-        x = solve_bordered(system)
+    for trial in range(120):
+        n = (3, 4, 8)[(trial // 4) % 3]
+        blocks = oracles.random_blocks(rng, n=n, flavor=flavors[trial % 4])
+        x = solve_bordered(assemble_system(blocks))
         M, rhs = oracles.dense_from_blocks(blocks)
         expected = np.linalg.solve(M, rhs)
         scale = np.abs(expected).max()
         assert np.abs(x - expected).max() <= 1e-9 * max(1.0, scale)
-        # the in-package dense path solves the same system
-        assert np.abs(solve_bordered_dense(system) - expected).max() <= 1e-9 * max(1.0, scale)
 
 
 def test_residual_norm_at_solution_and_away():
     blocks = oracles.random_blocks(rng, n=8, flavor="both")
-    system = assemble_system(blocks)
-    x = solve_bordered(system)
-    assert residual_norm(system, x) < 1e-9
+    x = solve_bordered(assemble_system(blocks))
+    assert oracles.residual_norm(blocks, x) < 1e-9
     y = x.copy()
     y[0] += 1.0
-    assert residual_norm(system, y) > 1e-3
+    assert oracles.residual_norm(blocks, y) > 1e-3
 
 
 def test_unbordered_system_is_plain_core_solve():
     blocks = oracles.random_blocks(rng, n=8, flavor="none")
     system = assemble_system(blocks)
     assert system.nb == 0
+    assert system.core.shape == (24, 24)
     x = solve_bordered(system)
     assert len(x) == 24
-    assert residual_norm(system, x) < 1e-10
+    assert oracles.residual_norm(blocks, x) < 1e-10
+
+
+@pytest.mark.parametrize("rows", [(True, True), (True, False), (False, True)])
+def test_relabelled_start_vertex_rolls_the_newton_direction(rows):
+    # Moving the start vertex moves which pair of vertices the wrap entries
+    # couple, so agreement at N = 160 (above the dense oracle's size cap)
+    # checks the wrap correction on a real Newton system.
+    n = 160
+    theta = 2.0 * np.pi * np.arange(n) / n
+    r = 1.0 + 0.2 * np.sin(3 * theta) + 0.1 * np.cos(7 * theta)
+    vm = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    kappa = initial_curvature(vm) + 0.05 * rng.standard_normal(n)
+    shift_x = 1e-3 * rng.standard_normal((n, 2))
+    use_perimeter, use_area = rows
+
+    def direction(s):
+        v = np.roll(vm, s, axis=0)
+        ctx = SchemeContext(
+            delta0=1.0,
+            xhist=-v,
+            use_perimeter=use_perimeter,
+            Lhist=-oracles.loop_perimeter(v),
+            use_area=use_area,
+            A0=oracles.loop_shoelace(v),
+        )
+        it = NewtonIterate(v + np.roll(shift_x, s, axis=0), np.roll(kappa, s), 0.3, -0.2)
+        z = solve_bordered(assemble_system(assemble_newton_blocks(ctx, ReferenceGeometry(v), it, 1e-3)))
+        # back to the labels of s = 0
+        dX = np.roll(z[: 2 * n].reshape(n, 2), -s, axis=0)
+        dk = np.roll(z[2 * n : 3 * n], -s)
+        return np.concatenate((dX.ravel(), dk, z[3 * n :]))
+
+    reference = direction(0)
+    for s in (1, 37, 159):
+        assert np.abs(direction(s) - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_parallel_border_rows_raise_degeneracy():
@@ -144,7 +183,7 @@ def test_singular_core_raises():
     blocks = NewtonBlocks(
         P=base.P,
         Q=base.Q,
-        R=sp.csr_matrix((16, 16)),
+        R=np.zeros((8, 3)),
         a1=None,
         a2=None,
         b1=None,
@@ -186,6 +225,5 @@ def test_mismatched_borders_rejected():
 
 def test_dense_fallback_size_guard():
     blocks = oracles.random_blocks(rng, n=65, flavor="none")
-    system = assemble_system(blocks)
     with pytest.raises(ValueError):
-        solve_bordered_dense(system)
+        oracles.solve_bordered_dense(blocks)

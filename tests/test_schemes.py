@@ -10,6 +10,8 @@ import pytest
 
 from curveflow.femcore import initial_curvature
 from curveflow.geometry import generate_ellipse, generate_mikula, perimeter, signed_area
+import curveflow.schemes
+from curveflow.femcore import NewtonIterate
 from curveflow.linalg import EquilibriumDegeneracyError
 from curveflow.schemes import (
     AP_PARTNER,
@@ -18,6 +20,7 @@ from curveflow.schemes import (
     SchemeConfig,
     SchemeError,
     bdf_coefficients,
+    newton_outer,
     run,
     run_modified,
     scheme_kind,
@@ -395,6 +398,21 @@ def test_ap_partner_table_is_consistent():
         assert scheme_kind(sp_scheme) == "SP"
         assert ap_scheme in SCHEMES
         assert scheme_kind(ap_scheme) == "AP"
+
+
+def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
+    # a NaN curvature update next to a tiny position update: Python's max
+    # would drop the NaN and report convergence
+    n = 6
+    blocks = oracles.random_blocks(rng, n=n, flavor="both")
+    step = np.zeros(3 * n + 2)
+    step[: 2 * n] = 1e-14
+    step[2 * n + 3] = np.nan
+    monkeypatch.setattr(curveflow.schemes, "solve_bordered", lambda system: step)
+    start = NewtonIterate(np.zeros((n, 2)), np.zeros(n), 0.0, 0.0)
+    with pytest.raises(NewtonDivergenceError, match="curvature") as info:
+        newton_outer(lambda it: blocks, start, tol=1e-10, max_newton=5)
+    assert info.value.last_norm == math.inf
 
 
 def test_failure_is_captured_not_raised():
