@@ -2,9 +2,7 @@
 planar curves: geometry, scheme engines, diagnostics and a CLI."""
 
 from .geometry import (
-    EdgeData,
     PolygonalCurve,
-    edge_data,
     generate_ellipse,
     generate_mikula,
     generate_rectangle,
@@ -40,13 +38,11 @@ from .metrics import (
     DiagnosticsSeries,
     eoc,
     manifold_distance,
-    multiplier_error,
     polygon_intersection_area,
     write_diagnostics_csv,
     write_eoc_csv,
 )
 from .schemes import (
-    AP_PARTNER,
     SCHEMES,
     NewtonDivergenceError,
     RunResult,
@@ -60,13 +56,7 @@ from .schemes import (
     run,
     run_modified,
     startup,
-    step_ap_bdfk,
-    step_pd_bdf2,
-    step_pd_euler,
-    step_sp_bdf2,
-    step_sp_bdf2_variant,
-    step_sp_cn,
-    step_sp_euler,
+    step,
 )
 from .app import cli_converge, cli_distance, cli_simulate, main
 

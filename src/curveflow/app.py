@@ -103,13 +103,7 @@ def parse_path_rule(text: str):
         raise ConfigError(f"invalid path rule '{text}' (expected forms: c*h, h^2, c*h^(2/3))")
     coef = 1.0 if m.group("coef") in (None, "") else _number(m.group("coef"), "path rule coefficient")
     exp_text = m.group("exp")
-    if exp_text is None:
-        exponent = 1.0
-    elif "/" in exp_text:
-        num, _, den = exp_text.partition("/")
-        exponent = float(num) / float(den)
-    else:
-        exponent = float(exp_text)
+    exponent = 1.0 if exp_text is None else _number(exp_text, "path rule exponent")
     if coef <= 0 or exponent <= 0:
         raise ConfigError(f"path rule '{text}' must have positive coefficient and exponent")
 

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import _as_vertices, _forward_difference, _shoelace, edge_lengths, edge_vectors
+from .geometry import _as_vertices, _forward_difference, _nonzero_edge_lengths, _shoelace, edge_lengths, edge_vectors
 
 __all__ = [
     "lumped_masses",
@@ -223,10 +223,7 @@ class ReferenceGeometry:
     def __init__(self, curve) -> None:
         v = _as_vertices(curve)
         self.vertices = np.array(v, dtype=float)
-        self.lengths = edge_lengths(self.vertices)
-        if (self.lengths == 0.0).any():
-            bad = int(np.flatnonzero(self.lengths == 0.0)[0])
-            raise ValueError(f"zero-length edge at index {bad}")
+        self.lengths = _nonzero_edge_lengths(self.vertices)
         self.mass = _sum_with_previous(self.lengths, 0.5)
         self.omega = normal_weights(self.vertices)
         self.weights = 1.0 / self.lengths

@@ -12,17 +12,13 @@ sign system the discrete curvature of a convex curve is positive.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "PolygonalCurve",
-    "EdgeData",
-    "edge_data",
     "edge_vectors",
     "edge_lengths",
-    "outward_normals",
     "perimeter",
     "signed_area",
     "mesh_ratio",
@@ -76,10 +72,7 @@ class PolygonalCurve:
         if not np.isfinite(arr).all():
             bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
             raise ValueError(f"non-finite coordinates at vertex {bad}")
-        lengths = np.hypot(*(np.roll(arr, -1, axis=0) - arr).T)
-        zero = np.flatnonzero(lengths == 0.0)
-        if zero.size:
-            raise ValueError(f"zero-length edge at index {int(zero[0])}")
+        _nonzero_edge_lengths(arr)
         area = _shoelace(arr)
         if area == 0.0:
             raise ValueError("curve encloses zero signed area; orientation undefined")
@@ -106,14 +99,6 @@ class PolygonalCurve:
         return f"PolygonalCurve(n_vertices={self.n_vertices})"
 
 
-class EdgeData(NamedTuple):
-    """Per-edge geometry: the edge vector, its length and outward unit normal."""
-
-    vector: np.ndarray
-    length: float
-    normal: np.ndarray
-
-
 def edge_vectors(curve) -> np.ndarray:
     """Edge vectors h_j = X_{j+1} - X_j as an (N, 2) array."""
     return _forward_difference(_as_vertices(curve))
@@ -133,29 +118,13 @@ def edge_lengths(curve) -> np.ndarray:
     return np.hypot(h[:, 0], h[:, 1])
 
 
-def outward_normals(curve) -> np.ndarray:
-    """Outward unit normals, one per edge, for a counterclockwise curve.
-
-    The outward normal of edge j is its unit tangent rotated clockwise by
-    ninety degrees: h = (hx, hy) maps to (hy, -hx) / |h|.
-    """
-    h = edge_vectors(curve)
-    lengths = np.hypot(h[:, 0], h[:, 1])
-    if (lengths == 0.0).any():
-        bad = int(np.flatnonzero(lengths == 0.0)[0])
-        raise ValueError(f"zero-length edge at index {bad}")
-    return np.column_stack((h[:, 1], -h[:, 0])) / lengths[:, None]
-
-
-def edge_data(curve) -> list[EdgeData]:
-    """Per-edge records (vector, length, outward normal), one per edge."""
-    h = edge_vectors(curve)
-    lengths = np.hypot(h[:, 0], h[:, 1])
-    if (lengths == 0.0).any():
-        bad = int(np.flatnonzero(lengths == 0.0)[0])
-        raise ValueError(f"zero-length edge at index {bad}")
-    normals = np.column_stack((h[:, 1], -h[:, 0])) / lengths[:, None]
-    return [EdgeData(h[j].copy(), float(lengths[j]), normals[j].copy()) for j in range(len(lengths))]
+def _nonzero_edge_lengths(curve) -> np.ndarray:
+    """Edge lengths, or ValueError naming the first zero-length edge."""
+    lengths = edge_lengths(curve)
+    zero = np.flatnonzero(lengths == 0.0)
+    if zero.size:
+        raise ValueError(f"zero-length edge at index {int(zero[0])}")
+    return lengths
 
 
 def perimeter(curve) -> float:
@@ -306,12 +275,16 @@ def write_snapshot(path_or_file, curve, t: float, kappa=None) -> None:
         if kappa is not None:
             row += f" {_fmt(kappa[j])}"
         lines.append(row)
-    text = "\n".join(lines) + "\n"
+    _write_text(path_or_file, "\n".join(lines) + "\n")
+
+
+def _write_text(path_or_file, text: str) -> None:
+    """Write text to an open text file, or to a new ASCII file at a path."""
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
-        with open(path_or_file, "w", encoding="ascii") as f:
-            f.write(text)
+        with open(path_or_file, "w", encoding="ascii") as fh:
+            fh.write(text)
 
 
 def read_snapshot(path_or_file):

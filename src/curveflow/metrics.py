@@ -20,7 +20,7 @@ from typing import IO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import _as_vertices, _shoelace, is_simple
+from .geometry import _as_vertices, _shoelace, _write_text, is_simple
 
 __all__ = [
     "DiagnosticsRow",
@@ -31,7 +31,6 @@ __all__ = [
     "EOC_HEADER",
     "eoc",
     "write_eoc_csv",
-    "multiplier_error",
     "polygon_intersection_area",
     "manifold_distance",
 ]
@@ -80,12 +79,7 @@ def write_diagnostics_csv(series: DiagnosticsSeries, path_or_file: Union[str, IO
             f"{_fmt(r.t)},{_fmt(r.L_norm)},{_fmt(r.dA)},{_fmt(r.lam)},{_fmt(r.eta)},"
             f"{_fmt(r.psi)},{int(r.newton_iters)},{_fmt(r.deltaL)},{r.mode}"
         )
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write_text(path_or_file, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +136,7 @@ def write_eoc_csv(rows: Sequence[ConvergenceRow], path_or_file: Union[str, IO[st
         h = "" if r.h is None else _fmt(r.h)
         order = "" if r.order is None else _fmt(r.order)
         lines.append(f"{_fmt(r.tau)},{h},{_fmt(r.error)},{order}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
-def multiplier_error(value: float) -> float:
-    """Terminal-multiplier error: distance of the multiplier from its
-    continuous limit 0."""
-    return abs(float(value))
+    _write_text(path_or_file, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ the threshold gamma, permanently sets lam = 0, drops the perimeter equation
 and continues with the matching AP scheme.  The AP step stays solvable at the
 discrete equilibrium, where constant curvature makes the two conservation
 laws linearly dependent and the SP step degenerate.
+
+Every scheme is one row of the table SPECS, and the one function `step`
+builds the step of any row.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from .metrics import DiagnosticsRow, DiagnosticsSeries
 
 __all__ = [
     "SCHEMES",
-    "AP_PARTNER",
+    "SPECS",
+    "SchemeSpec",
     "SchemeError",
     "NewtonDivergenceError",
     "HistoryEntry",
@@ -60,55 +64,66 @@ __all__ = [
     "SchemeConfig",
     "Snapshot",
     "RunResult",
-    "scheme_kind",
     "bdf_coefficients",
     "newton_outer",
-    "step_sp_euler",
-    "step_sp_cn",
-    "step_sp_bdf2",
-    "step_sp_bdf2_variant",
-    "step_pd_euler",
-    "step_pd_bdf2",
-    "step_ap_bdfk",
+    "step",
     "startup",
     "run",
     "run_modified",
 ]
 
-SCHEMES = (
-    "sp-euler",
-    "sp-cn",
-    "sp-bdf2",
-    "sp-bdf2-variant",
-    "pd-bdf2",
-    "ap-bdf1",
-    "ap-bdf2",
-    "ap-bdf3",
-    "ap-bdf4",
-)
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """One row of the scheme table: everything that tells one scheme's step,
+    startup and mode switch apart from another's.
+
+    * ``kind``: SP, PD or AP; fixes which constraint rows (perimeter, area)
+      and multipliers the step carries.
+    * ``order``: BDF order of the time rule, which is also the number of
+      history levels a step needs; ``cn`` instead averages every unknown
+      with the previous level (Crank-Nicolson, one level).
+    * ``one_step_perimeter``: the perimeter row uses the one-step backward
+      difference instead of the scheme's own BDF combination.
+    * ``reference``: the polygon the step's geometry is frozen on: "current"
+      (the newest level), "lower" (the curve of one step of ``lower``) or
+      "half" (one step of ``lower`` at tau / 2).
+    * ``lower``: the same family one order lower (for SP and PD the Euler
+      step, for AP-k the AP-(k-1) step); the reference and startup rules use
+      it.
+    * ``startup``: how the history is filled before the first step: "none",
+      "step" (one step of ``lower``) or "substeps" (``lower`` at a fraction of
+      tau, see _substepped_startup).
+    * ``partner``: the AP scheme an SP run switches to at equilibrium.
+    """
+
+    kind: str
+    order: int
+    reference: str = "current"
+    lower: Optional[str] = None
+    startup: str = "none"
+    partner: Optional[str] = None
+    cn: bool = False
+    one_step_perimeter: bool = False
+
+
+SPECS = {
+    "sp-euler": SchemeSpec("SP", 1, partner="ap-bdf1"),
+    "sp-cn": SchemeSpec("SP", 1, "half", "sp-euler", partner="ap-bdf2", cn=True),
+    "sp-bdf2": SchemeSpec("SP", 2, "lower", "sp-euler", "step", "ap-bdf2"),
+    "sp-bdf2-variant": SchemeSpec("SP", 2, "lower", "sp-euler", "step", "ap-bdf2", one_step_perimeter=True),
+    "pd-euler": SchemeSpec("PD", 1),
+    "pd-bdf2": SchemeSpec("PD", 2, "lower", "pd-euler", "step"),
+    "ap-bdf1": SchemeSpec("AP", 1),
+    "ap-bdf2": SchemeSpec("AP", 2, "lower", "ap-bdf1", "step"),
+    "ap-bdf3": SchemeSpec("AP", 3, "lower", "ap-bdf2", "substeps"),
+    "ap-bdf4": SchemeSpec("AP", 4, "lower", "ap-bdf3", "substeps"),
+}
+
+# pd-euler only starts and predicts pd-bdf2; it is not offered as a scheme
+SCHEMES = tuple(name for name in SPECS if name != "pd-euler")
 
 _SHAPES = ("ellipse", "mikula", "rectangle")
-
-# history entries required before the scheme can take a step
-_HISTORY_DEPTH = {
-    "sp-euler": 1,
-    "sp-cn": 1,
-    "sp-bdf2": 2,
-    "sp-bdf2-variant": 2,
-    "pd-bdf2": 2,
-    "ap-bdf1": 1,
-    "ap-bdf2": 2,
-    "ap-bdf3": 3,
-    "ap-bdf4": 4,
-}
-
-# AP scheme the modification algorithm continues with after the switch
-AP_PARTNER = {
-    "sp-euler": "ap-bdf1",
-    "sp-cn": "ap-bdf2",
-    "sp-bdf2": "ap-bdf2",
-    "sp-bdf2-variant": "ap-bdf2",
-}
 
 
 class SchemeError(Exception):
@@ -121,14 +136,6 @@ class NewtonDivergenceError(SchemeError):
     def __init__(self, message: str, last_norm: float) -> None:
         super().__init__(message)
         self.last_norm = last_norm
-
-
-def scheme_kind(scheme: str) -> str:
-    """Family tag of a scheme name: SP, PD or AP."""
-    prefix = scheme.split("-", 1)[0].upper()
-    if prefix not in ("SP", "PD", "AP"):
-        raise ValueError(f"unknown scheme '{scheme}'")
-    return prefix
 
 
 def bdf_coefficients(k: int) -> Tuple[Fraction, ...]:
@@ -236,17 +243,15 @@ class SchemeConfig:
 
     @property
     def kind(self) -> str:
-        return scheme_kind(self.scheme)
+        return SPECS[self.scheme].kind
 
     @property
     def history_depth(self) -> int:
-        return _HISTORY_DEPTH[self.scheme]
+        return SPECS[self.scheme].order
 
     @property
     def bdf_order(self) -> int:
-        if self.scheme.startswith("ap-bdf"):
-            return int(self.scheme[-1])
-        return 2 if "bdf2" in self.scheme else 1
+        return SPECS[self.scheme].order
 
     def make_initial_curve(self) -> PolygonalCurve:
         if self.initial_curve is not None:
@@ -309,29 +314,6 @@ def newton_outer(
     )
 
 
-def _require_history(state: SchemeState, depth: int) -> None:
-    if len(state.history) < depth:
-        raise SchemeError(f"scheme needs {depth} history entries, state has {len(state.history)}")
-
-
-# which constraint rows an Euler-type step of each family carries
-_FLAVOR_ROWS = {"sp": (True, True), "pd": (True, False), "ap": (False, True)}
-
-
-def _euler_context(state: SchemeState, flavor: str) -> SchemeContext:
-    last = state.history[-1]
-    use_perimeter, use_area = _FLAVOR_ROWS[flavor]
-    return SchemeContext(
-        delta0=1.0,
-        xhist=-np.array(last.curve.vertices),
-        use_perimeter=use_perimeter,
-        dL0=1.0,
-        Lhist=-last.L,
-        use_area=use_area,
-        A0=state.A0,
-    )
-
-
 def _start_iterate(state: SchemeState, ctx: SchemeContext) -> NewtonIterate:
     # previous time level, with multipliers that are not unknowns pinned to 0
     last = state.history[-1]
@@ -360,10 +342,9 @@ def _solve_step(
     config: SchemeConfig,
     ctx: SchemeContext,
     ref_curve: PolygonalCurve,
-    tau: Optional[float] = None,
-    tau_scalable: bool = False,
+    tau_scalable: bool,
 ) -> Tuple[NewtonIterate, int, float]:
-    tau = state.tau if tau is None else tau
+    tau = state.tau
     ref = ReferenceGeometry(ref_curve)
 
     def model_at(tau_s: float):
@@ -428,164 +409,60 @@ def _accept(state: SchemeState, it: NewtonIterate, iters: int, norm: float, mode
     return new_state, report
 
 
-def _predict_euler_curve(state: SchemeState, config: SchemeConfig, flavor: str, tau: float) -> PolygonalCurve:
-    """Predictor curve: one Euler-type step of the matching family, solved to
-    the same tolerance; only the curve is kept and its Newton iterations are
-    not counted in any StepReport."""
-    ctx = _euler_context(state, flavor)
-    it, _, _ = _solve_step(state, config, ctx, state.history[-1].curve, tau=tau, tau_scalable=True)
-    return _wrap_accepted(it.X, state.step_index + 1)
+def _history_sum(coeffs: Sequence[float], levels: Sequence, value: Callable):
+    # sum_{i >= 1} coeffs[i] * value(levels[-i]), newest level first
+    total = coeffs[1] * value(levels[-1])
+    for i in range(2, len(coeffs)):
+        total = total + coeffs[i] * value(levels[-i])
+    return total
 
 
-def step_sp_euler(state: SchemeState, config: SchemeConfig) -> Tuple[SchemeState, StepReport]:
-    """Backward Euler step with both conservation laws, reference geometry on
-    the current curve."""
-    _require_history(state, 1)
-    ctx = _euler_context(state, "sp")
-    it, iters, norm = _solve_step(state, config, ctx, state.history[-1].curve, tau_scalable=True)
-    return _accept(state, it, iters, norm, "SP")
+def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None) -> Tuple[SchemeState, StepReport]:
+    """One step of ``scheme`` (default: the configured scheme) from the
+    newest history levels, built from the scheme's row of SPECS.
 
-
-def step_pd_euler(state: SchemeState, config: SchemeConfig) -> Tuple[SchemeState, StepReport]:
-    """Backward Euler step of the perimeter-decreasing formulation (single
-    multiplier lam, no area equation)."""
-    _require_history(state, 1)
-    ctx = _euler_context(state, "pd")
-    it, iters, norm = _solve_step(state, config, ctx, state.history[-1].curve, tau_scalable=True)
-    return _accept(state, it, iters, norm, "PD")
-
-
-def step_sp_cn(state: SchemeState, config: SchemeConfig) -> Tuple[SchemeState, StepReport]:
-    """Crank-Nicolson step: reference geometry from a half-step Euler
-    predictor, unknowns entering all equations as averages with the previous
-    level, perimeter law on the stored perimeters."""
-    _require_history(state, 1)
+    The BDF coefficients of ``order`` combine the stored curves in the
+    velocity law and the stored perimeters in the perimeter law (the
+    variant's perimeter law uses the one-step difference); Crank-Nicolson
+    averages every unknown with the previous level.  The reference polygon
+    is the current curve or the curve of one step of the lower-order scheme,
+    solved to the same tolerance; that step's Newton iterations enter no
+    StepReport.  ``run`` passes the AP partner after a switch, and the step
+    passes the lower-order scheme to itself for the reference.
+    """
+    spec = SPECS[scheme or config.scheme]
+    if len(state.history) < spec.order:
+        raise SchemeError(f"scheme needs {spec.order} history entries, state has {len(state.history)}")
     last = state.history[-1]
-    half_curve = _predict_euler_curve(state, config, "sp", 0.5 * state.tau)
-    ctx = SchemeContext(
-        delta0=1.0,
-        xhist=-np.array(last.curve.vertices),
-        alpha=0.5,
-        kappa_off=0.5 * np.array(last.kappa),
-        lambda_off=0.5 * last.lam,
-        eta_off=0.5 * last.eta,
-        alpha_x=0.5,
-        x_off=0.5 * np.array(last.curve.vertices),
-        use_perimeter=True,
-        dL0=1.0,
-        Lhist=-last.L,
-        use_area=True,
-        A0=state.A0,
-    )
-    it, iters, norm = _solve_step(state, config, ctx, half_curve)
-    return _accept(state, it, iters, norm, "SP")
-
-
-def _bdf2_parts(state: SchemeState) -> Tuple[HistoryEntry, HistoryEntry, np.ndarray]:
-    newest, older = state.history[-1], state.history[-2]
-    xhist = -2.0 * np.array(newest.curve.vertices) + 0.5 * np.array(older.curve.vertices)
-    return newest, older, xhist
-
-
-def _step_sp_bdf2_impl(state: SchemeState, config: SchemeConfig, variant: bool) -> Tuple[SchemeState, StepReport]:
-    _require_history(state, 2)
-    newest, older, xhist = _bdf2_parts(state)
-    ref_curve = _predict_euler_curve(state, config, "sp", state.tau)
-    if variant:
-        dL0, Lhist = 1.0, -newest.L
-    else:
-        dL0, Lhist = 1.5, -2.0 * newest.L + 0.5 * older.L
-    ctx = SchemeContext(
-        delta0=1.5,
-        xhist=xhist,
-        use_perimeter=True,
-        dL0=dL0,
-        Lhist=Lhist,
-        use_area=True,
-        A0=state.A0,
-    )
-    it, iters, norm = _solve_step(state, config, ctx, ref_curve)
-    return _accept(state, it, iters, norm, "SP")
-
-
-def step_sp_bdf2(state: SchemeState, config: SchemeConfig) -> Tuple[SchemeState, StepReport]:
-    """BDF2 step with both conservation laws; the perimeter law uses the same
-    BDF2 combination of stored perimeters, which is what keeps the scheme at
-    full second order."""
-    return _step_sp_bdf2_impl(state, config, variant=False)
-
-
-def step_sp_bdf2_variant(state: SchemeState, config: SchemeConfig) -> Tuple[SchemeState, StepReport]:
-    """Like step_sp_bdf2 but with a first-order backward difference in the
-    perimeter law only; still structure preserving, but drops to reduced
-    convergence order.  Provided as the negative control for order tests."""
-    return _step_sp_bdf2_impl(state, config, variant=True)
-
-
-def step_pd_bdf2(state: SchemeState, config: SchemeConfig) -> Tuple[SchemeState, StepReport]:
-    """BDF2 step of the perimeter-decreasing formulation."""
-    _require_history(state, 2)
-    newest, older, xhist = _bdf2_parts(state)
-    ref_curve = _predict_euler_curve(state, config, "pd", state.tau)
-    ctx = SchemeContext(
-        delta0=1.5,
-        xhist=xhist,
-        use_perimeter=True,
-        dL0=1.5,
-        Lhist=-2.0 * newest.L + 0.5 * older.L,
-        use_area=False,
-        A0=state.A0,
-    )
-    it, iters, norm = _solve_step(state, config, ctx, ref_curve)
-    return _accept(state, it, iters, norm, "PD")
-
-
-def _ap_reference(state: SchemeState, config: SchemeConfig, k: int) -> PolygonalCurve:
-    # reference geometry for an order-k AP step: one step of the order-(k-1)
-    # scheme (recursing down to order 1, whose reference is the current curve)
-    sub_state, _ = step_ap_bdfk(state, config, k - 1)
-    return sub_state.history[-1].curve
-
-
-def step_ap_bdfk(state: SchemeState, config: SchemeConfig, k: int) -> Tuple[SchemeState, StepReport]:
-    """Order-k BDF step of the area-preserving formulation (multiplier eta
-    only, no perimeter equation); k = 1 is backward Euler on the current
-    curve, k >= 2 uses a one-step lower-order predictor as reference."""
-    if not 1 <= k <= 4:
-        raise ValueError(f"AP scheme order must be in 1..4, got {k}")
-    _require_history(state, k)
-    if k == 1:
-        ctx = _euler_context(state, "ap")
-        ref_curve = state.history[-1].curve
-    else:
-        delta = [float(c) for c in bdf_coefficients(k)]
-        entries = list(state.history)[-k:]  # oldest .. newest
-        xhist = np.zeros_like(np.array(entries[-1].curve.vertices))
-        for i in range(1, k + 1):
-            xhist += delta[i] * np.array(entries[k - i].curve.vertices)
-        ref_curve = _ap_reference(state, config, k)
-        ctx = SchemeContext(
-            delta0=delta[0],
-            xhist=xhist,
-            use_perimeter=False,
-            use_area=True,
-            A0=state.A0,
+    delta = [float(c) for c in bdf_coefficients(spec.order)]
+    dL = [float(c) for c in bdf_coefficients(1)] if spec.one_step_perimeter else delta
+    averaged = {}
+    if spec.cn:
+        averaged = dict(
+            alpha=0.5,
+            kappa_off=0.5 * last.kappa,
+            lambda_off=0.5 * last.lam,
+            eta_off=0.5 * last.eta,
+            alpha_x=0.5,
+            x_off=0.5 * last.curve.vertices,
         )
-    it, iters, norm = _solve_step(state, config, ctx, ref_curve, tau_scalable=(k == 1))
-    return _accept(state, it, iters, norm, "AP")
-
-
-_STEP_DISPATCH = {
-    "sp-euler": step_sp_euler,
-    "sp-cn": step_sp_cn,
-    "sp-bdf2": step_sp_bdf2,
-    "sp-bdf2-variant": step_sp_bdf2_variant,
-    "pd-bdf2": step_pd_bdf2,
-    "ap-bdf1": lambda s, c: step_ap_bdfk(s, c, 1),
-    "ap-bdf2": lambda s, c: step_ap_bdfk(s, c, 2),
-    "ap-bdf3": lambda s, c: step_ap_bdfk(s, c, 3),
-    "ap-bdf4": lambda s, c: step_ap_bdfk(s, c, 4),
-}
+    ctx = SchemeContext(
+        delta0=delta[0],
+        xhist=_history_sum(delta, state.history, lambda e: e.curve.vertices),
+        use_perimeter=spec.kind != "AP",
+        dL0=dL[0],
+        Lhist=_history_sum(dL, state.history, lambda e: e.L),
+        use_area=spec.kind != "PD",
+        A0=state.A0,
+        **averaged,
+    )
+    if spec.reference == "current":
+        ref_curve = last.curve
+    else:
+        ref_state = replace(state, tau=0.5 * state.tau) if spec.reference == "half" else state
+        ref_curve = step(ref_state, config, spec.lower)[0].history[-1].curve
+    it, iters, norm = _solve_step(state, config, ctx, ref_curve, tau_scalable=spec.reference == "current")
+    return _accept(state, it, iters, norm, spec.kind)
 
 
 def _initial_state(config: SchemeConfig) -> SchemeState:
@@ -608,89 +485,63 @@ def _initial_state(config: SchemeConfig) -> SchemeState:
     )
 
 
-def _substepped_startup(config: SchemeConfig, k: int) -> SchemeState:
+def _substepped_startup(config: SchemeConfig, spec: SchemeSpec) -> SchemeState:
     """History for an order-k AP run: cover [0, (k-1) tau] with the order
     (k-1) scheme at substep sigma = tau / n_sub, n_sub = ceil(tau^(-1/(k-1))),
     so the startup error sigma^(k-1) <= tau^k; every n_sub-th substate becomes
     a history level, and each tau interval gets one aggregated StepReport."""
-    tau = config.tau
+    k, tau = spec.order, config.tau
     n_sub = max(1, math.ceil(tau ** (-1.0 / (k - 1)) - 1e-12))
-    sigma = tau / n_sub
-    sub_cfg = replace(config, scheme=f"ap-bdf{k - 1}", tau=sigma, T=(k - 1) * tau, gamma=0.0)
+    sub_cfg = replace(config, scheme=spec.lower, tau=tau / n_sub, T=(k - 1) * tau, gamma=0.0)
     sub_state = startup(sub_cfg)
-    entry0 = sub_state.history[0] if len(sub_state.history) == sub_state.step_index + 1 else None
-    if entry0 is None:
+    if len(sub_state.history) != sub_state.step_index + 1:
         raise SchemeError("substepped startup lost its initial level")
-
-    total = (k - 1) * n_sub
-    captures = {0: entry0}
-    iters = {j: 0 for j in range(1, k)}
-    norms = {j: 0.0 for j in range(1, k)}
-
-    def interval(substep: int) -> int:
-        return min(k - 1, (substep + n_sub - 1) // n_sub)
-
-    # substeps already covered by the nested startup of the sub-scheme
-    for idx, rep in enumerate(sub_state.startup_reports, start=1):
-        iters[interval(idx)] += rep.newton_iterations
-        norms[interval(idx)] = rep.final_update_norm
-    base = sub_state.step_index - len(sub_state.history) + 1
-    for j in range(1, k):
-        s = j * n_sub
-        if s <= sub_state.step_index:
-            captures[j] = sub_state.history[s - base]
-
-    for s in range(sub_state.step_index + 1, total + 1):
-        sub_state, rep = step_ap_bdfk(sub_state, sub_cfg, k - 1)
-        j = interval(s)
-        iters[j] += rep.newton_iterations
-        norms[j] = rep.final_update_norm
-        if s % n_sub == 0:
-            captures[s // n_sub] = sub_state.history[-1]
+    # one report per substep: the nested startup reports per sigma interval
+    levels = list(sub_state.history)[::n_sub]
+    sub_reports = list(sub_state.startup_reports)
+    while sub_state.step_index < (k - 1) * n_sub:
+        sub_state, rep = step(sub_state, sub_cfg)
+        sub_reports.append(rep)
+        if sub_state.step_index % n_sub == 0:
+            levels.append(sub_state.history[-1])
 
     reports = [
         StepReport(
-            newton_iterations=iters[j],
-            final_update_norm=norms[j],
-            deltaL=(captures[j].L - captures[j - 1].L) / tau,
+            newton_iterations=sum(r.newton_iterations for r in sub_reports[(j - 1) * n_sub : j * n_sub]),
+            final_update_norm=sub_reports[j * n_sub - 1].final_update_norm,
+            deltaL=(levels[j].L - levels[j - 1].L) / tau,
             lam=0.0,
-            eta=captures[j].eta,
+            eta=levels[j].eta,
             mode="AP",
         )
         for j in range(1, k)
     ]
     return SchemeState(
-        history=deque((captures[j] for j in range(k)), maxlen=5),
+        history=deque(levels, maxlen=5),
         step_index=k - 1,
         tau=tau,
-        A0=entry0.A,
-        L0=entry0.L,
+        A0=levels[0].A,
+        L0=levels[0].L,
         startup_reports=reports,
     )
 
 
 def startup(config: SchemeConfig) -> SchemeState:
-    """Initial SchemeState with history filled to the scheme's depth.
+    """Initial SchemeState with history filled to the scheme's order.
 
     Level 0 uses the generated curve with least-squares curvature and zero
-    multipliers.  Two-level schemes take one Euler-type step of the matching
-    family; order 3 and 4 AP schemes substep with the next-lower order (see
-    _substepped_startup).  The steps taken here are recorded per tau interval
-    in state.startup_reports.
+    multipliers.  Two-level schemes then take one step of the lower-order
+    scheme of their family; order 3 and 4 AP schemes substep with the
+    next-lower order (see _substepped_startup).  The steps taken here are
+    recorded per tau interval in state.startup_reports.
     """
-    depth = config.history_depth
-    if depth >= 3:
-        return _substepped_startup(config, depth)
+    spec = SPECS[config.scheme]
+    if spec.startup == "substeps":
+        return _substepped_startup(config, spec)
     state = _initial_state(config)
-    if depth == 1:
-        return state
-    if config.scheme in ("sp-bdf2", "sp-bdf2-variant"):
-        state, report = step_sp_euler(state, config)
-    elif config.scheme == "pd-bdf2":
-        state, report = step_pd_euler(state, config)
-    else:  # ap-bdf2
-        state, report = step_ap_bdfk(state, config, 1)
-    state.startup_reports = [report]
+    if spec.startup == "step":
+        state, report = step(state, config, spec.lower)
+        state.startup_reports = [report]
     return state
 
 
@@ -744,10 +595,10 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     tau = config.tau
     n_steps = config.n_steps
     snap_set = {min(n_steps, max(0, int(round(t / tau)))) for t in snapshot_times}
-    mode0 = config.kind
+    spec = SPECS[config.scheme]
+    mode0 = spec.kind
     gamma = config.gamma_value
-    partner = AP_PARTNER.get(config.scheme)
-    ap_order = _HISTORY_DEPTH[partner] if partner else None
+    switching = mode0 == "SP" and gamma > 0
 
     rows: List[DiagnosticsRow] = []
     snapshots: List[Snapshot] = []
@@ -770,9 +621,9 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     try:
         state = startup(config)
     except (SchemeError, SolverError) as exc:
-        if degenerate(exc) and mode0 == "SP" and gamma > 0:
+        if degenerate(exc) and switching:
             switched, forced, switch_time = True, True, 0.0
-            state = startup(replace(config, scheme=AP_PARTNER[config.scheme]))
+            state = startup(replace(config, scheme=spec.partner))
         else:
             init = _initial_state(config)
             rows.append(_diag_row(0.0, init.history[0], init, 0, 0.0, 0.0, 0.0, mode0))
@@ -783,7 +634,7 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     for j, rep in enumerate(state.startup_reports, start=1):
         entry = state.history[j - base]
         rows.append(_diag_row(j * tau, entry, state, rep.newton_iterations, rep.deltaL, rep.lam, rep.eta, rep.mode))
-        if not switched and mode0 == "SP" and gamma > 0 and abs(rep.deltaL) <= gamma:
+        if not switched and switching and abs(rep.deltaL) <= gamma:
             switched, switch_time = True, j * tau
     for idx in sorted(i for i in snap_set if i <= state.step_index):
         entry = state.history[idx - base]
@@ -793,12 +644,14 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     while state.step_index < n_steps:
         try:
             if switched:
-                k = min(ap_order, len(state.history))
-                state, rep = step_ap_bdfk(state, config, k)
+                ap = spec.partner
+                while SPECS[ap].order > len(state.history):  # just after a forced switch
+                    ap = SPECS[ap].lower
+                state, rep = step(state, config, ap)
             else:
-                state, rep = _STEP_DISPATCH[config.scheme](state, config)
+                state, rep = step(state, config)
         except (SchemeError, SolverError) as exc:
-            if degenerate(exc) and not switched and mode0 == "SP" and gamma > 0:
+            if degenerate(exc) and not switched and switching:
                 # the SP system degenerated at equilibrium: switch and retry
                 switched, forced = True, True
                 switch_time = state.step_index * tau
@@ -810,7 +663,7 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
         rows.append(_diag_row(m * tau, entry, state, rep.newton_iterations, rep.deltaL, rep.lam, rep.eta, rep.mode))
         if m in snap_set:
             snapshots.append(Snapshot(m * tau, entry.curve, np.array(entry.kappa)))
-        if not switched and mode0 == "SP" and gamma > 0 and abs(rep.deltaL) <= gamma:
+        if not switched and switching and abs(rep.deltaL) <= gamma:
             switched, switch_time = True, m * tau
 
     series = DiagnosticsSeries(rows=rows, switch_time=switch_time, forced_switch=forced)

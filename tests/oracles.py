@@ -246,6 +246,46 @@ def oracle_bdf2_step(Vm: np.ndarray, Vm1: np.ndarray, tau: float, flavor: str, A
     return _unpack(_solve(resid, z0), n, has_lam, has_eta)
 
 
+# BDF coefficients (delta_0, ..., delta_k) as printed in textbooks
+BDF = {
+    1: (1.0, -1.0),
+    2: (1.5, -2.0, 0.5),
+    3: (11 / 6, -3.0, 1.5, -1 / 3),
+    4: (25 / 12, -4.0, 3.0, -4 / 3, 0.25),
+}
+
+
+def oracle_ap_step(levels, tau: float, k: int, A0: float):
+    """One order-k BDF step of the area-preserving formulation from the
+    newest k of ``levels`` (vertex arrays, oldest first): area law only, no
+    perimeter law.  The reference geometry is the curve of the order-(k-1)
+    oracle step from the same levels, or the newest level when k = 1."""
+    Vm = levels[-1]
+    n = len(Vm)
+    ref = Vm if k == 1 else oracle_ap_step(levels, tau, k - 1, A0)["X"]
+    m, om = loop_masses(ref), loop_omegas(ref)
+    delta = BDF[k]
+
+    def resid(z):
+        it = _unpack(z, n, False, True)
+        X, kap = it["X"], it["kappa"]
+        Sk = loop_stiffness_apply(ref, kap)
+        SX = loop_stiffness_apply(ref, X)
+        rows = []
+        for j in range(n):
+            dt = delta[0] * X[j]
+            for i in range(1, k + 1):
+                dt = dt + delta[i] * levels[-i][j]
+            rows.append(om[j] @ dt + tau * (Sk[j] - it["eta"] * m[j]))
+        for j in range(n):
+            rows.extend(kap[j] * om[j] - SX[j])
+        rows.append(loop_shoelace(X) - A0)
+        return np.array(rows)
+
+    z0 = np.concatenate([ref.ravel(), loop_curvature(ref), [0.0]])
+    return _unpack(_solve(resid, z0), n, False, True)
+
+
 # ---------------------------------------------------------------------------
 # dense bordered systems
 

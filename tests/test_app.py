@@ -97,6 +97,8 @@ def test_path_rule_rejects_garbage():
         parse_path_rule("h^0")
     with pytest.raises(ConfigError, match="positive"):
         parse_path_rule("0h")
+    with pytest.raises(ConfigError, match="invalid number '1/0'"):
+        parse_path_rule("h^(1/0)")
     _, _, resolve = parse_path_rule("h")
     with pytest.raises(ConfigError, match="N=2 < 3"):
         resolve(0.5)

@@ -221,8 +221,10 @@ def test_slice_arithmetic_is_bitwise_the_roll_formula():
 
 
 def test_reference_geometry_rejects_zero_edge():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero-length edge at index 0"):
         ReferenceGeometry(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="zero-length edge at index 3"):
+        ReferenceGeometry(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------

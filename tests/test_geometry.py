@@ -8,7 +8,6 @@ import pytest
 
 from curveflow.geometry import (
     PolygonalCurve,
-    edge_data,
     edge_lengths,
     edge_vectors,
     generate_ellipse,
@@ -16,12 +15,13 @@ from curveflow.geometry import (
     generate_rectangle,
     is_simple,
     mesh_ratio,
-    outward_normals,
     perimeter,
     read_snapshot,
     signed_area,
     write_snapshot,
 )
+
+from curveflow.femcore import normal_weights
 
 import oracles
 
@@ -148,7 +148,7 @@ def test_constructor_validation():
         PolygonalCurve(np.zeros((4, 3)))
     with pytest.raises(ValueError):
         PolygonalCurve([[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero-length edge at index 0"):
         PolygonalCurve([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         # collinear: zero enclosed area
@@ -159,27 +159,25 @@ def test_edge_quantities_against_loops():
     curve = wiggly_test_curve()
     v = curve.vertices
     n = len(v)
-    for j, rec in enumerate(edge_data(curve)):
+    vectors, lengths = edge_vectors(curve), edge_lengths(curve)
+    for j in range(n):
         vec = v[(j + 1) % n] - v[j]
-        assert np.array_equal(rec.vector, vec)
-        assert rec.length == pytest.approx(math.hypot(*vec), rel=1e-15)
-        outward = np.array([vec[1], -vec[0]]) / math.hypot(*vec)
-        assert rec.normal == pytest.approx(outward, rel=1e-15)
+        assert np.array_equal(vectors[j], vec)
+        assert lengths[j] == pytest.approx(math.hypot(*vec), rel=1e-15)
     assert np.array_equal(edge_vectors(curve), np.roll(v, -1, axis=0) - v)
 
 
 def test_outward_normals_point_outward_on_square():
     curve = generate_rectangle(2.0, 2.0, 8)
-    normals = outward_normals(curve)
-    mids = 0.5 * (curve.vertices + np.roll(curve.vertices, -1, axis=0))
-    # moving from an edge midpoint along its normal must increase the radius
-    assert ((mids * normals).sum(axis=1) > 0).all()
+    omega = normal_weights(curve)
+    # moving a vertex along its lumped normal weight must increase its radius
+    assert ((curve.vertices * omega).sum(axis=1) > 0).all()
 
 
 def test_length_weighted_normals_telescope_to_zero():
+    # sum_k omega_k = sum_j |h_j| n_j, the closed polygon's telescoping sum
     curve = wiggly_test_curve()
-    weighted = edge_lengths(curve)[:, None] * outward_normals(curve)
-    assert np.abs(weighted.sum(axis=0)).max() < 1e-12
+    assert np.abs(normal_weights(curve).sum(axis=0)).max() < 1e-12
 
 
 def test_raw_array_input_accepted():

@@ -21,7 +21,6 @@ from curveflow.metrics import (
     DiagnosticsSeries,
     eoc,
     manifold_distance,
-    multiplier_error,
     polygon_intersection_area,
     write_diagnostics_csv,
     write_eoc_csv,
@@ -286,16 +285,6 @@ def test_eoc_rejects_non_finite_errors():
         eoc([(0.1, math.nan)])
     with pytest.raises(ValueError):
         eoc([(0.1, math.inf)])
-
-
-# ---------------------------------------------------------------------------
-# multiplier error
-
-
-def test_multiplier_error_values():
-    assert multiplier_error(0.0) == 0.0
-    assert multiplier_error(-3e-4) == 3e-4
-    assert multiplier_error(np.float64(2.5e-6)) == 2.5e-6
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import curveflow.schemes
 from curveflow.femcore import NewtonIterate
 from curveflow.linalg import EquilibriumDegeneracyError
 from curveflow.schemes import (
-    AP_PARTNER,
     SCHEMES,
+    SPECS,
     NewtonDivergenceError,
     SchemeConfig,
     SchemeError,
@@ -23,14 +23,8 @@ from curveflow.schemes import (
     newton_outer,
     run,
     run_modified,
-    scheme_kind,
     startup,
-    step_ap_bdfk,
-    step_pd_bdf2,
-    step_sp_bdf2,
-    step_sp_bdf2_variant,
-    step_sp_cn,
-    step_sp_euler,
+    step,
 )
 
 import oracles
@@ -72,11 +66,16 @@ def test_bdf_coefficients_order_range():
 
 
 def test_scheme_kind():
-    assert scheme_kind("sp-euler") == "SP"
-    assert scheme_kind("pd-bdf2") == "PD"
-    assert scheme_kind("ap-bdf4") == "AP"
-    with pytest.raises(ValueError):
-        scheme_kind("xx-euler")
+    assert SchemeConfig(scheme="sp-euler", N=8, tau=0.01, T=0.01).kind == "SP"
+    assert SchemeConfig(scheme="pd-bdf2", N=8, tau=0.01, T=0.01).kind == "PD"
+    assert SchemeConfig(scheme="ap-bdf4", N=8, tau=0.01, T=0.01).kind == "AP"
+    # the PD Euler step starts and predicts pd-bdf2 but is no scheme of its own
+    with pytest.raises(ValueError) as info:
+        SchemeConfig(scheme="pd-euler", N=8, tau=0.01, T=0.01)
+    assert str(info.value) == (
+        "unknown scheme 'pd-euler' (expected one of sp-euler, sp-cn, sp-bdf2, "
+        "sp-bdf2-variant, pd-bdf2, ap-bdf1, ap-bdf2, ap-bdf3, ap-bdf4)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +147,9 @@ def test_euler_steps_match_oracle():
     a0 = oracles.loop_shoelace(v0)
     for scheme, flavor in (("sp-euler", "sp"), ("pd-bdf2", "pd"), ("ap-bdf1", "ap")):
         cfg, state = fresh_state(scheme)
-        if scheme == "sp-euler":
-            state, _ = step_sp_euler(state, cfg)
-            entry = state.history[-1]
-        elif scheme == "ap-bdf1":
-            state, _ = step_ap_bdfk(state, cfg, 1)
-            entry = state.history[-1]
-        else:
-            # pd-bdf2 startup is exactly one pd-euler step
-            entry = state.history[-1]
+        if scheme != "pd-bdf2":  # pd-bdf2 startup is exactly one pd-euler step
+            state, _ = step(state, cfg)
+        entry = state.history[-1]
         sol = oracles.oracle_euler_step(v0, TAU, flavor, A0=a0)
         assert_same_root(entry, sol)
 
@@ -165,24 +158,39 @@ def test_crank_nicolson_step_matches_oracle():
     cfg, state = fresh_state("sp-cn")
     v0 = state.history[-1].curve.vertices
     kappa0 = state.history[-1].kappa
-    state, _ = step_sp_cn(state, cfg)
+    state, _ = step(state, cfg)
     sol = oracles.oracle_cn_step(v0, kappa0, 0.0, 0.0, TAU, oracles.loop_shoelace(v0))
     assert_same_root(state.history[-1], sol)
 
 
 def test_bdf2_steps_match_oracle():
-    for scheme, flavor, variant, stepper in (
-        ("sp-bdf2", "sp", False, step_sp_bdf2),
-        ("sp-bdf2-variant", "sp", True, step_sp_bdf2_variant),
-        ("pd-bdf2", "pd", False, step_pd_bdf2),
-        ("ap-bdf2", "ap", False, lambda s, c: step_ap_bdfk(s, c, 2)),
+    for scheme, flavor, variant in (
+        ("sp-bdf2", "sp", False),
+        ("sp-bdf2-variant", "sp", True),
+        ("pd-bdf2", "pd", False),
+        ("ap-bdf2", "ap", False),
     ):
         cfg, state = fresh_state(scheme)
         v0 = state.history[-2].curve.vertices
         v1 = state.history[-1].curve.vertices
-        state, _ = stepper(state, cfg)
+        state, _ = step(state, cfg)
         sol = oracles.oracle_bdf2_step(v1, v0, TAU, flavor, A0=oracles.loop_shoelace(v0), variant=variant)
         assert_same_root(state.history[-1], sol)
+
+
+@pytest.mark.parametrize("scheme, k", [("ap-bdf3", 3), ("ap-bdf4", 4)])
+def test_high_order_ap_step_matches_oracle(scheme, k):
+    # from the substepped startup levels; the oracle takes its reference from
+    # its own recursive order-(k-1) step.  The default tol: at 1e-12 the
+    # ap-bdf4 startup's innermost substeps (sigma ~ 4e-6) stall on the eta
+    # update's rounding floor (last update 7e-12)
+    cfg = SchemeConfig(scheme=scheme, N=N8, tau=TAU, T=4 * TAU, gamma=0.0)
+    state = startup(cfg)
+    levels = [np.array(e.curve.vertices) for e in state.history]
+    assert len(levels) == k
+    state, _ = step(state, cfg)
+    sol = oracles.oracle_ap_step(levels, TAU, k, A0=oracles.loop_shoelace(levels[0]))
+    assert_same_root(state.history[-1], sol)
 
 
 def test_tiny_steps_move_tangentially_only():
@@ -230,7 +238,7 @@ def test_sp_euler_preserves_area_and_shrinks_perimeter_stepwise():
     state = startup(cfg)
     a0, l_prev = state.A0, state.L0
     for _ in range(5):
-        state, rep = step_sp_euler(state, cfg)
+        state, rep = step(state, cfg)
         entry = state.history[-1]
         assert abs(entry.A - a0) < 1e-9 * abs(a0)
         assert entry.L <= l_prev + 1e-9
@@ -394,10 +402,65 @@ def test_run_modified_requires_sp_scheme():
 
 
 def test_ap_partner_table_is_consistent():
-    for sp_scheme, ap_scheme in AP_PARTNER.items():
-        assert scheme_kind(sp_scheme) == "SP"
+    partners = {name: spec.partner for name, spec in SPECS.items() if spec.partner}
+    assert set(partners) == {name for name in SCHEMES if SPECS[name].kind == "SP"}
+    for ap_scheme in partners.values():
         assert ap_scheme in SCHEMES
-        assert scheme_kind(ap_scheme) == "AP"
+        assert SPECS[ap_scheme].kind == "AP"
+
+
+def test_scheme_table_rows_are_consistent():
+    assert SCHEMES == (
+        "sp-euler", "sp-cn", "sp-bdf2", "sp-bdf2-variant", "pd-bdf2",
+        "ap-bdf1", "ap-bdf2", "ap-bdf3", "ap-bdf4",
+    )  # fmt: skip
+    for name, spec in SPECS.items():
+        # the reference and startup rules reach down the family one order at a
+        # time, ending at an Euler step on the current curve
+        assert (spec.lower is None) == (spec.reference == "current"), name
+        assert spec.startup == {1: "none", 2: "step"}.get(spec.order, "substeps"), name
+        if spec.lower is not None:
+            lower = SPECS[spec.lower]
+            assert lower.kind == spec.kind and not lower.cn, name
+            assert lower.order == max(1, spec.order - 1), name
+        assert (spec.reference == "half") == spec.cn, name
+
+
+def test_every_solve_runs_inside_newton_outer(monkeypatch):
+    # the traced benchmark wraps these module-level names; a predictor,
+    # reference or startup path that bypassed them would go unmeasured
+    counts = {"solves": 0, "outside": 0, "startup": 0, "newton_depth": 0}
+    solve, newton, start = curveflow.schemes.solve_bordered, curveflow.schemes.newton_outer, curveflow.schemes.startup
+
+    def counting_solve(system):
+        counts["solves"] += 1
+        counts["outside"] += counts["newton_depth"] == 0
+        return solve(system)
+
+    def counting_newton(*args, **kwargs):
+        counts["newton_depth"] += 1
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            counts["newton_depth"] -= 1
+
+    def counting_startup(config):
+        counts["startup"] += 1
+        return start(config)
+
+    monkeypatch.setattr(curveflow.schemes, "solve_bordered", counting_solve)
+    monkeypatch.setattr(curveflow.schemes, "newton_outer", counting_newton)
+    monkeypatch.setattr(curveflow.schemes, "startup", counting_startup)
+    for scheme in ("sp-cn", "sp-bdf2", "pd-bdf2", "ap-bdf3"):
+        # two steps after the startup levels
+        n_steps = SPECS[scheme].order + 1
+        result = run(SchemeConfig(scheme=scheme, N=16, tau=0.01, T=0.01 * n_steps, gamma=0.0))
+        assert result.ok, f"{scheme}: {result.failure}"
+        assert len(result.series.rows) == n_steps + 1
+    assert counts["solves"] > 0
+    assert counts["outside"] == 0
+    # one startup per run, plus the nested startup of ap-bdf3's substeps
+    assert counts["startup"] == 5
 
 
 def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
