@@ -203,10 +203,44 @@ def generate_rectangle(width: float, height: float, N: int) -> PolygonalCurve:
     return PolygonalCurve(np.vstack(pieces))
 
 
+def _overlapping(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray):
+    """Index arrays (i, j) of every pair of closed intervals
+    [lo_a[i], hi_a[i]] and [lo_b[j], hi_b[j]] that overlap, each pair once
+    and in no particular order.  Sort-and-sweep: two closed intervals overlap
+    exactly when b starts inside a, or a starts inside b strictly after b
+    starts, and each of these is one sorted range per interval.  O((n + m)
+    log(n + m) + K) time and O(n + m + K) memory for K pairs."""
+
+    def starts_inside(lo, hi, starts, side):
+        order = np.argsort(starts)
+        first = np.searchsorted(starts[order], lo, side)
+        count = np.searchsorted(starts[order], hi, "right") - first
+        owner = np.repeat(np.arange(len(lo)), count)
+        offset = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+        return owner, order[np.repeat(first, count) + offset]
+
+    i1, j1 = starts_inside(lo_a, hi_a, lo_b, "left")
+    j2, i2 = starts_inside(lo_b, hi_b, lo_a, "right")
+    return np.concatenate((i1, i2)), np.concatenate((j1, j2))
+
+
+def _box_pairs(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray):
+    """Index arrays (i, j) of the pairs of closed axis-aligned boxes
+    [lo_a[i], hi_a[i]] and [lo_b[j], hi_b[j]] ((n, 2) and (m, 2) corner
+    arrays) that overlap: the x-overlaps of the sweep, filtered by
+    y-overlap."""
+    i, j = _overlapping(lo_a[:, 0], hi_a[:, 0], lo_b[:, 0], hi_b[:, 0])
+    keep = (lo_a[i, 1] <= hi_b[j, 1]) & (lo_b[j, 1] <= hi_a[i, 1])
+    return i[keep], j[keep]
+
+
 def is_simple(curve) -> bool:
     """True if no two non-adjacent edges intersect and no vertex folds back
-    onto the previous edge.  Brute-force all-pairs test, intended for spot
-    checks rather than per-step use."""
+    onto the previous edge.  Two edges that share a point have overlapping
+    closed bounding boxes, so the orientation and on-segment predicates run
+    only on the box-overlapping pairs that a sort-and-sweep lists (Shamos &
+    Hoey, FOCS 1976): O(N log N + K) time and O(N + K) memory, where K is the
+    number of edge pairs whose x-extents overlap, O(N) for smooth curves."""
     v = _as_vertices(curve)
     n = len(v)
     a = v
@@ -218,14 +252,24 @@ def is_simple(curve) -> bool:
     if bool(((cross_consec == 0.0) & (dot_consec < 0.0)).any()):
         return False
 
-    ax, ay = a[:, 0], a[:, 1]
-    bx, by = b[:, 0], b[:, 1]
-    ex, ey = e[:, 0], e[:, 1]
-    # d1[i,j]: side of edge j's line that edge i's start point falls on, etc.
-    d1 = ex[None, :] * (ay[:, None] - ay[None, :]) - ey[None, :] * (ax[:, None] - ax[None, :])
-    d2 = ex[None, :] * (by[:, None] - ay[None, :]) - ey[None, :] * (bx[:, None] - ax[None, :])
-    d3 = ex[:, None] * (ay[None, :] - ay[:, None]) - ey[:, None] * (ax[None, :] - ax[:, None])
-    d4 = ex[:, None] * (by[None, :] - ay[:, None]) - ey[:, None] * (bx[None, :] - ax[:, None])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    i, j = _box_pairs(lo, hi, lo, hi)
+    # each unordered pair once, adjacent edges (which share a vertex) dropped;
+    # the predicates below are symmetric in (i, j)
+    keep = (i < j) & (j != i + 1) & ~((i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+
+    ax, ay = a[i, 0], a[i, 1]
+    bx, by = b[i, 0], b[i, 1]
+    cx, cy = a[j, 0], a[j, 1]
+    dx, dy = b[j, 0], b[j, 1]
+    ex, ey = e[i, 0], e[i, 1]
+    fx, fy = e[j, 0], e[j, 1]
+    # d1: side of edge j's line that edge i's start point falls on, etc.
+    d1 = fx * (ay - cy) - fy * (ax - cx)
+    d2 = fx * (by - cy) - fy * (bx - cx)
+    d3 = ex * (cy - ay) - ey * (cx - ax)
+    d4 = ex * (dy - ay) - ey * (dx - ax)
     proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
         ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
     )
@@ -239,18 +283,12 @@ def is_simple(curve) -> bool:
         )
 
     touch = (
-        ((d1 == 0) & _on_segment(ax[:, None], ay[:, None], ax[None, :], ay[None, :], bx[None, :], by[None, :]))
-        | ((d2 == 0) & _on_segment(bx[:, None], by[:, None], ax[None, :], ay[None, :], bx[None, :], by[None, :]))
-        | ((d3 == 0) & _on_segment(ax[None, :], ay[None, :], ax[:, None], ay[:, None], bx[:, None], by[:, None]))
-        | ((d4 == 0) & _on_segment(bx[None, :], by[None, :], ax[:, None], ay[:, None], bx[:, None], by[:, None]))
+        ((d1 == 0) & _on_segment(ax, ay, cx, cy, dx, dy))
+        | ((d2 == 0) & _on_segment(bx, by, cx, cy, dx, dy))
+        | ((d3 == 0) & _on_segment(cx, cy, ax, ay, bx, by))
+        | ((d4 == 0) & _on_segment(dx, dy, ax, ay, bx, by))
     )
-
-    idx = np.arange(n)
-    nonadjacent = np.ones((n, n), dtype=bool)
-    nonadjacent[idx, idx] = False
-    nonadjacent[idx, (idx + 1) % n] = False
-    nonadjacent[(idx + 1) % n, idx] = False
-    return not bool(((proper | touch) & nonadjacent).any())
+    return not bool((proper | touch).any())
 
 
 def _fmt(x: float) -> str:

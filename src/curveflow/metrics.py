@@ -5,10 +5,14 @@ The manifold distance |O1 \\ O2| + |O2 \\ O1| of the enclosed regions is
 computed from one exact polygon intersection: both boundaries are split at
 every mutual crossing or collinear-contact parameter, and each sub-segment
 contributes its Green's-theorem term 0.5 * cross(start, end) when it lies on
-the boundary of the intersection region.  Sidedness decisions use a floating
-point orientation filter with an exact rational fallback, so coincident
-geometry (identical curves, shared edges, touching vertices) is classified
-deterministically rather than by perturbation.
+the boundary of the intersection region.  Candidate pairs come from a
+sort-and-sweep, never from all pairs: edge pairs whose bounding boxes
+overlap, and for the winding test of a sub-segment's sample point only the
+edges whose y-range holds it, so time and memory grow with N + M plus the
+number of candidates.  Sidedness decisions use a floating point orientation
+filter with an exact rational fallback, so coincident geometry (identical
+curves, shared edges, touching vertices) is classified deterministically
+rather than by perturbation.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import IO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import _as_vertices, _shoelace, _write_text, is_simple
+from .geometry import _as_vertices, _box_pairs, _overlapping, _shoelace, _write_text, is_simple
 
 __all__ = [
     "DiagnosticsRow",
@@ -169,46 +173,29 @@ def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) ->
     return 0
 
 
-def _strict_inside(x: float, y: float, W: np.ndarray, W1: np.ndarray) -> Optional[bool]:
-    """Winding-number test of one point against a closed polygon.  Returns
-    True/False for strictly inside/outside and None when the point lies
-    exactly on the boundary."""
-    wx0, wy0 = W[:, 0], W[:, 1]
-    wx1, wy1 = W1[:, 0], W1[:, 1]
-    flat = (wy0 == y) & (wy1 == y)
-    if flat.any():
-        for idx in np.flatnonzero(flat):
-            if min(wx0[idx], wx1[idx]) <= x <= max(wx0[idx], wx1[idx]):
-                return None
+def _classify_points(px: np.ndarray, py: np.ndarray, W: np.ndarray, W1: np.ndarray):
+    """Winding-number test of points (px, py) against the closed polygon with
+    edges W -> W1.  Returns boolean arrays (inside, on_boundary); inside is
+    meaningful only off the boundary.  A point is paired only with the edges
+    whose closed y-range holds its y, which are all edges that can lie flat
+    through it or cross its rightward ray."""
+    s, e = _overlapping(py, py, np.minimum(W[:, 1], W1[:, 1]), np.maximum(W[:, 1], W1[:, 1]))
+    x, y = px[s], py[s]
+    wx0, wy0 = W[e, 0], W[e, 1]
+    wx1, wy1 = W1[e, 0], W1[e, 1]
+    on = (wy0 == y) & (wy1 == y) & (np.minimum(wx0, wx1) <= x) & (x <= np.maximum(wx0, wx1))
     up = (wy0 <= y) & (wy1 > y)
     dn = (wy1 <= y) & (wy0 > y)
-    cand = up | dn
-    if not cand.any():
-        return False
     detl = (wx1 - wx0) * (y - wy0)
     detr = (wy1 - wy0) * (x - wx0)
     det = detl - detr
-    ambiguous = cand & (np.abs(det) <= _FILTER * (np.abs(detl) + np.abs(detr)))
-    if ambiguous.any():
-        det = det.copy()
-        for idx in np.flatnonzero(ambiguous):
-            o = _orient(wx0[idx], wy0[idx], wx1[idx], wy1[idx], x, y)
-            if o == 0:
-                return None
-            det[idx] = float(o)
-    wn = int(np.count_nonzero(up & (det > 0))) - int(np.count_nonzero(dn & (det < 0)))
-    return wn != 0
-
-
-def _classify_interior(ax, ay, bx, by, t0, t1, W, W1) -> bool:
-    # sample an interior point of the sub-segment; resample once if the float
-    # sample accidentally lands exactly on the other boundary
-    for frac in (0.5, 0.618033988749895):
-        t = t0 + frac * (t1 - t0)
-        r = _strict_inside(ax + t * (bx - ax), ay + t * (by - ay), W, W1)
-        if r is not None:
-            return r
-    return False
+    ambiguous = (up | dn) & (np.abs(det) <= _FILTER * (np.abs(detl) + np.abs(detr)))
+    for k in np.flatnonzero(ambiguous):
+        o = _orient(wx0[k], wy0[k], wx1[k], wy1[k], x[k], y[k])
+        det[k] = float(o)
+        on[k] |= o == 0
+    wn = np.bincount(s, weights=(up & (det > 0)).astype(float) - (dn & (det < 0)), minlength=len(px))
+    return wn != 0, np.bincount(s, weights=on, minlength=len(px)) > 0
 
 
 def _collect_params(P: np.ndarray, Q: np.ndarray):
@@ -227,22 +214,11 @@ def _collect_params(P: np.ndarray, Q: np.ndarray):
     overlapsP: List[List[Tuple[float, float, int]]] = [[] for _ in range(nP)]
     overlapsQ: List[List[Tuple[float, float, int]]] = [[] for _ in range(nQ)]
 
-    pminx = np.minimum(P[:, 0], P1[:, 0])
-    pmaxx = np.maximum(P[:, 0], P1[:, 0])
-    pminy = np.minimum(P[:, 1], P1[:, 1])
-    pmaxy = np.maximum(P[:, 1], P1[:, 1])
-    qminx = np.minimum(Q[:, 0], Q1[:, 0])
-    qmaxx = np.maximum(Q[:, 0], Q1[:, 0])
-    qminy = np.minimum(Q[:, 1], Q1[:, 1])
-    qmaxy = np.maximum(Q[:, 1], Q1[:, 1])
-    mask = (
-        (pminx[:, None] <= qmaxx[None, :])
-        & (pmaxx[:, None] >= qminx[None, :])
-        & (pminy[:, None] <= qmaxy[None, :])
-        & (pmaxy[:, None] >= qminy[None, :])
-    )
-
-    for i, j in np.argwhere(mask):
+    ii, jj = _box_pairs(np.minimum(P, P1), np.maximum(P, P1), np.minimum(Q, Q1), np.maximum(Q, Q1))
+    # lexicographic (i, j): the order of each edge's overlap list decides
+    # which overlap _boundary_pieces_area matches first
+    order = np.lexsort((jj, ii))
+    for i, j in zip(ii[order].tolist(), jj[order].tolist()):
         p0x, p0y = P[i]
         p1x, p1y = P1[i]
         q0x, q0y = Q[j]
@@ -321,33 +297,47 @@ def _boundary_pieces_area(
     region; a sub-segment on the shared boundary counts only from the first
     polygon (keep_shared=True) and only when co-directed with the other
     boundary, so shared arcs enter exactly once."""
-    total = 0.0
+    edge: List[int] = []
+    t0s: List[float] = []
+    t1s: List[float] = []
+    verdicts: List[Optional[bool]] = []  # None: decided by an interior sample
     for i in range(len(V)):
-        ax, ay = V[i]
-        bx, by = V1[i]
         cuts = [0.0]
         for t in sorted(params[i]):
             if cuts[-1] + 1e-14 < t < 1.0 - 1e-14:
                 cuts.append(t)
         cuts.append(1.0)
         for t0, t1 in zip(cuts, cuts[1:]):
-            shared_edge = None
+            verdict = None
             for lo, hi, j in overlaps[i]:
                 if lo - 1e-12 <= t0 and t1 <= hi + 1e-12:
-                    shared_edge = j
+                    ax, ay = V[i]
+                    bx, by = V1[i]
+                    dqx = W1[j, 0] - W[j, 0]
+                    dqy = W1[j, 1] - W[j, 1]
+                    verdict = keep_shared and bool((bx - ax) * dqx + (by - ay) * dqy > 0.0)
                     break
-            if shared_edge is not None:
-                if not keep_shared:
-                    continue
-                dqx = W1[shared_edge, 0] - W[shared_edge, 0]
-                dqy = W1[shared_edge, 1] - W[shared_edge, 1]
-                if (bx - ax) * dqx + (by - ay) * dqy <= 0.0:
-                    continue
-            elif not _classify_interior(ax, ay, bx, by, t0, t1, W, W1):
-                continue
-            s0x, s0y = ax + t0 * (bx - ax), ay + t0 * (by - ay)
-            s1x, s1y = ax + t1 * (bx - ax), ay + t1 * (by - ay)
-            total += 0.5 * (s0x * s1y - s1x * s0y)
+            edge.append(i)
+            t0s.append(t0)
+            t1s.append(t1)
+            verdicts.append(verdict)
+    ax, ay = V[edge, 0], V[edge, 1]
+    dx, dy = V1[edge, 0] - ax, V1[edge, 1] - ay
+    t0, t1 = np.array(t0s), np.array(t1s)
+    keep = np.array([v is True for v in verdicts])
+    # sample an interior point of each remaining sub-segment; resample once
+    # where the float sample lands exactly on the other boundary
+    todo = np.flatnonzero([v is None for v in verdicts])
+    for frac in (0.5, 0.618033988749895):
+        t = t0[todo] + frac * (t1[todo] - t0[todo])
+        inside, on_boundary = _classify_points(ax[todo] + t * dx[todo], ay[todo] + t * dy[todo], W, W1)
+        keep[todo[~on_boundary]] = inside[~on_boundary]
+        todo = todo[on_boundary]
+    s0x, s0y = ax + t0 * dx, ay + t0 * dy
+    s1x, s1y = ax + t1 * dx, ay + t1 * dy
+    total = 0.0
+    for term in (0.5 * (s0x * s1y - s1x * s0y))[keep].tolist():
+        total += term
     return total
 
 

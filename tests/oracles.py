@@ -3,8 +3,9 @@
 Everything here is written from first principles: geometry by explicit
 loops, areas by Monte Carlo sampling, the implicit step equations solved
 with a generic library root finder on finite-difference Jacobians.  None of
-it shares code with the package beyond plain containers, so agreement is
-evidence of correctness rather than a tautology.
+it shares code with the package beyond plain containers and the exact
+orientation predicate, so agreement is evidence of correctness rather than a
+tautology.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import scipy.optimize
 
 from curveflow.femcore import NewtonBlocks
+from curveflow.metrics import _FILTER, _orient
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +90,23 @@ def central_difference(f, V: np.ndarray, D: np.ndarray, eps: float = 1e-6) -> fl
 
 
 def points_in_polygon(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Even-odd ray casting along +x, vectorized over sample points."""
-    x, y = pts[:, 0], pts[:, 1]
+    """Even-odd ray casting along +x.  The samples are sorted by y once; an
+    edge toggles exactly the samples in its half-open band
+    min(y0, y1) <= y < max(y0, y1), one contiguous slice of the sorted
+    samples."""
+    order = np.argsort(pts[:, 1])
+    x, y = pts[order, 0], pts[order, 1]
     inside = np.zeros(len(pts), dtype=bool)
     n = len(V)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(n):
-            x0, y0 = V[j]
-            x1, y1 = V[(j + 1) % n]
-            crosses = (y0 > y) != (y1 > y)
-            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            inside ^= crosses & (x < xi)
-    return inside
+    for j in range(n):
+        x0, y0 = V[j]
+        x1, y1 = V[(j + 1) % n]
+        band = slice(*np.searchsorted(y, (min(y0, y1), max(y0, y1)), "left"))
+        xi = x0 + (y[band] - y0) * (x1 - x0) / (y1 - y0)
+        inside[band] ^= x[band] < xi
+    out = np.empty_like(inside)
+    out[order] = inside
+    return out
 
 
 def mc_intersection_area(A: np.ndarray, B: np.ndarray, n_samples: int, seed: int):
@@ -120,6 +127,96 @@ def mc_intersection_area(A: np.ndarray, B: np.ndarray, n_samples: int, seed: int
     p = hits / n_samples
     sigma = box * math.sqrt(max(p * (1.0 - p), 1e-300) / n_samples)
     return box * p, sigma
+
+
+# ---------------------------------------------------------------------------
+# all-pairs simplicity test and per-point winding test
+#
+# The library lists candidate edge pairs by a sort-and-sweep and classifies
+# sample points in one batch; these are the all-pairs and one-point versions
+# it replaced, kept as references.  strict_inside shares the library's exact
+# orientation predicate, so agreement checks the candidate search, the
+# batching and the reductions.
+
+
+def all_pairs_is_simple(v: np.ndarray) -> bool:
+    """True if no two non-adjacent edges intersect and no vertex folds back
+    onto the previous edge, by the dense N x N test of every edge pair."""
+    v = np.asarray(v, dtype=float)
+    n = len(v)
+    a = v
+    b = np.roll(v, -1, axis=0)
+    e = b - a
+    e_next = np.roll(e, -1, axis=0)
+    cross_consec = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+    dot_consec = (e * e_next).sum(axis=1)
+    if bool(((cross_consec == 0.0) & (dot_consec < 0.0)).any()):
+        return False
+
+    ax, ay = a[:, 0], a[:, 1]
+    bx, by = b[:, 0], b[:, 1]
+    ex, ey = e[:, 0], e[:, 1]
+    # d1[i,j]: side of edge j's line that edge i's start point falls on, etc.
+    d1 = ex[None, :] * (ay[:, None] - ay[None, :]) - ey[None, :] * (ax[:, None] - ax[None, :])
+    d2 = ex[None, :] * (by[:, None] - ay[None, :]) - ey[None, :] * (bx[:, None] - ax[None, :])
+    d3 = ex[:, None] * (ay[None, :] - ay[:, None]) - ey[:, None] * (ax[None, :] - ax[:, None])
+    d4 = ex[:, None] * (by[None, :] - ay[:, None]) - ey[:, None] * (bx[None, :] - ax[:, None])
+    proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
+        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
+    )
+
+    def _on_segment(px, py, sx0, sy0, sx1, sy1):
+        return (
+            (px >= np.minimum(sx0, sx1))
+            & (px <= np.maximum(sx0, sx1))
+            & (py >= np.minimum(sy0, sy1))
+            & (py <= np.maximum(sy0, sy1))
+        )
+
+    touch = (
+        ((d1 == 0) & _on_segment(ax[:, None], ay[:, None], ax[None, :], ay[None, :], bx[None, :], by[None, :]))
+        | ((d2 == 0) & _on_segment(bx[:, None], by[:, None], ax[None, :], ay[None, :], bx[None, :], by[None, :]))
+        | ((d3 == 0) & _on_segment(ax[None, :], ay[None, :], ax[:, None], ay[:, None], bx[:, None], by[:, None]))
+        | ((d4 == 0) & _on_segment(bx[None, :], by[None, :], ax[:, None], ay[:, None], bx[:, None], by[:, None]))
+    )
+
+    idx = np.arange(n)
+    nonadjacent = np.ones((n, n), dtype=bool)
+    nonadjacent[idx, idx] = False
+    nonadjacent[idx, (idx + 1) % n] = False
+    nonadjacent[(idx + 1) % n, idx] = False
+    return not bool(((proper | touch) & nonadjacent).any())
+
+
+def strict_inside(x: float, y: float, W: np.ndarray, W1: np.ndarray) -> Optional[bool]:
+    """Winding-number test of one point against a closed polygon.  Returns
+    True/False for strictly inside/outside and None when the point lies
+    exactly on the boundary."""
+    wx0, wy0 = W[:, 0], W[:, 1]
+    wx1, wy1 = W1[:, 0], W1[:, 1]
+    flat = (wy0 == y) & (wy1 == y)
+    if flat.any():
+        for idx in np.flatnonzero(flat):
+            if min(wx0[idx], wx1[idx]) <= x <= max(wx0[idx], wx1[idx]):
+                return None
+    up = (wy0 <= y) & (wy1 > y)
+    dn = (wy1 <= y) & (wy0 > y)
+    cand = up | dn
+    if not cand.any():
+        return False
+    detl = (wx1 - wx0) * (y - wy0)
+    detr = (wy1 - wy0) * (x - wx0)
+    det = detl - detr
+    ambiguous = cand & (np.abs(det) <= _FILTER * (np.abs(detl) + np.abs(detr)))
+    if ambiguous.any():
+        det = det.copy()
+        for idx in np.flatnonzero(ambiguous):
+            o = _orient(wx0[idx], wy0[idx], wx1[idx], wy1[idx], x, y)
+            if o == 0:
+                return None
+            det[idx] = float(o)
+    wn = int(np.count_nonzero(up & (det > 0))) - int(np.count_nonzero(dn & (det < 0)))
+    return wn != 0
 
 
 # ---------------------------------------------------------------------------

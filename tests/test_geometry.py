@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveflow.geometry import (
     PolygonalCurve,
@@ -22,6 +24,7 @@ from curveflow.geometry import (
 )
 
 from curveflow.femcore import normal_weights
+from curveflow.metrics import _classify_points
 
 import oracles
 
@@ -210,6 +213,48 @@ def test_is_simple_rejects_fold_back():
     # consecutive edges anti-parallel: the boundary retraces itself
     poly = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     assert not is_simple(poly)
+
+
+# integer-lattice polygons (touching vertices, collinear overlaps, fold-backs,
+# repeated vertices), random star polygons, and stars with one vertex pulled
+# across the curve
+lattice_polygons = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=9).map(
+    lambda pts: np.array(pts, dtype=float)
+)
+
+
+@st.composite
+def star_polygons(draw, pulled=False):
+    n = draw(st.integers(3, 40))
+    radii = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=n, max_size=n)))
+    jitter = np.array(draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n)))
+    theta = 2.0 * np.pi * (np.arange(n) + jitter) / n
+    v = np.column_stack((radii * np.cos(theta), radii * np.sin(theta)))
+    if pulled:
+        k = draw(st.integers(0, n - 1))
+        v[k] *= -draw(st.floats(0.1, 3.0))
+    return v
+
+
+any_polygon = st.one_of(lattice_polygons, star_polygons(), star_polygons(pulled=True))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(any_polygon)
+def test_is_simple_matches_all_pairs_oracle(v):
+    assert is_simple(v) == oracles.all_pairs_is_simple(v)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_polygon, st.lists(st.tuples(st.floats(-2.5, 4.5), st.floats(-2.5, 4.5)), max_size=20))
+def test_point_classification_matches_per_point_oracle(W, extra):
+    W1 = np.roll(W, -1, axis=0)
+    # vertices, edge midpoints and the half-integer lattice hit the boundary
+    grid = np.mgrid[-1:5.5:0.5, -1:5.5:0.5].reshape(2, -1).T
+    pts = np.vstack([W, 0.5 * (W + W1), grid, np.array(extra, dtype=float).reshape(-1, 2)])
+    inside, on_boundary = _classify_points(pts[:, 0], pts[:, 1], W, W1)
+    got = [None if on else bool(ins) for ins, on in zip(inside, on_boundary)]
+    assert got == [oracles.strict_inside(x, y, W, W1) for x, y in pts]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,32 @@ def test_distance_is_translation_invariant():
 def test_distance_never_negative_for_identical_inputs():
     square = unit_square(0.25, 0.25)
     assert manifold_distance(square, square.copy()) >= 0.0
+
+
+def star(n: int, harmonic: int, amplitude: float, phase: float, scale: float = 1.0) -> PolygonalCurve:
+    theta = 2.0 * np.pi * np.arange(n) / n
+    r = scale * (1.0 + amplitude * np.cos(harmonic * theta + phase))
+    return PolygonalCurve(np.column_stack((r * np.cos(theta), r * np.sin(theta))))
+
+
+@pytest.mark.parametrize("kind", ["crossing", "nested"])
+def test_distance_memory_stays_linear_at_n5000(kind):
+    # an all-pairs candidate search holds N x N arrays, about 1.1 GB here
+    if kind == "crossing":
+        a, b = star(5000, 12, 0.2, 0.0), star(5000, 12, 0.2, 0.9)
+    else:
+        a, b = star(5000, 5, 0.25, 0.3), star(5000, 5, 0.25, 0.3, scale=0.8)
+    tracemalloc.start()
+    try:
+        d = manifold_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    if kind == "crossing":
+        assert 0.0 < d < signed_area(a) + signed_area(b)
+    else:
+        assert d == pytest.approx((1.0 - 0.8**2) * signed_area(a), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
