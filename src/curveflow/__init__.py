@@ -19,10 +19,6 @@ from .femcore import (
     SchemeContext,
     assemble_newton_blocks,
     initial_curvature,
-    lumped_inner,
-    stiffness_inner,
-    variation_area,
-    variation_perimeter,
 )
 from .linalg import (
     BorderedSystem,

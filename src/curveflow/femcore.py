@@ -36,14 +36,11 @@ __all__ = [
     "normal_weights",
     "stiffness_stencil",
     "stiffness_matrix",
-    "lumped_inner",
-    "stiffness_inner",
-    "variation_perimeter",
-    "variation_area",
     "initial_curvature",
     "interleave",
     "deinterleave",
     "ReferenceGeometry",
+    "Anchor",
     "SchemeContext",
     "NewtonIterate",
     "NewtonBlocks",
@@ -113,47 +110,6 @@ def stiffness_matrix(curve) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def _pair_product(u, v, n: int) -> np.ndarray:
-    """Pointwise product of two nodal fields, summed over components for
-    vector fields; returns an (n,) array."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    for name, f in (("first", u), ("second", v)):
-        if f.shape not in ((n,), (n, 2)):
-            raise ValueError(f"{name} field has shape {f.shape}, expected ({n},) or ({n}, 2)")
-    if u.shape != v.shape:
-        raise ValueError(f"field shapes differ: {u.shape} vs {v.shape}")
-    if u.ndim == 2:
-        return (u * v).sum(axis=1)
-    return u * v
-
-
-def lumped_inner(u, v, curve) -> float:
-    """Mass-lumped inner product: the composite trapezoidal rule
-    (1/2) sum_j |h_j| [ (u.v) at the edge's end + (u.v) at its start ]."""
-    vertices = _as_vertices(curve)
-    prod = _pair_product(u, v, len(vertices))
-    return float(np.dot(lumped_masses(vertices), prod))
-
-
-def stiffness_inner(u, v, curve) -> float:
-    """Inner product of arclength derivatives:
-    sum_j (u_{j+1} - u_j)(v_{j+1} - v_j) / |h_j|, components summed."""
-    vertices = _as_vertices(curve)
-    n = len(vertices)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    for name, f in (("first", u), ("second", v)):
-        if f.shape not in ((n,), (n, 2)):
-            raise ValueError(f"{name} field has shape {f.shape}, expected ({n},) or ({n}, 2)")
-    if u.shape != v.shape:
-        raise ValueError(f"field shapes differ: {u.shape} vs {v.shape}")
-    du = np.roll(u, -1, axis=0) - u
-    dv = np.roll(v, -1, axis=0) - v
-    prod = (du * dv).sum(axis=1) if u.ndim == 2 else du * dv
-    return float(np.dot(prod, 1.0 / edge_lengths(vertices)))
-
-
 def perimeter_gradient(curve) -> np.ndarray:
     """Exact gradient of the perimeter: grad L_k = u_{k-1} - u_k with unit
     tangents u_j = h_j / |h_j|."""
@@ -163,26 +119,6 @@ def perimeter_gradient(curve) -> np.ndarray:
     np.subtract(u[:-1], u[1:], out=grad[1:])
     np.subtract(u[-1:], u[:1], out=grad[:1])
     return grad
-
-
-def variation_perimeter(curve, direction) -> float:
-    """First variation of the perimeter along a nodal vector field:
-    sum_j (h_j . delta h_j) / |h_j|."""
-    vertices = _as_vertices(curve)
-    d = np.asarray(direction, dtype=float)
-    if d.shape != vertices.shape:
-        raise ValueError(f"direction has shape {d.shape}, expected {vertices.shape}")
-    return stiffness_inner(vertices, d, vertices)
-
-
-def variation_area(curve, direction) -> float:
-    """First variation of the signed area along a nodal vector field; the
-    lumped pairing with the outward normal, exact for the shoelace area."""
-    vertices = _as_vertices(curve)
-    d = np.asarray(direction, dtype=float)
-    if d.shape != vertices.shape:
-        raise ValueError(f"direction has shape {d.shape}, expected {vertices.shape}")
-    return float((d * normal_weights(vertices)).sum())
 
 
 def initial_curvature(curve) -> np.ndarray:
@@ -235,6 +171,20 @@ class ReferenceGeometry:
         return len(self.lengths)
 
 
+class Anchor:
+    """The polygon Y the conservation rows are written against, with its edge
+    vectors g, edge lengths |g|, shoelace area A and perimeter L."""
+
+    __slots__ = ("Y", "g", "glen", "A", "L")
+
+    def __init__(self, curve) -> None:
+        self.Y = _as_vertices(curve)
+        self.g = edge_vectors(self.Y)
+        self.glen = np.hypot(self.g[:, 0], self.g[:, 1])
+        self.A = _shoelace(self.Y)
+        self.L = float(self.glen.sum())
+
+
 @dataclass(frozen=True)
 class SchemeContext:
     """Per-scheme coefficients of the implicit step template.
@@ -244,18 +194,22 @@ class SchemeContext:
       velocity:  omega_ref . (delta0 X + xhist) / tau
                  + S_ref kappa_eff - lam_eff m kappa_eff - eta_eff m = 0
       curvature: kappa_eff omega_ref - S_ref X_eff = 0             (per component)
-      perimeter: (dL0 L(X) + Lhist) / tau + kappa_eff^T S_ref kappa_eff = 0
-      area:      A(X) - A0 = 0
+      perimeter: (dL0 (L(X) - L(Y)) + (dL0 L(Y) + Lhist)) / tau
+                 + kappa_eff^T S_ref kappa_eff = 0
+      area:      (A(Y) - A0) + 1/2 sum_k [d_k x X_{k+1} + Y_k x d_{k+1}] = 0
 
     with kappa_eff = alpha kappa + kappa_off (and likewise lam_eff, eta_eff)
     and X_eff = alpha_x X + x_off.  Averaged schemes set alpha = alpha_x = 1/2
     with the previous values as offsets; multistep schemes put the history
     combination into xhist and Lhist.  Rows 3 and 4 are present only when the
-    corresponding multiplier is an unknown.
+    corresponding multiplier is an unknown.  Y is the anchor (the newest
+    accepted level), d = X - Y, and L(X) - L(Y) = sum_j (h_j - g_j).(h_j + g_j)
+    / (|h_j| + |g_j|) over the edges h of X, g of Y and h - g of d.
     """
 
     delta0: float
     xhist: np.ndarray
+    anchor: Anchor
     alpha: float = 1.0
     kappa_off: Union[np.ndarray, float] = 0.0
     lambda_off: float = 0.0
@@ -334,12 +288,18 @@ def residual_vector(ctx: SchemeContext, ref: ReferenceGeometry, it: NewtonIterat
     )
     r2 = (kappa_eff[:, None] * ref.omega - stiffness_apply(ref.weights, x_eff)).ravel()
     parts = [r1, r2]
+    a = ctx.anchor
+    d = it.X - a.Y
     if ctx.use_perimeter:
-        L_it = float(edge_lengths(it.X).sum())
-        r3 = (ctx.dL0 * L_it + ctx.Lhist) / tau + float(kappa_eff @ Skap)
+        h = edge_vectors(it.X)
+        dh = _forward_difference(d)
+        dL = float(((dh * (h + a.g)).sum(axis=1) / (np.hypot(h[:, 0], h[:, 1]) + a.glen)).sum())
+        r3 = (ctx.dL0 * dL + (ctx.dL0 * a.L + ctx.Lhist)) / tau + float(kappa_eff @ Skap)
         parts.append(np.array([r3]))
     if ctx.use_area:
-        parts.append(np.array([_shoelace(it.X) - ctx.A0]))
+        Xn, dn = (np.concatenate((v[1:], v[:1])) for v in (it.X, d))
+        cross = d[:, 0] * Xn[:, 1] - d[:, 1] * Xn[:, 0] + a.Y[:, 0] * dn[:, 1] - a.Y[:, 1] * dn[:, 0]
+        parts.append(np.array([(a.A - ctx.A0) + 0.5 * float(cross.sum())]))
     return np.concatenate(parts)
 
 

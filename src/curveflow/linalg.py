@@ -94,7 +94,6 @@ class BorderedSystem:
     core: PeriodicBandCore
     border_cols: Optional[np.ndarray]  # (3N, nb)
     border_rows: Optional[np.ndarray]  # (nb, 3N)
-    corner: Optional[np.ndarray]  # (nb, nb)
     rhs: np.ndarray  # (3N + nb,)
     nb: int
 
@@ -163,12 +162,11 @@ def assemble_system(blocks: NewtonBlocks) -> BorderedSystem:
     core = _core(blocks)
     rhs = np.concatenate((_per_vertex(blocks.F2, blocks.F1), np.array(tail)))
     if nb == 0:
-        return BorderedSystem(core=core, border_cols=None, border_rows=None, corner=None, rhs=rhs, nb=0)
+        return BorderedSystem(core=core, border_cols=None, border_rows=None, rhs=rhs, nb=0)
     return BorderedSystem(
         core=core,
         border_cols=np.column_stack(cols),
         border_rows=np.vstack(rows),
-        corner=np.zeros((nb, nb)),
         rhs=rhs,
         nb=nb,
     )
@@ -220,15 +218,15 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
 
     both = _solve_core(system.core, np.column_stack((system.rhs[:m], system.border_cols)))
     g, Y = both[:, 0], both[:, 1:]
-    schur = system.corner - system.border_rows @ Y
+    schur = 0.0 - system.border_rows @ Y  # not unary minus: an exact 0 stays +0.0
     h = system.rhs[m:] - system.border_rows @ g
 
-    # The cancellation bound |corner| + |border_rows| |Y| is the size each
+    # The cancellation bound |border_rows| |Y| is the size each
     # Schur entry would have without cancellation.  After scaling it to a
     # largest entry of 1 in every row and column, a singular value below
     # 1e-13 is rounding noise relative to the entries it came from, whatever
     # factor (such as the perimeter row's 1/tau) a border carried.
-    bound = np.abs(system.corner) + np.abs(system.border_rows) @ np.abs(Y)
+    bound = np.abs(system.border_rows) @ np.abs(Y)
     row_scale = _reciprocal(bound.max(axis=1))
     col_scale = _reciprocal((row_scale[:, None] * bound).max(axis=0))
     U, sing, Vt = np.linalg.svd(row_scale[:, None] * schur * col_scale)

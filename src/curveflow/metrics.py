@@ -375,10 +375,13 @@ def polygon_intersection_area(A, B) -> float:
 def manifold_distance(A, B) -> float:
     """Area of the symmetric difference of the enclosed regions:
     |O_A| + |O_B| - 2 |O_A intersect O_B|.  Arguments are canonicalized so
-    the result is bitwise symmetric."""
+    the result is bitwise symmetric, and identical vertex arrays give 0."""
     va = _as_vertices(A)
     vb = _as_vertices(B)
-    if (len(va), va.tobytes()) > (len(vb), vb.tobytes()):
+    key_a, key_b = (len(va), va.tobytes()), (len(vb), vb.tobytes())
+    if key_a > key_b:
         va, vb = vb, va
     inter = polygon_intersection_area(va, vb)
+    if key_a == key_b:  # the shoelace and Green sums round differently
+        return 0.0
     return max(0.0, _shoelace(va) + _shoelace(vb) - 2.0 * inter)

@@ -32,6 +32,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .femcore import (
+    Anchor,
     NewtonIterate,
     ReferenceGeometry,
     SchemeContext,
@@ -246,10 +247,6 @@ class SchemeConfig:
         return SPECS[self.scheme].kind
 
     @property
-    def history_depth(self) -> int:
-        return SPECS[self.scheme].order
-
-    @property
     def bdf_order(self) -> int:
         return SPECS[self.scheme].order
 
@@ -325,12 +322,6 @@ def _start_iterate(state: SchemeState, ctx: SchemeContext) -> NewtonIterate:
     )
 
 
-# A Newton run that ends with its update norm within _STALL_FACTOR * tol is a
-# rounding-floor stall (the multiplier border is nearly rank deficient, cf. the
-# constant-curvature degeneracy), not a basin failure: retrying from another
-# guess cannot pass the floor.  Anything worse is treated as true divergence.
-_STALL_FACTOR = 1e5
-
 # Continuation ladder for Euler-type steps whose direct solve diverges: the
 # same step problem is solved at tau / 2^j for j = _CONTINUATION_STAGES .. 0,
 # each root seeding the next stage, so the final stage is the original system.
@@ -356,8 +347,8 @@ def _solve_step(
     start = _start_iterate(state, ctx)
     try:
         return newton_outer(model_at(tau), start, config.tol, config.max_newton)
-    except NewtonDivergenceError as exc:
-        if not tau_scalable or exc.last_norm <= _STALL_FACTOR * config.tol:
+    except NewtonDivergenceError:
+        if not tau_scalable:
             raise
     # An Euler-type step scales cleanly in the time step (the history terms do
     # not involve tau), so a rough curve whose direct solve overshoots can be
@@ -449,6 +440,7 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
     ctx = SchemeContext(
         delta0=delta[0],
         xhist=_history_sum(delta, state.history, lambda e: e.curve.vertices),
+        anchor=Anchor(last.curve),
         use_perimeter=spec.kind != "AP",
         dL0=dL[0],
         Lhist=_history_sum(dL, state.history, lambda e: e.L),
@@ -588,6 +580,10 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     """Advance the configured scheme from 0 to T, with the modification
     algorithm active for SP schemes when gamma > 0.
 
+    The SP phase ends by the threshold rule (a step with |deltaL| <= gamma)
+    or, as a forced switch that retries the step with the AP partner, by an
+    EquilibriumDegeneracyError; any other failure ends the run.
+
     Snapshot times are rounded to the nearest completed step; the recorded t
     is the actual grid time.  Numerical failures do not raise: the partial
     series, snapshots and state are returned with ``failure`` set.
@@ -606,38 +602,25 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     switch_time: Optional[float] = None
     forced = False
 
-    def fail_result(state: Optional[SchemeState], exc: Exception) -> RunResult:
-        series = DiagnosticsSeries(rows=rows, switch_time=switch_time, forced_switch=forced)
-        return RunResult(series, snapshots, state, switch_time, forced, exc)
-
-    def degenerate(exc: Exception) -> bool:
-        # the constant-curvature border degeneracy, either detected exactly in
-        # the Schur complement or showing up as a Newton stall at the rounding
-        # floor just above tol
-        if isinstance(exc, EquilibriumDegeneracyError):
-            return True
-        return isinstance(exc, NewtonDivergenceError) and exc.last_norm <= _STALL_FACTOR * config.tol
-
     try:
         state = startup(config)
     except (SchemeError, SolverError) as exc:
-        if degenerate(exc) and switching:
+        if isinstance(exc, EquilibriumDegeneracyError) and switching:
             switched, forced, switch_time = True, True, 0.0
             state = startup(replace(config, scheme=spec.partner))
         else:
             init = _initial_state(config)
             rows.append(_diag_row(0.0, init.history[0], init, 0, 0.0, 0.0, 0.0, mode0))
-            return fail_result(init, exc)
+            return RunResult(DiagnosticsSeries(rows=rows), snapshots, init, None, False, exc)
 
-    base = state.step_index - len(state.history) + 1  # always 0 after startup
-    rows.append(_diag_row(0.0, state.history[0 - base], state, 0, 0.0, 0.0, 0.0, mode0))
+    rows.append(_diag_row(0.0, state.history[0], state, 0, 0.0, 0.0, 0.0, mode0))
     for j, rep in enumerate(state.startup_reports, start=1):
-        entry = state.history[j - base]
+        entry = state.history[j]
         rows.append(_diag_row(j * tau, entry, state, rep.newton_iterations, rep.deltaL, rep.lam, rep.eta, rep.mode))
         if not switched and switching and abs(rep.deltaL) <= gamma:
             switched, switch_time = True, j * tau
     for idx in sorted(i for i in snap_set if i <= state.step_index):
-        entry = state.history[idx - base]
+        entry = state.history[idx]
         snapshots.append(Snapshot(idx * tau, entry.curve, np.array(entry.kappa)))
 
     failure: Optional[Exception] = None
@@ -651,7 +634,7 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
             else:
                 state, rep = step(state, config)
         except (SchemeError, SolverError) as exc:
-            if degenerate(exc) and not switched and switching:
+            if isinstance(exc, EquilibriumDegeneracyError) and not switched and switching:
                 # the SP system degenerated at equilibrium: switch and retry
                 switched, forced = True, True
                 switch_time = state.step_index * tau

@@ -17,11 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curveflow.femcore import (
-    lumped_inner,
-    variation_area,
-    variation_perimeter,
-)
+from curveflow.femcore import lumped_masses, normal_weights, perimeter_gradient
 from curveflow.geometry import PolygonalCurve, perimeter, signed_area
 from curveflow.linalg import assemble_system, solve_bordered
 from curveflow.metrics import eoc, manifold_distance, polygon_intersection_area
@@ -273,11 +269,12 @@ def test_09_property_battery(ellipse_runs):
         curve = wiggly_curve(rng, int(rng.integers(17, 40)))
         direction = rng.standard_normal(curve.vertices.shape)
         eps = 1e-6
-        for functional, variation in ((perimeter, variation_perimeter), (signed_area, variation_area)):
+        # the border rows Newton uses: the exact gradients of L and A
+        for functional, gradient in ((perimeter, perimeter_gradient), (signed_area, normal_weights)):
             plus = functional(PolygonalCurve(curve.vertices + eps * direction))
             minus = functional(PolygonalCurve(curve.vertices - eps * direction))
             fd = (plus - minus) / (2.0 * eps)
-            exact = variation(curve, direction)
+            exact = float((gradient(curve) * direction).sum())
             fd_worst = max(fd_worst, abs(exact - fd) / max(1.0, abs(exact)))
     fd_ok = fd_worst <= 1e-6
 
@@ -290,12 +287,13 @@ def test_09_property_battery(ellipse_runs):
 
     # lumped-product Cauchy-Schwarz on 1000 random nodal fields
     curve = wiggly_curve(rng, 33)
+    mass = lumped_masses(curve)
     cs_ok = True
     for _ in range(1000):
         u = rng.standard_normal((33, 2))
         w = rng.standard_normal((33, 2))
-        lhs = lumped_inner(u, w, curve) ** 2
-        rhs = lumped_inner(u, u, curve) * lumped_inner(w, w, curve)
+        lhs = float(mass @ (u * w).sum(1)) ** 2
+        rhs = float(mass @ (u * u).sum(1)) * float(mass @ (w * w).sum(1))
         cs_ok &= lhs <= rhs * (1.0 + 1e-12)
 
     # polygon intersection against the Monte Carlo oracle, 20 random pairs
@@ -362,6 +360,7 @@ def test_10_benchmarks_reach_near_circular_equilibria():
     # and 2 below the bound.
     spreads = {}
     switch_times = {}
+    forced = {}
     for label, config in (
         (
             "mikula",
@@ -377,8 +376,9 @@ def test_10_benchmarks_reach_near_circular_equilibria():
         kappa = result.state.history[-1].kappa
         spreads[label] = (kappa.max() - kappa.min()) / kappa.mean()
         switch_times[label] = result.switch_time
+        forced[label] = result.forced_switch
     took_sp_steps = all(t is not None and t > 0 for t in switch_times.values())
-    ok = all(v <= 0.05 for v in spreads.values()) and took_sp_steps
+    ok = all(v <= 0.05 for v in spreads.values()) and took_sp_steps and not any(forced.values())
     report(
         ok,
         "10 benchmark equilibria",
@@ -392,3 +392,6 @@ def test_10_benchmarks_reach_near_circular_equilibria():
     # the modified run takes SP steps before it switches to AP
     for label, t in switch_times.items():
         assert t is not None and t > 0, f"{label}: switch to AP at t={t}"
+    # the SP phase ends by the threshold rule, not by a forced switch
+    for label, was_forced in forced.items():
+        assert not was_forced, f"{label}: forced switch to AP at t={switch_times[label]}"

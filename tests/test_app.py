@@ -310,6 +310,24 @@ def test_converge_refinement_study_and_thread_pool_agree(tmp_path, monkeypatch):
     assert (out_pool / "eoc.csv").read_bytes() == (out_serial / "eoc.csv").read_bytes()
 
 
+def test_converge_ap_bdf4_on_ellipse_completes(tmp_path):
+    out = tmp_path / "study"
+    cfg = write_config(
+        tmp_path / "study.cfg",
+        f"""\
+        scheme = ap-bdf4
+        T = 0.05
+        taus = 1/500 1/720 1/980
+        path = 0.05h^(2/3)
+        out = {out}
+        """,
+    )
+    assert main(["converge", "--config", cfg]) == 0
+    rows = (out / "eoc.csv").read_text(encoding="ascii").splitlines()
+    assert len(rows) == 3
+    assert float(rows[2].split(",")[2]) < float(rows[1].split(",")[2])
+
+
 def test_converge_rejects_bad_thread_cap(tmp_path, monkeypatch, capsys):
     out = tmp_path / "study"
     cfg = write_config(

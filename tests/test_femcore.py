@@ -1,12 +1,15 @@
-"""Finite element building blocks: lumped products, stiffness, variations,
+"""Finite element building blocks: lumped products, stiffness, gradients,
 discrete curvature, and the Newton template's residual/Jacobian."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from curveflow.femcore import (
+    Anchor,
     NewtonIterate,
     ReferenceGeometry,
     SchemeContext,
@@ -14,17 +17,13 @@ from curveflow.femcore import (
     deinterleave,
     initial_curvature,
     interleave,
-    lumped_inner,
     lumped_masses,
     normal_weights,
     perimeter_gradient,
     residual_vector,
     stiffness_apply,
-    stiffness_inner,
     stiffness_matrix,
     stiffness_stencil,
-    variation_area,
-    variation_perimeter,
 )
 from curveflow.geometry import edge_vectors, generate_ellipse, generate_mikula, generate_rectangle, signed_area
 
@@ -86,19 +85,7 @@ def test_lumped_inner_is_composite_trapezoid():
     for j in range(n):
         ell = math.dist(v[j], v[(j + 1) % n])
         expected += 0.5 * ell * (u[j] * w[j] + u[(j + 1) % n] * w[(j + 1) % n])
-    assert lumped_inner(u, w, v) == pytest.approx(expected, rel=1e-13)
-
-
-def test_stiffness_inner_agrees_with_matrix():
-    v = wiggly()
-    S = stiffness_matrix(v)
-    u = rng.standard_normal(len(v))
-    w = rng.standard_normal(len(v))
-    assert stiffness_inner(u, w, v) == pytest.approx(float(u @ (S @ w)), rel=1e-12)
-    a = rng.standard_normal((len(v), 2))
-    b = rng.standard_normal((len(v), 2))
-    expected = float((a * (S @ b)).sum())
-    assert stiffness_inner(a, b, v) == pytest.approx(expected, rel=1e-12)
+    assert float(lumped_masses(v) @ (u * w)) == pytest.approx(expected, rel=1e-13)
 
 
 def test_lumped_inner_cauchy_schwarz():
@@ -106,37 +93,10 @@ def test_lumped_inner_cauchy_schwarz():
     for _ in range(200):
         u = rng.standard_normal(11)
         w = rng.standard_normal(11)
-        lhs = lumped_inner(u, w, v) ** 2
-        rhs = lumped_inner(u, u, v) * lumped_inner(w, w, v)
+        mass = lumped_masses(v)
+        lhs = float(mass @ (u * w)) ** 2
+        rhs = float(mass @ (u * u)) * float(mass @ (w * w))
         assert lhs <= rhs * (1.0 + 1e-12)
-
-
-def test_inner_product_shape_validation():
-    v = wiggly()
-    with pytest.raises(ValueError):
-        lumped_inner(np.zeros(5), np.zeros(5), v)
-    with pytest.raises(ValueError):
-        stiffness_inner(np.zeros(len(v)), np.zeros((len(v), 2)), v)
-    with pytest.raises(ValueError):
-        variation_perimeter(v, np.zeros(len(v)))
-    with pytest.raises(ValueError):
-        variation_area(v, np.zeros((len(v), 3)))
-
-
-def test_variation_perimeter_fd():
-    v = wiggly()
-    for _ in range(5):
-        D = rng.standard_normal(v.shape)
-        fd = oracles.central_difference(oracles.loop_perimeter, v, D, eps=1e-6)
-        assert variation_perimeter(v, D) == pytest.approx(fd, rel=1e-7, abs=1e-9)
-
-
-def test_variation_area_fd():
-    v = wiggly()
-    for _ in range(5):
-        D = rng.standard_normal(v.shape)
-        fd = oracles.central_difference(oracles.loop_shoelace, v, D, eps=1e-5)
-        assert variation_area(v, D) == pytest.approx(fd, rel=1e-9, abs=1e-10)
 
 
 def test_perimeter_gradient_matches_coordinate_fd():
@@ -236,10 +196,12 @@ def context_cases(vm, tau):
     Lm = oracles.loop_perimeter(vm)
     A0 = oracles.loop_shoelace(vm)
     kap_prev = initial_curvature(vm)
-    euler = SchemeContext(delta0=1.0, xhist=-vm, A0=A0)
+    anchor = Anchor(vm)
+    euler = SchemeContext(delta0=1.0, xhist=-vm, anchor=anchor, A0=A0)
     averaged = SchemeContext(
         delta0=1.0,
         xhist=-vm,
+        anchor=anchor,
         alpha=0.5,
         kappa_off=0.5 * kap_prev,
         lambda_off=0.05,
@@ -253,11 +215,14 @@ def context_cases(vm, tau):
     two_step = SchemeContext(
         delta0=1.5,
         xhist=-2.0 * vm + 0.5 * (vm + 0.01),
+        anchor=anchor,
         dL0=1.5,
         Lhist=-2.0 * Lm + 0.5 * (Lm - 0.03),
         use_area=False,
     )
-    area_only = SchemeContext(delta0=1.5, xhist=-2.0 * vm + 0.5 * (vm + 0.01), use_perimeter=False, A0=A0)
+    area_only = SchemeContext(
+        delta0=1.5, xhist=-2.0 * vm + 0.5 * (vm + 0.01), anchor=anchor, use_perimeter=False, A0=A0
+    )
     return [euler, averaged, two_step, area_only]
 
 
@@ -316,7 +281,7 @@ def test_velocity_row_scaling_makes_core_self_adjoint():
     n = 6
     tau = 0.02
     ref = ReferenceGeometry(vm)
-    ctx = SchemeContext(delta0=1.0, xhist=-vm, A0=oracles.loop_shoelace(vm))
+    ctx = SchemeContext(delta0=1.0, xhist=-vm, anchor=Anchor(vm), A0=oracles.loop_shoelace(vm))
     z0 = np.concatenate([interleave(vm), initial_curvature(vm), [0.1, -0.2]])
 
     def res_of(z):
@@ -335,3 +300,49 @@ def test_velocity_row_scaling_makes_core_self_adjoint():
     # and the curvature/position block is a symmetric (scaled) stiffness
     R = fd[n : 3 * n, : 2 * n]
     assert np.abs(R - R.T).max() < 1e-7
+
+
+def conservation_rows(Y, X, A0, Lhist):
+    # tau = 1 and kappa = 0 leave the perimeter row dL0 (L(X) - L(Y)) + (L(Y) + Lhist)
+    ctx = SchemeContext(delta0=1.0, xhist=-Y, anchor=Anchor(Y), Lhist=Lhist, A0=A0)
+    res = residual_vector(ctx, ReferenceGeometry(Y), NewtonIterate(X, np.zeros(len(X)), 0.0, 0.0), 1.0)
+    return float(res[-2]), float(res[-1])
+
+
+def exact_area(V):
+    x = [Fraction(float(c)) for c in V[:, 0]]
+    y = [Fraction(float(c)) for c in V[:, 1]]
+    return sum(x[k] * y[k - len(x) + 1] - x[k - len(x) + 1] * y[k] for k in range(len(x))) / 2
+
+
+def precise_perimeter(V):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = Decimal(0)
+        for k in range(len(V)):
+            dx = Decimal(float(V[(k + 1) % len(V), 0])) - Decimal(float(V[k, 0]))
+            dy = Decimal(float(V[(k + 1) % len(V), 1])) - Decimal(float(V[k, 1]))
+            total += (dx * dx + dy * dy).sqrt()
+        return total
+
+
+def test_conservation_rows_are_increments_from_the_anchor():
+    for n in (3, 9, 40):
+        Y = wiggly(n)
+        # at X = Y the increments vanish exactly
+        A0 = 0.37
+        area_row = conservation_rows(Y, Y.copy(), A0, 0.0)[1]
+        assert area_row == Anchor(Y).A - A0
+        for size in (1e-1, 1e-4, 1e-9):
+            X = Y + size * rng.standard_normal(Y.shape)
+            # the rows are the perimeter and area of X
+            per_row, area_row = conservation_rows(Y, X, 0.0, 0.0)
+            assert abs(per_row - oracles.loop_perimeter(X)) <= 1e-13
+            assert abs(area_row - oracles.loop_shoelace(X)) <= 1e-13
+            # with the anchor's own values subtracted exactly, what is left is
+            # the increment, whose rounding error scales with |X - Y|
+            anchor = Anchor(Y)
+            per_row, area_row = conservation_rows(Y, X, anchor.A, -anchor.L)
+            scale = np.abs(X - Y).max()
+            assert abs(Fraction(area_row) - (exact_area(X) - exact_area(Y))) <= 1e-14 * scale
+            assert abs(Decimal(per_row) - (precise_perimeter(X) - precise_perimeter(Y))) <= Decimal(1e-14 * scale)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from curveflow.femcore import (
+    Anchor,
     NewtonBlocks,
     NewtonIterate,
     ReferenceGeometry,
@@ -77,6 +78,7 @@ def test_relabelled_start_vertex_rolls_the_newton_direction(rows):
         ctx = SchemeContext(
             delta0=1.0,
             xhist=-v,
+            anchor=Anchor(v),
             use_perimeter=use_perimeter,
             Lhist=-oracles.loop_perimeter(v),
             use_area=use_area,

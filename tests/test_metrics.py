@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveflow.geometry import (
     PolygonalCurve,
@@ -222,6 +224,18 @@ def test_distance_is_translation_invariant():
 def test_distance_never_negative_for_identical_inputs():
     square = unit_square(0.25, 0.25)
     assert manifold_distance(square, square.copy()) >= 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(10, 400), st.integers(0, 2**32 - 1))
+def test_distance_of_identical_curves_is_exactly_zero(n, seed):
+    # the shoelace areas and the intersection's Green sum round differently,
+    # so identical inputs must not go through |A| + |B| - 2 |A n B|
+    gen = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * (np.arange(n) + gen.uniform(0.0, 0.9, n)) / n
+    r = gen.uniform(0.2, 2.0, n)
+    v = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    assert manifold_distance(v, v.copy()) == 0.0
 
 
 def star(n: int, harmonic: int, amplitude: float, phase: float, scale: float = 1.0) -> PolygonalCurve:

@@ -106,7 +106,6 @@ def test_config_derived_values():
     assert cfg.n_steps == 5
     assert cfg.kind == "AP"
     assert cfg.bdf_order == 3
-    assert cfg.history_depth == 3
     assert cfg.gamma_value == pytest.approx(50 * 0.02)
     assert SchemeConfig(scheme="sp-cn", N=8, tau=0.01, T=0.02, gamma=0.0).gamma_value == 0.0
 
@@ -302,6 +301,16 @@ def test_oscillatory_curve_run_completes():
     rows = result.series.rows
     assert abs(rows[-1].dA) < 1e-9
     assert rows[-1].L_norm < 1.0
+
+
+def test_ap_bdf4_on_mikula_completes():
+    # the innermost startup substeps (sigma = 1e-6) solve for eta through an
+    # area row whose rounding must not stall Newton above tol
+    cfg = SchemeConfig(scheme="ap-bdf4", N=64, tau=1e-3, T=5e-3, shape="mikula", gamma=0.0)
+    result = run(cfg)
+    assert result.ok, result.failure
+    assert len(result.series.rows) == 6
+    assert all(abs(r.dA) < 1e-9 for r in result.series.rows)
 
 
 # ---------------------------------------------------------------------------
