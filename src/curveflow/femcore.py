@@ -250,7 +250,9 @@ class NewtonBlocks:
     linearized perimeter and area laws, with the gradients b1 and c evaluated
     exactly on the iterate's polygon.  F1 (N), F2 (2N), f1, f2 hold the
     negated residuals, i.e. the right-hand side of the Newton direction solve.
-    Absent multipliers leave the matching fields None.
+    Absent multipliers leave the matching fields None.  Without the perimeter
+    multiplier, P, Q, R and a2 do not depend on the iterate: lam_eff M is
+    Q's only iterate term, and lam is then not an unknown.
     """
 
     P: np.ndarray

@@ -17,12 +17,21 @@ the wrap entries are folded in by a rank-6 Woodbury correction, and the
 multipliers come from the small Schur complement, whose singularity is
 detected explicitly because it carries the geometric degeneracy of an
 equilibrium (constant curvature makes the two border columns parallel).
+
+The first solve of a system stores its factor on it (`CoreFactor`: the band
+LU, the wrap correction and the core solves of the border columns).  A
+system assembled with ``reuse=`` takes the core, the border columns and that
+factor over from an earlier system of the same Newton run, so its solve is
+one banded solve for the new right-hand side.  Newton runs without the
+perimeter multiplier (AP steps, AP predictors and their continuation stages)
+reuse the factor of their first iteration for all later ones; every other
+system gets a fresh one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -34,6 +43,7 @@ __all__ = [
     "SingularCoreError",
     "EquilibriumDegeneracyError",
     "PeriodicBandCore",
+    "CoreFactor",
     "BorderedSystem",
     "assemble_system",
     "solve_bordered",
@@ -85,17 +95,34 @@ class PeriodicBandCore:
 
 
 @dataclass
+class CoreFactor:
+    """What the first solve of a system keeps for later systems with the same
+    core and border columns: the band LU of the band part B with its pivots,
+    B^{-1} W and the 6 x 6 capacitance I + V^T B^{-1} W of the wrap correction
+    (see _solve_core), and B^{-1} times the border columns, before the wrap
+    correction."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    bw: np.ndarray  # (3N, 6)
+    capacitance: np.ndarray  # (6, 6)
+    border_solves: np.ndarray  # (3N, nb)
+
+
+@dataclass
 class BorderedSystem:
     """Core plus dense borders, rows and unknowns in per-vertex order: rhs
     holds the equations (curvature x, curvature y, velocity) of each vertex,
     then perimeter?, area?; unknowns are (x_k, y_k, kappa_k) per vertex, then
-    lam?, eta?.  nb in {0, 1, 2} counts the borders actually present."""
+    lam?, eta?.  nb in {0, 1, 2} counts the borders actually present.  factor
+    is None until the first solve, which stores it."""
 
     core: PeriodicBandCore
     border_cols: Optional[np.ndarray]  # (3N, nb)
     border_rows: Optional[np.ndarray]  # (nb, 3N)
     rhs: np.ndarray  # (3N + nb,)
     nb: int
+    factor: Optional[CoreFactor] = None
 
 
 def _per_vertex(pair: np.ndarray, single: np.ndarray) -> np.ndarray:
@@ -134,19 +161,20 @@ def _core(blocks: NewtonBlocks) -> PeriodicBandCore:
     return PeriodicBandCore(band=band, wrap=wrap)
 
 
-def assemble_system(blocks: NewtonBlocks) -> BorderedSystem:
+def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None) -> BorderedSystem:
     """Pack Newton blocks into one bordered system in per-vertex order.
 
     Border order is always lam before eta, in both the extra columns and the
     extra rows; schemes with a single multiplier get nb = 1.
+
+    ``reuse`` is an earlier system of the same Newton run whose core and
+    border columns are those of ``blocks``, as they are at every iterate when
+    there is no perimeter multiplier (see NewtonBlocks).  The new system
+    takes over its core, border columns and factor, and only its border rows
+    and rhs are built from ``blocks``.
     """
     n = len(blocks.P)
-    zeros = np.zeros(2 * n)
-    cols = []
-    if blocks.a1 is not None:
-        cols.append(_per_vertex(zeros, blocks.a1))
-    if blocks.a2 is not None:
-        cols.append(_per_vertex(zeros, blocks.a2))
+    nb = (blocks.a1 is not None) + (blocks.a2 is not None)
     rows = []
     tail = []
     if blocks.b1 is not None:
@@ -155,51 +183,80 @@ def assemble_system(blocks: NewtonBlocks) -> BorderedSystem:
     if blocks.c is not None:
         rows.append(_per_vertex(blocks.c, np.zeros(n)))
         tail.append(blocks.f2)
-    nb = len(cols)
     if len(rows) != nb:
         raise ValueError(f"{nb} border columns but {len(rows)} border rows")
-
-    core = _core(blocks)
+    border_rows = np.vstack(rows) if nb else None
     rhs = np.concatenate((_per_vertex(blocks.F2, blocks.F1), np.array(tail)))
-    if nb == 0:
-        return BorderedSystem(core=core, border_cols=None, border_rows=None, rhs=rhs, nb=0)
-    return BorderedSystem(
-        core=core,
-        border_cols=np.column_stack(cols),
-        border_rows=np.vstack(rows),
-        rhs=rhs,
-        nb=nb,
-    )
+    if reuse is not None:
+        return BorderedSystem(reuse.core, reuse.border_cols, border_rows, rhs, nb, reuse.factor)
+    zeros = np.zeros(2 * n)
+    cols = [_per_vertex(zeros, a) for a in (blocks.a1, blocks.a2) if a is not None]
+    border_cols = np.column_stack(cols) if nb else None
+    return BorderedSystem(core=_core(blocks), border_cols=border_cols, border_rows=border_rows, rhs=rhs, nb=nb)
 
 
-def _solve_core(core: PeriodicBandCore, rhs: np.ndarray) -> np.ndarray:
-    """core^{-1} rhs for an (m, k) rhs: one banded LU of the band part B,
-    one banded solve for the rhs and the unit columns of the six wrap rows
-    together, then the Woodbury correction for the wrap entries:
-    A = B + W V^T, with W's columns the wrap values at their rows and V's
-    the unit vectors of their columns."""
-    m = core.shape[0]
+def _wrap_rows(m: int) -> np.ndarray:
+    # the rows of the six wrap entries
+    return np.array([0, 1, 2, m - 3, m - 2, m - 1])
+
+
+def _wrap_cols(m: int) -> np.ndarray:
+    # the columns of the six wrap entries
+    return np.array([m - 3, m - 2, m - 1, 0, 1, 2])
+
+
+def _band_solve(lu: np.ndarray, piv: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    sol, info = dgbtrs(lu, KL, KU, cols, piv)
+    if info != 0:
+        raise ValueError(f"dgbtrs rejected argument {-info}")
+    return sol
+
+
+def _factor(system: BorderedSystem) -> Tuple[CoreFactor, np.ndarray]:
+    """The system's factor, and B^{-1} [rhs, border_cols]: one banded LU of the band part B, then one banded solve
+    for the rhs, the border columns and the unit columns of the six wrap
+    rows together."""
+    core = system.core
+    m, k = core.shape[0], 1 + system.nb
     lu, piv, info = dgbtrf(core.band, KL, KU)
     if info > 0:
         raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
     if info < 0:
         raise ValueError(f"dgbtrf rejected argument {-info}")
-    k = rhs.shape[1]
-    wrap_rows = np.array([0, 1, 2, m - 3, m - 2, m - 1])
-    wrap_cols = np.array([m - 3, m - 2, m - 1, 0, 1, 2])
     stacked = np.zeros((m, k + 6), order="F")
-    stacked[:, :k] = rhs
-    stacked[wrap_rows, k + np.arange(6)] = 1.0
-    sol, info = dgbtrs(lu, KL, KU, stacked, piv, overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"dgbtrs rejected argument {-info}")
-    z, bw = sol[:, :k], sol[:, k:] * core.wrap  # B^{-1} rhs, B^{-1} W
-    capacitance = np.eye(6) + bw[wrap_cols]
+    stacked[:, 0] = system.rhs[:m]
+    if system.nb:
+        stacked[:, 1:k] = system.border_cols
+    stacked[_wrap_rows(m), k + np.arange(6)] = 1.0
+    sol = _band_solve(lu, piv, stacked)
+    bw = sol[:, k:] * core.wrap
+    factor = CoreFactor(lu=lu, piv=piv, bw=bw, capacitance=np.eye(6) + bw[_wrap_cols(m)], border_solves=sol[:, 1:k])
+    return factor, sol[:, :k]
+
+
+def _solve_core(system: BorderedSystem) -> np.ndarray:
+    """core^{-1} [rhs, border_cols] as an (m, 1 + nb) array.  The first call
+    factors the core and stores the factor on the system; later calls (and
+    systems assembled with ``reuse=``) make one banded solve for the rhs.
+    Then the Woodbury correction for the wrap entries: A = B + W V^T, with
+    W's columns the wrap values at their rows and V's the unit vectors of
+    their columns.  It is applied to the rhs and the border columns together,
+    as one (m, 6) x (6, 1 + nb) product, so that a reused factor gives bitwise
+    the result of a fresh one (BLAS rounds a product with one column
+    differently from one with more)."""
+    m = system.core.shape[0]
+    if system.factor is None:
+        system.factor, z = _factor(system)
+    else:
+        z = np.empty((m, 1 + system.nb), order="F")
+        z[:, 0] = _band_solve(system.factor.lu, system.factor.piv, system.rhs[:m])
+        z[:, 1:] = system.factor.border_solves
+    f = system.factor
     try:
-        correction = np.linalg.solve(capacitance, z[wrap_cols])
+        correction = np.linalg.solve(f.capacitance, z[_wrap_cols(m)])
     except np.linalg.LinAlgError as exc:
         raise SingularCoreError(f"core is singular through its wrap entries: {exc}") from exc
-    return z - bw @ correction
+    return z - f.bw @ correction
 
 
 def solve_bordered(system: BorderedSystem) -> np.ndarray:
@@ -207,16 +264,21 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
     border rows, solve the nb x nb Schur complement for the multipliers,
     back-substitute.  Returns the full unknown vector (3N + nb,).
 
+    The factor of the core and the core solves of the border columns are
+    made by the first solve of a system and stored on it; a system assembled
+    with ``reuse=`` starts with them, so its solve costs one banded solve
+    for the rhs.  The result is bitwise the same either way.
+
     The Schur complement is row- and column-equilibrated by its cancellation
     bound before the singular-value test and the multiplier solve, so the
     degeneracy verdict is scale-invariant: multiplying a border row (with its
     rhs entry) or a border column by any positive factor changes neither the
     verdict nor, beyond rounding, the solution."""
     m = system.core.shape[0]
+    both = _solve_core(system)
     if system.nb == 0:
-        return _in_block_order(_solve_core(system.core, system.rhs[:m, None])[:, 0])
+        return _in_block_order(both[:, 0], np.empty(m))
 
-    both = _solve_core(system.core, np.column_stack((system.rhs[:m], system.border_cols)))
     g, Y = both[:, 0], both[:, 1:]
     schur = 0.0 - system.border_rows @ Y  # not unary minus: an exact 0 stays +0.0
     h = system.rhs[m:] - system.border_rows @ g
@@ -229,19 +291,31 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
     bound = np.abs(system.border_rows) @ np.abs(Y)
     row_scale = _reciprocal(bound.max(axis=1))
     col_scale = _reciprocal((row_scale[:, None] * bound).max(axis=0))
-    U, sing, Vt = np.linalg.svd(row_scale[:, None] * schur * col_scale)
+    equilibrated = row_scale[:, None] * schur * col_scale
+    if system.nb == 1:
+        sing = np.abs(equilibrated[0])  # a 1 x 1 matrix is its own SVD up to signs
+    else:
+        U, sing, Vt = np.linalg.svd(equilibrated)
     if sing[-1] <= 1e-13:
         raise EquilibriumDegeneracyError(
             f"multiplier Schur complement is singular (equilibrated singular values {sing})"
         )
-    mu = col_scale * (Vt.T @ ((U.T @ (row_scale * h)) / sing))
-    return np.concatenate((_in_block_order(g - Y @ mu), mu))
+    scaled = row_scale * h
+    # the sign flips of a 1 x 1 SVD are exact, so scaled / s is bitwise its solve
+    mu = col_scale * (scaled / equilibrated[0] if system.nb == 1 else Vt.T @ ((U.T @ scaled) / sing))
+    out = np.empty(m + system.nb)
+    out[m:] = mu
+    return _in_block_order(g - Y @ mu, out)
 
 
-def _in_block_order(z: np.ndarray) -> np.ndarray:
-    # per-vertex (x_k, y_k, kappa_k) -> [position (2N, interleaved), curvature (N)]
+def _in_block_order(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # per-vertex (x_k, y_k, kappa_k) -> [position (2N, interleaved), curvature (N)],
+    # written to the head of out
     z3 = z.reshape(-1, 3)
-    return np.concatenate((z3[:, :2].ravel(), z3[:, 2]))
+    n = len(z3)
+    out[: 2 * n].reshape(n, 2)[:] = z3[:, :2]
+    out[2 * n : 3 * n] = z3[:, 2]
+    return out
 
 
 def _reciprocal(values: np.ndarray) -> np.ndarray:

@@ -273,12 +273,18 @@ def newton_outer(
     Returns (iterate, iterations, final update norm); the step functions wrap
     the counters into a StepReport.  A non-finite update component raises
     NewtonDivergenceError at once, with last_norm = inf.
+
+    Blocks without the perimeter multiplier (a1 None) must have the same core
+    and border columns at every iterate, as assemble_newton_blocks gives
+    them; the run then factors its core once, in the first iteration.
     """
     it = start
     norm = math.inf
+    system = None
     for iteration in range(1, max_newton + 1):
         blocks = model(it)
-        z = solve_bordered(assemble_system(blocks))
+        system = assemble_system(blocks, system if blocks.a1 is None else None)
+        z = solve_bordered(system)
         n = blocks.P.shape[0]
         dX = deinterleave(z[: 2 * n])
         dk = z[2 * n : 3 * n]

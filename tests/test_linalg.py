@@ -151,12 +151,69 @@ def _scale_border(blocks, row: str, factor: float):
 @pytest.mark.parametrize("factor", [1e14, 1e-14])
 def test_scaled_border_row_keeps_solution_and_verdict(row, factor):
     # the perimeter row carries a 1/tau factor the area row does not: how a
-    # conservation law is scaled must not decide the degeneracy verdict
-    for _ in range(20):
-        blocks = oracles.random_blocks(rng, n=8, flavor="both")
-        reference = solve_bordered(assemble_system(blocks))
-        scaled = solve_bordered(assemble_system(_scale_border(blocks, row, factor)))
-        assert np.abs(scaled - reference).max() <= 1e-9 * max(1.0, np.abs(reference).max())
+    # conservation law is scaled must not decide the degeneracy verdict, with
+    # the other law present or not (the one-border Schur step has its own
+    # closed form)
+    for flavor in ("both", {"perimeter": "lam", "area": "eta"}[row]):
+        for _ in range(20):
+            blocks = oracles.random_blocks(rng, n=8, flavor=flavor)
+            reference = solve_bordered(assemble_system(blocks))
+            scaled = solve_bordered(assemble_system(_scale_border(blocks, row, factor)))
+            assert np.abs(scaled - reference).max() <= 1e-9 * max(1.0, np.abs(reference).max())
+
+
+def _core_solve_of_eta_column(blocks):
+    # core^{-1} (a2 in the velocity rows), in block order, by the same solver
+    unbordered = replace(blocks, a2=None, c=None, f2=None, F1=blocks.a2, F2=np.zeros(2 * len(blocks.a2)))
+    return solve_bordered(assemble_system(unbordered))
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e14, 1e-14])
+def test_lone_area_border_verdict(factor):
+    # with one border the Schur complement is the number s = -c . core^{-1} a2:
+    # an area row that is zero, or orthogonal to core^{-1} a2, is degenerate
+    # at any scale, and a generic one is not
+    for _ in range(10):
+        blocks = oracles.random_blocks(rng, n=8, flavor="eta")
+        y = _core_solve_of_eta_column(blocks)[:16]  # the area row has no kappa part
+        v = rng.standard_normal(16)
+        annihilating = v - (v @ y) / (y @ y) * y
+        for c in (np.zeros(16), annihilating):
+            with pytest.raises(EquilibriumDegeneracyError):
+                solve_bordered(assemble_system(_scale_border(replace(blocks, c=c), "area", factor)))
+        x = solve_bordered(assemble_system(_scale_border(replace(blocks, c=v), "area", factor)))
+        assert oracles.residual_norm(replace(blocks, c=v), x) <= 1e-9 * max(1.0, np.abs(x).max())
+
+
+@pytest.mark.parametrize("flavor", ["none", "lam", "eta", "both"])
+def test_stored_factor_gives_bitwise_the_fresh_solve(flavor):
+    # a second solve of a system, and a system assembled with reuse=, go
+    # through the factor the first solve stored: same bits as a fresh solve
+    for n in (3, 8, 50):
+        blocks = oracles.random_blocks(rng, n=n, flavor=flavor)
+        system = assemble_system(blocks)
+        fresh = solve_bordered(system)
+        assert system.factor is not None
+        assert np.array_equal(solve_bordered(system), fresh)
+        assert np.array_equal(solve_bordered(assemble_system(blocks, reuse=system)), fresh)
+
+
+def test_reused_factor_serves_a_later_area_preserving_iterate():
+    # an AP Newton run keeps its first factor: at a new iterate only the area
+    # row and the rhs change, and the solve is bitwise a fresh one
+    n = 40
+    theta = 2.0 * np.pi * np.arange(n) / n
+    v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
+    ctx = SchemeContext(delta0=1.5, xhist=-1.5 * v, anchor=Anchor(v), use_perimeter=False, A0=oracles.loop_shoelace(v))
+    ref = ReferenceGeometry(v)
+    first = NewtonIterate(v, initial_curvature(v), 0.0, 0.0)
+    later = NewtonIterate(v + 1e-3 * rng.standard_normal((n, 2)), first.kappa + 0.1 * rng.standard_normal(n), 0.0, 0.3)
+    system = assemble_system(assemble_newton_blocks(ctx, ref, first, 1e-3))
+    solve_bordered(system)
+    blocks = assemble_newton_blocks(ctx, ref, later, 1e-3)
+    reused = assemble_system(blocks, reuse=system)
+    assert reused.factor is system.factor and reused.core is system.core
+    assert np.array_equal(solve_bordered(reused), solve_bordered(assemble_system(blocks)))
 
 
 def test_scaled_border_column_rescales_only_its_multiplier():

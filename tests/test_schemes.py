@@ -10,6 +10,7 @@ import pytest
 
 from curveflow.femcore import initial_curvature
 from curveflow.geometry import generate_ellipse, generate_mikula, perimeter, signed_area
+import curveflow.linalg
 import curveflow.schemes
 from curveflow.femcore import NewtonIterate
 from curveflow.linalg import EquilibriumDegeneracyError
@@ -470,6 +471,29 @@ def test_every_solve_runs_inside_newton_outer(monkeypatch):
     assert counts["outside"] == 0
     # one startup per run, plus the nested startup of ap-bdf3's substeps
     assert counts["startup"] == 5
+
+
+@pytest.mark.parametrize("scheme", ["ap-bdf3", "sp-bdf2", "pd-bdf2"])
+def test_core_factorizations_per_newton_run(monkeypatch, scheme):
+    # without the perimeter multiplier the core is fixed through a Newton run
+    # and is factored once per run; with it, every solve needs a new factor
+    counts = {"factor": 0, "solves": 0, "newton": 0}
+    factor, solve, newton = curveflow.linalg.dgbtrf, curveflow.schemes.solve_bordered, curveflow.schemes.newton_outer
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(curveflow.linalg, "dgbtrf", counted("factor", factor))
+    monkeypatch.setattr(curveflow.schemes, "solve_bordered", counted("solves", solve))
+    monkeypatch.setattr(curveflow.schemes, "newton_outer", counted("newton", newton))
+    result = run(SchemeConfig(scheme=scheme, N=24, tau=0.01, T=0.05, gamma=0.0))
+    assert result.ok, result.failure
+    assert counts["solves"] > counts["newton"] > 0
+    assert counts["factor"] == (counts["newton"] if SPECS[scheme].kind == "AP" else counts["solves"])
 
 
 def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
