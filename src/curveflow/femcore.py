@@ -70,7 +70,11 @@ def normal_weights(curve) -> np.ndarray:
             = ((y_{k+1} - y_{k-1}) / 2, (x_{k-1} - x_{k+1}) / 2),
     which is exactly the gradient of the shoelace area at vertex k.
     """
-    h = edge_vectors(curve)
+    return _normal_weights(edge_vectors(curve))
+
+
+def _normal_weights(h: np.ndarray) -> np.ndarray:
+    # normal_weights from the edge vectors h
     ln = np.column_stack((h[:, 1], -h[:, 0]))  # |h_j| n_j without normalizing
     return _sum_with_previous(ln, 0.5)
 
@@ -114,7 +118,12 @@ def perimeter_gradient(curve) -> np.ndarray:
     """Exact gradient of the perimeter: grad L_k = u_{k-1} - u_k with unit
     tangents u_j = h_j / |h_j|."""
     h = edge_vectors(curve)
-    u = h / np.hypot(h[:, 0], h[:, 1])[:, None]
+    return _perimeter_gradient(h, np.hypot(h[:, 0], h[:, 1]))
+
+
+def _perimeter_gradient(h: np.ndarray, hlen: np.ndarray) -> np.ndarray:
+    # perimeter_gradient from the edge vectors h and their lengths hlen
+    u = h / hlen[:, None]
     grad = np.empty(u.shape)
     np.subtract(u[:-1], u[1:], out=grad[1:])
     np.subtract(u[-1:], u[:1], out=grad[:1])
@@ -281,10 +290,21 @@ def residual_vector(ctx: SchemeContext, ref: ReferenceGeometry, it: NewtonIterat
     """Residual of the nonlinear step equations at the iterate, ordered
     [velocity (N), curvature (2N), perimeter?, area?] with the velocity rows
     scaled by tau * alpha / delta0 (pure row scaling; same root)."""
-    kappa_eff, lam_eff, eta_eff, x_eff = _effective(ctx, it)
+    eff = _effective(ctx, it)
+    return _residual(ctx, ref, it, tau, eff, stiffness_apply(ref.weights, eff[0]), *_iterate_edges(ctx, it.X))
+
+
+def _iterate_edges(ctx: SchemeContext, X: np.ndarray):
+    # the iterate's edge vectors h (for either conservation row) and their
+    # lengths (for the perimeter row), shared by the rows and their gradients
+    h = edge_vectors(X) if ctx.use_perimeter or ctx.use_area else None
+    return h, np.hypot(h[:, 0], h[:, 1]) if ctx.use_perimeter else None
+
+
+def _residual(ctx, ref, it, tau, eff, Skap, h, hlen) -> np.ndarray:
+    kappa_eff, lam_eff, eta_eff, x_eff = eff
     s_flux = tau * ctx.alpha / ctx.delta0
     s_time = ctx.alpha / ctx.delta0
-    Skap = stiffness_apply(ref.weights, kappa_eff)
     r1 = s_time * ((ctx.delta0 * it.X + ctx.xhist) * ref.omega).sum(axis=1) + s_flux * (
         Skap - lam_eff * ref.mass * kappa_eff - eta_eff * ref.mass
     )
@@ -293,9 +313,8 @@ def residual_vector(ctx: SchemeContext, ref: ReferenceGeometry, it: NewtonIterat
     a = ctx.anchor
     d = it.X - a.Y
     if ctx.use_perimeter:
-        h = edge_vectors(it.X)
         dh = _forward_difference(d)
-        dL = float(((dh * (h + a.g)).sum(axis=1) / (np.hypot(h[:, 0], h[:, 1]) + a.glen)).sum())
+        dL = float(((dh * (h + a.g)).sum(axis=1) / (hlen + a.glen)).sum())
         r3 = (ctx.dL0 * dL + (ctx.dL0 * a.L + ctx.Lhist)) / tau + float(kappa_eff @ Skap)
         parts.append(np.array([r3]))
     if ctx.use_area:
@@ -305,37 +324,51 @@ def residual_vector(ctx: SchemeContext, ref: ReferenceGeometry, it: NewtonIterat
     return np.concatenate(parts)
 
 
-def assemble_newton_blocks(ctx: SchemeContext, ref: ReferenceGeometry, it: NewtonIterate, tau: float) -> NewtonBlocks:
+def assemble_newton_blocks(
+    ctx: SchemeContext,
+    ref: ReferenceGeometry,
+    it: NewtonIterate,
+    tau: float,
+    previous: Optional[NewtonBlocks] = None,
+) -> NewtonBlocks:
     """Exact Jacobian blocks and negated residuals of the step equations at
     the iterate (the quadratic multiplier-times-curvature update product is
-    the only dropped term, as the Newton direction requires)."""
+    the only dropped term, as the Newton direction requires).
+
+    ``previous`` is the result of an earlier iteration of the same Newton run
+    (same ctx, ref and tau).  The blocks that do not depend on the iterate,
+    P, R, Q's off-diagonals and a2, are then taken over from it, and only
+    Q's diagonal, a1, the border rows and the residuals are computed."""
     n = ref.n
-    kappa_eff, lam_eff, eta_eff, _ = _effective(ctx, it)
-    s_flux = tau * ctx.alpha / ctx.delta0
+    eff = _effective(ctx, it)
+    kappa_eff, lam_eff = eff[0], eff[1]
+    s_core = tau * ctx.alpha / ctx.delta0 * ctx.alpha
     Skap = stiffness_apply(ref.weights, kappa_eff)
+    h, hlen = _iterate_edges(ctx, it.X)
 
-    P = ctx.alpha * ref.omega
+    if previous is None:
+        P = ctx.alpha * ref.omega
+        Q = s_core * ref.stencil
+        R = (-ctx.alpha_x) * ref.stencil
+        a2 = (-s_core) * ref.mass if ctx.use_area else None
+    else:
+        P, Q, R, a2 = previous.P, previous.Q.copy(), previous.R, previous.a2
     # only Q's diagonal, -lam_eff M, and the borders depend on the iterate
-    Q = ref.stencil.copy()
-    Q[:, 1] -= lam_eff * ref.mass
-    Q *= s_flux * ctx.alpha
-    R = (-ctx.alpha_x) * ref.stencil
+    Q[:, 1] = (ref.stencil[:, 1] - lam_eff * ref.mass) * s_core
+    a1 = (-s_core) * (ref.mass * kappa_eff) if ctx.use_perimeter else None
 
-    a1 = (-s_flux * ctx.alpha) * (ref.mass * kappa_eff) if ctx.use_perimeter else None
-    a2 = (-s_flux * ctx.alpha) * ref.mass if ctx.use_area else None
-
-    res = residual_vector(ctx, ref, it, tau)
+    res = _residual(ctx, ref, it, tau, eff, Skap, h, hlen)
     F1 = -res[:n]
     F2 = -res[n : 3 * n]
     pos = 3 * n
     b1 = b2 = c = None
     f1 = f2 = None
     if ctx.use_perimeter:
-        b1 = (ctx.dL0 / tau) * interleave(perimeter_gradient(it.X))
+        b1 = (ctx.dL0 / tau) * interleave(_perimeter_gradient(h, hlen))
         b2 = 2.0 * ctx.alpha * Skap
         f1 = float(-res[pos])
         pos += 1
     if ctx.use_area:
-        c = interleave(normal_weights(it.X))
+        c = interleave(_normal_weights(h))
         f2 = float(-res[pos])
     return NewtonBlocks(P=P, Q=Q, R=R, a1=a1, a2=a2, b1=b1, b2=b2, c=c, F1=F1, F2=F2, f1=f1, f2=f2)

@@ -20,12 +20,13 @@ equilibrium (constant curvature makes the two border columns parallel).
 
 The first solve of a system stores its factor on it (`CoreFactor`: the band
 LU, the wrap correction and the core solves of the border columns).  A
-system assembled with ``reuse=`` takes the core, the border columns and that
-factor over from an earlier system of the same Newton run, so its solve is
-one banded solve for the new right-hand side.  Newton runs without the
-perimeter multiplier (AP steps, AP predictors and their continuation stages)
-reuse the factor of their first iteration for all later ones; every other
-system gets a fresh one.
+system assembled with ``reuse=`` starts from an earlier system of the same
+Newton run.  Without the perimeter multiplier (AP steps, AP predictors and
+their continuation stages) it takes the core, the border columns and the
+factor over, so its solve is one banded solve for the new right-hand side.
+With it, only Q's diagonal and the lam column change between iterates: they
+are written into a copy of the earlier band and border columns, and the
+system gets a fresh factor.
 """
 
 from __future__ import annotations
@@ -167,11 +168,13 @@ def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None
     Border order is always lam before eta, in both the extra columns and the
     extra rows; schemes with a single multiplier get nb = 1.
 
-    ``reuse`` is an earlier system of the same Newton run whose core and
-    border columns are those of ``blocks``, as they are at every iterate when
-    there is no perimeter multiplier (see NewtonBlocks).  The new system
-    takes over its core, border columns and factor, and only its border rows
-    and rhs are built from ``blocks``.
+    ``reuse`` is an earlier system of the same Newton run, whose blocks
+    differ from ``blocks`` at most in Q's diagonal, a1, the border rows and
+    the rhs (see NewtonBlocks).  Without the perimeter multiplier the new
+    system takes over its core, border columns and factor.  With it, the new
+    system copies its band and border columns, writes Q's diagonal and a1
+    into them, and gets a fresh factor.  The border rows and the rhs are
+    always built from ``blocks``.
     """
     n = len(blocks.P)
     nb = (blocks.a1 is not None) + (blocks.a2 is not None)
@@ -187,8 +190,15 @@ def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None
         raise ValueError(f"{nb} border columns but {len(rows)} border rows")
     border_rows = np.vstack(rows) if nb else None
     rhs = np.concatenate((_per_vertex(blocks.F2, blocks.F1), np.array(tail)))
-    if reuse is not None:
+    if reuse is not None and blocks.a1 is None:
         return BorderedSystem(reuse.core, reuse.border_cols, border_rows, rhs, nb, reuse.factor)
+    if reuse is not None:
+        # Q's diagonal sits at the kappa column of each vertex, a1 in column 0
+        band = reuse.core.band.copy(order="F")
+        band[_DIAG, 2::3] = blocks.Q[:, 1]
+        border_cols = reuse.border_cols.copy()
+        border_cols[2::3, 0] = blocks.a1
+        return BorderedSystem(PeriodicBandCore(band, reuse.core.wrap), border_cols, border_rows, rhs, nb)
     zeros = np.zeros(2 * n)
     cols = [_per_vertex(zeros, a) for a in (blocks.a1, blocks.a2) if a is not None]
     border_cols = np.column_stack(cols) if nb else None

@@ -33,6 +33,7 @@ import numpy as np
 
 from .femcore import (
     Anchor,
+    NewtonBlocks,
     NewtonIterate,
     ReferenceGeometry,
     SchemeContext,
@@ -261,7 +262,7 @@ class SchemeConfig:
 
 
 def newton_outer(
-    model: Callable[[NewtonIterate], "object"],
+    model: Callable[[NewtonIterate, Optional[NewtonBlocks]], NewtonBlocks],
     start: NewtonIterate,
     tol: float,
     max_newton: int,
@@ -274,16 +275,19 @@ def newton_outer(
     the counters into a StepReport.  A non-finite update component raises
     NewtonDivergenceError at once, with last_norm = inf.
 
-    Blocks without the perimeter multiplier (a1 None) must have the same core
-    and border columns at every iterate, as assemble_newton_blocks gives
-    them; the run then factors its core once, in the first iteration.
+    ``model(it, previous)`` gives the blocks at ``it``; ``previous`` is the
+    run's blocks of the last iteration, or None in the first.  The blocks of
+    one run may differ only where assemble_newton_blocks lets them: in Q's
+    diagonal, a1, the border rows and the residuals.  Each iteration's system
+    is then assembled from the last one's; a run without the perimeter
+    multiplier (a1 None) factors its core once, in the first iteration.
     """
     it = start
     norm = math.inf
-    system = None
+    blocks = system = None
     for iteration in range(1, max_newton + 1):
-        blocks = model(it)
-        system = assemble_system(blocks, system if blocks.a1 is None else None)
+        blocks = model(it, blocks)
+        system = assemble_system(blocks, system)
         z = solve_bordered(system)
         n = blocks.P.shape[0]
         dX = deinterleave(z[: 2 * n])
@@ -345,8 +349,8 @@ def _solve_step(
     ref = ReferenceGeometry(ref_curve)
 
     def model_at(tau_s: float):
-        def model(it: NewtonIterate):
-            return assemble_newton_blocks(ctx, ref, it, tau_s)
+        def model(it: NewtonIterate, previous: Optional[NewtonBlocks]) -> NewtonBlocks:
+            return assemble_newton_blocks(ctx, ref, it, tau_s, previous)
 
         return model
 

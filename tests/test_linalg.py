@@ -216,6 +216,35 @@ def test_reused_factor_serves_a_later_area_preserving_iterate():
     assert np.array_equal(solve_bordered(reused), solve_bordered(assemble_system(blocks)))
 
 
+@pytest.mark.parametrize("use_area", [True, False])
+def test_blocks_built_from_an_earlier_iterate_are_bitwise_the_fresh_ones(use_area):
+    # with the perimeter multiplier, a later iterate of the same run takes P,
+    # R, Q's off-diagonals, a2 and the band skeleton over and rewrites only
+    # what depends on it: blocks, system and solve are bitwise fresh ones
+    n = 40
+    theta = 2.0 * np.pi * np.arange(n) / n
+    v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
+    ctx = SchemeContext(delta0=1.5, xhist=-1.5 * v, anchor=Anchor(v), use_area=use_area, A0=oracles.loop_shoelace(v))
+    ref = ReferenceGeometry(v)
+    first = NewtonIterate(v, initial_curvature(v), 0.1, 0.0)
+    later = NewtonIterate(v + 1e-3 * rng.standard_normal((n, 2)), first.kappa + 0.1 * rng.standard_normal(n), -0.4, 0.3 * use_area)
+    earlier = assemble_newton_blocks(ctx, ref, first, 1e-3)
+    system = assemble_system(earlier)
+    solve_bordered(system)
+    blocks = assemble_newton_blocks(ctx, ref, later, 1e-3, earlier)
+    fresh_blocks = assemble_newton_blocks(ctx, ref, later, 1e-3)
+    for name, value in vars(fresh_blocks).items():
+        got = getattr(blocks, name)
+        assert (got is None and value is None) or np.array_equal(got, value), name
+    assert not np.array_equal(blocks.Q, earlier.Q)  # lam moved Q's diagonal
+    reused = assemble_system(blocks, reuse=system)
+    fresh = assemble_system(fresh_blocks)
+    assert reused.factor is None and reused.core.band is not system.core.band
+    assert np.array_equal(reused.core.band, fresh.core.band) and np.array_equal(reused.core.wrap, fresh.core.wrap)
+    assert np.array_equal(reused.border_cols, fresh.border_cols)
+    assert np.array_equal(solve_bordered(reused), solve_bordered(fresh))
+
+
 def test_scaled_border_column_rescales_only_its_multiplier():
     # rescaling a multiplier column rescales that multiplier and nothing else
     blocks = oracles.random_blocks(rng, n=8, flavor="both")

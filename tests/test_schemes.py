@@ -507,7 +507,7 @@ def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
     monkeypatch.setattr(curveflow.schemes, "solve_bordered", lambda system: step)
     start = NewtonIterate(np.zeros((n, 2)), np.zeros(n), 0.0, 0.0)
     with pytest.raises(NewtonDivergenceError, match="curvature") as info:
-        newton_outer(lambda it: blocks, start, tol=1e-10, max_newton=5)
+        newton_outer(lambda it, previous: blocks, start, tol=1e-10, max_newton=5)
     assert info.value.last_norm == math.inf
 
 
