@@ -269,11 +269,21 @@ def newton_outer(
 ) -> Tuple[NewtonIterate, int, float]:
     """Newton iteration on the blocks supplied by ``model``.
 
-    Applies full updates until max(|dX|_inf, |dkappa|_inf, |dlam|, |deta|)
-    <= tol; even a start that is already a root costs one linear solve.
-    Returns (iterate, iterations, final update norm); the step functions wrap
-    the counters into a StepReport.  A non-finite update component raises
-    NewtonDivergenceError at once, with last_norm = inf.
+    Applies full updates Delta_k and stops after the first update k that
+    meets either exit, with the norm |Delta| = max(|dX|_inf, |dkappa|_inf,
+    |dlam|, |deta|):
+
+    * |Delta_k| <= tol (even a start that is already a root costs one
+      linear solve);
+    * k >= 2 and the contraction estimate theta_k = |Delta_k| / |Delta_{k-1}|
+      satisfies theta_k < 1/2 and theta_k |Delta_k| <= tol.  For a
+      contracting iteration theta_k |Delta_k| estimates the size of the next
+      update, so the solve that would only show it below tol is skipped
+      (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 2).
+
+    Returns (iterate, iterations, norm of the last update applied); the step
+    functions wrap the counters into a StepReport.  A non-finite update
+    component raises NewtonDivergenceError at once, with last_norm = inf.
 
     ``model(it, previous)`` gives the blocks at ``it``; ``previous`` is the
     run's blocks of the last iteration, or None in the first.  The blocks of
@@ -311,9 +321,12 @@ def newton_outer(
                 raise NewtonDivergenceError(
                     f"non-finite {name} update at Newton iteration {iteration}", last_norm=math.inf
                 )
-        norm = max(sizes.values())
+        previous_norm, norm = norm, max(sizes.values())
         it = NewtonIterate(it.X + dX, it.kappa + dk, it.lam + dlam, it.eta + deta)
         if norm <= tol:
+            return it, iteration, norm
+        theta = norm / previous_norm  # 0 in the first iteration, which has no estimate
+        if iteration >= 2 and theta < 0.5 and theta * norm <= tol:
             return it, iteration, norm
     raise NewtonDivergenceError(
         f"Newton did not reach tol={tol} within {max_newton} iterations (last update {norm:.3e})",
@@ -321,14 +334,13 @@ def newton_outer(
     )
 
 
-def _start_iterate(state: SchemeState, ctx: SchemeContext) -> NewtonIterate:
-    # previous time level, with multipliers that are not unknowns pinned to 0
-    last = state.history[-1]
+def _start_iterate(level: HistoryEntry, ctx: SchemeContext) -> NewtonIterate:
+    # a time level, with multipliers that are not unknowns pinned to 0
     return NewtonIterate(
-        np.array(last.curve.vertices),
-        np.array(last.kappa),
-        last.lam if ctx.use_perimeter else 0.0,
-        last.eta if ctx.use_area else 0.0,
+        np.array(level.curve.vertices),
+        np.array(level.kappa),
+        level.lam if ctx.use_perimeter else 0.0,
+        level.eta if ctx.use_area else 0.0,
     )
 
 
@@ -343,6 +355,7 @@ def _solve_step(
     config: SchemeConfig,
     ctx: SchemeContext,
     ref_curve: PolygonalCurve,
+    start_level: HistoryEntry,
     tau_scalable: bool,
 ) -> Tuple[NewtonIterate, int, float]:
     tau = state.tau
@@ -354,7 +367,7 @@ def _solve_step(
 
         return model
 
-    start = _start_iterate(state, ctx)
+    start = _start_iterate(start_level, ctx)
     try:
         return newton_outer(model_at(tau), start, config.tol, config.max_newton)
     except NewtonDivergenceError:
@@ -428,8 +441,10 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
     averages every unknown with the previous level.  The reference polygon
     is the current curve or the curve of one step of the lower-order scheme,
     solved to the same tolerance; that step's Newton iterations enter no
-    StepReport.  ``run`` passes the AP partner after a switch, and the step
-    passes the lower-order scheme to itself for the reference.
+    StepReport.  Newton starts at the reference step's root when the
+    reference is that step at the full tau ("lower"), and at the newest
+    level otherwise.  ``run`` passes the AP partner after a switch, and the
+    step passes the lower-order scheme to itself for the reference.
     """
     spec = SPECS[scheme or config.scheme]
     if len(state.history) < spec.order:
@@ -458,12 +473,16 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
         A0=state.A0,
         **averaged,
     )
+    start_level = last
     if spec.reference == "current":
         ref_curve = last.curve
     else:
         ref_state = replace(state, tau=0.5 * state.tau) if spec.reference == "half" else state
-        ref_curve = step(ref_state, config, spec.lower)[0].history[-1].curve
-    it, iters, norm = _solve_step(state, config, ctx, ref_curve, tau_scalable=spec.reference == "current")
+        ref_level = step(ref_state, config, spec.lower)[0].history[-1]
+        ref_curve = ref_level.curve
+        if spec.reference == "lower":
+            start_level = ref_level
+    it, iters, norm = _solve_step(state, config, ctx, ref_curve, start_level, tau_scalable=spec.reference == "current")
     return _accept(state, it, iters, norm, spec.kind)
 
 

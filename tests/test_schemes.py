@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from curveflow.femcore import initial_curvature
-from curveflow.geometry import generate_ellipse, generate_mikula, perimeter, signed_area
+from curveflow.geometry import PolygonalCurve, generate_ellipse, generate_mikula, perimeter, signed_area
 import curveflow.linalg
 import curveflow.schemes
 from curveflow.femcore import NewtonIterate
@@ -304,6 +304,20 @@ def test_oscillatory_curve_run_completes():
     assert rows[-1].L_norm < 1.0
 
 
+@pytest.mark.xfail(
+    raises=NewtonDivergenceError,
+    strict=True,
+    reason="sp-cn has no continuation ladder: its reference, a step at tau / 2, depends on tau, "
+    "and only steps whose reference is the current curve are continued in tau",
+)
+def test_sp_cn_first_step_on_mikula():
+    # sp-euler finishes this step through its ladder (test_oscillatory_curve_run_completes)
+    cfg = SchemeConfig(scheme="sp-cn", N=64, tau=1e-3, T=5e-3, shape="mikula", gamma=0.0)
+    state = startup(cfg)
+    assert state.step_index == 0
+    step(state, cfg)
+
+
 def test_ap_bdf4_on_mikula_completes():
     # the innermost startup substeps (sigma = 1e-6) solve for eta through an
     # area row whose rounding must not stall Newton above tol
@@ -312,6 +326,33 @@ def test_ap_bdf4_on_mikula_completes():
     assert result.ok, result.failure
     assert len(result.series.rows) == 6
     assert all(abs(r.dA) < 1e-9 for r in result.series.rows)
+
+
+def _cos_amplitude(v, k):
+    # the cos k theta Fourier coefficient of r(theta), by the trapezoid rule
+    # over the vertices' polar angles (the mesh moves tangentially)
+    theta = np.arctan2(v[:, 1], v[:, 0])
+    order = np.argsort(theta)
+    theta, f = theta[order], (np.hypot(v[:, 0], v[:, 1]) * np.cos(k * theta))[order]
+    dtheta = np.diff(np.append(theta, theta[0] + 2.0 * np.pi))
+    return float(((f + np.roll(f, -1)) * dtheta).sum()) / (2.0 * np.pi)
+
+
+@pytest.mark.parametrize("k, T", [(2, 0.05), (3, 0.01)])
+@pytest.mark.parametrize("scheme", ["sp-bdf2", "ap-bdf2", "ap-bdf3"])
+def test_circle_mode_decays_at_the_linear_rate(scheme, k, T):
+    # r = 1 + eps cos k theta under curve diffusion: the mode decays like
+    # exp(-k^2 (k^2 - 1) t) to first order in eps (Mullins 1957; Elliott &
+    # Garcke 1997).  The amplitude is measured here from the vertices alone.
+    n, eps = 256, 1e-3
+    theta = 2.0 * np.pi * np.arange(n) / n
+    v0 = (1.0 + eps * np.cos(k * theta))[:, None] * np.column_stack((np.cos(theta), np.sin(theta)))
+    cfg = SchemeConfig(scheme=scheme, N=n, tau=T / 200, T=T, gamma=0.0, initial_curve=PolygonalCurve(v0))
+    result = run(cfg)
+    assert result.ok, result.failure
+    ratio = _cos_amplitude(result.state.history[-1].curve.vertices, k) / _cos_amplitude(v0, k)
+    expected = math.exp(-k * k * (k * k - 1) * T)
+    assert abs(ratio / expected - 1.0) <= 3e-3, f"amplitude ratio {ratio:.6f}, linear theory {expected:.6f}"
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +550,82 @@ def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
     with pytest.raises(NewtonDivergenceError, match="curvature") as info:
         newton_outer(lambda it, previous: blocks, start, tol=1e-10, max_newton=5)
     assert info.value.last_norm == math.inf
+
+
+def _newton_on_update_norms(monkeypatch, norms, tol):
+    # newton_outer on solves whose updates have the given norms, one a call;
+    # returns (iterations, last norm) or raises NewtonDivergenceError once
+    # the norms run out
+    n = 6
+    blocks = oracles.random_blocks(rng, n=n, flavor="both")
+    updates = iter(norms)
+
+    def solve(system):
+        z = np.zeros(3 * n + 2)
+        z[0] = next(updates)
+        return z
+
+    monkeypatch.setattr(curveflow.schemes, "solve_bordered", solve)
+    start = NewtonIterate(np.zeros((n, 2)), np.zeros(n), 0.0, 0.0)
+    it, iterations, norm = newton_outer(lambda it, previous: blocks, start, tol=tol, max_newton=len(norms))
+    assert it.X[0, 0] == pytest.approx(sum(norms[:iterations]))
+    return iterations, norm
+
+
+@pytest.mark.parametrize(
+    "norms, stop",
+    [
+        ([1e-2, 1e-6], 2),  # theta = 1e-4, theta |Delta| = 1e-10 <= tol
+        ([1e-2, 1e-4, 1e-8], 3),  # theta |Delta| = 1e-6 misses tol at 2
+        ([1.5e-9, 1.2e-9, 0.9e-9], 3),  # theta = 0.8 >= 1/2: no estimate, plain exit
+        ([1e-8, 1e-12], 2),  # iteration 1 has no estimate, whatever its update
+        ([0.5e-9], 1),  # the plain exit also serves iteration 1
+    ],
+)
+def test_newton_stops_on_the_contraction_estimate(monkeypatch, norms, stop):
+    assert _newton_on_update_norms(monkeypatch, norms, tol=1e-9) == (stop, norms[stop - 1])
+
+
+def test_newton_without_contraction_runs_to_tol(monkeypatch):
+    # theta >= 1/2 at every update: only |Delta| <= tol ends the run
+    norms = [1e-3 * 0.6**k for k in range(60)]
+    stop = next(k for k, v in enumerate(norms, start=1) if v <= 1e-9)
+    assert _newton_on_update_norms(monkeypatch, norms, tol=1e-9) == (stop, norms[stop - 1])
+    with pytest.raises(NewtonDivergenceError):
+        _newton_on_update_norms(monkeypatch, norms[: stop - 1], tol=1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["sp-bdf2", "pd-bdf2", "ap-bdf3", "sp-euler", "sp-cn"])
+def test_corrector_start(monkeypatch, scheme):
+    # a corrector whose reference is one step of the lower scheme at the full
+    # tau starts at that step's root; the others start at the newest level
+    cfg = SchemeConfig(scheme=scheme, N=24, tau=0.01, T=0.05, gamma=0.0)
+    state = startup(cfg)
+    calls = []
+    newton = curveflow.schemes.newton_outer
+
+    def recording(model, start, tol, max_newton):
+        result = newton(model, start, tol, max_newton)
+        calls.append((start, result[0]))
+        return result
+
+    monkeypatch.setattr(curveflow.schemes, "newton_outer", recording)
+    step(state, cfg)
+    start = calls[-1][0]
+    last = state.history[-1]
+    kind = SPECS[scheme].kind
+    if SPECS[scheme].reference == "lower":
+        expected = calls[-2][1]  # the reference step's root
+        assert not np.array_equal(start.X, last.curve.vertices)
+    else:
+        expected = NewtonIterate(last.curve.vertices, last.kappa, last.lam * (kind != "AP"), last.eta * (kind != "PD"))
+    assert np.array_equal(start.X, expected.X) and np.array_equal(start.kappa, expected.kappa)
+    assert (start.lam, start.eta) == (expected.lam, expected.eta)
+    # a multiplier that is not an unknown stays pinned to 0
+    if kind == "AP":
+        assert start.lam == 0.0
+    if kind == "PD":
+        assert start.eta == 0.0
 
 
 def test_failure_is_captured_not_raised():
