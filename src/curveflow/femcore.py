@@ -302,6 +302,8 @@ def _iterate_edges(ctx: SchemeContext, X: np.ndarray):
 
 
 def _residual(ctx, ref, it, tau, eff, Skap, h, hlen) -> np.ndarray:
+    # residual_vector, given the iterate's _effective values, S_ref kappa_eff
+    # and _iterate_edges, which assemble_newton_blocks computes only once
     kappa_eff, lam_eff, eta_eff, x_eff = eff
     s_flux = tau * ctx.alpha / ctx.delta0
     s_time = ctx.alpha / ctx.delta0
