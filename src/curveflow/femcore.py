@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import _as_vertices, _forward_difference, _nonzero_edge_lengths, _shoelace, edge_lengths, edge_vectors
 
@@ -35,7 +34,6 @@ __all__ = [
     "lumped_masses",
     "normal_weights",
     "stiffness_stencil",
-    "stiffness_matrix",
     "initial_curvature",
     "interleave",
     "deinterleave",
@@ -103,17 +101,6 @@ def stiffness_apply(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def stiffness_matrix(curve) -> sp.csr_matrix:
-    """Periodic tridiagonal stiffness matrix of arclength derivatives:
-    (S u)_k = (u_k - u_{k-1}) / |h_{k-1}| + (u_k - u_{k+1}) / |h_k|."""
-    st = stiffness_stencil(1.0 / edge_lengths(curve))
-    n = len(st)
-    rows = np.concatenate((np.arange(n), np.arange(n), np.arange(n)))
-    cols = np.concatenate((np.arange(n), (np.arange(n) + 1) % n, (np.arange(n) - 1) % n))
-    data = np.concatenate((st[:, 1], st[:, 2], st[:, 0]))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def perimeter_gradient(curve) -> np.ndarray:
     """Exact gradient of the perimeter: grad L_k = u_{k-1} - u_k with unit
     tangents u_j = h_j / |h_j|."""
@@ -139,7 +126,14 @@ def initial_curvature(curve) -> np.ndarray:
     """
     vertices = _as_vertices(curve)
     omega = normal_weights(vertices)
-    v = stiffness_matrix(vertices) @ vertices
+    st = stiffness_stencil(1.0 / edge_lengths(vertices))
+    # (S X)_k summed from 0 over row k's columns in ascending order (the
+    # order of a sparse product), which keeps the curvature of every stored
+    # curve bitwise the same; the wrap rows 0 and N-1 need their own order
+    left, right = np.roll(vertices, 1, axis=0), np.roll(vertices, -1, axis=0)
+    v = 0.0 + st[:, :1] * left + st[:, 1:2] * vertices + st[:, 2:] * right
+    v[0] = 0.0 + st[0, 1] * vertices[0] + st[0, 2] * vertices[1] + st[0, 0] * vertices[-1]
+    v[-1] = 0.0 + st[-1, 2] * vertices[0] + st[-1, 0] * vertices[-2] + st[-1, 1] * vertices[-1]
     wsq = (omega * omega).sum(axis=1)
     floor = (1e-13 * lumped_masses(vertices)) ** 2
     if (wsq <= floor).any():

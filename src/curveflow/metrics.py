@@ -62,11 +62,9 @@ class DiagnosticsRow:
 
 @dataclass
 class DiagnosticsSeries:
-    """Rows of a run at t = 0, tau, 2 tau, ... plus the mode-switch record."""
+    """Rows of a run at t = 0, tau, 2 tau, ..."""
 
     rows: List[DiagnosticsRow]
-    switch_time: Optional[float] = None
-    forced_switch: bool = False
 
 
 DIAGNOSTICS_HEADER = "t,L_norm,dA,lambda,eta,psi,newton_iters,deltaL,mode"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -62,7 +62,6 @@ __all__ = [
     "NewtonDivergenceError",
     "HistoryEntry",
     "SchemeState",
-    "StepReport",
     "SchemeConfig",
     "Snapshot",
     "RunResult",
@@ -155,7 +154,9 @@ def bdf_coefficients(k: int) -> Tuple[Fraction, ...]:
 
 class HistoryEntry(NamedTuple):
     """One accepted time level: the curve with its curvature, multipliers,
-    perimeter and signed area."""
+    perimeter and signed area, the corrector's Newton iterations that
+    produced it (for a substepped startup level, summed over its tau
+    interval; 0 at level 0) and the mode of the scheme that produced it."""
 
     curve: PolygonalCurve
     kappa: np.ndarray
@@ -163,17 +164,7 @@ class HistoryEntry(NamedTuple):
     eta: float
     L: float
     A: float
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """Per-step diagnostics of one accepted step."""
-
-    newton_iterations: int
-    final_update_norm: float
-    deltaL: float  # (L_new - L_old) / tau of the step just completed
-    lam: float
-    eta: float
+    newton_iters: int
     mode: str  # "SP" | "AP" | "PD"
 
 
@@ -190,7 +181,6 @@ class SchemeState:
     tau: float
     A0: float
     L0: float
-    startup_reports: List[StepReport] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -266,7 +256,7 @@ def newton_outer(
     start: NewtonIterate,
     tol: float,
     max_newton: int,
-) -> Tuple[NewtonIterate, int, float]:
+) -> Tuple[NewtonIterate, int]:
     """Newton iteration on the blocks supplied by ``model``.
 
     Applies full updates Delta_k and stops after the first update k that
@@ -281,9 +271,8 @@ def newton_outer(
       update, so the solve that would only show it below tol is skipped
       (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 2).
 
-    Returns (iterate, iterations, norm of the last update applied); the step
-    functions wrap the counters into a StepReport.  A non-finite update
-    component raises NewtonDivergenceError at once, with last_norm = inf.
+    Returns (iterate, iterations).  A non-finite update component raises
+    NewtonDivergenceError at once, with last_norm = inf.
 
     ``model(it, previous)`` gives the blocks at ``it``; ``previous`` is the
     run's blocks of the last iteration, or None in the first.  The blocks of
@@ -324,10 +313,10 @@ def newton_outer(
         previous_norm, norm = norm, max(sizes.values())
         it = NewtonIterate(it.X + dX, it.kappa + dk, it.lam + dlam, it.eta + deta)
         if norm <= tol:
-            return it, iteration, norm
+            return it, iteration
         theta = norm / previous_norm  # 0 in the first iteration, which has no estimate
         if iteration >= 2 and theta < 0.5 and theta * norm <= tol:
-            return it, iteration, norm
+            return it, iteration
     raise NewtonDivergenceError(
         f"Newton did not reach tol={tol} within {max_newton} iterations (last update {norm:.3e})",
         last_norm=norm,
@@ -357,7 +346,7 @@ def _solve_step(
     ref_curve: PolygonalCurve,
     start_level: HistoryEntry,
     tau_scalable: bool,
-) -> Tuple[NewtonIterate, int, float]:
+) -> Tuple[NewtonIterate, int]:
     tau = state.tau
     ref = ReferenceGeometry(ref_curve)
 
@@ -380,9 +369,9 @@ def _solve_step(
     it = start
     total = 0
     for j in range(_CONTINUATION_STAGES, -1, -1):
-        it, iters, norm = newton_outer(model_at(tau / 2.0**j), it, config.tol, config.max_newton)
+        it, iters = newton_outer(model_at(tau / 2.0**j), it, config.tol, config.max_newton)
         total += iters
-    return it, total, norm
+    return it, total
 
 
 def _wrap_accepted(X: np.ndarray, step_index: int) -> PolygonalCurve:
@@ -391,7 +380,7 @@ def _wrap_accepted(X: np.ndarray, step_index: int) -> PolygonalCurve:
     return PolygonalCurve(X)
 
 
-def _accept(state: SchemeState, it: NewtonIterate, iters: int, norm: float, mode: str) -> Tuple[SchemeState, StepReport]:
+def _accept(state: SchemeState, it: NewtonIterate, iters: int, mode: str) -> SchemeState:
     curve = _wrap_accepted(it.X, state.step_index + 1)
     entry = HistoryEntry(
         curve=curve,
@@ -400,27 +389,12 @@ def _accept(state: SchemeState, it: NewtonIterate, iters: int, norm: float, mode
         eta=it.eta,
         L=perimeter(curve),
         A=signed_area(curve),
-    )
-    last = state.history[-1]
-    report = StepReport(
-        newton_iterations=iters,
-        final_update_norm=norm,
-        deltaL=(entry.L - last.L) / state.tau,
-        lam=it.lam,
-        eta=it.eta,
+        newton_iters=iters,
         mode=mode,
     )
     history = deque(state.history, maxlen=state.history.maxlen)
     history.append(entry)
-    new_state = SchemeState(
-        history=history,
-        step_index=state.step_index + 1,
-        tau=state.tau,
-        A0=state.A0,
-        L0=state.L0,
-        startup_reports=list(state.startup_reports),
-    )
-    return new_state, report
+    return replace(state, history=history, step_index=state.step_index + 1)
 
 
 def _history_sum(coeffs: Sequence[float], levels: Sequence, value: Callable):
@@ -431,7 +405,7 @@ def _history_sum(coeffs: Sequence[float], levels: Sequence, value: Callable):
     return total
 
 
-def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None) -> Tuple[SchemeState, StepReport]:
+def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None) -> SchemeState:
     """One step of ``scheme`` (default: the configured scheme) from the
     newest history levels, built from the scheme's row of SPECS.
 
@@ -440,11 +414,13 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
     variant's perimeter law uses the one-step difference); Crank-Nicolson
     averages every unknown with the previous level.  The reference polygon
     is the current curve or the curve of one step of the lower-order scheme,
-    solved to the same tolerance; that step's Newton iterations enter no
-    StepReport.  Newton starts at the reference step's root when the
-    reference is that step at the full tau ("lower"), and at the newest
-    level otherwise.  ``run`` passes the AP partner after a switch, and the
-    step passes the lower-order scheme to itself for the reference.
+    solved to the same tolerance; that step's Newton iterations are not
+    counted in the new level's ``newton_iters``.  Newton starts at the
+    reference step's root when the reference is that step at the full tau
+    ("lower"), and at the newest level otherwise.  ``run`` passes the AP
+    partner after a switch, and the step passes the lower-order scheme to
+    itself for the reference.  Returns the state with the new level
+    appended.
     """
     spec = SPECS[scheme or config.scheme]
     if len(state.history) < spec.order:
@@ -478,12 +454,12 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
         ref_curve = last.curve
     else:
         ref_state = replace(state, tau=0.5 * state.tau) if spec.reference == "half" else state
-        ref_level = step(ref_state, config, spec.lower)[0].history[-1]
+        ref_level = step(ref_state, config, spec.lower).history[-1]
         ref_curve = ref_level.curve
         if spec.reference == "lower":
             start_level = ref_level
-    it, iters, norm = _solve_step(state, config, ctx, ref_curve, start_level, tau_scalable=spec.reference == "current")
-    return _accept(state, it, iters, norm, spec.kind)
+    it, iters = _solve_step(state, config, ctx, ref_curve, start_level, tau_scalable=spec.reference == "current")
+    return _accept(state, it, iters, spec.kind)
 
 
 def _initial_state(config: SchemeConfig) -> SchemeState:
@@ -496,6 +472,8 @@ def _initial_state(config: SchemeConfig) -> SchemeState:
         eta=0.0,
         L=perimeter(curve0),
         A=signed_area(curve0),
+        newton_iters=0,
+        mode=config.kind,
     )
     return SchemeState(
         history=deque([entry0], maxlen=5),
@@ -510,40 +488,30 @@ def _substepped_startup(config: SchemeConfig, spec: SchemeSpec) -> SchemeState:
     """History for an order-k AP run: cover [0, (k-1) tau] with the order
     (k-1) scheme at substep sigma = tau / n_sub, n_sub = ceil(tau^(-1/(k-1))),
     so the startup error sigma^(k-1) <= tau^k; every n_sub-th substate becomes
-    a history level, and each tau interval gets one aggregated StepReport."""
+    a history level, whose newton_iters sums the substeps of its tau
+    interval."""
     k, tau = spec.order, config.tau
     n_sub = max(1, math.ceil(tau ** (-1.0 / (k - 1)) - 1e-12))
     sub_cfg = replace(config, scheme=spec.lower, tau=tau / n_sub, T=(k - 1) * tau, gamma=0.0)
     sub_state = startup(sub_cfg)
     if len(sub_state.history) != sub_state.step_index + 1:
         raise SchemeError("substepped startup lost its initial level")
-    # one report per substep: the nested startup reports per sigma interval
     levels = list(sub_state.history)[::n_sub]
-    sub_reports = list(sub_state.startup_reports)
+    # the Newton iterations of substeps 1, 2, ...
+    iters = [entry.newton_iters for entry in sub_state.history][1:]
     while sub_state.step_index < (k - 1) * n_sub:
-        sub_state, rep = step(sub_state, sub_cfg)
-        sub_reports.append(rep)
+        sub_state = step(sub_state, sub_cfg)
+        iters.append(sub_state.history[-1].newton_iters)
         if sub_state.step_index % n_sub == 0:
             levels.append(sub_state.history[-1])
-
-    reports = [
-        StepReport(
-            newton_iterations=sum(r.newton_iterations for r in sub_reports[(j - 1) * n_sub : j * n_sub]),
-            final_update_norm=sub_reports[j * n_sub - 1].final_update_norm,
-            deltaL=(levels[j].L - levels[j - 1].L) / tau,
-            lam=0.0,
-            eta=levels[j].eta,
-            mode="AP",
-        )
-        for j in range(1, k)
-    ]
+    for j in range(1, k):
+        levels[j] = levels[j]._replace(newton_iters=sum(iters[(j - 1) * n_sub : j * n_sub]))
     return SchemeState(
         history=deque(levels, maxlen=5),
         step_index=k - 1,
         tau=tau,
         A0=levels[0].A,
         L0=levels[0].L,
-        startup_reports=reports,
     )
 
 
@@ -553,16 +521,14 @@ def startup(config: SchemeConfig) -> SchemeState:
     Level 0 uses the generated curve with least-squares curvature and zero
     multipliers.  Two-level schemes then take one step of the lower-order
     scheme of their family; order 3 and 4 AP schemes substep with the
-    next-lower order (see _substepped_startup).  The steps taken here are
-    recorded per tau interval in state.startup_reports.
+    next-lower order (see _substepped_startup).
     """
     spec = SPECS[config.scheme]
     if spec.startup == "substeps":
         return _substepped_startup(config, spec)
     state = _initial_state(config)
     if spec.startup == "step":
-        state, report = step(state, config, spec.lower)
-        state.startup_reports = [report]
+        state = step(state, config, spec.lower)
     return state
 
 
@@ -591,17 +557,18 @@ class RunResult:
         return self.failure is None
 
 
-def _diag_row(t: float, entry: HistoryEntry, state: SchemeState, newton_iters: int, deltaL: float, lam: float, eta: float, mode: str) -> DiagnosticsRow:
+def _diag_row(m: int, prev: HistoryEntry, entry: HistoryEntry, state: SchemeState) -> DiagnosticsRow:
+    # the row of level m from levels m - 1 and m (at level 0, prev is entry)
     return DiagnosticsRow(
-        t=t,
+        t=m * state.tau,
         L_norm=entry.L / state.L0,
         dA=(entry.A - state.A0) / state.A0,
-        lam=lam,
-        eta=eta,
+        lam=entry.lam,
+        eta=entry.eta,
         psi=mesh_ratio(entry.curve),
-        newton_iters=newton_iters,
-        deltaL=deltaL,
-        mode=mode,
+        newton_iters=entry.newton_iters,
+        deltaL=(entry.L - prev.L) / state.tau,
+        mode=entry.mode,
     )
 
 
@@ -609,9 +576,10 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     """Advance the configured scheme from 0 to T, with the modification
     algorithm active for SP schemes when gamma > 0.
 
-    The SP phase ends by the threshold rule (a step with |deltaL| <= gamma)
-    or, as a forced switch that retries the step with the AP partner, by an
-    EquilibriumDegeneracyError; any other failure ends the run.
+    The SP phase ends by the threshold rule (a level m >= 1 with
+    |deltaL| <= gamma) or, as a forced switch that retries the step with the
+    AP partner, by an EquilibriumDegeneracyError; any other failure ends the
+    run.
 
     Snapshot times are rounded to the nearest completed step; the recorded t
     is the actual grid time.  Numerical failures do not raise: the partial
@@ -621,9 +589,8 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     n_steps = config.n_steps
     snap_set = {min(n_steps, max(0, int(round(t / tau)))) for t in snapshot_times}
     spec = SPECS[config.scheme]
-    mode0 = spec.kind
     gamma = config.gamma_value
-    switching = mode0 == "SP" and gamma > 0
+    switching = spec.kind == "SP" and gamma > 0
 
     rows: List[DiagnosticsRow] = []
     snapshots: List[Snapshot] = []
@@ -634,34 +601,39 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     try:
         state = startup(config)
     except (SchemeError, SolverError) as exc:
-        if isinstance(exc, EquilibriumDegeneracyError) and switching:
-            switched, forced, switch_time = True, True, 0.0
-            state = startup(replace(config, scheme=spec.partner))
-        else:
+        if not (isinstance(exc, EquilibriumDegeneracyError) and switching):
             init = _initial_state(config)
-            rows.append(_diag_row(0.0, init.history[0], init, 0, 0.0, 0.0, 0.0, mode0))
+            rows.append(_diag_row(0, init.history[0], init.history[0], init))
             return RunResult(DiagnosticsSeries(rows=rows), snapshots, init, None, False, exc)
+        switched, forced, switch_time = True, True, 0.0
+        state = startup(replace(config, scheme=spec.partner))
 
-    rows.append(_diag_row(0.0, state.history[0], state, 0, 0.0, 0.0, 0.0, mode0))
-    for j, rep in enumerate(state.startup_reports, start=1):
-        entry = state.history[j]
-        rows.append(_diag_row(j * tau, entry, state, rep.newton_iterations, rep.deltaL, rep.lam, rep.eta, rep.mode))
-        if not switched and switching and abs(rep.deltaL) <= gamma:
-            switched, switch_time = True, j * tau
-    for idx in sorted(i for i in snap_set if i <= state.step_index):
-        entry = state.history[idx]
-        snapshots.append(Snapshot(idx * tau, entry.curve, np.array(entry.kappa)))
+    def record(m: int, prev: HistoryEntry, entry: HistoryEntry) -> None:
+        # the row, snapshot and threshold test of level m
+        nonlocal switched, switch_time
+        rows.append(_diag_row(m, prev, entry, state))
+        if m in snap_set:
+            snapshots.append(Snapshot(m * tau, entry.curve, np.array(entry.kappa)))
+        if m > 0 and switching and not switched and abs(rows[-1].deltaL) <= gamma:
+            switched, switch_time = True, m * tau
+
+    levels = list(state.history)
+    # row 0 keeps the configured scheme's mode, also after a forced switch at startup
+    levels[0] = levels[0]._replace(mode=spec.kind)
+    for m, entry in enumerate(levels):
+        record(m, levels[m - 1] if m else entry, entry)
 
     failure: Optional[Exception] = None
     while state.step_index < n_steps:
+        last = state.history[-1]
         try:
             if switched:
                 ap = spec.partner
                 while SPECS[ap].order > len(state.history):  # just after a forced switch
                     ap = SPECS[ap].lower
-                state, rep = step(state, config, ap)
+                state = step(state, config, ap)
             else:
-                state, rep = step(state, config)
+                state = step(state, config)
         except (SchemeError, SolverError) as exc:
             if isinstance(exc, EquilibriumDegeneracyError) and not switched and switching:
                 # the SP system degenerated at equilibrium: switch and retry
@@ -670,16 +642,9 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
                 continue
             failure = exc
             break
-        m = state.step_index
-        entry = state.history[-1]
-        rows.append(_diag_row(m * tau, entry, state, rep.newton_iterations, rep.deltaL, rep.lam, rep.eta, rep.mode))
-        if m in snap_set:
-            snapshots.append(Snapshot(m * tau, entry.curve, np.array(entry.kappa)))
-        if not switched and switching and abs(rep.deltaL) <= gamma:
-            switched, switch_time = True, m * tau
+        record(state.step_index, last, state.history[-1])
 
-    series = DiagnosticsSeries(rows=rows, switch_time=switch_time, forced_switch=forced)
-    return RunResult(series, snapshots, state, switch_time, forced, failure)
+    return RunResult(DiagnosticsSeries(rows=rows), snapshots, state, switch_time, forced, failure)
 
 
 def run_modified(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult:

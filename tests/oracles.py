@@ -5,7 +5,8 @@ loops, areas by Monte Carlo sampling, the implicit step equations solved
 with a generic library root finder on finite-difference Jacobians.  None of
 it shares code with the package beyond plain containers and the exact
 orientation predicate, so agreement is evidence of correctness rather than a
-tautology.
+tautology.  The one exception is `stiffness_matrix`, which takes the
+package's stencil so that products with it can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from typing import Dict, Optional
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
-from curveflow.femcore import NewtonBlocks
+from curveflow.femcore import NewtonBlocks, stiffness_stencil
+from curveflow.geometry import edge_lengths
 from curveflow.metrics import _FILTER, _orient
 
 
@@ -79,6 +82,18 @@ def loop_curvature(V: np.ndarray) -> np.ndarray:
     om = loop_omegas(V)
     SX = loop_stiffness_apply(V, V)
     return (om * SX).sum(axis=1) / (om * om).sum(axis=1)
+
+
+def stiffness_matrix(V: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The package's periodic stiffness stencil on the edge weights 1 / |h_j|
+    as a CSR matrix, whose product sums each row over its columns in
+    ascending order."""
+    st = stiffness_stencil(1.0 / edge_lengths(V))
+    n = len(st)
+    rows = np.concatenate((np.arange(n), np.arange(n), np.arange(n)))
+    cols = np.concatenate((np.arange(n), (np.arange(n) + 1) % n, (np.arange(n) - 1) % n))
+    data = np.concatenate((st[:, 1], st[:, 2], st[:, 0]))
+    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def central_difference(f, V: np.ndarray, D: np.ndarray, eps: float = 1e-6) -> float:

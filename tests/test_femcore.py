@@ -22,7 +22,6 @@ from curveflow.femcore import (
     perimeter_gradient,
     residual_vector,
     stiffness_apply,
-    stiffness_matrix,
     stiffness_stencil,
 )
 from curveflow.geometry import edge_vectors, generate_ellipse, generate_mikula, generate_rectangle, signed_area
@@ -62,7 +61,7 @@ def test_normal_weights_are_area_gradient():
 
 def test_stiffness_matrix_matches_loop_apply():
     v = wiggly()
-    S = stiffness_matrix(v)
+    S = oracles.stiffness_matrix(v)
     u = rng.standard_normal(len(v))
     assert np.allclose(S @ u, oracles.loop_stiffness_apply(v, u), rtol=1e-13, atol=1e-13)
     w = rng.standard_normal((len(v), 2))
@@ -71,7 +70,7 @@ def test_stiffness_matrix_matches_loop_apply():
 
 def test_stiffness_matrix_symmetric_with_constant_kernel():
     v = wiggly()
-    S = stiffness_matrix(v)
+    S = oracles.stiffness_matrix(v)
     assert abs(S - S.T).max() == 0.0
     assert np.abs(S @ np.ones(len(v))).max() < 1e-13
 
@@ -134,6 +133,28 @@ def test_discrete_curvature_degenerate_spike():
         initial_curvature(spike)
 
 
+def _star(n: int, seed: int) -> np.ndarray:
+    # a random star-shaped polygon with unequal angular steps
+    gen = np.random.default_rng(seed)
+    theta = np.sort(gen.uniform(0.0, 2.0 * np.pi, n))
+    r = 1.0 + 0.3 * gen.uniform(-1.0, 1.0, n)
+    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+
+
+def test_initial_curvature_is_bitwise_the_sparse_product():
+    # the curvature sums (S X)_k in a sparse product's order, so every stored
+    # initial curvature is exactly the one the sparse product gave
+    curves = [wiggly(3), wiggly(4), wiggly(5), wiggly()]
+    curves += [generate_ellipse(2.0, 1.0, n).vertices for n in (3, 16, 160, 512)]
+    curves += [generate_mikula(n).vertices for n in (16, 64, 160, 512)]
+    curves += [generate_rectangle(4.0, 1.0, n).vertices for n in (8, 40, 160, 512)]
+    curves += [_star(n, seed) for seed, n in enumerate((7, 50, 300))]
+    for v in curves:
+        omega = normal_weights(v)
+        expected = (omega * (oracles.stiffness_matrix(v) @ v)).sum(axis=1) / (omega * omega).sum(axis=1)
+        assert np.array_equal(initial_curvature(v), expected), len(v)
+
+
 def test_interleave_layout_and_round_trip():
     field = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     flat = interleave(field)
@@ -150,7 +171,7 @@ def test_reference_geometry_consistency():
     assert ref.perimeter == pytest.approx(oracles.loop_perimeter(v), rel=1e-14)
     assert np.array_equal(ref.weights, 1.0 / ref.lengths)
     assert np.array_equal(ref.stencil, stiffness_stencil(ref.weights))
-    S = stiffness_matrix(v).toarray()
+    S = oracles.stiffness_matrix(v).toarray()
     for k in range(len(v)):
         assert list(ref.stencil[k]) == [S[k, k - 1], S[k, k], S[k, (k + 1) % len(v)]]
     for field in (rng.standard_normal(len(v)), rng.standard_normal((len(v), 2))):

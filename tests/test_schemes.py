@@ -148,7 +148,7 @@ def test_euler_steps_match_oracle():
     for scheme, flavor in (("sp-euler", "sp"), ("pd-bdf2", "pd"), ("ap-bdf1", "ap")):
         cfg, state = fresh_state(scheme)
         if scheme != "pd-bdf2":  # pd-bdf2 startup is exactly one pd-euler step
-            state, _ = step(state, cfg)
+            state = step(state, cfg)
         entry = state.history[-1]
         sol = oracles.oracle_euler_step(v0, TAU, flavor, A0=a0)
         assert_same_root(entry, sol)
@@ -158,7 +158,7 @@ def test_crank_nicolson_step_matches_oracle():
     cfg, state = fresh_state("sp-cn")
     v0 = state.history[-1].curve.vertices
     kappa0 = state.history[-1].kappa
-    state, _ = step(state, cfg)
+    state = step(state, cfg)
     sol = oracles.oracle_cn_step(v0, kappa0, 0.0, 0.0, TAU, oracles.loop_shoelace(v0))
     assert_same_root(state.history[-1], sol)
 
@@ -173,7 +173,7 @@ def test_bdf2_steps_match_oracle():
         cfg, state = fresh_state(scheme)
         v0 = state.history[-2].curve.vertices
         v1 = state.history[-1].curve.vertices
-        state, _ = step(state, cfg)
+        state = step(state, cfg)
         sol = oracles.oracle_bdf2_step(v1, v0, TAU, flavor, A0=oracles.loop_shoelace(v0), variant=variant)
         assert_same_root(state.history[-1], sol)
 
@@ -188,7 +188,7 @@ def test_high_order_ap_step_matches_oracle(scheme, k):
     state = startup(cfg)
     levels = [np.array(e.curve.vertices) for e in state.history]
     assert len(levels) == k
-    state, _ = step(state, cfg)
+    state = step(state, cfg)
     sol = oracles.oracle_ap_step(levels, TAU, k, A0=oracles.loop_shoelace(levels[0]))
     assert_same_root(state.history[-1], sol)
 
@@ -238,7 +238,7 @@ def test_sp_euler_preserves_area_and_shrinks_perimeter_stepwise():
     state = startup(cfg)
     a0, l_prev = state.A0, state.L0
     for _ in range(5):
-        state, rep = step(state, cfg)
+        state = step(state, cfg)
         entry = state.history[-1]
         assert abs(entry.A - a0) < 1e-9 * abs(a0)
         assert entry.L <= l_prev + 1e-9
@@ -318,6 +318,17 @@ def test_sp_cn_first_step_on_mikula():
     step(state, cfg)
 
 
+@pytest.mark.xfail(
+    raises=NewtonDivergenceError,
+    strict=True,
+    reason="the continuation ladder stops at tau / 2^10 = 4.9e-5, and on this curve already that first "
+    "stage diverges from the initial polygon; a direct Euler step converges only from tau / 2^12 down",
+)
+def test_sp_euler_first_step_on_mikula_at_large_tau():
+    cfg = SchemeConfig(scheme="sp-euler", N=160, tau=0.05, T=0.05, shape="mikula", gamma=0.0)
+    step(startup(cfg), cfg)
+
+
 def test_ap_bdf4_on_mikula_completes():
     # the innermost startup substeps (sigma = 1e-6) solve for eta through an
     # area row whose rounding must not stall Newton above tol
@@ -364,7 +375,7 @@ def test_two_level_startup_shapes():
     state = startup(cfg)
     assert state.step_index == 1
     assert len(state.history) == 2
-    assert len(state.startup_reports) == 1
+    assert [entry.newton_iters > 0 for entry in state.history] == [False, True]
     assert np.array_equal(state.history[0].curve.vertices, cfg.make_initial_curve().vertices)
 
 
@@ -373,7 +384,7 @@ def test_substepped_startup_covers_history():
     state = startup(cfg)
     assert state.step_index == 2
     assert len(state.history) == 3
-    assert len(state.startup_reports) == 2
+    assert [entry.newton_iters > 0 for entry in state.history] == [False, True, True]
     # area conservation holds through every substepped level
     for entry in state.history:
         assert abs(entry.A - state.A0) < 1e-9
@@ -381,6 +392,22 @@ def test_substepped_startup_covers_history():
     state4 = startup(cfg4)
     assert state4.step_index == 3
     assert len(state4.history) == 4
+
+
+@pytest.mark.parametrize("scheme, n_sub", [("ap-bdf3", 10), ("ap-bdf4", 5)])
+def test_substepped_startup_rows_count_their_substeps(scheme, n_sub):
+    # n_sub = ceil(tau^(-1/(k-1))) at tau = 0.01; row j of the run reports
+    # the Newton iterations of the substeps that fill (j-1) tau .. j tau, as
+    # a run of the lower scheme at tau / n_sub reports them
+    k, tau = SPECS[scheme].order, 0.01
+    rows = run(SchemeConfig(scheme=scheme, N=16, tau=tau, T=5 * tau, gamma=0.0)).series.rows
+    sub = run(SchemeConfig(scheme=SPECS[scheme].lower, N=16, tau=tau / n_sub, T=(k - 1) * tau, gamma=0.0))
+    assert sub.ok, sub.failure
+    sub_iters = [row.newton_iters for row in sub.series.rows]
+    assert len(sub_iters) == (k - 1) * n_sub + 1
+    expected = [sum(sub_iters[(j - 1) * n_sub + 1 : j * n_sub + 1]) for j in range(1, k)]
+    assert [row.newton_iters for row in rows[1:k]] == expected
+    assert [row.mode for row in rows[1:k]] == ["AP"] * (k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +434,16 @@ def test_circle_under_sp_with_threshold_switches_and_survives():
     assert np.abs(result.state.history[-1].curve.vertices - v0).max() < 1e-7
 
 
+def test_forced_switch_at_startup_keeps_row_zero_sp():
+    # sp-bdf2's startup step (sp-euler) degenerates on the circle, so the run
+    # starts over with ap-bdf2; row 0 keeps the configured scheme's mode
+    cfg = SchemeConfig(scheme="sp-bdf2", N=32, tau=0.01, T=0.05, a=1.0, b=1.0)
+    result = run(cfg)
+    assert result.ok, result.failure
+    assert result.forced_switch and result.switch_time == 0.0
+    assert [r.mode for r in result.series.rows] == ["SP"] + ["AP"] * 5
+
+
 @pytest.mark.parametrize("tau", [1 / 6400, 1 / 640])
 def test_sp_startup_on_mikula_is_not_degenerate(tau):
     # far from equilibrium (curvature spread > 1) the two conservation laws
@@ -417,7 +454,7 @@ def test_sp_startup_on_mikula_is_not_degenerate(tau):
     assert (kappa0.max() - kappa0.min()) / kappa0.mean() > 1.0
     state = startup(cfg)
     assert state.step_index == 1
-    assert state.startup_reports[0].mode == "SP"
+    assert state.history[1].mode == "SP"
 
 
 def test_huge_threshold_switches_on_first_report():
@@ -429,7 +466,6 @@ def test_huge_threshold_switches_on_first_report():
     modes = [r.mode for r in result.series.rows]
     assert modes[0] == "SP" and modes[1] == "SP"  # t=0 row and the startup step
     assert set(modes[2:]) == {"AP"}
-    assert result.series.switch_time == result.switch_time
 
 
 def test_gamma_zero_never_switches():
@@ -554,8 +590,8 @@ def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
 
 def _newton_on_update_norms(monkeypatch, norms, tol):
     # newton_outer on solves whose updates have the given norms, one a call;
-    # returns (iterations, last norm) or raises NewtonDivergenceError once
-    # the norms run out
+    # returns the iterations or raises NewtonDivergenceError once the norms
+    # run out
     n = 6
     blocks = oracles.random_blocks(rng, n=n, flavor="both")
     updates = iter(norms)
@@ -567,9 +603,9 @@ def _newton_on_update_norms(monkeypatch, norms, tol):
 
     monkeypatch.setattr(curveflow.schemes, "solve_bordered", solve)
     start = NewtonIterate(np.zeros((n, 2)), np.zeros(n), 0.0, 0.0)
-    it, iterations, norm = newton_outer(lambda it, previous: blocks, start, tol=tol, max_newton=len(norms))
+    it, iterations = newton_outer(lambda it, previous: blocks, start, tol=tol, max_newton=len(norms))
     assert it.X[0, 0] == pytest.approx(sum(norms[:iterations]))
-    return iterations, norm
+    return iterations
 
 
 @pytest.mark.parametrize(
@@ -583,14 +619,14 @@ def _newton_on_update_norms(monkeypatch, norms, tol):
     ],
 )
 def test_newton_stops_on_the_contraction_estimate(monkeypatch, norms, stop):
-    assert _newton_on_update_norms(monkeypatch, norms, tol=1e-9) == (stop, norms[stop - 1])
+    assert _newton_on_update_norms(monkeypatch, norms, tol=1e-9) == stop
 
 
 def test_newton_without_contraction_runs_to_tol(monkeypatch):
     # theta >= 1/2 at every update: only |Delta| <= tol ends the run
     norms = [1e-3 * 0.6**k for k in range(60)]
     stop = next(k for k, v in enumerate(norms, start=1) if v <= 1e-9)
-    assert _newton_on_update_norms(monkeypatch, norms, tol=1e-9) == (stop, norms[stop - 1])
+    assert _newton_on_update_norms(monkeypatch, norms, tol=1e-9) == stop
     with pytest.raises(NewtonDivergenceError):
         _newton_on_update_norms(monkeypatch, norms[: stop - 1], tol=1e-9)
 
