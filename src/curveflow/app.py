@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -22,7 +21,7 @@ import numpy as np
 
 from .geometry import read_snapshot, write_snapshot
 from .linalg import SolverError
-from .metrics import ConvergenceRow, manifold_distance, write_diagnostics_csv, write_eoc_csv
+from .metrics import convergence_rows, manifold_distance, write_diagnostics_csv, write_eoc_csv
 from .schemes import SchemeConfig, SchemeError, run
 
 __all__ = [
@@ -294,16 +293,8 @@ def cli_converge(config_path: str) -> int:
             break
         terminal.append(outcome["vertices"])
 
-    rows: List[ConvergenceRow] = []
-    prev: Optional[Tuple[float, float]] = None
-    for j in range(len(terminal) - 1):
-        error = manifold_distance(terminal[j], terminal[j + 1])
-        tau, h = taus[j], 1.0 / configs[j].N
-        order = None
-        if prev is not None and prev[1] > 0 and error > 0 and tau < prev[0]:
-            order = math.log(prev[1] / error) / math.log(prev[0] / tau)
-        rows.append(ConvergenceRow(tau=tau, h=h, error=error, order=order))
-        prev = (tau, error)
+    errors = [manifold_distance(a, b) for a, b in zip(terminal, terminal[1:])]
+    rows = convergence_rows([(taus[j], 1.0 / configs[j].N, error) for j, error in enumerate(errors)])
 
     os.makedirs(out_dir, exist_ok=True)
     eoc_path = os.path.join(out_dir, "eoc.csv")

@@ -8,31 +8,34 @@ The systems have a 3N x 3N core
 
 bordered by up to two dense columns (the multipliers) and the matching dense
 rows (the linearized conservation laws).  Every block of the core couples a
-vertex only to itself and its two neighbours.  Ordering the unknowns per
-vertex as (x_k, y_k, kappa_k) and the equations as (curvature x, curvature y,
-velocity) turns the core into a band matrix with three sub- and three
-superdiagonals, plus six wrap entries in the corners that close the curve
-(vertex 0 against vertex N-1).  The band is factored with LAPACK's banded LU,
-the wrap entries are folded in by a rank-6 Woodbury correction, and the
-multipliers come from the small Schur complement, whose singularity is
-detected explicitly because it carries the geometric degeneracy of an
-equilibrium (constant curvature makes the two border columns parallel).
+vertex only to itself and its two neighbours, vertex 0 and vertex N-1
+included.  The solver orders the vertices folded, 0, N-1, 1, N-2, ...:
+vertex k sits at slot 2k for k <= (N-1)/2 and at slot 2(N-1-k)+1 otherwise,
+so every neighbouring pair, the pair that closes the curve included, is at
+most two slots apart.  With the unknowns of a slot ordered (x_k, y_k,
+kappa_k) and its equations (curvature x, curvature y, velocity), the core is
+one plain band matrix with six sub- and six superdiagonals.  It is factored
+with LAPACK's banded LU, and the multipliers come from the small Schur
+complement, whose singularity is detected explicitly because it carries the
+geometric degeneracy of an equilibrium (constant curvature makes the two
+border columns parallel).
 
 The first solve of a system stores its factor on it (`CoreFactor`: the band
-LU, the wrap correction and the core solves of the border columns).  A
-system assembled with ``reuse=`` starts from an earlier system of the same
-Newton run.  Without the perimeter multiplier (AP steps, AP predictors and
-their continuation stages) it takes the core, the border columns and the
-factor over, so its solve is one banded solve for the new right-hand side.
-With it, only Q's diagonal and the lam column change between iterates: they
-are written into a copy of the earlier band and border columns, and the
-system gets a fresh factor.
+LU and the core solves of the border columns).  A system assembled with
+``reuse=`` starts from an earlier system of the same Newton run.  Without
+the perimeter multiplier (AP steps, AP predictors and their continuation
+stages) it takes the core, the border columns and the factor over, so its
+solve is one banded solve for the new right-hand side.  With it, only Q's
+diagonal and the lam column change between iterates: they are written into
+a copy of the earlier band and border columns, and the system gets a fresh
+factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -71,23 +74,67 @@ class EquilibriumDegeneracyError(SolverError):
     """
 
 
-# sub- and superdiagonals of the core in per-vertex order: a vertex's
-# equations reach at most the same component of a neighbouring vertex
-KL = KU = 3
+# sub- and superdiagonals of the folded core: neighbours are at most two
+# slots of three unknowns apart, and an equation reaches only the same
+# component of a neighbour
+KL = KU = 6
+_LDAB = 2 * KL + KU + 1  # band rows; the first KL are workspace for the LU
 _DIAG = KL + KU  # LAPACK band storage: A[i, j] sits at band[_DIAG + i - j, j]
+
+
+@dataclass(frozen=True)
+class _Fold:
+    """Where the values of an N-vertex system go in folded order.
+
+    vertex[s] is the vertex at slot s.  scatter (N, 13) holds the flat
+    positions in band storage (column-major, _LDAB rows per column) of the
+    row np.concatenate((P, P, Q, R, R), axis=1)[k] of vertex k's core
+    values: P on (x_k, y_k) in its velocity row, P^T on kappa_k in its two
+    curvature rows, Q on kappa_{k-1}, kappa_k, kappa_{k+1} in its velocity
+    row, R on x and then on y of vertices k-1, k, k+1 in its curvature
+    rows.  gather[i] is the block-order index of folded index i, for
+    equations (curvature rows F2, then velocity rows F1) and for unknowns
+    (positions, then curvatures) alike; inverse[j] is the folded index of
+    block-order index j."""
+
+    vertex: np.ndarray
+    scatter: np.ndarray
+    gather: np.ndarray
+    inverse: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _fold(n: int) -> _Fold:
+    k = np.arange(n)
+    slot = np.where(k <= (n - 1) // 2, 2 * k, 2 * (n - 1 - k) + 1)
+    s = 3 * slot  # the first row and column of vertex k
+    sm, sp = np.roll(s, 1), np.roll(s, -1)  # those of vertices k-1 and k+1
+    v = s + 2  # velocity row, and column of kappa_k
+    rows = [v, v, s, s + 1, v, v, v, s, s, s, s + 1, s + 1, s + 1]
+    cols = [s, s + 1, v, v, sm + 2, v, sp + 2, sm, s, sp, sm + 1, s + 1, sp + 1]
+    rows, cols = np.column_stack(rows), np.column_stack(cols)
+    gather = np.empty((n, 3), dtype=np.intp)
+    gather[slot, :2] = 2 * k[:, None] + np.arange(2)
+    gather[slot, 2] = 2 * n + k
+    gather = gather.ravel()
+    fold = _Fold(
+        vertex=np.argsort(slot),
+        scatter=cols * _LDAB + _DIAG + rows - cols,
+        gather=gather,
+        inverse=np.argsort(gather),
+    )
+    for array in vars(fold).values():
+        array.setflags(write=False)  # shared by every system of this N
+    return fold
 
 
 @dataclass
 class PeriodicBandCore:
-    """The 3N x 3N core in per-vertex order: its band part in LAPACK band
-    storage (2 KL + KU + 1 rows, the first KL of them workspace for the
-    factorization), and the six wrap entries outside the band.  They
-    are A[c, 3N - 3 + c] (vertex 0's equations on vertex N-1) and
-    A[3N - 3 + c, c] (vertex N-1's on vertex 0), c = 0, 1, 2, in that
-    order."""
+    """The 3N x 3N core in folded order, in LAPACK band storage:
+    2 KL + KU + 1 rows, the first KL of them workspace for the
+    factorization, and one column per unknown."""
 
     band: np.ndarray
-    wrap: np.ndarray
 
     @property
     def shape(self):
@@ -98,25 +145,21 @@ class PeriodicBandCore:
 @dataclass
 class CoreFactor:
     """What the first solve of a system keeps for later systems with the same
-    core and border columns: the band LU of the band part B with its pivots,
-    B^{-1} W and the 6 x 6 capacitance I + V^T B^{-1} W of the wrap correction
-    (see _solve_core), and B^{-1} times the border columns, before the wrap
-    correction."""
+    core and border columns: the band LU of the core with its pivots, and
+    the core solves of the border columns."""
 
     lu: np.ndarray
     piv: np.ndarray
-    bw: np.ndarray  # (3N, 6)
-    capacitance: np.ndarray  # (6, 6)
     border_solves: np.ndarray  # (3N, nb)
 
 
 @dataclass
 class BorderedSystem:
-    """Core plus dense borders, rows and unknowns in per-vertex order: rhs
-    holds the equations (curvature x, curvature y, velocity) of each vertex,
-    then perimeter?, area?; unknowns are (x_k, y_k, kappa_k) per vertex, then
-    lam?, eta?.  nb in {0, 1, 2} counts the borders actually present.  factor
-    is None until the first solve, which stores it."""
+    """Core plus dense borders, rows and unknowns in folded order: rhs holds
+    the equations (curvature x, curvature y, velocity) of each slot's
+    vertex, then perimeter?, area?; unknowns are (x_k, y_k, kappa_k) per
+    slot, then lam?, eta?.  nb in {0, 1, 2} counts the borders actually
+    present.  factor is None until the first solve, which stores it."""
 
     core: PeriodicBandCore
     border_cols: Optional[np.ndarray]  # (3N, nb)
@@ -126,44 +169,8 @@ class BorderedSystem:
     factor: Optional[CoreFactor] = None
 
 
-def _per_vertex(pair: np.ndarray, single: np.ndarray) -> np.ndarray:
-    # an interleaved (2N,) position or curvature-row part and an (N,)
-    # curvature or velocity-row part, merged into per-vertex order (3N,)
-    n = len(single)
-    out = np.empty((n, 3))
-    out[:, :2] = pair.reshape(n, 2)
-    out[:, 2] = single
-    return out.ravel()
-
-
-def _core(blocks: NewtonBlocks) -> PeriodicBandCore:
-    P, Q, R = blocks.P, blocks.Q, blocks.R
-    n = len(P)
-    # Fortran order, as LAPACK takes it; band3[k, c, r] = band[r, 3k + c]
-    # is the band row r of the column of unknown c at vertex k
-    band = np.zeros((2 * KL + KU + 1, 3 * n), order="F")
-    band3 = band.T.reshape(n, 3, -1)
-    # i - j = 0: the diagonals of R and Q
-    band3[:, :2, _DIAG] = R[:, 1:2]
-    band3[:, 2, _DIAG] = Q[:, 1]
-    # i - j = -3 (row 3(k-1) + c, column 3k + c): row k-1's coefficient of vertex k
-    band3[1:, :2, _DIAG - 3] = R[:-1, 2:3]
-    band3[1:, 2, _DIAG - 3] = Q[:-1, 2]
-    # i - j = +3 (row 3(k+1) + c, column 3k + c): row k+1's coefficient of vertex k
-    band3[:-1, :2, _DIAG + 3] = R[1:, 0:1]
-    band3[:-1, 2, _DIAG + 3] = Q[1:, 0]
-    # i - j = +2, +1: P in the velocity row, columns x_k and y_k
-    band3[:, 0, _DIAG + 2] = P[:, 0]
-    band3[:, 1, _DIAG + 1] = P[:, 1]
-    # i - j = -2, -1: P^T in the curvature rows, column kappa_k
-    band3[:, 2, _DIAG - 2] = P[:, 0]
-    band3[:, 2, _DIAG - 1] = P[:, 1]
-    wrap = np.array([R[0, 0], R[0, 0], Q[0, 0], R[-1, 2], R[-1, 2], Q[-1, 2]])
-    return PeriodicBandCore(band=band, wrap=wrap)
-
-
 def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None) -> BorderedSystem:
-    """Pack Newton blocks into one bordered system in per-vertex order.
+    """Pack Newton blocks into one bordered system in folded order.
 
     Border order is always lam before eta, in both the extra columns and the
     extra rows; schemes with a single multiplier get nb = 1.
@@ -177,42 +184,45 @@ def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None
     always built from ``blocks``.
     """
     n = len(blocks.P)
+    m = 3 * n
+    fold = _fold(n)
     nb = (blocks.a1 is not None) + (blocks.a2 is not None)
-    rows = []
-    tail = []
-    if blocks.b1 is not None:
-        rows.append(_per_vertex(blocks.b1, blocks.b2))
-        tail.append(blocks.f1)
-    if blocks.c is not None:
-        rows.append(_per_vertex(blocks.c, np.zeros(n)))
-        tail.append(blocks.f2)
-    if len(rows) != nb:
-        raise ValueError(f"{nb} border columns but {len(rows)} border rows")
-    border_rows = np.vstack(rows) if nb else None
-    rhs = np.concatenate((_per_vertex(blocks.F2, blocks.F1), np.array(tail)))
+    laws = [(blocks.b1, blocks.b2, blocks.f1), (blocks.c, None, blocks.f2)]
+    laws = [law for law in laws if law[0] is not None]
+    if len(laws) != nb:
+        raise ValueError(f"{nb} border columns but {len(laws)} border rows")
+    rhs = np.empty(m + nb)
+    rhs[:m] = np.concatenate((blocks.F2, blocks.F1))[fold.gather]
+    border_rows = None
+    if nb:
+        # in block order first (positions, then curvatures), then gathered
+        rows = np.zeros((nb, m))
+        for j, (pos, kap, f) in enumerate(laws):
+            rows[j, : 2 * n] = pos
+            if kap is not None:
+                rows[j, 2 * n :] = kap
+            rhs[m + j] = f
+        border_rows = rows[:, fold.gather]
     if reuse is not None and blocks.a1 is None:
         return BorderedSystem(reuse.core, reuse.border_cols, border_rows, rhs, nb, reuse.factor)
     if reuse is not None:
-        # Q's diagonal sits at the kappa column of each vertex, a1 in column 0
-        band = reuse.core.band.copy(order="F")
-        band[_DIAG, 2::3] = blocks.Q[:, 1]
-        border_cols = reuse.border_cols.copy()
-        border_cols[2::3, 0] = blocks.a1
-        return BorderedSystem(PeriodicBandCore(band, reuse.core.wrap), border_cols, border_rows, rhs, nb)
-    zeros = np.zeros(2 * n)
-    cols = [_per_vertex(zeros, a) for a in (blocks.a1, blocks.a2) if a is not None]
-    border_cols = np.column_stack(cols) if nb else None
-    return BorderedSystem(core=_core(blocks), border_cols=border_cols, border_rows=border_rows, rhs=rhs, nb=nb)
-
-
-def _wrap_rows(m: int) -> np.ndarray:
-    # the rows of the six wrap entries
-    return np.array([0, 1, 2, m - 3, m - 2, m - 1])
-
-
-def _wrap_cols(m: int) -> np.ndarray:
-    # the columns of the six wrap entries
-    return np.array([m - 3, m - 2, m - 1, 0, 1, 2])
+        # Q's diagonal is the sixth of each vertex's core values; a1 is column 0
+        flat = reuse.core.band.T.flatten()
+        flat[fold.scatter[:, 5]] = blocks.Q[:, 1]
+        border_cols = reuse.border_cols.copy(order="F")
+        border_cols[2::3, 0] = blocks.a1[fold.vertex]
+    else:
+        flat = np.zeros(m * _LDAB)
+        flat[fold.scatter] = np.concatenate((blocks.P, blocks.P, blocks.Q, blocks.R, blocks.R), axis=1)
+        border_cols = None
+        if nb:
+            # the multiplier columns live in the velocity rows
+            border_cols = np.zeros((m, nb), order="F")
+            for j, a in enumerate(a for a in (blocks.a1, blocks.a2) if a is not None):
+                border_cols[2::3, j] = a[fold.vertex]
+    # band storage in Fortran order, as LAPACK takes it
+    core = PeriodicBandCore(flat.reshape(m, _LDAB).T)
+    return BorderedSystem(core, border_cols, border_rows, rhs, nb)
 
 
 def _band_solve(lu: np.ndarray, piv: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -222,57 +232,39 @@ def _band_solve(lu: np.ndarray, piv: np.ndarray, cols: np.ndarray) -> np.ndarray
     return sol
 
 
-def _factor(system: BorderedSystem) -> Tuple[CoreFactor, np.ndarray]:
-    """The system's factor, and B^{-1} [rhs, border_cols]: one banded LU of the band part B, then one banded solve
-    for the rhs, the border columns and the unit columns of the six wrap
-    rows together."""
-    core = system.core
-    m, k = core.shape[0], 1 + system.nb
-    lu, piv, info = dgbtrf(core.band, KL, KU)
+def _solve_core(system: BorderedSystem) -> np.ndarray:
+    """core^{-1} [rhs, border_cols] as an (m, 1 + nb) array.  The first call
+    factors the core with one banded LU and solves for the rhs and the border
+    columns together in one banded solve, and stores the factor on the
+    system.  Later calls (and systems assembled with ``reuse=``) make one
+    banded solve for the rhs; LAPACK treats each right-hand side column on
+    its own, so the result is bitwise the fresh one."""
+    m = system.core.shape[0]
+    k = 1 + system.nb
+    if system.factor is not None:
+        z = np.empty((m, k), order="F")
+        z[:, 0] = _band_solve(system.factor.lu, system.factor.piv, system.rhs[:m])
+        z[:, 1:] = system.factor.border_solves
+        return z
+    lu, piv, info = dgbtrf(system.core.band, KL, KU)
     if info > 0:
         raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
     if info < 0:
         raise ValueError(f"dgbtrf rejected argument {-info}")
-    stacked = np.zeros((m, k + 6), order="F")
+    stacked = np.empty((m, k), order="F")
     stacked[:, 0] = system.rhs[:m]
     if system.nb:
-        stacked[:, 1:k] = system.border_cols
-    stacked[_wrap_rows(m), k + np.arange(6)] = 1.0
-    sol = _band_solve(lu, piv, stacked)
-    bw = sol[:, k:] * core.wrap
-    factor = CoreFactor(lu=lu, piv=piv, bw=bw, capacitance=np.eye(6) + bw[_wrap_cols(m)], border_solves=sol[:, 1:k])
-    return factor, sol[:, :k]
-
-
-def _solve_core(system: BorderedSystem) -> np.ndarray:
-    """core^{-1} [rhs, border_cols] as an (m, 1 + nb) array.  The first call
-    factors the core and stores the factor on the system; later calls (and
-    systems assembled with ``reuse=``) make one banded solve for the rhs.
-    Then the Woodbury correction for the wrap entries: A = B + W V^T, with
-    W's columns the wrap values at their rows and V's the unit vectors of
-    their columns.  It is applied to the rhs and the border columns together,
-    as one (m, 6) x (6, 1 + nb) product, so that a reused factor gives bitwise
-    the result of a fresh one (BLAS rounds a product with one column
-    differently from one with more)."""
-    m = system.core.shape[0]
-    if system.factor is None:
-        system.factor, z = _factor(system)
-    else:
-        z = np.empty((m, 1 + system.nb), order="F")
-        z[:, 0] = _band_solve(system.factor.lu, system.factor.piv, system.rhs[:m])
-        z[:, 1:] = system.factor.border_solves
-    f = system.factor
-    try:
-        correction = np.linalg.solve(f.capacitance, z[_wrap_cols(m)])
-    except np.linalg.LinAlgError as exc:
-        raise SingularCoreError(f"core is singular through its wrap entries: {exc}") from exc
-    return z - f.bw @ correction
+        stacked[:, 1:] = system.border_cols
+    z = _band_solve(lu, piv, stacked)
+    system.factor = CoreFactor(lu=lu, piv=piv, border_solves=z[:, 1:])
+    return z
 
 
 def solve_bordered(system: BorderedSystem) -> np.ndarray:
-    """Solve via block elimination: factor the core, eliminate it from the
-    border rows, solve the nb x nb Schur complement for the multipliers,
-    back-substitute.  Returns the full unknown vector (3N + nb,).
+    """Solve via block elimination: factor the folded band core, eliminate
+    it from the border rows, solve the nb x nb Schur complement for the
+    multipliers, back-substitute.  Returns the full unknown vector (3N + nb,)
+    in block order: positions (interleaved), curvatures, then lam?, eta?.
 
     The factor of the core and the core solves of the border columns are
     made by the first solve of a system and stored on it; a system assembled
@@ -285,9 +277,10 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
     rhs entry) or a border column by any positive factor changes neither the
     verdict nor, beyond rounding, the solution."""
     m = system.core.shape[0]
+    inverse = _fold(m // 3).inverse
     both = _solve_core(system)
     if system.nb == 0:
-        return _in_block_order(both[:, 0], np.empty(m))
+        return both[inverse, 0]
 
     g, Y = both[:, 0], both[:, 1:]
     schur = 0.0 - system.border_rows @ Y  # not unary minus: an exact 0 stays +0.0
@@ -314,17 +307,8 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
     # the sign flips of a 1 x 1 SVD are exact, so scaled / s is bitwise its solve
     mu = col_scale * (scaled / equilibrated[0] if system.nb == 1 else Vt.T @ ((U.T @ scaled) / sing))
     out = np.empty(m + system.nb)
+    out[:m] = (g - Y @ mu)[inverse]
     out[m:] = mu
-    return _in_block_order(g - Y @ mu, out)
-
-
-def _in_block_order(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # per-vertex (x_k, y_k, kappa_k) -> [position (2N, interleaved), curvature (N)],
-    # written to the head of out
-    z3 = z.reshape(-1, 3)
-    n = len(z3)
-    out[: 2 * n].reshape(n, 2)[:] = z3[:, :2]
-    out[2 * n : 3 * n] = z3[:, 2]
     return out
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "ConvergenceRow",
     "EOC_HEADER",
     "eoc",
+    "convergence_rows",
     "write_eoc_csv",
     "polygon_intersection_area",
     "manifold_distance",
@@ -104,8 +105,8 @@ EOC_HEADER = "tau,h,error,order"
 
 def eoc(rows: Sequence[Sequence[float]]) -> List[ConvergenceRow]:
     """Experimental orders of convergence from (tau, error) or (tau, h,
-    error) rows; order_j = log(e_{j-1}/e_j) / log(tau_{j-1}/tau_j).  Requires
-    strictly decreasing tau and positive errors."""
+    error) rows, by convergence_rows.  Requires strictly decreasing tau and
+    positive errors."""
     parsed: List[Tuple[float, Optional[float], float]] = []
     for item in rows:
         vals = tuple(item)
@@ -121,11 +122,18 @@ def eoc(rows: Sequence[Sequence[float]]) -> List[ConvergenceRow]:
     for (t0, _, _), (t1, _, _) in zip(parsed, parsed[1:]):
         if not t1 < t0:
             raise ValueError(f"taus must be strictly decreasing, got {t0} then {t1}")
+    return convergence_rows(parsed)
+
+
+def convergence_rows(levels: Sequence[Tuple[float, Optional[float], float]]) -> List[ConvergenceRow]:
+    """ConvergenceRows for (tau, h, error) levels; order_j = log(e_{j-1}/e_j)
+    / log(tau_{j-1}/tau_j), and None for the first level and wherever an
+    error is not positive or tau did not decrease."""
     out: List[ConvergenceRow] = []
     prev: Optional[Tuple[float, float]] = None
-    for tau, h, err in parsed:
+    for tau, h, err in levels:
         order = None
-        if prev is not None:
+        if prev is not None and prev[1] > 0 and err > 0 and tau < prev[0]:
             order = math.log(prev[1] / err) / math.log(prev[0] / tau)
         out.append(ConvergenceRow(tau=tau, h=h, error=err, order=order))
         prev = (tau, err)

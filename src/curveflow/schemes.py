@@ -598,16 +598,6 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     switch_time: Optional[float] = None
     forced = False
 
-    try:
-        state = startup(config)
-    except (SchemeError, SolverError) as exc:
-        if not (isinstance(exc, EquilibriumDegeneracyError) and switching):
-            init = _initial_state(config)
-            rows.append(_diag_row(0, init.history[0], init.history[0], init))
-            return RunResult(DiagnosticsSeries(rows=rows), snapshots, init, None, False, exc)
-        switched, forced, switch_time = True, True, 0.0
-        state = startup(replace(config, scheme=spec.partner))
-
     def record(m: int, prev: HistoryEntry, entry: HistoryEntry) -> None:
         # the row, snapshot and threshold test of level m
         nonlocal switched, switch_time
@@ -616,6 +606,16 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
             snapshots.append(Snapshot(m * tau, entry.curve, np.array(entry.kappa)))
         if m > 0 and switching and not switched and abs(rows[-1].deltaL) <= gamma:
             switched, switch_time = True, m * tau
+
+    try:
+        state = startup(config)
+    except (SchemeError, SolverError) as exc:
+        if not (isinstance(exc, EquilibriumDegeneracyError) and switching):
+            state = _initial_state(config)
+            record(0, state.history[0], state.history[0])
+            return RunResult(DiagnosticsSeries(rows=rows), snapshots, state, None, False, exc)
+        switched, forced, switch_time = True, True, 0.0
+        state = startup(replace(config, scheme=spec.partner))
 
     levels = list(state.history)
     # row 0 keeps the configured scheme's mode, also after a forced switch at startup

@@ -461,9 +461,9 @@ def residual_norm(blocks: NewtonBlocks, z: np.ndarray) -> float:
 
 def random_blocks(rng: np.random.Generator, n: int = 8, flavor: str = "both") -> NewtonBlocks:
     """Random blocks with the bordered layout, a random value on every
-    structural nonzero of the core (the wrap entries Q[0, 0], R[0, 0],
-    Q[-1, 2] and R[-1, 2] included); flavor picks which borders exist
-    ('none', 'lam', 'eta', 'both')."""
+    structural nonzero of the core (the entries Q[0, 0], R[0, 0], Q[-1, 2]
+    and R[-1, 2] that close the curve included); flavor picks which borders
+    exist ('none', 'lam', 'eta', 'both')."""
     with_lam = flavor in ("lam", "both")
     with_eta = flavor in ("eta", "both")
     return NewtonBlocks(

@@ -1,5 +1,6 @@
 """Bordered banded solver against a dense oracle, plus its failure modes."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,17 +29,71 @@ rng = np.random.default_rng(77010)
 
 
 def test_solver_matches_dense_oracle():
-    # N = 3 and 4 put the wrap entries next to (or, for N = 3, one vertex
-    # from) the band's own coupling of vertices 0 and N-1
+    # the fold 0, N-1, 1, N-2, ... ends differently for odd and even N (the
+    # last slot holds vertex (N-1)/2 or N/2), and at N = 3 every vertex
+    # neighbours every other
     flavors = ["none", "lam", "eta", "both"]
-    for trial in range(120):
-        n = (3, 4, 8)[(trial // 4) % 3]
+    for trial in range(168):
+        n = 3 + (trial // 4) % 7
         blocks = oracles.random_blocks(rng, n=n, flavor=flavors[trial % 4])
         x = solve_bordered(assemble_system(blocks))
         M, rhs = oracles.dense_from_blocks(blocks)
         expected = np.linalg.solve(M, rhs)
         scale = np.abs(expected).max()
         assert np.abs(x - expected).max() <= 1e-9 * max(1.0, scale)
+
+
+def _folded_permutations(n):
+    # dense_from_blocks's row and column of folded index 3 slot(k) + c, with
+    # the fold's slot rule written out on its own: vertex k at slot 2k for
+    # k <= (N-1)/2, else at 2(N-1-k)+1
+    rows = np.empty(3 * n, dtype=int)
+    cols = np.empty(3 * n, dtype=int)
+    for k in range(n):
+        slot = 2 * k if k <= (n - 1) // 2 else 2 * (n - 1 - k) + 1
+        for c in range(2):
+            rows[3 * slot + c] = n + 2 * k + c  # curvature row (k, c)
+            cols[3 * slot + c] = 2 * k + c  # position (k, c)
+        rows[3 * slot + 2] = k  # velocity row k
+        cols[3 * slot + 2] = 2 * n + k  # kappa_k
+    return rows, cols
+
+
+def test_folded_core_is_a_band_of_width_six():
+    # every structural nonzero of the folded core lies within six diagonals,
+    # and the assembled band, border rows, border columns and rhs hold
+    # exactly the dense system's entries at their folded places
+    for n in range(3, 65):
+        blocks = oracles.random_blocks(rng, n=n, flavor="both")
+        M, rhs = oracles.dense_from_blocks(blocks)
+        m = 3 * n
+        rows, cols = _folded_permutations(n)
+        core = M[np.ix_(rows, cols)]
+        i, j = np.nonzero(core)
+        assert len(i) == 13 * n and np.abs(i - j).max() <= 6
+        expected = np.zeros((19, m))
+        expected[12 + i - j, j] = core[i, j]
+        system = assemble_system(blocks)
+        assert np.array_equal(system.core.band, expected), n
+        assert np.array_equal(system.border_cols, M[rows, m:])
+        assert np.array_equal(system.border_rows, M[m:][:, cols])
+        assert np.array_equal(system.rhs, np.concatenate((rhs[rows], rhs[m:])))
+
+
+def test_two_border_solve_at_large_n_keeps_memory_to_the_band():
+    # at N = 8192 the band and its LU copy are 2 x 19 x 3N doubles (7.5 MB);
+    # everything else is a few vectors of length 3N and the fold's index
+    # arrays, so 16 MB leaves room for those, and any (3N, 3N) array fails it
+    n = 8192
+    blocks = oracles.random_blocks(rng, n=n, flavor="both")
+    tracemalloc.start()
+    try:
+        x = solve_bordered(assemble_system(blocks))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(x)) and len(x) == 3 * n + 2
+    assert peak < 16e6
 
 
 def test_residual_norm_at_solution_and_away():
@@ -62,9 +117,10 @@ def test_unbordered_system_is_plain_core_solve():
 
 @pytest.mark.parametrize("rows", [(True, True), (True, False), (False, True)])
 def test_relabelled_start_vertex_rolls_the_newton_direction(rows):
-    # Moving the start vertex moves which pair of vertices the wrap entries
-    # couple, so agreement at N = 160 (above the dense oracle's size cap)
-    # checks the wrap correction on a real Newton system.
+    # Moving the start vertex moves which vertices the fold places next to
+    # each other and which pair closes the curve between slots 0 and 1, so
+    # agreement at N = 160 (above the dense oracle's size cap) checks the
+    # folded band on a real Newton system.
     n = 160
     theta = 2.0 * np.pi * np.arange(n) / n
     r = 1.0 + 0.2 * np.sin(3 * theta) + 0.1 * np.cos(7 * theta)
@@ -240,7 +296,7 @@ def test_blocks_built_from_an_earlier_iterate_are_bitwise_the_fresh_ones(use_are
     reused = assemble_system(blocks, reuse=system)
     fresh = assemble_system(fresh_blocks)
     assert reused.factor is None and reused.core.band is not system.core.band
-    assert np.array_equal(reused.core.band, fresh.core.band) and np.array_equal(reused.core.wrap, fresh.core.wrap)
+    assert np.array_equal(reused.core.band, fresh.core.band)
     assert np.array_equal(reused.border_cols, fresh.border_cols)
     assert np.array_equal(solve_bordered(reused), solve_bordered(fresh))
 

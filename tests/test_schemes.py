@@ -674,6 +674,18 @@ def test_failure_is_captured_not_raised():
         assert result.failure.last_norm > 0
 
 
+def test_failed_startup_keeps_the_snapshot_of_its_row():
+    # a run that fails inside the startup keeps row 0, and with it the t=0
+    # snapshot, as a run that fails in its first step does
+    T = 0.05
+    cfg = SchemeConfig(scheme="ap-bdf3", N=32, tau=0.01, T=T, shape="mikula", max_newton=1, gamma=0.0)
+    result = run(cfg, snapshot_times=[0.0, T / 2, T])
+    assert isinstance(result.failure, NewtonDivergenceError)
+    assert len(result.series.rows) == 1
+    assert [s.t for s in result.snapshots] == [0.0]
+    assert np.array_equal(result.snapshots[0].curve.vertices, cfg.make_initial_curve().vertices)
+
+
 def test_snapshot_times_round_to_grid():
     cfg = SchemeConfig(scheme="sp-euler", N=16, tau=0.025, T=0.2, gamma=0.0)
     result = run(cfg, snapshot_times=[0.0, 0.1001, 99.0, -3.0])
