@@ -40,15 +40,19 @@ class ConfigError(Exception):
 
 
 def _number(text: str, where: str) -> float:
-    """Parse a float, accepting fraction syntax 'a/b'."""
+    """Parse a finite float, accepting fraction syntax 'a/b'."""
     text = text.strip()
     try:
         if "/" in text:
             num, _, den = text.partition("/")
-            return float(num) / float(den)
-        return float(text)
+            value = float(num) / float(den)
+        else:
+            value = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where}: invalid number '{text}'") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{where}: non-finite number '{text}'")
+    return value
 
 
 def _integer(text: str, where: str) -> int:

@@ -2,21 +2,24 @@
 
 Nodal scalar fields are plain ``(N,)`` float arrays, vector fields are
 ``(N, 2)`` arrays; for the Newton system vector unknowns are flattened to the
-interleaved layout ``(x_0, y_0, x_1, y_1, ...)``.
+interleaved layout ``(x_0, y_0, x_1, y_1, ...)`` (a C-order ravel).
 
 The Newton linearization of every time-stepping scheme in this package fits a
 single template.  With the new curve ``X``, curvature ``kappa`` and the
 multipliers ``lam`` (perimeter law) and ``eta`` (area law) as unknowns, and a
 frozen reference polygon supplying the lumped masses ``m``, lumped normal
 weights ``omega`` and the periodic tridiagonal stiffness ``S``, the residual
-rows are
+rows are, in this order,
 
+* curvature row (two per vertex, interleaved),
 * velocity row (one per vertex, scaled by ``tau * alpha / delta0`` so that the
   position block of its Jacobian equals the transpose of the curvature
   equation's kappa block),
-* curvature row (two per vertex, interleaved),
 * optionally a perimeter row and an area row, whose gradients are evaluated
   exactly on the current iterate's polygon.
+
+The unknowns are ordered alike: positions (interleaved), curvatures, then the
+multipliers present.
 
 ``SchemeContext`` carries the per-scheme coefficients of the template.
 """
@@ -24,7 +27,7 @@ rows are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,14 +38,11 @@ __all__ = [
     "normal_weights",
     "stiffness_stencil",
     "initial_curvature",
-    "interleave",
-    "deinterleave",
     "ReferenceGeometry",
     "Anchor",
     "SchemeContext",
     "NewtonIterate",
     "NewtonBlocks",
-    "residual_vector",
     "assemble_newton_blocks",
 ]
 
@@ -142,16 +142,6 @@ def initial_curvature(curve) -> np.ndarray:
     return (omega * v).sum(axis=1) / wsq
 
 
-def interleave(field: np.ndarray) -> np.ndarray:
-    """(N, 2) vector field -> interleaved (2N,) vector (x0, y0, x1, y1, ...)."""
-    return np.ascontiguousarray(field, dtype=float).ravel()
-
-
-def deinterleave(z: np.ndarray) -> np.ndarray:
-    """Interleaved (2N,) vector -> (N, 2) vector field."""
-    return np.asarray(z, dtype=float).reshape(-1, 2)
-
-
 class ReferenceGeometry:
     """Frozen reference polygon with the quantities every Newton assembly
     reuses: lumped masses, normal weights, the edge weights 1 / |h_j| and the
@@ -188,44 +178,6 @@ class Anchor:
         self.L = float(self.glen.sum())
 
 
-@dataclass(frozen=True)
-class SchemeContext:
-    """Per-scheme coefficients of the implicit step template.
-
-    The equations solved for (X, kappa, lam, eta) are
-
-      velocity:  omega_ref . (delta0 X + xhist) / tau
-                 + S_ref kappa_eff - lam_eff m kappa_eff - eta_eff m = 0
-      curvature: kappa_eff omega_ref - S_ref X_eff = 0             (per component)
-      perimeter: (dL0 (L(X) - L(Y)) + (dL0 L(Y) + Lhist)) / tau
-                 + kappa_eff^T S_ref kappa_eff = 0
-      area:      (A(Y) - A0) + 1/2 sum_k [d_k x X_{k+1} + Y_k x d_{k+1}] = 0
-
-    with kappa_eff = alpha kappa + kappa_off (and likewise lam_eff, eta_eff)
-    and X_eff = alpha_x X + x_off.  Averaged schemes set alpha = alpha_x = 1/2
-    with the previous values as offsets; multistep schemes put the history
-    combination into xhist and Lhist.  Rows 3 and 4 are present only when the
-    corresponding multiplier is an unknown.  Y is the anchor (the newest
-    accepted level), d = X - Y, and L(X) - L(Y) = sum_j (h_j - g_j).(h_j + g_j)
-    / (|h_j| + |g_j|) over the edges h of X, g of Y and h - g of d.
-    """
-
-    delta0: float
-    xhist: np.ndarray
-    anchor: Anchor
-    alpha: float = 1.0
-    kappa_off: Union[np.ndarray, float] = 0.0
-    lambda_off: float = 0.0
-    eta_off: float = 0.0
-    alpha_x: float = 1.0
-    x_off: Union[np.ndarray, float] = 0.0
-    use_perimeter: bool = True
-    dL0: float = 1.0
-    Lhist: float = 0.0
-    use_area: bool = True
-    A0: float = 0.0
-
-
 class NewtonIterate(NamedTuple):
     """Current Newton iterate; lam/eta stay 0 when not unknowns."""
 
@@ -233,6 +185,46 @@ class NewtonIterate(NamedTuple):
     kappa: np.ndarray
     lam: float
     eta: float
+
+
+@dataclass(frozen=True)
+class SchemeContext:
+    """Per-scheme coefficients of the implicit step template.
+
+    The equations solved for (X, kappa, lam, eta) are
+
+      curvature: kappa_eff omega_ref - S_ref X_eff = 0             (per component)
+      velocity:  omega_ref . (delta0 X + xhist) / tau
+                 + S_ref kappa_eff - lam_eff m kappa_eff - eta_eff m = 0
+      perimeter: (dL0 (L(X) - L(Y)) + (dL0 L(Y) + Lhist)) / tau
+                 + kappa_eff^T S_ref kappa_eff = 0
+      area:      (A(Y) - A0) + 1/2 sum_k [d_k x X_{k+1} + Y_k x d_{k+1}] = 0
+
+    with the effective unknowns (X_eff, kappa_eff, lam_eff, eta_eff) equal to
+    the iterate's own values, or, for an averaged (Crank-Nicolson) scheme,
+    which sets ``averaged`` to the previous level, to the iterate's mean with
+    that level: kappa_eff = 1/2 kappa + 1/2 kappa_prev and likewise for the
+    others.  ``alpha`` is the iterate's weight in the effective unknowns.
+    Multistep schemes put the history combination into xhist and Lhist.  Rows
+    3 and 4 are present only when the corresponding multiplier is an unknown.
+    Y is the anchor (the newest accepted level), d = X - Y, and L(X) - L(Y) =
+    sum_j (h_j - g_j).(h_j + g_j) / (|h_j| + |g_j|) over the edges h of X, g
+    of Y and h - g of d.
+    """
+
+    delta0: float
+    xhist: np.ndarray
+    anchor: Anchor
+    averaged: Optional[NewtonIterate] = None
+    use_perimeter: bool = True
+    dL0: float = 1.0
+    Lhist: float = 0.0
+    use_area: bool = True
+    A0: float = 0.0
+
+    @property
+    def alpha(self) -> float:
+        return 1.0 if self.averaged is None else 0.5
 
 
 @dataclass
@@ -248,14 +240,16 @@ class NewtonBlocks:
     conventions): row k holds Q[k] on kappa_{k-1}, kappa_k, kappa_{k+1}.
     R (N, 3) is the position block of the curvature rows, the same for both
     components: row (k, c) holds R[k] on component c of X_{k-1}, X_k,
-    X_{k+1}.  Indices are periodic.  Border columns a1 (lam) and a2
-    (eta) live in the velocity rows; border rows (b1 | b2) and (c | 0) are the
-    linearized perimeter and area laws, with the gradients b1 and c evaluated
-    exactly on the iterate's polygon.  F1 (N), F2 (2N), f1, f2 hold the
-    negated residuals, i.e. the right-hand side of the Newton direction solve.
-    Absent multipliers leave the matching fields None.  Without the perimeter
-    multiplier, P, Q, R and a2 do not depend on the iterate: lam_eff M is
-    Q's only iterate term, and lam is then not an unknown.
+    X_{k+1}.  Indices are periodic.  Border columns a1 (lam) and a2 (eta)
+    live in the velocity rows.  rows (nb, 3N) holds the border rows, the
+    linearized perimeter law and then the area law, over the positions
+    (interleaved) and the curvatures; their gradients are evaluated exactly
+    on the iterate's polygon, and the area law has no curvature part.  rhs
+    (3N + nb) is the negated residual, the right-hand side of the Newton
+    direction solve, in the equation order of the module docstring.  An
+    absent multiplier leaves its column None and has no row.  Without the
+    perimeter multiplier, P, Q, R and a2 do not depend on the iterate:
+    lam_eff M is Q's only iterate term, and lam is then not an unknown.
     """
 
     P: np.ndarray
@@ -263,55 +257,35 @@ class NewtonBlocks:
     R: np.ndarray
     a1: Optional[np.ndarray]
     a2: Optional[np.ndarray]
-    b1: Optional[np.ndarray]
-    b2: Optional[np.ndarray]
-    c: Optional[np.ndarray]
-    F1: np.ndarray
-    F2: np.ndarray
-    f1: Optional[float]
-    f2: Optional[float]
+    rows: np.ndarray
+    rhs: np.ndarray
 
 
-def _effective(ctx: SchemeContext, it: NewtonIterate):
-    kappa_eff = ctx.alpha * it.kappa + ctx.kappa_off
-    lam_eff = ctx.alpha * it.lam + ctx.lambda_off
-    eta_eff = ctx.alpha * it.eta + ctx.eta_off
-    x_eff = ctx.alpha_x * it.X + ctx.x_off
-    return kappa_eff, lam_eff, eta_eff, x_eff
-
-
-def residual_vector(ctx: SchemeContext, ref: ReferenceGeometry, it: NewtonIterate, tau: float) -> np.ndarray:
-    """Residual of the nonlinear step equations at the iterate, ordered
-    [velocity (N), curvature (2N), perimeter?, area?] with the velocity rows
-    scaled by tau * alpha / delta0 (pure row scaling; same root)."""
-    eff = _effective(ctx, it)
-    return _residual(ctx, ref, it, tau, eff, stiffness_apply(ref.weights, eff[0]), *_iterate_edges(ctx, it.X))
-
-
-def _iterate_edges(ctx: SchemeContext, X: np.ndarray):
-    # the iterate's edge vectors h (for either conservation row) and their
-    # lengths (for the perimeter row), shared by the rows and their gradients
-    h = edge_vectors(X) if ctx.use_perimeter or ctx.use_area else None
-    return h, np.hypot(h[:, 0], h[:, 1]) if ctx.use_perimeter else None
+def _effective(ctx: SchemeContext, it: NewtonIterate) -> NewtonIterate:
+    # the iterate, or its mean with the averaged level field by field
+    if ctx.averaged is None:
+        return it
+    return NewtonIterate(*(0.5 * v + 0.5 * u for v, u in zip(it, ctx.averaged)))
 
 
 def _residual(ctx, ref, it, tau, eff, Skap, h, hlen) -> np.ndarray:
-    # residual_vector, given the iterate's _effective values, S_ref kappa_eff
-    # and _iterate_edges, which assemble_newton_blocks computes only once
-    kappa_eff, lam_eff, eta_eff, x_eff = eff
+    # the residual of the step equations in the module docstring's order, with
+    # the velocity rows scaled by tau * alpha / delta0 (pure row scaling; same
+    # root), given the iterate's _effective values, S_ref kappa_eff and the
+    # iterate's edges, which assemble_newton_blocks shares with the borders
     s_flux = tau * ctx.alpha / ctx.delta0
     s_time = ctx.alpha / ctx.delta0
     r1 = s_time * ((ctx.delta0 * it.X + ctx.xhist) * ref.omega).sum(axis=1) + s_flux * (
-        Skap - lam_eff * ref.mass * kappa_eff - eta_eff * ref.mass
+        Skap - eff.lam * ref.mass * eff.kappa - eff.eta * ref.mass
     )
-    r2 = (kappa_eff[:, None] * ref.omega - stiffness_apply(ref.weights, x_eff)).ravel()
-    parts = [r1, r2]
+    r2 = (eff.kappa[:, None] * ref.omega - stiffness_apply(ref.weights, eff.X)).ravel()
+    parts = [r2, r1]
     a = ctx.anchor
     d = it.X - a.Y
     if ctx.use_perimeter:
         dh = _forward_difference(d)
         dL = float(((dh * (h + a.g)).sum(axis=1) / (hlen + a.glen)).sum())
-        r3 = (ctx.dL0 * dL + (ctx.dL0 * a.L + ctx.Lhist)) / tau + float(kappa_eff @ Skap)
+        r3 = (ctx.dL0 * dL + (ctx.dL0 * a.L + ctx.Lhist)) / tau + float(eff.kappa @ Skap)
         parts.append(np.array([r3]))
     if ctx.use_area:
         Xn, dn = (np.concatenate((v[1:], v[:1])) for v in (it.X, d))
@@ -327,44 +301,39 @@ def assemble_newton_blocks(
     tau: float,
     previous: Optional[NewtonBlocks] = None,
 ) -> NewtonBlocks:
-    """Exact Jacobian blocks and negated residuals of the step equations at
+    """Exact Jacobian blocks and negated residual of the step equations at
     the iterate (the quadratic multiplier-times-curvature update product is
     the only dropped term, as the Newton direction requires).
 
     ``previous`` is the result of an earlier iteration of the same Newton run
     (same ctx, ref and tau).  The blocks that do not depend on the iterate,
     P, R, Q's off-diagonals and a2, are then taken over from it, and only
-    Q's diagonal, a1, the border rows and the residuals are computed."""
+    Q's diagonal, a1, the border rows and the residual are computed."""
     n = ref.n
     eff = _effective(ctx, it)
-    kappa_eff, lam_eff = eff[0], eff[1]
     s_core = tau * ctx.alpha / ctx.delta0 * ctx.alpha
-    Skap = stiffness_apply(ref.weights, kappa_eff)
-    h, hlen = _iterate_edges(ctx, it.X)
+    Skap = stiffness_apply(ref.weights, eff.kappa)
+    # the iterate's edge vectors (for either conservation row) and their
+    # lengths (for the perimeter row), shared by the rows and their gradients
+    h = edge_vectors(it.X) if ctx.use_perimeter or ctx.use_area else None
+    hlen = np.hypot(h[:, 0], h[:, 1]) if ctx.use_perimeter else None
 
     if previous is None:
         P = ctx.alpha * ref.omega
         Q = s_core * ref.stencil
-        R = (-ctx.alpha_x) * ref.stencil
+        R = (-ctx.alpha) * ref.stencil
         a2 = (-s_core) * ref.mass if ctx.use_area else None
     else:
         P, Q, R, a2 = previous.P, previous.Q.copy(), previous.R, previous.a2
     # only Q's diagonal, -lam_eff M, and the borders depend on the iterate
-    Q[:, 1] = (ref.stencil[:, 1] - lam_eff * ref.mass) * s_core
-    a1 = (-s_core) * (ref.mass * kappa_eff) if ctx.use_perimeter else None
+    Q[:, 1] = (ref.stencil[:, 1] - eff.lam * ref.mass) * s_core
+    a1 = (-s_core) * (ref.mass * eff.kappa) if ctx.use_perimeter else None
 
-    res = _residual(ctx, ref, it, tau, eff, Skap, h, hlen)
-    F1 = -res[:n]
-    F2 = -res[n : 3 * n]
-    pos = 3 * n
-    b1 = b2 = c = None
-    f1 = f2 = None
+    rows = np.zeros((ctx.use_perimeter + ctx.use_area, 3 * n))
     if ctx.use_perimeter:
-        b1 = (ctx.dL0 / tau) * interleave(_perimeter_gradient(h, hlen))
-        b2 = 2.0 * ctx.alpha * Skap
-        f1 = float(-res[pos])
-        pos += 1
+        rows[0, : 2 * n] = (ctx.dL0 / tau) * _perimeter_gradient(h, hlen).ravel()
+        rows[0, 2 * n :] = 2.0 * ctx.alpha * Skap
     if ctx.use_area:
-        c = interleave(_normal_weights(h))
-        f2 = float(-res[pos])
-    return NewtonBlocks(P=P, Q=Q, R=R, a1=a1, a2=a2, b1=b1, b2=b2, c=c, F1=F1, F2=F2, f1=f1, f2=f2)
+        rows[-1, : 2 * n] = _normal_weights(h).ravel()
+    rhs = -_residual(ctx, ref, it, tau, eff, Skap, h, hlen)
+    return NewtonBlocks(P=P, Q=Q, R=R, a1=a1, a2=a2, rows=rows, rhs=rhs)

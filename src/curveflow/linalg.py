@@ -3,8 +3,8 @@ linearization.
 
 The systems have a 3N x 3N core
 
-    [ P  Q  ]   rows: velocity (N), curvature (2N)
-    [ R  P^T]   cols: position (2N, interleaved), curvature (N)
+    [ R  P^T]   rows: curvature (2N, interleaved), velocity (N)
+    [ P  Q  ]   cols: position (2N, interleaved), curvature (N)
 
 bordered by up to two dense columns (the multipliers) and the matching dense
 rows (the linearized conservation laws).  Every block of the core couples a
@@ -93,9 +93,10 @@ class _Fold:
     curvature rows, Q on kappa_{k-1}, kappa_k, kappa_{k+1} in its velocity
     row, R on x and then on y of vertices k-1, k, k+1 in its curvature
     rows.  gather[i] is the block-order index of folded index i, for
-    equations (curvature rows F2, then velocity rows F1) and for unknowns
-    (positions, then curvatures) alike; inverse[j] is the folded index of
-    block-order index j."""
+    equations (curvature rows interleaved, then velocity rows, the order of
+    NewtonBlocks.rhs) and for unknowns (positions interleaved, then
+    curvatures, the order of the columns of NewtonBlocks.rows) alike;
+    inverse[j] is the folded index of block-order index j."""
 
     vertex: np.ndarray
     scatter: np.ndarray
@@ -163,7 +164,7 @@ class BorderedSystem:
 
     core: PeriodicBandCore
     border_cols: Optional[np.ndarray]  # (3N, nb)
-    border_rows: Optional[np.ndarray]  # (nb, 3N)
+    border_rows: np.ndarray  # (nb, 3N)
     rhs: np.ndarray  # (3N + nb,)
     nb: int
     factor: Optional[CoreFactor] = None
@@ -186,23 +187,9 @@ def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None
     n = len(blocks.P)
     m = 3 * n
     fold = _fold(n)
-    nb = (blocks.a1 is not None) + (blocks.a2 is not None)
-    laws = [(blocks.b1, blocks.b2, blocks.f1), (blocks.c, None, blocks.f2)]
-    laws = [law for law in laws if law[0] is not None]
-    if len(laws) != nb:
-        raise ValueError(f"{nb} border columns but {len(laws)} border rows")
-    rhs = np.empty(m + nb)
-    rhs[:m] = np.concatenate((blocks.F2, blocks.F1))[fold.gather]
-    border_rows = None
-    if nb:
-        # in block order first (positions, then curvatures), then gathered
-        rows = np.zeros((nb, m))
-        for j, (pos, kap, f) in enumerate(laws):
-            rows[j, : 2 * n] = pos
-            if kap is not None:
-                rows[j, 2 * n :] = kap
-            rhs[m + j] = f
-        border_rows = rows[:, fold.gather]
+    nb = len(blocks.rows)
+    rhs = np.concatenate((blocks.rhs[fold.gather], blocks.rhs[m:]))
+    border_rows = blocks.rows[:, fold.gather]
     if reuse is not None and blocks.a1 is None:
         return BorderedSystem(reuse.core, reuse.border_cols, border_rows, rhs, nb, reuse.factor)
     if reuse is not None:

@@ -237,26 +237,8 @@ def _collect_params(P: np.ndarray, Q: np.ndarray):
         dqx, dqy = q1x - q0x, q1y - q0y
         if o1 == 0 and o2 == 0:
             # shared supporting line: record the overlap on both edges
-            dd = dpx * dpx + dpy * dpy
-            t0 = ((q0x - p0x) * dpx + (q0y - p0y) * dpy) / dd
-            t1 = ((q1x - p0x) * dpx + (q1y - p0y) * dpy) / dd
-            lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-            lo, hi = max(0.0, lo), min(1.0, hi)
-            if lo < hi:
-                paramsP[i] += [lo, hi]
-                overlapsP[i].append((lo, hi, j))
-            elif lo == hi:
-                paramsP[i].append(lo)
-            qq = dqx * dqx + dqy * dqy
-            s0 = ((p0x - q0x) * dqx + (p0y - q0y) * dqy) / qq
-            s1 = ((p1x - q0x) * dqx + (p1y - q0y) * dqy) / qq
-            lo, hi = (s0, s1) if s0 <= s1 else (s1, s0)
-            lo, hi = max(0.0, lo), min(1.0, hi)
-            if lo < hi:
-                paramsQ[j] += [lo, hi]
-                overlapsQ[j].append((lo, hi, i))
-            elif lo == hi:
-                paramsQ[j].append(lo)
+            _record_overlap(paramsP[i], overlapsP[i], p0x, p0y, dpx, dpy, (q0x, q0y), (q1x, q1y), j)
+            _record_overlap(paramsQ[j], overlapsQ[j], q0x, q0y, dqx, dqy, (p0x, p0y), (p1x, p1y), i)
         elif o1 * o2 < 0 and o3 * o4 < 0:
             # proper interior crossing
             denom = dpx * dqy - dpy * dqx
@@ -265,28 +247,39 @@ def _collect_params(P: np.ndarray, Q: np.ndarray):
             paramsP[i].append(min(1.0, max(0.0, t)))
             paramsQ[j].append(min(1.0, max(0.0, s)))
         else:
-            # endpoint touches: split the edge the endpoint lands on
-            if o3 == 0:
-                dd = dpx * dpx + dpy * dpy
-                u = (q0x - p0x) * dpx + (q0y - p0y) * dpy
-                if 0.0 <= u <= dd:
-                    paramsP[i].append(u / dd)
-            if o4 == 0:
-                dd = dpx * dpx + dpy * dpy
-                u = (q1x - p0x) * dpx + (q1y - p0y) * dpy
-                if 0.0 <= u <= dd:
-                    paramsP[i].append(u / dd)
-            if o1 == 0:
-                qq = dqx * dqx + dqy * dqy
-                u = (p0x - q0x) * dqx + (p0y - q0y) * dqy
-                if 0.0 <= u <= qq:
-                    paramsQ[j].append(u / qq)
-            if o2 == 0:
-                qq = dqx * dqx + dqy * dqy
-                u = (p1x - q0x) * dqx + (p1y - q0y) * dqy
-                if 0.0 <= u <= qq:
-                    paramsQ[j].append(u / qq)
+            # endpoint touches: split the edge the endpoint lands on; most pairs
+            # have none, and a helper call for each of them costs time
+            if o3 == 0 or o4 == 0:
+                _record_touches(paramsP[i], p0x, p0y, dpx, dpy, ((q0x, q0y), (q1x, q1y)), (o3, o4))
+            if o1 == 0 or o2 == 0:
+                _record_touches(paramsQ[j], q0x, q0y, dqx, dqy, ((p0x, p0y), (p1x, p1y)), (o1, o2))
     return paramsP, paramsQ, overlapsP, overlapsQ
+
+
+def _record_overlap(params, overlaps, ax, ay, dax, day, b0, b1, other: int) -> None:
+    # the part of edge a = (ax, ay) + t (dax, day), t in [0, 1], covered by
+    # the collinear edge b0 b1 of the other polygon, with that edge's index
+    dd = dax * dax + day * day
+    t0 = ((b0[0] - ax) * dax + (b0[1] - ay) * day) / dd
+    t1 = ((b1[0] - ax) * dax + (b1[1] - ay) * day) / dd
+    lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
+    lo, hi = max(0.0, lo), min(1.0, hi)
+    if lo < hi:
+        params.extend((lo, hi))
+        overlaps.append((lo, hi, other))
+    elif lo == hi:
+        params.append(lo)
+
+
+def _record_touches(params, ax, ay, dax, day, ends, orients) -> None:
+    # the parameters on edge a = (ax, ay) + t (dax, day) of the other edge's
+    # endpoints that lie on its supporting line (orientation 0) within it
+    dd = dax * dax + day * day
+    for (bx, by), o in zip(ends, orients):
+        if o == 0:
+            u = (bx - ax) * dax + (by - ay) * day
+            if 0.0 <= u <= dd:
+                params.append(u / dd)
 
 
 def _boundary_pieces_area(

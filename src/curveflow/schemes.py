@@ -38,7 +38,6 @@ from .femcore import (
     ReferenceGeometry,
     SchemeContext,
     assemble_newton_blocks,
-    deinterleave,
     initial_curvature,
 )
 from .geometry import (
@@ -224,6 +223,8 @@ class SchemeConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if int(self.max_newton) != self.max_newton or self.max_newton < 1:
             raise ValueError(f"max_newton must be a positive integer, got {self.max_newton}")
+        # the generator's own checks of N and the shape parameters
+        self.make_initial_curve()
 
     @property
     def n_steps(self) -> int:
@@ -277,7 +278,7 @@ def newton_outer(
     ``model(it, previous)`` gives the blocks at ``it``; ``previous`` is the
     run's blocks of the last iteration, or None in the first.  The blocks of
     one run may differ only where assemble_newton_blocks lets them: in Q's
-    diagonal, a1, the border rows and the residuals.  Each iteration's system
+    diagonal, a1, the border rows and the residual.  Each iteration's system
     is then assembled from the last one's; a run without the perimeter
     multiplier (a1 None) factors its core once, in the first iteration.
     """
@@ -289,7 +290,7 @@ def newton_outer(
         system = assemble_system(blocks, system)
         z = solve_bordered(system)
         n = blocks.P.shape[0]
-        dX = deinterleave(z[: 2 * n])
+        dX = z[: 2 * n].reshape(n, 2)
         dk = z[2 * n : 3 * n]
         pos = 3 * n
         dlam = deta = 0.0
@@ -428,26 +429,16 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
     last = state.history[-1]
     delta = [float(c) for c in bdf_coefficients(spec.order)]
     dL = [float(c) for c in bdf_coefficients(1)] if spec.one_step_perimeter else delta
-    averaged = {}
-    if spec.cn:
-        averaged = dict(
-            alpha=0.5,
-            kappa_off=0.5 * last.kappa,
-            lambda_off=0.5 * last.lam,
-            eta_off=0.5 * last.eta,
-            alpha_x=0.5,
-            x_off=0.5 * last.curve.vertices,
-        )
     ctx = SchemeContext(
         delta0=delta[0],
         xhist=_history_sum(delta, state.history, lambda e: e.curve.vertices),
         anchor=Anchor(last.curve),
+        averaged=NewtonIterate(last.curve.vertices, last.kappa, last.lam, last.eta) if spec.cn else None,
         use_perimeter=spec.kind != "AP",
         dL0=dL[0],
         Lhist=_history_sum(dL, state.history, lambda e: e.L),
         use_area=spec.kind != "PD",
         A0=state.A0,
-        **averaged,
     )
     start_level = last
     if spec.reference == "current":

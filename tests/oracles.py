@@ -405,48 +405,44 @@ def oracle_ap_step(levels, tau: float, k: int, A0: float):
 def dense_from_blocks(blocks: NewtonBlocks):
     """Assemble the full dense Newton matrix and right-hand side entry by
     entry from the block fields.  Rows: velocity k, then curvature (k, c) at
-    n + 2k + c, then the border rows (b1|b2) and (c|0); columns: position
-    (k, c) at 2k + c, curvature k at 2n + k, then lam and eta; zero corner.
-    P[k] sits on (x_k, y_k) in velocity row k and, transposed, on kappa_k in
-    the curvature rows of vertex k; Q[k] and R[k] hold the coefficients of
-    vertices k-1, k, k+1 (periodic)."""
-    n = len(blocks.F1)
-    nb = (blocks.a1 is not None) + (blocks.a2 is not None)
+    n + 2k + c, then the border rows (perimeter law, area law); columns:
+    position (k, c) at 2k + c, curvature k at 2n + k, then lam and eta; zero
+    corner.  P[k] sits on (x_k, y_k) in velocity row k and, transposed, on
+    kappa_k in the curvature rows of vertex k; Q[k] and R[k] hold the
+    coefficients of vertices k-1, k, k+1 (periodic).  blocks.rhs lists the
+    curvature rows (interleaved) before the velocity rows."""
+    n = len(blocks.P)
+    nb = len(blocks.rows)
     dim = 3 * n + nb
     M = np.zeros((dim, dim))
+    rhs = np.zeros(dim)
     for k in range(n):
+        rhs[k] = blocks.rhs[2 * n + k]
         for c in range(2):
             M[k, 2 * k + c] += blocks.P[k, c]
             M[n + 2 * k + c, 2 * n + k] += blocks.P[k, c]
+            rhs[n + 2 * k + c] = blocks.rhs[2 * k + c]
         for s, j in enumerate(((k - 1) % n, k, (k + 1) % n)):
             M[k, 2 * n + j] += blocks.Q[k, s]
             for c in range(2):
                 M[n + 2 * k + c, 2 * j + c] += blocks.R[k, s]
-    rhs = np.concatenate([blocks.F1, blocks.F2, np.zeros(nb)])
     col = 3 * n
     for a in (blocks.a1, blocks.a2):
         if a is not None:
             for k in range(n):
                 M[k, col] = a[k]
             col += 1
-    row = 3 * n
-    for pos_part, kap_part, f in ((blocks.b1, blocks.b2, blocks.f1), (blocks.c, None, blocks.f2)):
-        if pos_part is None:
-            continue
-        for j in range(2 * n):
-            M[row, j] = pos_part[j]
-        if kap_part is not None:
-            for k in range(n):
-                M[row, 2 * n + k] = kap_part[k]
-        rhs[row] = f
-        row += 1
+    for r in range(nb):
+        for j in range(3 * n):
+            M[3 * n + r, j] = blocks.rows[r, j]
+        rhs[3 * n + r] = blocks.rhs[3 * n + r]
     return M, rhs
 
 
 def solve_bordered_dense(blocks: NewtonBlocks) -> np.ndarray:
     """Solve the Newton system as one dense matrix; refuses cores larger
     than 3 * 64."""
-    m = 3 * len(blocks.F1)
+    m = 3 * len(blocks.P)
     if m > 192:
         raise ValueError(f"dense solve limited to cores of size <= 192, got {m}")
     M, rhs = dense_from_blocks(blocks)
@@ -462,21 +458,24 @@ def residual_norm(blocks: NewtonBlocks, z: np.ndarray) -> float:
 def random_blocks(rng: np.random.Generator, n: int = 8, flavor: str = "both") -> NewtonBlocks:
     """Random blocks with the bordered layout, a random value on every
     structural nonzero of the core (the entries Q[0, 0], R[0, 0], Q[-1, 2]
-    and R[-1, 2] that close the curve included); flavor picks which borders
-    exist ('none', 'lam', 'eta', 'both')."""
+    and R[-1, 2] that close the curve included) and of the border rows (the
+    area row has no curvature part); flavor picks which borders exist
+    ('none', 'lam', 'eta', 'both')."""
     with_lam = flavor in ("lam", "both")
     with_eta = flavor in ("eta", "both")
-    return NewtonBlocks(
-        P=rng.standard_normal((n, 2)),
-        Q=rng.standard_normal((n, 3)),
-        R=rng.standard_normal((n, 3)),
-        a1=rng.standard_normal(n) if with_lam else None,
-        a2=rng.standard_normal(n) if with_eta else None,
-        b1=rng.standard_normal(2 * n) if with_lam else None,
-        b2=rng.standard_normal(n) if with_lam else None,
-        c=rng.standard_normal(2 * n) if with_eta else None,
-        F1=rng.standard_normal(n),
-        F2=rng.standard_normal(2 * n),
-        f1=float(rng.standard_normal()) if with_lam else None,
-        f2=float(rng.standard_normal()) if with_eta else None,
-    )
+    P = rng.standard_normal((n, 2))
+    Q = rng.standard_normal((n, 3))
+    R = rng.standard_normal((n, 3))
+    a1 = rng.standard_normal(n) if with_lam else None
+    a2 = rng.standard_normal(n) if with_eta else None
+    rows = np.zeros((with_lam + with_eta, 3 * n))
+    if with_lam:
+        rows[0, : 2 * n] = rng.standard_normal(2 * n)
+        rows[0, 2 * n :] = rng.standard_normal(n)
+    if with_eta:
+        rows[-1, : 2 * n] = rng.standard_normal(2 * n)
+    velocity = rng.standard_normal(n)
+    curvature = rng.standard_normal(2 * n)
+    laws = [float(rng.standard_normal()) for _ in range(len(rows))]
+    rhs = np.concatenate((curvature, velocity, laws))
+    return NewtonBlocks(P=P, Q=Q, R=R, a1=a1, a2=a2, rows=rows, rhs=rhs)

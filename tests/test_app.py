@@ -99,6 +99,8 @@ def test_path_rule_rejects_garbage():
         parse_path_rule("0h")
     with pytest.raises(ConfigError, match="invalid number '1/0'"):
         parse_path_rule("h^(1/0)")
+    with pytest.raises(ConfigError, match="non-finite number 'inf'"):
+        parse_path_rule("infh")
     _, _, resolve = parse_path_rule("h")
     with pytest.raises(ConfigError, match="N=2 < 3"):
         resolve(0.5)
@@ -235,8 +237,33 @@ def test_simulate_numerical_failure_exits_two_with_partial_outputs(tmp_path, cap
         "scheme = sp-euler\nN = 8\ntau = 0.1\nT = 0.25\n",
         "scheme = sp-euler\nN = 8\ntau = zebra\nT = 0.2\n",
         "scheme = sp-euler\nN = 8.5\ntau = 0.1\nT = 0.2\n",
+        "scheme = sp-euler\nN = inf\ntau = 0.1\nT = 0.2\n",
+        "scheme = sp-euler\nN = nan\ntau = 0.1\nT = 0.2\n",
+        "scheme = sp-euler\nN = 8\ntau = 0.1\nT = 0.2\nmax_newton = inf\n",
+        "scheme = sp-euler\nN = 8\ntau = 0.1\nT = 0.2\nsnapshots = 0 nan\n",
+        "scheme = sp-euler\nN = 8\ntau = 0.1\nT = 0.2\nsnapshots = 0 inf\n",
+        "scheme = sp-euler\nN = 8\ntau = 0.1\nT = 0.2\na = -1\n",
+        "scheme = sp-euler\nN = 8\ntau = 0.1\nT = 0.2\na = nan\n",
+        "scheme = sp-euler\nshape = rectangle\nN = 8\ntau = 0.1\nT = 0.2\nwidth = 0\n",
+        "scheme = sp-euler\nshape = rectangle\nN = 6\ntau = 0.1\nT = 0.2\n",
     ],
-    ids=["duplicate", "unknown-key", "missing-T", "T-not-multiple", "bad-number", "bad-integer"],
+    ids=[
+        "duplicate",
+        "unknown-key",
+        "missing-T",
+        "T-not-multiple",
+        "bad-number",
+        "bad-integer",
+        "infinite-N",
+        "nan-N",
+        "infinite-max-newton",
+        "nan-snapshot",
+        "infinite-snapshot",
+        "negative-axis",
+        "nan-axis",
+        "zero-width",
+        "rectangle-too-few-vertices",
+    ],
 )
 def test_simulate_rejects_invalid_configs(tmp_path, capsys, body):
     cfg = write_config(tmp_path / "run.cfg", body + f"out = {tmp_path / 'out'}\n")

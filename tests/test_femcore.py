@@ -14,13 +14,10 @@ from curveflow.femcore import (
     ReferenceGeometry,
     SchemeContext,
     assemble_newton_blocks,
-    deinterleave,
     initial_curvature,
-    interleave,
     lumped_masses,
     normal_weights,
     perimeter_gradient,
-    residual_vector,
     stiffness_apply,
     stiffness_stencil,
 )
@@ -155,13 +152,6 @@ def test_initial_curvature_is_bitwise_the_sparse_product():
         assert np.array_equal(initial_curvature(v), expected), len(v)
 
 
-def test_interleave_layout_and_round_trip():
-    field = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    flat = interleave(field)
-    assert np.array_equal(flat, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    assert np.array_equal(deinterleave(flat), field)
-
-
 def test_reference_geometry_consistency():
     v = wiggly()
     ref = ReferenceGeometry(v)
@@ -223,12 +213,7 @@ def context_cases(vm, tau):
         delta0=1.0,
         xhist=-vm,
         anchor=anchor,
-        alpha=0.5,
-        kappa_off=0.5 * kap_prev,
-        lambda_off=0.05,
-        eta_off=-0.02,
-        alpha_x=0.5,
-        x_off=0.5 * vm,
+        averaged=NewtonIterate(vm, kap_prev, 0.1, -0.04),
         dL0=1.0,
         Lhist=-Lm,
         A0=A0,
@@ -247,8 +232,14 @@ def context_cases(vm, tau):
     return [euler, averaged, two_step, area_only]
 
 
+def residual(ctx, ref, it, tau):
+    # the residual of the step equations: curvature rows (interleaved),
+    # velocity rows, then the laws present
+    return -assemble_newton_blocks(ctx, ref, it, tau).rhs
+
+
 def unpack_for(ctx, z, n):
-    X = deinterleave(z[: 2 * n])
+    X = z[: 2 * n].reshape(n, 2)
     kappa = z[2 * n : 3 * n]
     pos = 3 * n
     lam = eta = 0.0
@@ -269,18 +260,22 @@ def test_newton_blocks_are_exact_jacobian():
         nb = ctx.use_perimeter + ctx.use_area
         z0 = np.concatenate(
             [
-                interleave(vm + 0.01 * rng.standard_normal((n, 2))),
+                (vm + 0.01 * rng.standard_normal((n, 2))).ravel(),
                 initial_curvature(vm) + 0.1 * rng.standard_normal(n),
                 0.3 * rng.standard_normal(nb),
             ]
         )
         blocks = assemble_newton_blocks(ctx, ref, unpack_for(ctx, z0, n), tau)
         J, rhs = oracles.dense_from_blocks(blocks)
+        dim = 3 * n + nb
+        # the dense rows list the velocity rows first, the residual lists
+        # the curvature rows first
+        order = np.r_[n : 3 * n, :n, 3 * n : dim]
+        J, rhs = J[order], rhs[order]
 
         def res_of(z):
-            return residual_vector(ctx, ref, unpack_for(ctx, z, n), tau)
+            return residual(ctx, ref, unpack_for(ctx, z, n), tau)
 
-        dim = 3 * n + nb
         fd = np.empty((dim, dim))
         eps = 1e-7
         for j in range(dim):
@@ -303,10 +298,10 @@ def test_velocity_row_scaling_makes_core_self_adjoint():
     tau = 0.02
     ref = ReferenceGeometry(vm)
     ctx = SchemeContext(delta0=1.0, xhist=-vm, anchor=Anchor(vm), A0=oracles.loop_shoelace(vm))
-    z0 = np.concatenate([interleave(vm), initial_curvature(vm), [0.1, -0.2]])
+    z0 = np.concatenate([vm.ravel(), initial_curvature(vm), [0.1, -0.2]])
 
     def res_of(z):
-        return residual_vector(ctx, ref, unpack_for(ctx, z, n), tau)
+        return residual(ctx, ref, unpack_for(ctx, z, n), tau)
 
     eps = 1e-7
     dim = 3 * n + 2
@@ -315,18 +310,18 @@ def test_velocity_row_scaling_makes_core_self_adjoint():
         step = np.zeros(dim)
         step[j] = eps
         fd[:, j] = ((res_of(z0 + step) - res_of(z0 - step)) / (2.0 * eps))[: 3 * n]
-    vel_pos = fd[:n, : 2 * n]
-    curv_kap = fd[n : 3 * n, 2 * n : 3 * n]
+    vel_pos = fd[2 * n : 3 * n, : 2 * n]
+    curv_kap = fd[: 2 * n, 2 * n : 3 * n]
     assert np.abs(vel_pos - curv_kap.T).max() < 1e-7
     # and the curvature/position block is a symmetric (scaled) stiffness
-    R = fd[n : 3 * n, : 2 * n]
+    R = fd[: 2 * n, : 2 * n]
     assert np.abs(R - R.T).max() < 1e-7
 
 
 def conservation_rows(Y, X, A0, Lhist):
     # tau = 1 and kappa = 0 leave the perimeter row dL0 (L(X) - L(Y)) + (L(Y) + Lhist)
     ctx = SchemeContext(delta0=1.0, xhist=-Y, anchor=Anchor(Y), Lhist=Lhist, A0=A0)
-    res = residual_vector(ctx, ReferenceGeometry(Y), NewtonIterate(X, np.zeros(len(X)), 0.0, 0.0), 1.0)
+    res = residual(ctx, ReferenceGeometry(Y), NewtonIterate(X, np.zeros(len(X)), 0.0, 0.0), 1.0)
     return float(res[-2]), float(res[-1])
 
 

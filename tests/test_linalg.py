@@ -162,13 +162,8 @@ def test_parallel_border_rows_raise_degeneracy():
         R=blocks.R,
         a1=blocks.a1,
         a2=blocks.a2,
-        b1=blocks.c.copy(),
-        b2=np.zeros(8),
-        c=blocks.c,
-        F1=blocks.F1,
-        F2=blocks.F2,
-        f1=blocks.f1,
-        f2=blocks.f2,
+        rows=blocks.rows[[1, 1]],
+        rhs=blocks.rhs,
     )
     with pytest.raises(EquilibriumDegeneracyError):
         solve_bordered(assemble_system(blocks))
@@ -184,23 +179,21 @@ def test_parallel_border_columns_raise_degeneracy():
         R=base.R,
         a1=2.5 * base.a2,
         a2=base.a2,
-        b1=base.b1,
-        b2=base.b2,
-        c=base.c,
-        F1=base.F1,
-        F2=base.F2,
-        f1=base.f1,
-        f2=base.f2,
+        rows=base.rows,
+        rhs=base.rhs,
     )
     with pytest.raises(EquilibriumDegeneracyError):
         solve_bordered(assemble_system(blocks))
 
 
 def _scale_border(blocks, row: str, factor: float):
-    # multiply one linearized conservation law (border row and rhs entry)
-    if row == "perimeter":
-        return replace(blocks, b1=factor * blocks.b1, b2=factor * blocks.b2, f1=factor * blocks.f1)
-    return replace(blocks, c=factor * blocks.c, f2=factor * blocks.f2)
+    # multiply one linearized conservation law (border row and rhs entry);
+    # the perimeter law is the first border row, the area law the last
+    j = 0 if row == "perimeter" else len(blocks.rows) - 1
+    rows, rhs = blocks.rows.copy(), blocks.rhs.copy()
+    rows[j] *= factor
+    rhs[3 * len(blocks.P) + j] *= factor
+    return replace(blocks, rows=rows, rhs=rhs)
 
 
 @pytest.mark.parametrize("row", ["perimeter", "area"])
@@ -220,8 +213,16 @@ def test_scaled_border_row_keeps_solution_and_verdict(row, factor):
 
 def _core_solve_of_eta_column(blocks):
     # core^{-1} (a2 in the velocity rows), in block order, by the same solver
-    unbordered = replace(blocks, a2=None, c=None, f2=None, F1=blocks.a2, F2=np.zeros(2 * len(blocks.a2)))
+    rhs = np.concatenate((np.zeros(2 * len(blocks.a2)), blocks.a2))
+    unbordered = replace(blocks, a2=None, rows=blocks.rows[:0], rhs=rhs)
     return solve_bordered(assemble_system(unbordered))
+
+
+def _with_area_row(blocks, c):
+    # the one-border blocks with c on the positions as their area row
+    rows = np.zeros_like(blocks.rows)
+    rows[0, : len(c)] = c
+    return replace(blocks, rows=rows)
 
 
 @pytest.mark.parametrize("factor", [1.0, 1e14, 1e-14])
@@ -236,9 +237,9 @@ def test_lone_area_border_verdict(factor):
         annihilating = v - (v @ y) / (y @ y) * y
         for c in (np.zeros(16), annihilating):
             with pytest.raises(EquilibriumDegeneracyError):
-                solve_bordered(assemble_system(_scale_border(replace(blocks, c=c), "area", factor)))
-        x = solve_bordered(assemble_system(_scale_border(replace(blocks, c=v), "area", factor)))
-        assert oracles.residual_norm(replace(blocks, c=v), x) <= 1e-9 * max(1.0, np.abs(x).max())
+                solve_bordered(assemble_system(_scale_border(_with_area_row(blocks, c), "area", factor)))
+        x = solve_bordered(assemble_system(_scale_border(_with_area_row(blocks, v), "area", factor)))
+        assert oracles.residual_norm(_with_area_row(blocks, v), x) <= 1e-9 * max(1.0, np.abs(x).max())
 
 
 @pytest.mark.parametrize("flavor", ["none", "lam", "eta", "both"])
@@ -314,7 +315,7 @@ def test_scaled_border_column_rescales_only_its_multiplier():
 def test_scaled_parallel_borders_still_raise_degeneracy():
     # a genuinely rank-deficient border stays flagged however it is scaled
     base = oracles.random_blocks(rng, n=8, flavor="both")
-    parallel_rows = replace(base, b1=base.c.copy(), b2=np.zeros(8))
+    parallel_rows = replace(base, rows=base.rows[[1, 1]])
     parallel_cols = replace(base, a1=2.5 * base.a2)
     for blocks in (parallel_rows, parallel_cols):
         for factor in (1e-14, 1.0, 1e14):
@@ -330,13 +331,8 @@ def test_singular_core_raises():
         R=np.zeros((8, 3)),
         a1=None,
         a2=None,
-        b1=None,
-        b2=None,
-        c=None,
-        F1=base.F1,
-        F2=base.F2,
-        f1=None,
-        f2=None,
+        rows=base.rows,
+        rhs=base.rhs,
     )
     with pytest.raises(SingularCoreError):
         solve_bordered(assemble_system(blocks))
@@ -345,26 +341,6 @@ def test_singular_core_raises():
 def test_solver_errors_share_base_class():
     assert issubclass(SingularCoreError, SolverError)
     assert issubclass(EquilibriumDegeneracyError, SolverError)
-
-
-def test_mismatched_borders_rejected():
-    base = oracles.random_blocks(rng, n=8, flavor="both")
-    lopsided = NewtonBlocks(
-        P=base.P,
-        Q=base.Q,
-        R=base.R,
-        a1=base.a1,
-        a2=base.a2,
-        b1=None,
-        b2=None,
-        c=base.c,
-        F1=base.F1,
-        F2=base.F2,
-        f1=None,
-        f2=base.f2,
-    )
-    with pytest.raises(ValueError):
-        assemble_system(lopsided)
 
 
 def test_dense_fallback_size_guard():

@@ -22,6 +22,7 @@ from curveflow.metrics import (
     ConvergenceRow,
     DiagnosticsRow,
     DiagnosticsSeries,
+    _collect_params,
     eoc,
     manifold_distance,
     polygon_intersection_area,
@@ -144,6 +145,23 @@ def test_partially_collinear_boundaries():
     b = a + np.array([1.0, 0.0])
     assert polygon_intersection_area(a, b) == pytest.approx(2.0, abs=1e-12)
     assert manifold_distance(a, b) == pytest.approx(4.0, abs=1e-12)
+
+
+def test_split_parameters_of_a_touch_and_an_overlap():
+    # the cut parameters and overlap intervals of each edge, on both sides
+    # of the pair and in either argument order: a triangle whose apex
+    # touches the middle of the square's bottom edge (the end of two of its
+    # edges), and a shelf whose top edge runs back along the right half of
+    # that edge, covering [2/3, 1] of its own length
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    apex = np.array([[0.5, 0.0], [0.25, -1.0], [0.75, -1.0]])
+    touched = [[0.5, 0.5], [], [], []]
+    assert _collect_params(apex, square) == ([[], [], []], touched, [[], [], []], [[], [], [], []])
+    assert _collect_params(square, apex) == (touched, [[], [], []], [[], [], [], []], [[], [], []])
+    shelf = np.array([[0.5, -1.0], [2.0, -1.0], [2.0, 0.0], [0.5, 0.0]])
+    _, _, overlaps_square, overlaps_shelf = _collect_params(square, shelf)
+    assert overlaps_square == [[(0.5, 1.0, 2)], [], [], []]
+    assert overlaps_shelf == [[], [], [(1.5 / 2.25, 1.0, 0)], []]
 
 
 def test_concave_pair_agrees_with_monte_carlo():
