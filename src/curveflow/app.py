@@ -119,19 +119,20 @@ def parse_path_rule(text: str):
     return coef, exponent, resolve
 
 
+# config keys are SchemeConfig field names
 _SCHEME_FIELDS = {
-    "scheme": ("scheme", str),
-    "shape": ("shape", str),
-    "a": ("a", "number"),
-    "b": ("b", "number"),
-    "width": ("width", "number"),
-    "height": ("height", "number"),
-    "N": ("N", "integer"),
-    "tau": ("tau", "number"),
-    "T": ("T", "number"),
-    "tol": ("tol", "number"),
-    "gamma": ("gamma", "number"),
-    "max_newton": ("max_newton", "integer"),
+    "scheme": str,
+    "shape": str,
+    "a": "number",
+    "b": "number",
+    "width": "number",
+    "height": "number",
+    "N": "integer",
+    "tau": "number",
+    "T": "number",
+    "tol": "number",
+    "gamma": "number",
+    "max_newton": "integer",
 }
 
 
@@ -142,14 +143,14 @@ def _scheme_kwargs(entries: Dict[str, Tuple[str, int]], path: str, skip=()) -> D
             continue
         if key not in _SCHEME_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-        field, kind = _SCHEME_FIELDS[key]
+        kind = _SCHEME_FIELDS[key]
         where = f"{path}:{lineno}: {key}"
         if kind is str:
-            kwargs[field] = value
+            kwargs[key] = value
         elif kind == "integer":
-            kwargs[field] = _integer(value, where)
+            kwargs[key] = _integer(value, where)
         else:
-            kwargs[field] = _number(value, where)
+            kwargs[key] = _number(value, where)
     return kwargs
 
 
@@ -233,9 +234,8 @@ def cli_simulate(config_path: str) -> int:
     return 0
 
 
-def _converge_level(payload: Dict[str, object]) -> Dict[str, object]:
+def _converge_level(config: SchemeConfig) -> Dict[str, object]:
     # worker for one refinement level; returns the terminal curve vertices
-    config = SchemeConfig(**payload)  # type: ignore[arg-type]
     result = run(config)
     if result.failure is not None:
         return {"ok": False, "error": f"{type(result.failure).__name__}: {result.failure}"}
@@ -274,20 +274,12 @@ def cli_converge(config_path: str) -> int:
         _build_scheme_config(entries, config_path, skip=("N", "tau", "gamma"), N=resolve(tau), tau=tau, gamma=0.0)
         for tau in taus
     ]
-    payloads = [
-        {f: getattr(c, f) for f in ("scheme", "N", "tau", "T", "tol", "gamma", "max_newton", "shape", "a", "b", "width", "height")}
-        for c in configs
-    ]
-
-    workers = min(_thread_cap(), len(payloads))
-    outcomes: List[Optional[Dict[str, object]]] = [None] * len(payloads)
+    workers = min(_thread_cap(), len(configs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, outcome in enumerate(pool.map(_converge_level, payloads)):
-                outcomes[i] = outcome
+            outcomes = list(pool.map(_converge_level, configs))
     else:
-        for i, payload in enumerate(payloads):
-            outcomes[i] = _converge_level(payload)
+        outcomes = [_converge_level(c) for c in configs]
 
     failure: Optional[str] = None
     terminal: List[np.ndarray] = []

@@ -88,15 +88,11 @@ class PolygonalCurve:
         """Read-only (N, 2) float64 array of vertices, counterclockwise."""
         return self._vertices
 
-    @property
-    def n_vertices(self) -> int:
-        return self._vertices.shape[0]
-
     def __len__(self) -> int:
         return self._vertices.shape[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PolygonalCurve(n_vertices={self.n_vertices})"
+        return f"PolygonalCurve(n_vertices={len(self)})"
 
 
 def edge_vectors(curve) -> np.ndarray:

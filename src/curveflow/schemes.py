@@ -69,7 +69,6 @@ __all__ = [
     "step",
     "startup",
     "run",
-    "run_modified",
 ]
 
 
@@ -83,25 +82,18 @@ class SchemeSpec:
     * ``order``: BDF order of the time rule, which is also the number of
       history levels a step needs; ``cn`` instead averages every unknown
       with the previous level (Crank-Nicolson, one level).
+    * ``lower``: the same family one order lower (for SP and PD the Euler
+      step, for AP-k the AP-(k-1) step), or None for an Euler step.  It fixes
+      the reference polygon (see `step`), the step taken from a state with
+      fewer levels than ``order``, and with it the startup (see `startup`).
+    * ``partner``: the AP scheme an SP run switches to at equilibrium.
     * ``one_step_perimeter``: the perimeter row uses the one-step backward
       difference instead of the scheme's own BDF combination.
-    * ``reference``: the polygon the step's geometry is frozen on: "current"
-      (the newest level), "lower" (the curve of one step of ``lower``) or
-      "half" (one step of ``lower`` at tau / 2).
-    * ``lower``: the same family one order lower (for SP and PD the Euler
-      step, for AP-k the AP-(k-1) step); the reference and startup rules use
-      it.
-    * ``startup``: how the history is filled before the first step: "none",
-      "step" (one step of ``lower``) or "substeps" (``lower`` at a fraction of
-      tau, see _substepped_startup).
-    * ``partner``: the AP scheme an SP run switches to at equilibrium.
     """
 
     kind: str
     order: int
-    reference: str = "current"
     lower: Optional[str] = None
-    startup: str = "none"
     partner: Optional[str] = None
     cn: bool = False
     one_step_perimeter: bool = False
@@ -109,15 +101,15 @@ class SchemeSpec:
 
 SPECS = {
     "sp-euler": SchemeSpec("SP", 1, partner="ap-bdf1"),
-    "sp-cn": SchemeSpec("SP", 1, "half", "sp-euler", partner="ap-bdf2", cn=True),
-    "sp-bdf2": SchemeSpec("SP", 2, "lower", "sp-euler", "step", "ap-bdf2"),
-    "sp-bdf2-variant": SchemeSpec("SP", 2, "lower", "sp-euler", "step", "ap-bdf2", one_step_perimeter=True),
+    "sp-cn": SchemeSpec("SP", 1, "sp-euler", "ap-bdf2", cn=True),
+    "sp-bdf2": SchemeSpec("SP", 2, "sp-euler", "ap-bdf2"),
+    "sp-bdf2-variant": SchemeSpec("SP", 2, "sp-euler", "ap-bdf2", one_step_perimeter=True),
     "pd-euler": SchemeSpec("PD", 1),
-    "pd-bdf2": SchemeSpec("PD", 2, "lower", "pd-euler", "step"),
+    "pd-bdf2": SchemeSpec("PD", 2, "pd-euler"),
     "ap-bdf1": SchemeSpec("AP", 1),
-    "ap-bdf2": SchemeSpec("AP", 2, "lower", "ap-bdf1", "step"),
-    "ap-bdf3": SchemeSpec("AP", 3, "lower", "ap-bdf2", "substeps"),
-    "ap-bdf4": SchemeSpec("AP", 4, "lower", "ap-bdf3", "substeps"),
+    "ap-bdf2": SchemeSpec("AP", 2, "ap-bdf1"),
+    "ap-bdf3": SchemeSpec("AP", 3, "ap-bdf2"),
+    "ap-bdf4": SchemeSpec("AP", 4, "ap-bdf3"),
 }
 
 # pd-euler only starts and predicts pd-bdf2; it is not offered as a scheme
@@ -381,20 +373,15 @@ def _wrap_accepted(X: np.ndarray, step_index: int) -> PolygonalCurve:
     return PolygonalCurve(X)
 
 
+def _level(curve: PolygonalCurve, kappa: np.ndarray, lam: float, eta: float, iters: int, mode: str) -> HistoryEntry:
+    # a time level, with the perimeter and signed area of its curve
+    return HistoryEntry(curve, kappa, lam, eta, perimeter(curve), signed_area(curve), iters, mode)
+
+
 def _accept(state: SchemeState, it: NewtonIterate, iters: int, mode: str) -> SchemeState:
     curve = _wrap_accepted(it.X, state.step_index + 1)
-    entry = HistoryEntry(
-        curve=curve,
-        kappa=np.array(it.kappa),
-        lam=it.lam,
-        eta=it.eta,
-        L=perimeter(curve),
-        A=signed_area(curve),
-        newton_iters=iters,
-        mode=mode,
-    )
     history = deque(state.history, maxlen=state.history.maxlen)
-    history.append(entry)
+    history.append(_level(curve, np.array(it.kappa), it.lam, it.eta, iters, mode))
     return replace(state, history=history, step_index=state.step_index + 1)
 
 
@@ -410,22 +397,24 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
     """One step of ``scheme`` (default: the configured scheme) from the
     newest history levels, built from the scheme's row of SPECS.
 
-    The BDF coefficients of ``order`` combine the stored curves in the
-    velocity law and the stored perimeters in the perimeter law (the
+    While the state holds fewer levels than the scheme's order, the step is
+    that of the ``lower`` scheme instead, one order at a time; this is how a
+    two-level run starts, and how the AP partner starts after a forced
+    switch.  The BDF coefficients of ``order`` combine the stored curves in
+    the velocity law and the stored perimeters in the perimeter law (the
     variant's perimeter law uses the one-step difference); Crank-Nicolson
     averages every unknown with the previous level.  The reference polygon
-    is the current curve or the curve of one step of the lower-order scheme,
-    solved to the same tolerance; that step's Newton iterations are not
-    counted in the new level's ``newton_iters``.  Newton starts at the
-    reference step's root when the reference is that step at the full tau
-    ("lower"), and at the newest level otherwise.  ``run`` passes the AP
-    partner after a switch, and the step passes the lower-order scheme to
-    itself for the reference.  Returns the state with the new level
-    appended.
+    is the newest curve for an Euler step (no ``lower``), and otherwise the
+    curve of one step of ``lower`` (at tau / 2 for Crank-Nicolson), solved
+    to the same tolerance; that step's Newton iterations are not counted in
+    the new level's ``newton_iters``.  Newton starts at the reference
+    step's root when that step is at the full tau, and at the newest level
+    otherwise.  Only an Euler step falls back to continuation in tau.
+    Returns the state with the new level appended.
     """
     spec = SPECS[scheme or config.scheme]
-    if len(state.history) < spec.order:
-        raise SchemeError(f"scheme needs {spec.order} history entries, state has {len(state.history)}")
+    while spec.order > len(state.history):
+        spec = SPECS[spec.lower]
     last = state.history[-1]
     delta = [float(c) for c in bdf_coefficients(spec.order)]
     dL = [float(c) for c in bdf_coefficients(1)] if spec.one_step_perimeter else delta
@@ -441,31 +430,21 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
         A0=state.A0,
     )
     start_level = last
-    if spec.reference == "current":
+    if spec.lower is None:
         ref_curve = last.curve
     else:
-        ref_state = replace(state, tau=0.5 * state.tau) if spec.reference == "half" else state
+        ref_state = replace(state, tau=0.5 * state.tau) if spec.cn else state
         ref_level = step(ref_state, config, spec.lower).history[-1]
         ref_curve = ref_level.curve
-        if spec.reference == "lower":
+        if not spec.cn:
             start_level = ref_level
-    it, iters = _solve_step(state, config, ctx, ref_curve, start_level, tau_scalable=spec.reference == "current")
+    it, iters = _solve_step(state, config, ctx, ref_curve, start_level, tau_scalable=spec.lower is None)
     return _accept(state, it, iters, spec.kind)
 
 
 def _initial_state(config: SchemeConfig) -> SchemeState:
     curve0 = config.make_initial_curve()
-    kappa0 = initial_curvature(curve0)
-    entry0 = HistoryEntry(
-        curve=curve0,
-        kappa=kappa0,
-        lam=0.0,
-        eta=0.0,
-        L=perimeter(curve0),
-        A=signed_area(curve0),
-        newton_iters=0,
-        mode=config.kind,
-    )
+    entry0 = _level(curve0, initial_curvature(curve0), 0.0, 0.0, 0, config.kind)
     return SchemeState(
         history=deque([entry0], maxlen=5),
         step_index=0,
@@ -510,16 +489,16 @@ def startup(config: SchemeConfig) -> SchemeState:
     """Initial SchemeState with history filled to the scheme's order.
 
     Level 0 uses the generated curve with least-squares curvature and zero
-    multipliers.  Two-level schemes then take one step of the lower-order
-    scheme of their family; order 3 and 4 AP schemes substep with the
-    next-lower order (see _substepped_startup).
+    multipliers.  Two-level schemes then take one `step`, which from one
+    level is a step of the lower-order scheme of their family; order 3 and 4
+    AP schemes substep with the next-lower order (see _substepped_startup).
     """
     spec = SPECS[config.scheme]
-    if spec.startup == "substeps":
+    if spec.order > 2:
         return _substepped_startup(config, spec)
     state = _initial_state(config)
-    if spec.startup == "step":
-        state = step(state, config, spec.lower)
+    if spec.order == 2:
+        state = step(state, config)
     return state
 
 
@@ -598,33 +577,25 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
         if m > 0 and switching and not switched and abs(rows[-1].deltaL) <= gamma:
             switched, switch_time = True, m * tau
 
+    failure: Optional[Exception] = None
     try:
         state = startup(config)
     except (SchemeError, SolverError) as exc:
-        if not (isinstance(exc, EquilibriumDegeneracyError) and switching):
-            state = _initial_state(config)
-            record(0, state.history[0], state.history[0])
-            return RunResult(DiagnosticsSeries(rows=rows), snapshots, state, None, False, exc)
-        switched, forced, switch_time = True, True, 0.0
-        state = startup(replace(config, scheme=spec.partner))
+        # a forced switch at startup restarts from level 0 with the AP partner
+        state = _initial_state(config)
+        if isinstance(exc, EquilibriumDegeneracyError) and switching:
+            switched, forced, switch_time = True, True, 0.0
+        else:
+            failure = exc
 
     levels = list(state.history)
-    # row 0 keeps the configured scheme's mode, also after a forced switch at startup
-    levels[0] = levels[0]._replace(mode=spec.kind)
     for m, entry in enumerate(levels):
         record(m, levels[m - 1] if m else entry, entry)
 
-    failure: Optional[Exception] = None
-    while state.step_index < n_steps:
+    while failure is None and state.step_index < n_steps:
         last = state.history[-1]
         try:
-            if switched:
-                ap = spec.partner
-                while SPECS[ap].order > len(state.history):  # just after a forced switch
-                    ap = SPECS[ap].lower
-                state = step(state, config, ap)
-            else:
-                state = step(state, config)
+            state = step(state, config, spec.partner if switched else None)
         except (SchemeError, SolverError) as exc:
             if isinstance(exc, EquilibriumDegeneracyError) and not switched and switching:
                 # the SP system degenerated at equilibrium: switch and retry
@@ -637,11 +608,3 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
 
     return RunResult(DiagnosticsSeries(rows=rows), snapshots, state, switch_time, forced, failure)
 
-
-def run_modified(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult:
-    """The modification algorithm: an SP scheme with threshold-triggered
-    permanent switch to its AP partner.  Requires an SP-type config; `run`
-    accepts any scheme."""
-    if config.kind != "SP":
-        raise ValueError(f"run_modified requires an SP scheme, got '{config.scheme}'")
-    return run(config, snapshot_times)

@@ -21,7 +21,7 @@ from curveflow.femcore import lumped_masses, normal_weights, perimeter_gradient
 from curveflow.geometry import PolygonalCurve, perimeter, signed_area
 from curveflow.linalg import assemble_system, solve_bordered
 from curveflow.metrics import eoc, manifold_distance, polygon_intersection_area
-from curveflow.schemes import SchemeConfig, bdf_coefficients, run, run_modified
+from curveflow.schemes import SchemeConfig, bdf_coefficients, run
 
 from oracles import dense_from_blocks, mc_intersection_area, random_blocks
 
@@ -200,7 +200,7 @@ def test_06_first_order_convergence_sp_euler():
 
 def test_07_threshold_switch_behavior():
     config = SchemeConfig(scheme="sp-bdf2", N=160, tau=1 / 640, T=0.8)  # gamma = 50 tau
-    result = run_modified(config)
+    result = run(config)
     assert result.ok, result.failure
     rows = result.series.rows
     t_star = result.switch_time
@@ -371,7 +371,7 @@ def test_10_benchmarks_reach_near_circular_equilibria():
             SchemeConfig(scheme="sp-bdf2", shape="rectangle", N=160, tau=1 / 6400, T=0.8),
         ),
     ):
-        result = run_modified(config)
+        result = run(config)
         assert result.ok, f"{label}: {result.failure}"
         kappa = result.state.history[-1].kappa
         spreads[label] = (kappa.max() - kappa.min()) / kappa.mean()

@@ -189,6 +189,13 @@ def test_intersection_rejects_bad_curves():
         polygon_intersection_area(unit_square(), clockwise)
 
 
+def test_repeated_vertex_is_named_as_a_zero_length_edge():
+    repeated = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for measure in (polygon_intersection_area, manifold_distance):
+        with pytest.raises(ValueError, match="zero-length edge at index 1"):
+            measure(repeated, unit_square(0.5))
+
+
 # ---------------------------------------------------------------------------
 # manifold distance
 

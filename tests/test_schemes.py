@@ -3,6 +3,7 @@ roots against an independent solver, invariants, startup and the
 threshold-switch run loop."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,6 @@ from curveflow.schemes import (
     bdf_coefficients,
     newton_outer,
     run,
-    run_modified,
     startup,
     step,
 )
@@ -394,6 +394,19 @@ def test_substepped_startup_covers_history():
     assert len(state4.history) == 4
 
 
+@pytest.mark.parametrize("scheme, lower", [("sp-bdf2", "sp-euler"), ("ap-bdf3", "ap-bdf1")])
+def test_step_from_too_few_levels_is_the_lower_schemes_step(scheme, lower):
+    # from level 0 alone the step climbs down the family to a one-level scheme
+    cfg = SchemeConfig(scheme=scheme, N=24, tau=0.01, T=0.05, gamma=0.0)
+    state0 = startup(replace(cfg, scheme=lower))
+    assert len(state0.history) == 1
+    got = step(state0, cfg).history[-1]
+    want = step(state0, cfg, lower).history[-1]
+    assert np.array_equal(got.curve.vertices, want.curve.vertices)
+    assert np.array_equal(got.kappa, want.kappa)
+    assert got[2:] == want[2:]  # lam, eta, L, A, newton_iters, mode
+
+
 @pytest.mark.parametrize("scheme, n_sub", [("ap-bdf3", 10), ("ap-bdf4", 5)])
 def test_substepped_startup_rows_count_their_substeps(scheme, n_sub):
     # n_sub = ceil(tau^(-1/(k-1))) at tau = 0.01; row j of the run reports
@@ -476,18 +489,6 @@ def test_gamma_zero_never_switches():
     assert set(r.mode for r in result.series.rows) == {"SP"}
 
 
-def test_run_modified_requires_sp_scheme():
-    with pytest.raises(ValueError):
-        run_modified(SchemeConfig(scheme="pd-bdf2", N=16, tau=0.01, T=0.02))
-    with pytest.raises(ValueError):
-        run_modified(SchemeConfig(scheme="ap-bdf2", N=16, tau=0.01, T=0.02))
-    cfg = SchemeConfig(scheme="sp-euler", N=16, tau=0.01, T=0.02, gamma=0.0)
-    assert np.array_equal(
-        run_modified(cfg).state.history[-1].curve.vertices,
-        run(cfg).state.history[-1].curve.vertices,
-    )
-
-
 def test_ap_partner_table_is_consistent():
     partners = {name: spec.partner for name, spec in SPECS.items() if spec.partner}
     assert set(partners) == {name for name in SCHEMES if SPECS[name].kind == "SP"}
@@ -502,15 +503,12 @@ def test_scheme_table_rows_are_consistent():
         "ap-bdf1", "ap-bdf2", "ap-bdf3", "ap-bdf4",
     )  # fmt: skip
     for name, spec in SPECS.items():
-        # the reference and startup rules reach down the family one order at a
-        # time, ending at an Euler step on the current curve
-        assert (spec.lower is None) == (spec.reference == "current"), name
-        assert spec.startup == {1: "none", 2: "step"}.get(spec.order, "substeps"), name
+        # the reference and the climb from too few levels reach down the
+        # family one order at a time, ending at an Euler step
         if spec.lower is not None:
             lower = SPECS[spec.lower]
             assert lower.kind == spec.kind and not lower.cn, name
             assert lower.order == max(1, spec.order - 1), name
-        assert (spec.reference == "half") == spec.cn, name
 
 
 def test_every_solve_runs_inside_newton_outer(monkeypatch):
@@ -650,7 +648,7 @@ def test_corrector_start(monkeypatch, scheme):
     start = calls[-1][0]
     last = state.history[-1]
     kind = SPECS[scheme].kind
-    if SPECS[scheme].reference == "lower":
+    if SPECS[scheme].lower is not None and not SPECS[scheme].cn:
         expected = calls[-2][1]  # the reference step's root
         assert not np.array_equal(start.X, last.curve.vertices)
     else:
