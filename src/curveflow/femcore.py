@@ -26,7 +26,7 @@ multipliers present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -68,11 +68,7 @@ def normal_weights(curve) -> np.ndarray:
             = ((y_{k+1} - y_{k-1}) / 2, (x_{k-1} - x_{k+1}) / 2),
     which is exactly the gradient of the shoelace area at vertex k.
     """
-    return _normal_weights(edge_vectors(curve))
-
-
-def _normal_weights(h: np.ndarray) -> np.ndarray:
-    # normal_weights from the edge vectors h
+    h = edge_vectors(curve)
     ln = np.column_stack((h[:, 1], -h[:, 0]))  # |h_j| n_j without normalizing
     return _sum_with_previous(ln, 0.5)
 
@@ -95,9 +91,13 @@ def stiffness_apply(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     scalar (N,) or vector (N, 2) field, as the difference of edge fluxes."""
     flux = _forward_difference(u)
     flux *= weights if u.ndim == 1 else weights[:, None]
-    out = np.empty(flux.shape)
-    np.subtract(flux[:-1], flux[1:], out=out[1:])
-    np.subtract(flux[-1:], flux[:1], out=out[:1])
+    return _previous_minus(flux, np.empty(flux.shape))
+
+
+def _previous_minus(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # a_{k-1} - a_k along the first axis, periodic, into out
+    np.subtract(a[:-1], a[1:], out=out[1:])
+    np.subtract(a[-1:], a[:1], out=out[:1])
     return out
 
 
@@ -105,16 +105,8 @@ def perimeter_gradient(curve) -> np.ndarray:
     """Exact gradient of the perimeter: grad L_k = u_{k-1} - u_k with unit
     tangents u_j = h_j / |h_j|."""
     h = edge_vectors(curve)
-    return _perimeter_gradient(h, np.hypot(h[:, 0], h[:, 1]))
-
-
-def _perimeter_gradient(h: np.ndarray, hlen: np.ndarray) -> np.ndarray:
-    # perimeter_gradient from the edge vectors h and their lengths hlen
-    u = h / hlen[:, None]
-    grad = np.empty(u.shape)
-    np.subtract(u[:-1], u[1:], out=grad[1:])
-    np.subtract(u[-1:], u[:1], out=grad[:1])
-    return grad
+    u = h / np.hypot(h[:, 0], h[:, 1])[:, None]
+    return _previous_minus(u, np.empty(u.shape))
 
 
 def initial_curvature(curve) -> np.ndarray:
@@ -227,6 +219,29 @@ class SchemeContext:
         return 1.0 if self.averaged is None else 0.5
 
 
+# the area row at vertex k is ((h_k + h_{k-1})_y, -(h_k + h_{k-1})_x) / 2
+_AREA_ROW_SCALE = np.array([0.5, -0.5])
+
+
+class _RunBuffers:
+    """What one Newton run (same ctx, ref and tau) computes once: the
+    residual terms that do not depend on the iterate, and scratch arrays
+    that every iteration overwrites."""
+
+    def __init__(self, ctx: SchemeContext, ref: ReferenceGeometry, tau: float) -> None:
+        n = ref.n
+        self.s_flux = tau * ctx.alpha / ctx.delta0
+        # the velocity rows' history term and mass factor
+        self.hist = ctx.alpha / ctx.delta0 * (ctx.xhist * ref.omega).sum(axis=1)
+        self.flux_mass = self.s_flux * ref.mass
+        self.Yn = np.concatenate((ctx.anchor.Y[1:], ctx.anchor.Y[:1]))  # Y_{k+1}
+        self.law = ctx.dL0 * ctx.anchor.L + ctx.Lhist
+        # half the averaged level, the constant half of the effective unknowns
+        self.half = None if ctx.averaged is None else NewtonIterate(*(0.5 * u for u in ctx.averaged))
+        self.Xn, self.h, self.d, self.dn, self.dh, self.flux, self.t2, self.e2, self.Xe = np.empty((9, n, 2))
+        self.hlen, self.fk, self.Skap, self.t1, self.e1, self.ke = np.empty((6, n))
+
+
 @dataclass
 class NewtonBlocks:
     """Blocks of one Newton step's bordered linear system.
@@ -250,6 +265,11 @@ class NewtonBlocks:
     absent multiplier leaves its column None and has no row.  Without the
     perimeter multiplier, P, Q, R and a2 do not depend on the iterate:
     lam_eff M is Q's only iterate term, and lam is then not an unknown.
+
+    These arrays are the buffers of one Newton run: a later iteration's
+    `assemble_newton_blocks` overwrites Q's diagonal, a1, rows and rhs in
+    place.  ``work`` holds the run's other buffers; it is None for blocks
+    built by hand, which cannot serve as ``previous``.
     """
 
     P: np.ndarray
@@ -259,39 +279,7 @@ class NewtonBlocks:
     a2: Optional[np.ndarray]
     rows: np.ndarray
     rhs: np.ndarray
-
-
-def _effective(ctx: SchemeContext, it: NewtonIterate) -> NewtonIterate:
-    # the iterate, or its mean with the averaged level field by field
-    if ctx.averaged is None:
-        return it
-    return NewtonIterate(*(0.5 * v + 0.5 * u for v, u in zip(it, ctx.averaged)))
-
-
-def _residual(ctx, ref, it, tau, eff, Skap, h, hlen) -> np.ndarray:
-    # the residual of the step equations in the module docstring's order, with
-    # the velocity rows scaled by tau * alpha / delta0 (pure row scaling; same
-    # root), given the iterate's _effective values, S_ref kappa_eff and the
-    # iterate's edges, which assemble_newton_blocks shares with the borders
-    s_flux = tau * ctx.alpha / ctx.delta0
-    s_time = ctx.alpha / ctx.delta0
-    r1 = s_time * ((ctx.delta0 * it.X + ctx.xhist) * ref.omega).sum(axis=1) + s_flux * (
-        Skap - eff.lam * ref.mass * eff.kappa - eff.eta * ref.mass
-    )
-    r2 = (eff.kappa[:, None] * ref.omega - stiffness_apply(ref.weights, eff.X)).ravel()
-    parts = [r2, r1]
-    a = ctx.anchor
-    d = it.X - a.Y
-    if ctx.use_perimeter:
-        dh = _forward_difference(d)
-        dL = float(((dh * (h + a.g)).sum(axis=1) / (hlen + a.glen)).sum())
-        r3 = (ctx.dL0 * dL + (ctx.dL0 * a.L + ctx.Lhist)) / tau + float(eff.kappa @ Skap)
-        parts.append(np.array([r3]))
-    if ctx.use_area:
-        Xn, dn = (np.concatenate((v[1:], v[:1])) for v in (it.X, d))
-        cross = d[:, 0] * Xn[:, 1] - d[:, 1] * Xn[:, 0] + a.Y[:, 0] * dn[:, 1] - a.Y[:, 1] * dn[:, 0]
-        parts.append(np.array([(a.A - ctx.A0) + 0.5 * float(cross.sum())]))
-    return np.concatenate(parts)
+    work: Optional[_RunBuffers] = field(default=None, repr=False, compare=False)
 
 
 def assemble_newton_blocks(
@@ -305,35 +293,95 @@ def assemble_newton_blocks(
     the iterate (the quadratic multiplier-times-curvature update product is
     the only dropped term, as the Newton direction requires).
 
-    ``previous`` is the result of an earlier iteration of the same Newton run
-    (same ctx, ref and tau).  The blocks that do not depend on the iterate,
-    P, R, Q's off-diagonals and a2, are then taken over from it, and only
-    Q's diagonal, a1, the border rows and the residual are computed."""
+    Without ``previous`` the call allocates the run's buffers: the blocks
+    that do not depend on the iterate (P, R, Q's off-diagonals and a2), the
+    arrays that do, and the scratch and iterate-independent residual terms
+    of ``work``.  ``previous`` is the result of an earlier iteration of the
+    same Newton run (same ctx, ref and tau): the call then writes Q's
+    diagonal, a1, the border rows and the rhs into its arrays and returns
+    it, so nothing is allocated and the earlier blocks are gone.  Both ways
+    compute the same bits."""
     n = ref.n
-    eff = _effective(ctx, it)
     s_core = tau * ctx.alpha / ctx.delta0 * ctx.alpha
-    Skap = stiffness_apply(ref.weights, eff.kappa)
-    # the iterate's edge vectors (for either conservation row) and their
-    # lengths (for the perimeter row), shared by the rows and their gradients
-    h = edge_vectors(it.X) if ctx.use_perimeter or ctx.use_area else None
-    hlen = np.hypot(h[:, 0], h[:, 1]) if ctx.use_perimeter else None
-
     if previous is None:
-        P = ctx.alpha * ref.omega
-        Q = s_core * ref.stencil
-        R = (-ctx.alpha) * ref.stencil
-        a2 = (-s_core) * ref.mass if ctx.use_area else None
+        nb = ctx.use_perimeter + ctx.use_area
+        previous = NewtonBlocks(
+            P=ctx.alpha * ref.omega,
+            Q=s_core * ref.stencil,
+            R=(-ctx.alpha) * ref.stencil,
+            a1=np.empty(n) if ctx.use_perimeter else None,
+            a2=(-s_core) * ref.mass if ctx.use_area else None,
+            rows=np.zeros((nb, 3 * n)),
+            rhs=np.empty(3 * n + nb),
+            work=_RunBuffers(ctx, ref, tau),
+        )
+    blocks, w, a, X = previous, previous.work, ctx.anchor, it.X
+    # the iterate's next vertices X_{k+1} and edges h
+    w.Xn[:-1] = X[1:]
+    w.Xn[-1] = X[0]
+    h = np.subtract(w.Xn, X, out=w.h)
+    # the effective unknowns and the edge fluxes of X_eff
+    if w.half is None:
+        kap, lam, eta = it.kappa, it.lam, it.eta
+        flux = np.multiply(h, ref.weights[:, None], out=w.flux)
     else:
-        P, Q, R, a2 = previous.P, previous.Q.copy(), previous.R, previous.a2
-    # only Q's diagonal, -lam_eff M, and the borders depend on the iterate
-    Q[:, 1] = (ref.stencil[:, 1] - eff.lam * ref.mass) * s_core
-    a1 = (-s_core) * (ref.mass * eff.kappa) if ctx.use_perimeter else None
+        kap = np.multiply(it.kappa, 0.5, out=w.ke)
+        kap += w.half.kappa
+        lam, eta = 0.5 * it.lam + w.half.lam, 0.5 * it.eta + w.half.eta
+        Xe = np.multiply(X, 0.5, out=w.Xe)
+        Xe += w.half.X
+        flux = _forward_difference(Xe, out=w.flux)
+        flux *= ref.weights[:, None]
+    # negated curvature rows: S_ref X_eff - kappa_eff omega_ref
+    curvature_rhs = _previous_minus(flux, blocks.rhs[: 2 * n].reshape(n, 2))
+    curvature_rhs -= np.multiply(kap[:, None], ref.omega, out=w.t2)
+    kappa_flux = _forward_difference(kap, out=w.fk)
+    kappa_flux *= ref.weights
+    Skap = _previous_minus(kappa_flux, w.Skap)
 
-    rows = np.zeros((ctx.use_perimeter + ctx.use_area, 3 * n))
+    # Q's diagonal, -lam_eff M, and the borders depend on the iterate
+    Qd = np.multiply(ref.mass, lam, out=blocks.Q[:, 1])
+    np.subtract(ref.stencil[:, 1], Qd, out=Qd)
+    Qd *= s_core
     if ctx.use_perimeter:
-        rows[0, : 2 * n] = (ctx.dL0 / tau) * _perimeter_gradient(h, hlen).ravel()
-        rows[0, 2 * n :] = 2.0 * ctx.alpha * Skap
+        np.multiply(ref.mass, kap, out=blocks.a1)
+        blocks.a1 *= -s_core
+        hlen = np.hypot(h[:, 0], h[:, 1], out=w.hlen)
+        grad = _previous_minus(np.divide(h, hlen[:, None], out=w.t2), blocks.rows[0, : 2 * n].reshape(n, 2))
+        grad *= ctx.dL0 / tau
+        np.multiply(Skap, 2.0 * ctx.alpha, out=blocks.rows[0, 2 * n :])
     if ctx.use_area:
-        rows[-1, : 2 * n] = _normal_weights(h).ravel()
-    rhs = -_residual(ctx, ref, it, tau, eff, Skap, h, hlen)
-    return NewtonBlocks(P=P, Q=Q, R=R, a1=a1, a2=a2, rows=rows, rhs=rhs)
+        np.add(h[1:], h[:-1], out=w.t2[1:])
+        np.add(h[:1], h[-1:], out=w.t2[:1])
+        np.multiply(w.t2[:, ::-1], _AREA_ROW_SCALE, out=blocks.rows[-1, : 2 * n].reshape(n, 2))
+
+    # negated velocity rows: (lam_eff kappa_eff + eta_eff) s_flux m
+    # - s_flux S_ref kappa_eff - s_time (xhist . omega) - P . X
+    velocity_rhs = np.multiply(kap, lam, out=blocks.rhs[2 * n : 3 * n])
+    velocity_rhs += eta
+    velocity_rhs *= w.flux_mass
+    velocity_rhs -= np.multiply(Skap, w.s_flux, out=w.t1)
+    velocity_rhs -= w.hist
+    PX = np.multiply(blocks.P, X, out=w.t2)
+    velocity_rhs -= PX[:, 0]
+    velocity_rhs -= PX[:, 1]
+
+    # the laws, as increments from the anchor: d = X - Y and its edges
+    d = np.subtract(X, a.Y, out=w.d)
+    dn = np.subtract(w.Xn, w.Yn, out=w.dn)
+    if ctx.use_perimeter:
+        t = np.add(h, a.g, out=w.t2)
+        t *= np.subtract(dn, d, out=w.dh)
+        per_edge = np.add(t[:, 0], t[:, 1], out=w.t1)
+        per_edge /= np.add(hlen, a.glen, out=w.e1)
+        dL = float(per_edge.sum())
+        blocks.rhs[3 * n] = -((ctx.dL0 * dL + w.law) / tau + float(kap @ Skap))
+    if ctx.use_area:
+        # cross = d_k x X_{k+1} + Y_k x d_{k+1}
+        c = np.multiply(d, w.Xn[:, ::-1], out=w.t2)
+        e = np.multiply(a.Y, dn[:, ::-1], out=w.e2)
+        cross = np.subtract(c[:, 0], c[:, 1], out=w.t1)
+        cross += e[:, 0]
+        cross -= e[:, 1]
+        blocks.rhs[-1] = -((a.A - ctx.A0) + 0.5 * float(cross.sum()))
+    return blocks

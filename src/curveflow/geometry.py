@@ -12,6 +12,7 @@ sign system the discrete curvature of a convex curve is positive.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -100,9 +101,9 @@ def edge_vectors(curve) -> np.ndarray:
     return _forward_difference(_as_vertices(curve))
 
 
-def _forward_difference(a: np.ndarray) -> np.ndarray:
-    """a_{k+1} - a_k along the first axis, periodic."""
-    d = np.empty(a.shape)
+def _forward_difference(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a_{k+1} - a_k along the first axis, periodic (into ``out`` if given)."""
+    d = np.empty(a.shape) if out is None else out
     np.subtract(a[1:], a[:-1], out=d[:-1])
     np.subtract(a[:1], a[-1:], out=d[-1:])
     return d

@@ -20,20 +20,25 @@ complement, whose singularity is detected explicitly because it carries the
 geometric degeneracy of an equilibrium (constant curvature makes the two
 border columns parallel).
 
-The first solve of a system stores its factor on it (`CoreFactor`: the band
-LU and the core solves of the border columns).  A system assembled with
-``reuse=`` starts from an earlier system of the same Newton run.  Without
-the perimeter multiplier (AP steps, AP predictors and their continuation
-stages) it takes the core, the border columns and the factor over, so its
-solve is one banded solve for the new right-hand side.  With it, only Q's
-diagonal and the lam column change between iterates: they are written into
-a copy of the earlier band and border columns, and the system gets a fresh
-factor.
+A Newton run allocates one set of buffers, in its first system, and every
+later iteration writes into them (`assemble_system` with ``reuse=``): the
+band, the border columns, rows and rhs, a working band that the banded LU
+overwrites, and one Fortran-ordered stack [rhs, border columns] that the
+banded solve overwrites with their core solves.  The first solve of a
+system stores its factor on it (`CoreFactor`).  Without the perimeter
+multiplier (AP steps, AP predictors and their continuation stages) the core
+and the border columns stay the same, so a run factors once and later
+iterations make one banded solve for the new right-hand side.  With it,
+only Q's diagonal and the lam column change between iterates: they are
+written into the run's band and border columns, and each iterate is
+factored afresh.  The multipliers come from a 1 x 1 or 2 x 2 Schur step in
+Python floats, with closed-form singular values for the degeneracy verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -145,7 +150,7 @@ class PeriodicBandCore:
 
 @dataclass
 class CoreFactor:
-    """What the first solve of a system keeps for later systems with the same
+    """What the first solve of a system keeps for later solves with the same
     core and border columns: the band LU of the core with its pivots, and
     the core solves of the border columns."""
 
@@ -160,7 +165,14 @@ class BorderedSystem:
     the equations (curvature x, curvature y, velocity) of each slot's
     vertex, then perimeter?, area?; unknowns are (x_k, y_k, kappa_k) per
     slot, then lam?, eta?.  nb in {0, 1, 2} counts the borders actually
-    present.  factor is None until the first solve, which stores it."""
+    present.  factor is None until the first solve, which stores it.
+
+    The arrays are the buffers of one Newton run, which `assemble_system`
+    with ``reuse=`` overwrites: core.band, border_cols, border_rows and rhs
+    hold the assembled system.  ``work_band`` is where a fresh factorization
+    turns a copy of core.band into its LU, and
+    ``stack`` (3N, 1 + nb), Fortran order, is where the banded solve turns
+    [rhs, border_cols] into their core solves in place."""
 
     core: PeriodicBandCore
     border_cols: Optional[np.ndarray]  # (3N, nb)
@@ -168,6 +180,8 @@ class BorderedSystem:
     rhs: np.ndarray  # (3N + nb,)
     nb: int
     factor: Optional[CoreFactor] = None
+    work_band: Optional[np.ndarray] = field(default=None, repr=False)
+    stack: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None) -> BorderedSystem:
@@ -176,29 +190,20 @@ def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None
     Border order is always lam before eta, in both the extra columns and the
     extra rows; schemes with a single multiplier get nb = 1.
 
-    ``reuse`` is an earlier system of the same Newton run, whose blocks
-    differ from ``blocks`` at most in Q's diagonal, a1, the border rows and
-    the rhs (see NewtonBlocks).  Without the perimeter multiplier the new
-    system takes over its core, border columns and factor.  With it, the new
-    system copies its band and border columns, writes Q's diagonal and a1
-    into them, and gets a fresh factor.  The border rows and the rhs are
-    always built from ``blocks``.
+    ``reuse`` is the system of an earlier iteration of the same Newton run,
+    whose blocks differ from ``blocks`` at most in Q's diagonal, a1, the
+    border rows and the rhs (see NewtonBlocks).  The call then gathers the
+    rhs and the border rows into its arrays and returns it, and allocates
+    nothing.  Without the perimeter multiplier it keeps its core, border
+    columns and factor; with it, Q's diagonal and a1 are written into its
+    band and border columns, and the factor is dropped, so the next solve
+    factors afresh.
     """
     n = len(blocks.P)
     m = 3 * n
     fold = _fold(n)
     nb = len(blocks.rows)
-    rhs = np.concatenate((blocks.rhs[fold.gather], blocks.rhs[m:]))
-    border_rows = blocks.rows[:, fold.gather]
-    if reuse is not None and blocks.a1 is None:
-        return BorderedSystem(reuse.core, reuse.border_cols, border_rows, rhs, nb, reuse.factor)
-    if reuse is not None:
-        # Q's diagonal is the sixth of each vertex's core values; a1 is column 0
-        flat = reuse.core.band.T.flatten()
-        flat[fold.scatter[:, 5]] = blocks.Q[:, 1]
-        border_cols = reuse.border_cols.copy(order="F")
-        border_cols[2::3, 0] = blocks.a1[fold.vertex]
-    else:
+    if reuse is None:
         flat = np.zeros(m * _LDAB)
         flat[fold.scatter] = np.concatenate((blocks.P, blocks.P, blocks.Q, blocks.R, blocks.R), axis=1)
         border_cols = None
@@ -207,42 +212,59 @@ def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None
             border_cols = np.zeros((m, nb), order="F")
             for j, a in enumerate(a for a in (blocks.a1, blocks.a2) if a is not None):
                 border_cols[2::3, j] = a[fold.vertex]
-    # band storage in Fortran order, as LAPACK takes it
-    core = PeriodicBandCore(flat.reshape(m, _LDAB).T)
-    return BorderedSystem(core, border_cols, border_rows, rhs, nb)
+        # band storage in Fortran order, as LAPACK takes it
+        core = PeriodicBandCore(flat.reshape(m, _LDAB).T)
+        reuse = BorderedSystem(
+            core,
+            border_cols,
+            np.empty((nb, m)),
+            np.empty(m + nb),
+            nb,
+            work_band=np.empty((_LDAB, m), order="F"),
+            stack=np.empty((m, 1 + nb), order="F"),
+        )
+    elif blocks.a1 is not None:
+        # Q's diagonal is the sixth of each vertex's core values; a1 is column 0
+        reuse.core.band.T.reshape(-1)[fold.scatter[:, 5]] = blocks.Q[:, 1]
+        np.take(blocks.a1, fold.vertex, out=reuse.border_cols[2::3, 0])
+        reuse.factor = None
+    np.take(blocks.rows, fold.gather, axis=1, out=reuse.border_rows)
+    np.take(blocks.rhs, fold.gather, out=reuse.rhs[:m])
+    reuse.rhs[m:] = blocks.rhs[m:]
+    return reuse
 
 
-def _band_solve(lu: np.ndarray, piv: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    sol, info = dgbtrs(lu, KL, KU, cols, piv)
+def _band_solve(lu: np.ndarray, piv: np.ndarray, cols: np.ndarray) -> None:
+    # solves in place; cols must be a Fortran-ordered float64 array, which
+    # dgbtrs can overwrite (any other layout would be copied, the solution lost)
+    _, info = dgbtrs(lu, KL, KU, cols, piv, overwrite_b=1)
     if info != 0:
         raise ValueError(f"dgbtrs rejected argument {-info}")
-    return sol
 
 
 def _solve_core(system: BorderedSystem) -> np.ndarray:
-    """core^{-1} [rhs, border_cols] as an (m, 1 + nb) array.  The first call
-    factors the core with one banded LU and solves for the rhs and the border
-    columns together in one banded solve, and stores the factor on the
-    system.  Later calls (and systems assembled with ``reuse=``) make one
-    banded solve for the rhs; LAPACK treats each right-hand side column on
-    its own, so the result is bitwise the fresh one."""
+    """core^{-1} [rhs, border_cols] as the (m, 1 + nb) stack.  The first call
+    factors a copy of the core with one banded LU and solves for the rhs and
+    the border columns together in one banded solve, and stores the factor
+    on the system.  Later calls (and systems assembled with ``reuse=``
+    without the perimeter multiplier) make one banded solve for the rhs;
+    LAPACK treats each right-hand side column on its own, so the result is
+    bitwise the fresh one."""
     m = system.core.shape[0]
-    k = 1 + system.nb
+    z = system.stack
+    z[:, 0] = system.rhs[:m]
     if system.factor is not None:
-        z = np.empty((m, k), order="F")
-        z[:, 0] = _band_solve(system.factor.lu, system.factor.piv, system.rhs[:m])
-        z[:, 1:] = system.factor.border_solves
+        _band_solve(system.factor.lu, system.factor.piv, z[:, :1])
         return z
-    lu, piv, info = dgbtrf(system.core.band, KL, KU)
+    np.copyto(system.work_band, system.core.band)
+    lu, piv, info = dgbtrf(system.work_band, KL, KU, overwrite_ab=1)
     if info > 0:
         raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
     if info < 0:
         raise ValueError(f"dgbtrf rejected argument {-info}")
-    stacked = np.empty((m, k), order="F")
-    stacked[:, 0] = system.rhs[:m]
     if system.nb:
-        stacked[:, 1:] = system.border_cols
-    z = _band_solve(lu, piv, stacked)
+        z[:, 1:] = system.border_cols
+    _band_solve(lu, piv, z)
     system.factor = CoreFactor(lu=lu, piv=piv, border_solves=z[:, 1:])
     return z
 
@@ -254,52 +276,82 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
     in block order: positions (interleaved), curvatures, then lam?, eta?.
 
     The factor of the core and the core solves of the border columns are
-    made by the first solve of a system and stored on it; a system assembled
-    with ``reuse=`` starts with them, so its solve costs one banded solve
-    for the rhs.  The result is bitwise the same either way.
+    made by the first solve of a system and stored on it; a later solve of
+    the system, or of one assembled from it with ``reuse=`` without the
+    perimeter multiplier, costs one banded solve for the rhs.  The result
+    is bitwise the same either way.  The solve overwrites the system's
+    ``work_band`` and ``stack``; everything else it only reads.
 
-    The Schur complement is row- and column-equilibrated by its cancellation
-    bound before the singular-value test and the multiplier solve, so the
-    degeneracy verdict is scale-invariant: multiplying a border row (with its
-    rhs entry) or a border column by any positive factor changes neither the
-    verdict nor, beyond rounding, the solution."""
+    The Schur step (see _multipliers) runs in Python floats from one
+    border_rows @ [g, Y] product and one |border_rows| |Y| product.  It is
+    row- and column-equilibrated by its cancellation bound before the
+    degeneracy test and the multiplier solve, so the verdict is
+    scale-invariant: multiplying a border row (with its rhs entry) or a
+    border column by any positive factor changes neither the verdict nor,
+    beyond rounding, the solution.  The verdict compares the smallest
+    singular value of the equilibrated 1 x 1 or 2 x 2 matrix, in closed
+    form, with 1e-13."""
     m = system.core.shape[0]
     inverse = _fold(m // 3).inverse
-    both = _solve_core(system)
-    if system.nb == 0:
-        return both[inverse, 0]
-
-    g, Y = both[:, 0], both[:, 1:]
-    schur = 0.0 - system.border_rows @ Y  # not unary minus: an exact 0 stays +0.0
-    h = system.rhs[m:] - system.border_rows @ g
-
-    # The cancellation bound |border_rows| |Y| is the size each
-    # Schur entry would have without cancellation.  After scaling it to a
-    # largest entry of 1 in every row and column, a singular value below
-    # 1e-13 is rounding noise relative to the entries it came from, whatever
-    # factor (such as the perimeter row's 1/tau) a border carried.
-    bound = np.abs(system.border_rows) @ np.abs(Y)
-    row_scale = _reciprocal(bound.max(axis=1))
-    col_scale = _reciprocal((row_scale[:, None] * bound).max(axis=0))
-    equilibrated = row_scale[:, None] * schur * col_scale
-    if system.nb == 1:
-        sing = np.abs(equilibrated[0])  # a 1 x 1 matrix is its own SVD up to signs
-    else:
-        U, sing, Vt = np.linalg.svd(equilibrated)
-    if sing[-1] <= 1e-13:
-        raise EquilibriumDegeneracyError(
-            f"multiplier Schur complement is singular (equilibrated singular values {sing})"
-        )
-    scaled = row_scale * h
-    # the sign flips of a 1 x 1 SVD are exact, so scaled / s is bitwise its solve
-    mu = col_scale * (scaled / equilibrated[0] if system.nb == 1 else Vt.T @ ((U.T @ scaled) / sing))
+    z = _solve_core(system)
     out = np.empty(m + system.nb)
-    out[:m] = (g - Y @ mu)[inverse]
+    if system.nb == 0:
+        np.take(z[:, 0], inverse, out=out)
+        return out
+    B = system.border_rows
+    mu = _multipliers(B @ z, np.abs(B) @ np.abs(z[:, 1:]), system.rhs[m:])
+    # g - Y mu, with g the core solve of the rhs and Y those of the columns
+    np.take(z @ np.array((1.0, *(-x for x in mu))), inverse, out=out[:m])
     out[m:] = mu
     return out
 
 
-def _reciprocal(values: np.ndarray) -> np.ndarray:
-    # 1 / values, with 1 where a value is 0 (an all-zero border row or column
-    # stays zero and is then flagged by the singular-value test)
-    return 1.0 / np.where(values > 0.0, values, 1.0)
+def _multipliers(BZ: np.ndarray, bound: np.ndarray, tail: np.ndarray) -> tuple:
+    """The multipliers mu of the Schur step, in Python floats, from BZ =
+    border_rows @ [g, Y] (nb x (1 + nb)), the cancellation bound
+    |border_rows| |Y| (nb x nb) and the border rows' rhs entries.
+
+    The Schur complement is S = -border_rows Y and the multipliers solve
+    S mu = rhs_tail - border_rows g.  The bound is the size each entry of S
+    would have without cancellation.  After scaling it to a largest entry of
+    1 in every row and then every column, a singular value of the scaled S
+    below 1e-13 is rounding noise relative to the entries it came from,
+    whatever factor (such as the perimeter row's 1/tau) a border carried,
+    and raises EquilibriumDegeneracyError.  A 1 x 1 matrix is its own
+    singular value; a 2 x 2 one [[a, b], [c, d]] has sigma_max =
+    (|(a + d, c - b)| + |(a - d, c + b)|) / 2 and sigma_min = |ad - bc| /
+    sigma_max in closed form, and is solved by its adjugate."""
+    BZ, bound = BZ.tolist(), bound.tolist()
+    if len(BZ) == 1:
+        (bg, by), ((b,),) = BZ[0], bound
+        r = _reciprocal(b)
+        c = _reciprocal(r * b)
+        e = r * (0.0 - by) * c
+        if abs(e) <= 1e-13:
+            raise EquilibriumDegeneracyError(
+                f"multiplier Schur complement is singular (equilibrated singular values [{abs(e):.8g}])"
+            )
+        return (c * (r * (tail[0] - bg) / e),)
+    (g0, s00, s01), (g1, s10, s11) = BZ
+    (b00, b01), (b10, b11) = bound
+    r0, r1 = _reciprocal(max(b00, b01)), _reciprocal(max(b10, b11))
+    c0, c1 = _reciprocal(max(r0 * b00, r1 * b10)), _reciprocal(max(r0 * b01, r1 * b11))
+    # the equilibrated S = [[a, b], [c, d]], S = -border_rows Y
+    a, b = r0 * (0.0 - s00) * c0, r0 * (0.0 - s01) * c1
+    c, d = r1 * (0.0 - s10) * c0, r1 * (0.0 - s11) * c1
+    det = a * d - b * c
+    s_max = 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, c + b))
+    # a NaN stays NaN and passes the test, so that Newton reports a non-finite update
+    s_min = abs(det) / s_max if s_max != 0.0 else 0.0
+    if s_min <= 1e-13:
+        raise EquilibriumDegeneracyError(
+            f"multiplier Schur complement is singular (equilibrated singular values [{s_max:.8g} {s_min:.8g}])"
+        )
+    h0, h1 = r0 * (tail[0] - g0), r1 * (tail[1] - g1)
+    return (c0 * ((d * h0 - b * h1) / det), c1 * ((a * h1 - c * h0) / det))
+
+
+def _reciprocal(value: float) -> float:
+    # 1 / value, with 1 where the value is 0 (an all-zero border row or
+    # column stays zero and is then flagged by the singular-value test)
+    return 1.0 / value if value > 0.0 else 1.0

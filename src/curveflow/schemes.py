@@ -27,6 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,10 +131,12 @@ class NewtonDivergenceError(SchemeError):
         self.last_norm = last_norm
 
 
+@lru_cache(maxsize=None)
 def bdf_coefficients(k: int) -> Tuple[Fraction, ...]:
     """Coefficients (delta_0, ..., delta_k) of the order-k backward
     differentiation formula, from the generating polynomial
-    sum_{l=1..k} (1 - z)^l / l, exact as fractions; their sum is exactly 0."""
+    sum_{l=1..k} (1 - z)^l / l, exact as fractions; their sum is exactly 0.
+    Cached: every call with the same order returns the same tuple."""
     if not 1 <= k <= 6:
         raise ValueError(f"BDF order must be in 1..6, got {k}")
     coeffs = [Fraction(0)] * (k + 1)
@@ -270,9 +273,11 @@ def newton_outer(
     ``model(it, previous)`` gives the blocks at ``it``; ``previous`` is the
     run's blocks of the last iteration, or None in the first.  The blocks of
     one run may differ only where assemble_newton_blocks lets them: in Q's
-    diagonal, a1, the border rows and the residual.  Each iteration's system
-    is then assembled from the last one's; a run without the perimeter
-    multiplier (a1 None) factors its core once, in the first iteration.
+    diagonal, a1, the border rows and the residual.  The first iteration
+    allocates the run's blocks and system, and each later one writes into
+    them (the model by passing ``previous`` on to assemble_newton_blocks);
+    a run without the perimeter multiplier (a1 None) factors its core once,
+    in the first iteration.
     """
     it = start
     norm = math.inf
@@ -281,30 +286,19 @@ def newton_outer(
         blocks = model(it, blocks)
         system = assemble_system(blocks, system)
         z = solve_bordered(system)
+        previous_norm, norm = norm, float(np.abs(z).max())
         n = blocks.P.shape[0]
-        dX = z[: 2 * n].reshape(n, 2)
-        dk = z[2 * n : 3 * n]
-        pos = 3 * n
-        dlam = deta = 0.0
-        if blocks.a1 is not None:
-            dlam = float(z[pos])
-            pos += 1
-        if blocks.a2 is not None:
-            deta = float(z[pos])
-        sizes = {
-            "position": float(np.abs(dX).max()),
-            "curvature": float(np.abs(dk).max()),
-            "lam": abs(dlam),
-            "eta": abs(deta),
-        }
-        for name, size in sizes.items():
-            # Python's max drops a NaN unless it comes first
-            if not math.isfinite(size):
-                raise NewtonDivergenceError(
-                    f"non-finite {name} update at Newton iteration {iteration}", last_norm=math.inf
-                )
-        previous_norm, norm = norm, max(sizes.values())
-        it = NewtonIterate(it.X + dX, it.kappa + dk, it.lam + dlam, it.eta + deta)
+        if not math.isfinite(norm):
+            # the first non-finite component, in the order of the unknowns
+            bad = int(np.flatnonzero(~np.isfinite(z))[0])
+            if bad < 3 * n:
+                name = "position" if bad < 2 * n else "curvature"
+            else:
+                name = "lam" if bad == 3 * n and blocks.a1 is not None else "eta"
+            raise NewtonDivergenceError(f"non-finite {name} update at Newton iteration {iteration}", last_norm=math.inf)
+        dlam = float(z[3 * n]) if blocks.a1 is not None else 0.0
+        deta = float(z[-1]) if blocks.a2 is not None else 0.0
+        it = NewtonIterate(it.X + z[: 2 * n].reshape(n, 2), it.kappa + z[2 * n : 3 * n], it.lam + dlam, it.eta + deta)
         if norm <= tol:
             return it, iteration
         theta = norm / previous_norm  # 0 in the first iteration, which has no estimate

@@ -398,6 +398,52 @@ def oracle_ap_step(levels, tau: float, k: int, A0: float):
     return _unpack(_solve(resid, z0), n, False, True)
 
 
+def template_residual(ctx, Vref: np.ndarray, it, tau: float):
+    """The residual of femcore's step template (the SchemeContext equations,
+    velocity rows scaled by tau * alpha / delta0) at the iterate, by loops
+    over the vertices, in the order curvature rows (interleaved), velocity
+    rows, perimeter law?, area law?.  The perimeter law uses the perimeter of
+    X itself, not its increment from the anchor.  Returns (value, size):
+    size is the sum of the absolute values of each row's terms, the scale at
+    which rounding enters."""
+    n = len(Vref)
+    m, om = loop_masses(Vref), loop_omegas(Vref)
+    w = [1.0 / math.dist(Vref[k], Vref[(k + 1) % n]) for k in range(n)]
+    alpha = 1.0 if ctx.averaged is None else 0.5
+    X, kap, lam, eta = it
+    if ctx.averaged is None:
+        Xe, ke, le, ee = X, kap, lam, eta
+    else:
+        Xp, kp, lp, ep = ctx.averaged
+        Xe, ke, le, ee = 0.5 * X + 0.5 * Xp, 0.5 * kap + 0.5 * kp, 0.5 * lam + 0.5 * lp, 0.5 * eta + 0.5 * ep
+
+    def stiffness_terms(u, k):
+        # the four terms of (S u)_k
+        return [w[k - 1] * u[k], -w[k - 1] * u[k - 1], w[k] * u[k], -w[k] * u[(k + 1) % n]]
+
+    rows = []
+    for k in range(n):
+        for c in range(2):
+            rows.append([ke[k] * om[k, c]] + [-t[c] for t in stiffness_terms(Xe, k)])
+    s_time, s_flux = alpha / ctx.delta0, tau * alpha / ctx.delta0
+    for k in range(n):
+        terms = [s_time * om[k, c] * ctx.delta0 * X[k, c] for c in range(2)]
+        terms += [s_time * om[k, c] * ctx.xhist[k, c] for c in range(2)]
+        terms += [s_flux * t for t in stiffness_terms(ke, k)]
+        terms += [-s_flux * le * m[k] * ke[k], -s_flux * ee * m[k]]
+        rows.append(terms)
+    if ctx.use_perimeter:
+        terms = [ctx.dL0 * loop_perimeter(X) / tau, ctx.Lhist / tau]
+        rows.append(terms + [ke[k] * t for k in range(n) for t in stiffness_terms(ke, k)])
+    if ctx.use_area:
+        cross = [0.5 * X[k, 0] * X[(k + 1) % n, 1] for k in range(n)]
+        cross += [-0.5 * X[(k + 1) % n, 0] * X[k, 1] for k in range(n)]
+        rows.append(cross + [-ctx.A0])
+    value = np.array([math.fsum(terms) for terms in rows])
+    size = np.array([math.fsum(abs(t) for t in terms) for terms in rows])
+    return value, size
+
+
 # ---------------------------------------------------------------------------
 # dense bordered systems
 
@@ -479,3 +525,19 @@ def random_blocks(rng: np.random.Generator, n: int = 8, flavor: str = "both") ->
     laws = [float(rng.standard_normal()) for _ in range(len(rows))]
     rhs = np.concatenate((curvature, velocity, laws))
     return NewtonBlocks(P=P, Q=Q, R=R, a1=a1, a2=a2, rows=rows, rhs=rhs)
+
+
+def svd_schur_step(BZ: np.ndarray, bound: np.ndarray, tail: np.ndarray):
+    """The multiplier step of a bordered solve by NumPy's SVD: from BZ =
+    border_rows @ [g, Y], the cancellation bound |border_rows| |Y| and the
+    border rows' rhs entries, equilibrate S = -border_rows Y by the bound
+    (largest entry 1 in every row, then every column; an all-zero row or
+    column keeps scale 1), and solve S mu = tail - border_rows g through the
+    SVD.  Returns (singular values of the equilibrated S, mu)."""
+    schur, h = -BZ[:, 1:], tail - BZ[:, 0]
+    row = np.array([1.0 / v if v > 0.0 else 1.0 for v in bound.max(axis=1)])
+    col = np.array([1.0 / v if v > 0.0 else 1.0 for v in (row[:, None] * bound).max(axis=0)])
+    U, sing, Vt = np.linalg.svd(row[:, None] * schur * col)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = col * (Vt.T @ ((U.T @ (row * h)) / sing))
+    return sing, mu

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import curveflow.schemes
+
 from curveflow.femcore import (
     Anchor,
     NewtonBlocks,
@@ -19,9 +21,11 @@ from curveflow.linalg import (
     EquilibriumDegeneracyError,
     SingularCoreError,
     SolverError,
+    _multipliers,
     assemble_system,
     solve_bordered,
 )
+from curveflow.schemes import NewtonDivergenceError, SchemeConfig, newton_outer, run
 
 import oracles
 
@@ -273,33 +277,160 @@ def test_reused_factor_serves_a_later_area_preserving_iterate():
     assert np.array_equal(solve_bordered(reused), solve_bordered(assemble_system(blocks)))
 
 
+def _check_blocks_written_over_an_earlier_iterate(ctx, ref, first, later, tau):
+    # a later iterate of the same run writes Q's diagonal, a1, the border
+    # rows and the rhs into the earlier blocks and system: blocks, system
+    # and solve are bitwise fresh ones
+    earlier = assemble_newton_blocks(ctx, ref, first, tau)
+    first_Q = earlier.Q.copy()
+    system = assemble_system(earlier)
+    solve_bordered(system)
+    blocks = assemble_newton_blocks(ctx, ref, later, tau, earlier)
+    fresh_blocks = assemble_newton_blocks(ctx, ref, later, tau)
+    assert blocks is earlier
+    for name in ("P", "Q", "R", "a1", "a2", "rows", "rhs"):
+        got, value = getattr(blocks, name), getattr(fresh_blocks, name)
+        assert (got is None and value is None) or np.array_equal(got, value), name
+    if first.lam != later.lam:
+        assert not np.array_equal(blocks.Q, first_Q)  # lam moved Q's diagonal
+    reused = assemble_system(blocks, reuse=system)
+    fresh = assemble_system(fresh_blocks)
+    assert reused is system and (reused.factor is None) == ctx.use_perimeter
+    for name in ("border_cols", "border_rows", "rhs"):
+        got, value = getattr(reused, name), getattr(fresh, name)
+        assert (got is None and value is None) or np.array_equal(got, value), name
+    if ctx.use_perimeter:
+        assert np.array_equal(reused.core.band, fresh.core.band)
+    assert np.array_equal(solve_bordered(reused), solve_bordered(fresh))
+    # the velocity rows sum their terms in another order than the loops:
+    # the whole residual agrees with the loop oracle to 1e-13 of its terms
+    value, size = oracles.template_residual(ctx, ref.vertices, later, tau)
+    assert np.all(np.abs(-fresh_blocks.rhs - value) <= 1e-13 * size)
+
+
 @pytest.mark.parametrize("use_area", [True, False])
 def test_blocks_built_from_an_earlier_iterate_are_bitwise_the_fresh_ones(use_area):
-    # with the perimeter multiplier, a later iterate of the same run takes P,
-    # R, Q's off-diagonals, a2 and the band skeleton over and rewrites only
-    # what depends on it: blocks, system and solve are bitwise fresh ones
     n = 40
     theta = 2.0 * np.pi * np.arange(n) / n
     v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
     ctx = SchemeContext(delta0=1.5, xhist=-1.5 * v, anchor=Anchor(v), use_area=use_area, A0=oracles.loop_shoelace(v))
-    ref = ReferenceGeometry(v)
     first = NewtonIterate(v, initial_curvature(v), 0.1, 0.0)
     later = NewtonIterate(v + 1e-3 * rng.standard_normal((n, 2)), first.kappa + 0.1 * rng.standard_normal(n), -0.4, 0.3 * use_area)
-    earlier = assemble_newton_blocks(ctx, ref, first, 1e-3)
-    system = assemble_system(earlier)
-    solve_bordered(system)
-    blocks = assemble_newton_blocks(ctx, ref, later, 1e-3, earlier)
-    fresh_blocks = assemble_newton_blocks(ctx, ref, later, 1e-3)
-    for name, value in vars(fresh_blocks).items():
-        got = getattr(blocks, name)
-        assert (got is None and value is None) or np.array_equal(got, value), name
-    assert not np.array_equal(blocks.Q, earlier.Q)  # lam moved Q's diagonal
-    reused = assemble_system(blocks, reuse=system)
-    fresh = assemble_system(fresh_blocks)
-    assert reused.factor is None and reused.core.band is not system.core.band
-    assert np.array_equal(reused.core.band, fresh.core.band)
-    assert np.array_equal(reused.border_cols, fresh.border_cols)
-    assert np.array_equal(solve_bordered(reused), solve_bordered(fresh))
+    _check_blocks_written_over_an_earlier_iterate(ctx, ReferenceGeometry(v), first, later, 1e-3)
+
+
+@pytest.mark.parametrize("scheme", ["sp-bdf2", "pd-bdf2", "ap-bdf2", "sp-cn"])
+def test_blocks_of_captured_iterates_are_bitwise_the_fresh_ones(scheme, monkeypatch):
+    # the first two iterates of the last Newton run of a short run of each
+    # family: SP, PD, AP, and SP with Crank-Nicolson averaging
+    runs = []
+
+    def capture(ctx, ref, it, tau, previous=None):
+        if previous is None:
+            runs.append((ctx, ref, tau, []))
+        runs[-1][3].append(NewtonIterate(it.X.copy(), it.kappa.copy(), it.lam, it.eta))
+        return assemble_newton_blocks(ctx, ref, it, tau, previous)
+
+    monkeypatch.setattr(curveflow.schemes, "assemble_newton_blocks", capture)
+    result = run(SchemeConfig(scheme=scheme, N=24, tau=1e-3, T=3e-3, gamma=0.0, shape="mikula"))
+    assert result.ok, result.failure
+    ctx, ref, tau, iterates = runs[-1]
+    assert len(iterates) >= 2 and (ctx.averaged is not None) == (scheme == "sp-cn")
+    _check_blocks_written_over_an_earlier_iterate(ctx, ref, iterates[0], iterates[1], tau)
+
+
+def test_newton_run_at_large_n_keeps_memory_to_its_buffers():
+    # a Newton run allocates its blocks, band, working band and solve stack
+    # once: six SP iterations at N = 8192 stay within the bound of a single
+    # solve (test_two_border_solve_at_large_n_keeps_memory_to_the_band)
+    n = 8192
+    theta = 2.0 * np.pi * np.arange(n) / n
+    v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
+    ctx = SchemeContext(delta0=1.0, xhist=-v, anchor=Anchor(v), Lhist=-oracles.loop_perimeter(v), A0=oracles.loop_shoelace(v))
+    ref = ReferenceGeometry(v)
+    start = NewtonIterate(v.copy(), initial_curvature(v), 0.0, 0.0)
+    solves = []
+
+    def model(it, previous):
+        solves.append(previous is None)
+        return assemble_newton_blocks(ctx, ref, it, 1e-3, previous)
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(NewtonDivergenceError):
+            newton_outer(model, start, tol=0.0, max_newton=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solves == [True] + [False] * 5
+    assert peak < 16e6
+
+
+def _rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+def _schur_cases(kind):
+    # (BZ, bound, tail, column factors) of two-border Schur steps; see
+    # linalg._multipliers.  "near-parallel" cases are equilibrated already
+    # (a bound of ones scales nothing) and have singular values 1 and s, on
+    # both sides of the 1e-13 verdict and two of them within 10% of it, so
+    # that a wrong sigma_max flips verdicts; "scaled" ones are the other two
+    # kinds with one border row and one border column scaled by 1e+-14
+    if kind == "random":
+        for _ in range(200):
+            B, z = rng.standard_normal((2, 30)), rng.standard_normal((30, 3))
+            yield B @ z, np.abs(B) @ np.abs(z[:, 1:]), rng.standard_normal(2), np.ones(2)
+    elif kind == "near-parallel":
+        for s in (2e-14, 0.9e-13, 1.1e-13, 5e-13):
+            for _ in range(50):
+                E = _rotation(rng.uniform(0.0, 7.0)) @ np.diag([1.0, s]) @ _rotation(rng.uniform(0.0, 7.0))
+                yield np.column_stack((rng.standard_normal(2), -E)), np.ones((2, 2)), rng.standard_normal(2), np.ones(2)
+    else:
+        for base in ("random", "near-parallel"):
+            for BZ, bound, tail, col in _schur_cases(base):
+                i, j = rng.integers(2, size=2)
+                row_factor, col_factor = 10.0 ** rng.choice([-14, 14], size=2)
+                BZ, bound, tail, col = BZ.copy(), bound.copy(), tail.copy(), col.copy()
+                BZ[i] *= row_factor
+                bound[i] *= row_factor
+                tail[i] *= row_factor
+                BZ[:, 1 + j] *= col_factor
+                bound[:, j] *= col_factor
+                col[j] = col_factor
+                yield BZ, bound, tail, col
+
+
+@pytest.mark.parametrize("kind", ["random", "near-parallel", "scaled"])
+def test_scalar_schur_step_matches_the_svd(kind):
+    # the closed-form 2 x 2 verdict and adjugate solve against NumPy's SVD:
+    # the same verdict, and multipliers (with a column's scale undone) that
+    # agree to 1e-12 relative, or to 1e-14 times the condition number where
+    # that is larger: two backward-stable solves of a 2 x 2 system with
+    # condition number c differ by about c times the unit roundoff
+    verdicts = set()
+    for BZ, bound, tail, col in _schur_cases(kind):
+        sing, expected = oracles.svd_schur_step(BZ, bound, tail)
+        verdicts.add(bool(sing[-1] <= 1e-13))
+        if sing[-1] <= 1e-13:
+            with pytest.raises(EquilibriumDegeneracyError):
+                _multipliers(BZ, bound, tail)
+            continue
+        got = col * np.array(_multipliers(BZ, bound, tail))
+        expected = col * expected
+        tol = max(1e-12, 1e-14 * sing[0] / sing[-1])
+        assert np.abs(got - expected).max() <= tol * np.abs(expected).max()
+    assert verdicts == ({False} if kind == "random" else {False, True})
+
+
+@pytest.mark.parametrize("flavor", ["lam", "eta", "both"])
+def test_non_finite_border_row_is_no_degeneracy_verdict(flavor):
+    # a NaN in a border row makes the solution non-finite, which Newton
+    # reports as divergence; it is not an equilibrium, which would switch
+    # an SP run to its AP partner
+    blocks = oracles.random_blocks(rng, n=8, flavor=flavor)
+    blocks.rows[0, 3] = np.nan
+    assert not np.isfinite(solve_bordered(assemble_system(blocks))).all()
 
 
 def test_scaled_border_column_rescales_only_its_multiplier():

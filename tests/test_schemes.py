@@ -64,6 +64,10 @@ def test_bdf_coefficients_order_range():
         bdf_coefficients(0)
     with pytest.raises(ValueError):
         bdf_coefficients(7)
+    # a bad order raises on every call; a good one is cached
+    with pytest.raises(ValueError):
+        bdf_coefficients(0)
+    assert bdf_coefficients(3) is bdf_coefficients(3)
 
 
 def test_scheme_kind():
@@ -349,8 +353,16 @@ def _cos_amplitude(v, k):
     return float(((f + np.roll(f, -1)) * dtheta).sum()) / (2.0 * np.pi)
 
 
-@pytest.mark.parametrize("k, T", [(2, 0.05), (3, 0.01)])
-@pytest.mark.parametrize("scheme", ["sp-bdf2", "ap-bdf2", "ap-bdf3"])
+_MODE_CASES = [
+    (scheme, k, T)
+    for scheme in ("sp-bdf2", "ap-bdf2", "ap-bdf3", "sp-cn", "sp-bdf2-variant", "pd-bdf2", "ap-bdf4")
+    for k, T in ((2, 0.05), (3, 0.01))
+    # ap-bdf4's startup at tau = 5e-5 stalls: its eta updates stay near 1e-9
+    if (scheme, k) != ("ap-bdf4", 3)
+]
+
+
+@pytest.mark.parametrize("scheme, k, T", _MODE_CASES)
 def test_circle_mode_decays_at_the_linear_rate(scheme, k, T):
     # r = 1 + eps cos k theta under curve diffusion: the mode decays like
     # exp(-k^2 (k^2 - 1) t) to first order in eps (Mullins 1957; Elliott &
@@ -573,17 +585,21 @@ def test_core_factorizations_per_newton_run(monkeypatch, scheme):
 
 def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
     # a NaN curvature update next to a tiny position update: Python's max
-    # would drop the NaN and report convergence
+    # would drop the NaN and report convergence.  The message names the
+    # first non-finite component, lam or eta by the borders present.
     n = 6
-    blocks = oracles.random_blocks(rng, n=n, flavor="both")
-    step = np.zeros(3 * n + 2)
-    step[: 2 * n] = 1e-14
-    step[2 * n + 3] = np.nan
-    monkeypatch.setattr(curveflow.schemes, "solve_bordered", lambda system: step)
     start = NewtonIterate(np.zeros((n, 2)), np.zeros(n), 0.0, 0.0)
-    with pytest.raises(NewtonDivergenceError, match="curvature") as info:
-        newton_outer(lambda it, previous: blocks, start, tol=1e-10, max_newton=5)
-    assert info.value.last_norm == math.inf
+    cases = [("both", 2 * n + 3, "curvature"), ("both", 1, "position"), ("both", 3 * n, "lam"), ("both", 3 * n + 1, "eta"), ("eta", 3 * n, "eta")]
+    for flavor, index, name in cases:
+        blocks = oracles.random_blocks(rng, n=n, flavor=flavor)
+        step = np.zeros(3 * n + len(blocks.rows))
+        step[: 2 * n] = 1e-14
+        step[index:] = np.inf
+        step[index] = np.nan
+        monkeypatch.setattr(curveflow.schemes, "solve_bordered", lambda system: step)
+        with pytest.raises(NewtonDivergenceError, match=f"non-finite {name} update at Newton iteration 1") as info:
+            newton_outer(lambda it, previous: blocks, start, tol=1e-10, max_newton=5)
+        assert info.value.last_norm == math.inf
 
 
 def _newton_on_update_norms(monkeypatch, norms, tol):
