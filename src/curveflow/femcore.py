@@ -86,27 +86,11 @@ def stiffness_stencil(weights: np.ndarray) -> np.ndarray:
     return st
 
 
-def stiffness_apply(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(S u)_k = w_{k-1} (u_k - u_{k-1}) - w_k (u_{k+1} - u_k) for a nodal
-    scalar (N,) or vector (N, 2) field, as the difference of edge fluxes."""
-    flux = _forward_difference(u)
-    flux *= weights if u.ndim == 1 else weights[:, None]
-    return _previous_minus(flux, np.empty(flux.shape))
-
-
 def _previous_minus(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     # a_{k-1} - a_k along the first axis, periodic, into out
     np.subtract(a[:-1], a[1:], out=out[1:])
     np.subtract(a[-1:], a[:1], out=out[:1])
     return out
-
-
-def perimeter_gradient(curve) -> np.ndarray:
-    """Exact gradient of the perimeter: grad L_k = u_{k-1} - u_k with unit
-    tangents u_j = h_j / |h_j|."""
-    h = edge_vectors(curve)
-    u = h / np.hypot(h[:, 0], h[:, 1])[:, None]
-    return _previous_minus(u, np.empty(u.shape))
 
 
 def initial_curvature(curve) -> np.ndarray:

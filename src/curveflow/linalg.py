@@ -20,19 +20,15 @@ complement, whose singularity is detected explicitly because it carries the
 geometric degeneracy of an equilibrium (constant curvature makes the two
 border columns parallel).
 
-A Newton run allocates one set of buffers, in its first system, and every
-later iteration writes into them (`assemble_system` with ``reuse=``): the
-band, the border columns, rows and rhs, a working band that the banded LU
-overwrites, and one Fortran-ordered stack [rhs, border columns] that the
-banded solve overwrites with their core solves.  The first solve of a
-system stores its factor on it (`CoreFactor`).  Without the perimeter
-multiplier (AP steps, AP predictors and their continuation stages) the core
-and the border columns stay the same, so a run factors once and later
-iterations make one banded solve for the new right-hand side.  With it,
-only Q's diagonal and the lam column change between iterates: they are
-written into the run's band and border columns, and each iterate is
-factored afresh.  The multipliers come from a 1 x 1 or 2 x 2 Schur step in
-Python floats, with closed-form singular values for the degeneracy verdict.
+A Newton run allocates one `BorderedSystem`, in its first iteration, and
+every later iteration writes into it (`assemble_system` with ``reuse=``).
+Without the perimeter multiplier (AP steps, AP predictors and their
+continuation stages) the core and the border columns stay the same, so a run
+factors once and later iterations make one banded solve for the new
+right-hand side.  With it, only Q's diagonal and the lam column change
+between iterates, and each iterate is factored afresh.  The multipliers come
+from a 1 x 1 or 2 x 2 Schur step in Python floats, with closed-form singular
+values for the degeneracy verdict.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ __all__ = [
     "SingularCoreError",
     "EquilibriumDegeneracyError",
     "PeriodicBandCore",
-    "CoreFactor",
     "BorderedSystem",
     "assemble_system",
     "solve_bordered",
@@ -149,55 +144,40 @@ class PeriodicBandCore:
 
 
 @dataclass
-class CoreFactor:
-    """What the first solve of a system keeps for later solves with the same
-    core and border columns: the band LU of the core with its pivots, and
-    the core solves of the border columns."""
-
-    lu: np.ndarray
-    piv: np.ndarray
-    border_solves: np.ndarray  # (3N, nb)
-
-
-@dataclass
 class BorderedSystem:
     """Core plus dense borders, rows and unknowns in folded order: rhs holds
     the equations (curvature x, curvature y, velocity) of each slot's
     vertex, then perimeter?, area?; unknowns are (x_k, y_k, kappa_k) per
     slot, then lam?, eta?.  nb in {0, 1, 2} counts the borders actually
-    present.  factor is None until the first solve, which stores it.
+    present, lam before eta in both the columns and the rows.
 
-    The arrays are the buffers of one Newton run, which `assemble_system`
-    with ``reuse=`` overwrites: core.band, border_cols, border_rows and rhs
-    hold the assembled system.  ``work_band`` is where a fresh factorization
-    turns a copy of core.band into its LU, and
-    ``stack`` (3N, 1 + nb), Fortran order, is where the banded solve turns
-    [rhs, border_cols] into their core solves in place."""
+    The arrays are the buffers of one Newton run.  ``stack`` (3N, 1 + nb),
+    Fortran order, is [rhs, border columns] as the banded solve takes them
+    and overwrites them with their core solves.  ``piv`` is None until the
+    core is factored: stack[:, 1:] then holds the border columns, which live
+    in the velocity rows.  While it is set, ``work_band`` holds the band LU
+    of the core and stack[:, 1:] the core solves of the border columns."""
 
     core: PeriodicBandCore
-    border_cols: Optional[np.ndarray]  # (3N, nb)
     border_rows: np.ndarray  # (nb, 3N)
     rhs: np.ndarray  # (3N + nb,)
+    stack: np.ndarray = field(repr=False)
+    work_band: np.ndarray = field(repr=False)
     nb: int
-    factor: Optional[CoreFactor] = None
-    work_band: Optional[np.ndarray] = field(default=None, repr=False)
-    stack: Optional[np.ndarray] = field(default=None, repr=False)
+    piv: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None) -> BorderedSystem:
     """Pack Newton blocks into one bordered system in folded order.
 
-    Border order is always lam before eta, in both the extra columns and the
-    extra rows; schemes with a single multiplier get nb = 1.
-
     ``reuse`` is the system of an earlier iteration of the same Newton run,
     whose blocks differ from ``blocks`` at most in Q's diagonal, a1, the
     border rows and the rhs (see NewtonBlocks).  The call then gathers the
     rhs and the border rows into its arrays and returns it, and allocates
-    nothing.  Without the perimeter multiplier it keeps its core, border
-    columns and factor; with it, Q's diagonal and a1 are written into its
-    band and border columns, and the factor is dropped, so the next solve
-    factors afresh.
+    nothing.  Without the perimeter multiplier it keeps its core and
+    factor; with it, Q's diagonal is written into its band and the factor
+    is dropped.  Whenever the core is not factored, the border columns are
+    written into the stack.
     """
     n = len(blocks.P)
     m = 3 * n
@@ -206,66 +186,55 @@ def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None
     if reuse is None:
         flat = np.zeros(m * _LDAB)
         flat[fold.scatter] = np.concatenate((blocks.P, blocks.P, blocks.Q, blocks.R, blocks.R), axis=1)
-        border_cols = None
-        if nb:
-            # the multiplier columns live in the velocity rows
-            border_cols = np.zeros((m, nb), order="F")
-            for j, a in enumerate(a for a in (blocks.a1, blocks.a2) if a is not None):
-                border_cols[2::3, j] = a[fold.vertex]
         # band storage in Fortran order, as LAPACK takes it
         core = PeriodicBandCore(flat.reshape(m, _LDAB).T)
         reuse = BorderedSystem(
             core,
-            border_cols,
-            np.empty((nb, m)),
-            np.empty(m + nb),
-            nb,
-            work_band=np.empty((_LDAB, m), order="F"),
+            border_rows=np.empty((nb, m)),
+            rhs=np.empty(m + nb),
             stack=np.empty((m, 1 + nb), order="F"),
+            work_band=np.empty((_LDAB, m), order="F"),
+            nb=nb,
         )
     elif blocks.a1 is not None:
-        # Q's diagonal is the sixth of each vertex's core values; a1 is column 0
+        # Q's diagonal is the sixth of each vertex's core values
         reuse.core.band.T.reshape(-1)[fold.scatter[:, 5]] = blocks.Q[:, 1]
-        np.take(blocks.a1, fold.vertex, out=reuse.border_cols[2::3, 0])
-        reuse.factor = None
+        reuse.piv = None
+    if reuse.piv is None:
+        reuse.stack[:, 1:] = 0.0
+        for j, a in enumerate(a for a in (blocks.a1, blocks.a2) if a is not None):
+            np.take(a, fold.vertex, out=reuse.stack[2::3, 1 + j])
     np.take(blocks.rows, fold.gather, axis=1, out=reuse.border_rows)
     np.take(blocks.rhs, fold.gather, out=reuse.rhs[:m])
     reuse.rhs[m:] = blocks.rhs[m:]
     return reuse
 
 
-def _band_solve(lu: np.ndarray, piv: np.ndarray, cols: np.ndarray) -> None:
-    # solves in place; cols must be a Fortran-ordered float64 array, which
-    # dgbtrs can overwrite (any other layout would be copied, the solution lost)
-    _, info = dgbtrs(lu, KL, KU, cols, piv, overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"dgbtrs rejected argument {-info}")
-
-
 def _solve_core(system: BorderedSystem) -> np.ndarray:
-    """core^{-1} [rhs, border_cols] as the (m, 1 + nb) stack.  The first call
-    factors a copy of the core with one banded LU and solves for the rhs and
-    the border columns together in one banded solve, and stores the factor
-    on the system.  Later calls (and systems assembled with ``reuse=``
-    without the perimeter multiplier) make one banded solve for the rhs;
-    LAPACK treats each right-hand side column on its own, so the result is
-    bitwise the fresh one."""
+    """The stack, with the core solve of the rhs in column 0.  An unfactored
+    core is factored, from a copy of the band, and the rhs and the border
+    columns are solved together in one banded solve; a factored one takes
+    one banded solve for the rhs.  LAPACK treats each right-hand side
+    column on its own, so the result is bitwise the same either way."""
     m = system.core.shape[0]
     z = system.stack
     z[:, 0] = system.rhs[:m]
-    if system.factor is not None:
-        _band_solve(system.factor.lu, system.factor.piv, z[:, :1])
-        return z
-    np.copyto(system.work_band, system.core.band)
-    lu, piv, info = dgbtrf(system.work_band, KL, KU, overwrite_ab=1)
-    if info > 0:
-        raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
-    if info < 0:
-        raise ValueError(f"dgbtrf rejected argument {-info}")
-    if system.nb:
-        z[:, 1:] = system.border_cols
-    _band_solve(lu, piv, z)
-    system.factor = CoreFactor(lu=lu, piv=piv, border_solves=z[:, 1:])
+    cols = z[:, :1]
+    if system.piv is None:
+        # work_band is Fortran-ordered, so dgbtrf factors it in place
+        np.copyto(system.work_band, system.core.band)
+        _, piv, info = dgbtrf(system.work_band, KL, KU, overwrite_ab=1)
+        if info > 0:
+            raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
+        if info < 0:
+            raise ValueError(f"dgbtrf rejected argument {-info}")
+        system.piv = piv
+        cols = z
+    # cols is Fortran-ordered, so dgbtrs overwrites it (any other layout
+    # would be copied, the solution lost)
+    _, info = dgbtrs(system.work_band, KL, KU, cols, system.piv, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"dgbtrs rejected argument {-info}")
     return z
 
 
@@ -275,12 +244,9 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
     multipliers, back-substitute.  Returns the full unknown vector (3N + nb,)
     in block order: positions (interleaved), curvatures, then lam?, eta?.
 
-    The factor of the core and the core solves of the border columns are
-    made by the first solve of a system and stored on it; a later solve of
-    the system, or of one assembled from it with ``reuse=`` without the
-    perimeter multiplier, costs one banded solve for the rhs.  The result
-    is bitwise the same either way.  The solve overwrites the system's
-    ``work_band`` and ``stack``; everything else it only reads.
+    The solve writes the system's stack, and its work_band and piv when it
+    factors (see BorderedSystem); everything else it only reads.  A later
+    solve of a factored system is bitwise the first.
 
     The Schur step (see _multipliers) runs in Python floats from one
     border_rows @ [g, Y] product and one |border_rows| |Y| product.  It is

@@ -17,7 +17,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curveflow.femcore import lumped_masses, normal_weights, perimeter_gradient
+from curveflow.femcore import (
+    Anchor,
+    NewtonIterate,
+    ReferenceGeometry,
+    SchemeContext,
+    assemble_newton_blocks,
+    lumped_masses,
+)
 from curveflow.geometry import PolygonalCurve, perimeter, signed_area
 from curveflow.linalg import assemble_system, solve_bordered
 from curveflow.metrics import eoc, manifold_distance, polygon_intersection_area
@@ -269,12 +276,17 @@ def test_09_property_battery(ellipse_runs):
         curve = wiggly_curve(rng, int(rng.integers(17, 40)))
         direction = rng.standard_normal(curve.vertices.shape)
         eps = 1e-6
-        # the border rows Newton uses: the exact gradients of L and A
-        for functional, gradient in ((perimeter, perimeter_gradient), (signed_area, normal_weights)):
-            plus = functional(PolygonalCurve(curve.vertices + eps * direction))
-            minus = functional(PolygonalCurve(curve.vertices - eps * direction))
+        # the border rows Newton uses at this iterate: the perimeter row is
+        # dL0 / tau times the gradient of L, the area row the gradient of A
+        v, tau, dL0 = curve.vertices, 1e-3, 1.5
+        ctx = SchemeContext(delta0=1.0, xhist=np.zeros_like(v), anchor=Anchor(v), dL0=dL0)
+        rows = assemble_newton_blocks(ctx, ReferenceGeometry(v), NewtonIterate(v, np.zeros(len(v)), 0.0, 0.0), tau).rows
+        gradients = (rows[0, : 2 * len(v)] * (tau / dL0), rows[-1, : 2 * len(v)])
+        for functional, gradient in zip((perimeter, signed_area), gradients):
+            plus = functional(PolygonalCurve(v + eps * direction))
+            minus = functional(PolygonalCurve(v - eps * direction))
             fd = (plus - minus) / (2.0 * eps)
-            exact = float((gradient(curve) * direction).sum())
+            exact = float(gradient @ direction.ravel())
             fd_worst = max(fd_worst, abs(exact - fd) / max(1.0, abs(exact)))
     fd_ok = fd_worst <= 1e-6
 

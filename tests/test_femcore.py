@@ -17,8 +17,6 @@ from curveflow.femcore import (
     initial_curvature,
     lumped_masses,
     normal_weights,
-    perimeter_gradient,
-    stiffness_apply,
     stiffness_stencil,
 )
 from curveflow.geometry import edge_vectors, generate_ellipse, generate_mikula, generate_rectangle, signed_area
@@ -95,17 +93,6 @@ def test_lumped_inner_cauchy_schwarz():
         assert lhs <= rhs * (1.0 + 1e-12)
 
 
-def test_perimeter_gradient_matches_coordinate_fd():
-    v = wiggly(9)
-    grad = perimeter_gradient(v)
-    for k in range(9):
-        for comp in range(2):
-            D = np.zeros_like(v)
-            D[k, comp] = 1.0
-            fd = oracles.central_difference(oracles.loop_perimeter, v, D, eps=1e-6)
-            assert grad[k, comp] == pytest.approx(fd, rel=1e-7, abs=1e-9)
-
-
 def test_discrete_curvature_of_regular_polygon():
     # least-squares curvature of a regular N-gon with circumradius R is
     # exactly 1 / (R cos(pi / N)) at every vertex
@@ -164,9 +151,6 @@ def test_reference_geometry_consistency():
     S = oracles.stiffness_matrix(v).toarray()
     for k in range(len(v)):
         assert list(ref.stencil[k]) == [S[k, k - 1], S[k, k], S[k, (k + 1) % len(v)]]
-    for field in (rng.standard_normal(len(v)), rng.standard_normal((len(v), 2))):
-        applied = stiffness_apply(ref.weights, field)
-        assert np.allclose(applied, oracles.loop_stiffness_apply(v, field), rtol=1e-13, atol=1e-13)
 
 
 def test_slice_arithmetic_is_bitwise_the_roll_formula():
@@ -183,7 +167,10 @@ def test_slice_arithmetic_is_bitwise_the_roll_formula():
         ln = np.column_stack((h[:, 1], -h[:, 0]))
         assert np.array_equal(normal_weights(v), 0.5 * (ln + np.roll(ln, 1, axis=0)))
         u = h / ell[:, None]
-        assert np.array_equal(perimeter_gradient(v), np.roll(u, 1, axis=0) - u)
+        # the perimeter row of the Newton blocks at tau = dL0 = 1 is grad L
+        ctx = SchemeContext(delta0=1.0, xhist=np.zeros_like(v), anchor=Anchor(v))
+        blocks = assemble_newton_blocks(ctx, ReferenceGeometry(v), NewtonIterate(v, np.zeros(len(v)), 0.0, 0.0), 1.0)
+        assert np.array_equal(blocks.rows[0, : 2 * len(v)].reshape(-1, 2), np.roll(u, 1, axis=0) - u)
         w = 1.0 / ell
         stencil = stiffness_stencil(w)
         assert np.array_equal(stencil[:, 0], -np.roll(w, 1))

@@ -79,7 +79,7 @@ def test_folded_core_is_a_band_of_width_six():
         expected[12 + i - j, j] = core[i, j]
         system = assemble_system(blocks)
         assert np.array_equal(system.core.band, expected), n
-        assert np.array_equal(system.border_cols, M[rows, m:])
+        assert np.array_equal(system.stack[:, 1:], M[rows, m:])
         assert np.array_equal(system.border_rows, M[m:][:, cols])
         assert np.array_equal(system.rhs, np.concatenate((rhs[rows], rhs[m:])))
 
@@ -254,9 +254,39 @@ def test_stored_factor_gives_bitwise_the_fresh_solve(flavor):
         blocks = oracles.random_blocks(rng, n=n, flavor=flavor)
         system = assemble_system(blocks)
         fresh = solve_bordered(system)
-        assert system.factor is not None
+        assert system.piv is not None
         assert np.array_equal(solve_bordered(system), fresh)
         assert np.array_equal(solve_bordered(assemble_system(blocks, reuse=system)), fresh)
+
+
+@pytest.mark.parametrize("flavor", ["lam", "eta", "both"])
+def test_stack_holds_the_border_columns_or_their_core_solves(flavor):
+    # while the core is factored, stack[:, 1:] holds the core solves of the
+    # border columns; an assembly that drops the factor writes the columns
+    for n in range(3, 10):
+        m = 3 * n
+        rows, cols = _folded_permutations(n)
+        blocks = oracles.random_blocks(rng, n=n, flavor=flavor)
+        system = assemble_system(blocks)
+        solve_bordered(system)
+        M, _ = oracles.dense_from_blocks(blocks)
+        expected = np.linalg.solve(M[np.ix_(rows, cols)], M[rows, m:])
+        assert np.abs(system.stack[:, 1:] - expected).max() <= 1e-12 * np.abs(expected).max()
+        solves = system.stack[:, 1:].copy()
+        other = oracles.random_blocks(rng, n=n, flavor=flavor)
+        if blocks.a1 is None:
+            # an AP iterate: only the border rows and the rhs change
+            assemble_system(replace(blocks, rows=other.rows, rhs=other.rhs), reuse=system)
+            assert system.piv is not None
+            assert np.array_equal(system.stack[:, 1:], solves)
+        else:
+            # with the perimeter multiplier, Q's diagonal and a1 change too
+            Q = blocks.Q.copy()
+            Q[:, 1] = other.Q[:, 1]
+            later = replace(blocks, Q=Q, a1=other.a1, rows=other.rows, rhs=other.rhs)
+            assemble_system(later, reuse=system)
+            assert system.piv is None
+            assert np.array_equal(system.stack[:, 1:], oracles.dense_from_blocks(later)[0][rows, m:])
 
 
 def test_reused_factor_serves_a_later_area_preserving_iterate():
@@ -271,9 +301,10 @@ def test_reused_factor_serves_a_later_area_preserving_iterate():
     later = NewtonIterate(v + 1e-3 * rng.standard_normal((n, 2)), first.kappa + 0.1 * rng.standard_normal(n), 0.0, 0.3)
     system = assemble_system(assemble_newton_blocks(ctx, ref, first, 1e-3))
     solve_bordered(system)
+    piv = system.piv
     blocks = assemble_newton_blocks(ctx, ref, later, 1e-3)
     reused = assemble_system(blocks, reuse=system)
-    assert reused.factor is system.factor and reused.core is system.core
+    assert reused is system and reused.piv is piv
     assert np.array_equal(solve_bordered(reused), solve_bordered(assemble_system(blocks)))
 
 
@@ -295,12 +326,12 @@ def _check_blocks_written_over_an_earlier_iterate(ctx, ref, first, later, tau):
         assert not np.array_equal(blocks.Q, first_Q)  # lam moved Q's diagonal
     reused = assemble_system(blocks, reuse=system)
     fresh = assemble_system(fresh_blocks)
-    assert reused is system and (reused.factor is None) == ctx.use_perimeter
-    for name in ("border_cols", "border_rows", "rhs"):
-        got, value = getattr(reused, name), getattr(fresh, name)
-        assert (got is None and value is None) or np.array_equal(got, value), name
+    assert reused is system and (reused.piv is None) == ctx.use_perimeter
+    for name in ("border_rows", "rhs"):
+        assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
     if ctx.use_perimeter:
         assert np.array_equal(reused.core.band, fresh.core.band)
+        assert np.array_equal(reused.stack[:, 1:], fresh.stack[:, 1:])
     assert np.array_equal(solve_bordered(reused), solve_bordered(fresh))
     # the velocity rows sum their terms in another order than the loops:
     # the whole residual agrees with the loop oracle to 1e-13 of its terms
