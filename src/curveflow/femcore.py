@@ -246,14 +246,13 @@ class NewtonBlocks:
     on the iterate's polygon, and the area law has no curvature part.  rhs
     (3N + nb) is the negated residual, the right-hand side of the Newton
     direction solve, in the equation order of the module docstring.  An
-    absent multiplier leaves its column None and has no row.  Without the
-    perimeter multiplier, P, Q, R and a2 do not depend on the iterate:
-    lam_eff M is Q's only iterate term, and lam is then not an unknown.
+    absent multiplier leaves its column None and has no row.  Q's only
+    iterate term, -lam_eff M on its diagonal, is taken at the run's start.
 
     These arrays are the buffers of one Newton run: a later iteration's
-    `assemble_newton_blocks` overwrites Q's diagonal, a1, rows and rhs in
-    place.  ``work`` holds the run's other buffers; it is None for blocks
-    built by hand, which cannot serve as ``previous``.
+    `assemble_newton_blocks` overwrites a1, rows and rhs in place, and P, Q,
+    R and a2 stay.  ``work`` holds the run's other buffers; it is None for
+    blocks built by hand, which cannot serve as ``previous``.
     """
 
     P: np.ndarray
@@ -273,23 +272,26 @@ def assemble_newton_blocks(
     tau: float,
     previous: Optional[NewtonBlocks] = None,
 ) -> NewtonBlocks:
-    """Exact Jacobian blocks and negated residual of the step equations at
-    the iterate (the quadratic multiplier-times-curvature update product is
-    the only dropped term, as the Newton direction requires).
+    """Jacobian blocks and negated residual of the step equations at the
+    iterate (the quadratic multiplier-times-curvature update product is the
+    only dropped term, as the Newton direction requires).
 
     Without ``previous`` the call allocates the run's buffers: the blocks
-    that do not depend on the iterate (P, R, Q's off-diagonals and a2), the
-    arrays that do, and the scratch and iterate-independent residual terms
-    of ``work``.  ``previous`` is the result of an earlier iteration of the
-    same Newton run (same ctx, ref and tau): the call then writes Q's
-    diagonal, a1, the border rows and the rhs into its arrays and returns
-    it, so nothing is allocated and the earlier blocks are gone.  Both ways
-    compute the same bits."""
+    that are fixed through the run (P, Q, R and a2, with -lam_eff M of this
+    iterate on Q's diagonal), the arrays that follow the iterate, and the
+    scratch and iterate-independent residual terms of ``work``.
+    ``previous`` is the result of an earlier iteration of the same Newton
+    run (same ctx, ref and tau): the call then writes a1, the border rows
+    and the rhs into its arrays and returns it, so nothing is allocated and
+    the earlier blocks are gone.  Q keeps the run start's lam_eff (the
+    simplified Newton method); every other array has the bits of a fresh
+    call at this iterate."""
     n = ref.n
     s_core = tau * ctx.alpha / ctx.delta0 * ctx.alpha
+    blocks = previous
     if previous is None:
         nb = ctx.use_perimeter + ctx.use_area
-        previous = NewtonBlocks(
+        blocks = NewtonBlocks(
             P=ctx.alpha * ref.omega,
             Q=s_core * ref.stencil,
             R=(-ctx.alpha) * ref.stencil,
@@ -299,7 +301,7 @@ def assemble_newton_blocks(
             rhs=np.empty(3 * n + nb),
             work=_RunBuffers(ctx, ref, tau),
         )
-    blocks, w, a, X = previous, previous.work, ctx.anchor, it.X
+    w, a, X = blocks.work, ctx.anchor, it.X
     # the iterate's next vertices X_{k+1} and edges h
     w.Xn[:-1] = X[1:]
     w.Xn[-1] = X[0]
@@ -323,10 +325,12 @@ def assemble_newton_blocks(
     kappa_flux *= ref.weights
     Skap = _previous_minus(kappa_flux, w.Skap)
 
-    # Q's diagonal, -lam_eff M, and the borders depend on the iterate
-    Qd = np.multiply(ref.mass, lam, out=blocks.Q[:, 1])
-    np.subtract(ref.stencil[:, 1], Qd, out=Qd)
-    Qd *= s_core
+    # Q's diagonal takes -lam_eff M at the run's start iterate and keeps it
+    # (the simplified Newton method); the borders follow the iterate
+    if previous is None:
+        Qd = np.multiply(ref.mass, lam, out=blocks.Q[:, 1])
+        np.subtract(ref.stencil[:, 1], Qd, out=Qd)
+        Qd *= s_core
     if ctx.use_perimeter:
         np.multiply(ref.mass, kap, out=blocks.a1)
         blocks.a1 *= -s_core

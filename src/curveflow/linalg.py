@@ -22,12 +22,11 @@ border columns parallel).
 
 A Newton run allocates one `BorderedSystem`, in its first iteration, and
 every later iteration writes into it (`assemble_system` with ``reuse=``).
-Without the perimeter multiplier (AP steps, AP predictors and their
-continuation stages) the core and the border columns stay the same, so a run
-factors once and later iterations make one banded solve for the new
-right-hand side.  With it, only Q's diagonal and the lam column change
-between iterates, and each iterate is factored afresh.  The multipliers come
-from a 1 x 1 or 2 x 2 Schur step in Python floats, with closed-form singular
+The core is fixed through a run (Q's diagonal holds lam_eff M of the run's
+start iterate, see NewtonBlocks), so every run factors it once, in its
+first iteration; a later one solves the new rhs, and the border columns
+when the lam column changed, with that factor.  The multipliers come from a
+1 x 1 or 2 x 2 Schur step in Python floats, with closed-form singular
 values for the degeneracy verdict.
 """
 
@@ -171,13 +170,13 @@ def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None
     """Pack Newton blocks into one bordered system in folded order.
 
     ``reuse`` is the system of an earlier iteration of the same Newton run,
-    whose blocks differ from ``blocks`` at most in Q's diagonal, a1, the
-    border rows and the rhs (see NewtonBlocks).  The call then gathers the
-    rhs and the border rows into its arrays and returns it, and allocates
-    nothing.  Without the perimeter multiplier it keeps its core and
-    factor; with it, Q's diagonal is written into its band and the factor
-    is dropped.  Whenever the core is not factored, the border columns are
-    written into the stack.
+    whose blocks differ from ``blocks`` at most in a1, the border rows and
+    the rhs (see NewtonBlocks).  The call then gathers the rhs and the
+    border rows into its arrays and returns it, and allocates nothing; its
+    core and factor are kept.  The border columns are written into the
+    stack while the core is not factored, and with a new a1 also once it
+    is: they are then solved with the kept factor at once, so that
+    stack[:, 1:] holds what BorderedSystem says it does.
     """
     n = len(blocks.P)
     m = 3 * n
@@ -196,14 +195,14 @@ def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None
             work_band=np.empty((_LDAB, m), order="F"),
             nb=nb,
         )
-    elif blocks.a1 is not None:
-        # Q's diagonal is the sixth of each vertex's core values
-        reuse.core.band.T.reshape(-1)[fold.scatter[:, 5]] = blocks.Q[:, 1]
-        reuse.piv = None
-    if reuse.piv is None:
+    if reuse.piv is None or blocks.a1 is not None:
+        # the border columns, a new a1 = -s m kappa_eff among them; a kept
+        # factor solves them at once
         reuse.stack[:, 1:] = 0.0
         for j, a in enumerate(a for a in (blocks.a1, blocks.a2) if a is not None):
             np.take(a, fold.vertex, out=reuse.stack[2::3, 1 + j])
+        if reuse.piv is not None:
+            _band_solve(reuse, reuse.stack[:, 1:])
     np.take(blocks.rows, fold.gather, axis=1, out=reuse.border_rows)
     np.take(blocks.rhs, fold.gather, out=reuse.rhs[:m])
     reuse.rhs[m:] = blocks.rhs[m:]
@@ -230,12 +229,16 @@ def _solve_core(system: BorderedSystem) -> np.ndarray:
             raise ValueError(f"dgbtrf rejected argument {-info}")
         system.piv = piv
         cols = z
-    # cols is Fortran-ordered, so dgbtrs overwrites it (any other layout
-    # would be copied, the solution lost)
+    _band_solve(system, cols)
+    return z
+
+
+def _band_solve(system: BorderedSystem, cols: np.ndarray) -> None:
+    # cols, Fortran-ordered columns of the stack, overwritten by dgbtrs with
+    # their core solves (any other layout would be copied, the solution lost)
     _, info = dgbtrs(system.work_band, KL, KU, cols, system.piv, overwrite_b=1)
     if info != 0:
         raise ValueError(f"dgbtrs rejected argument {-info}")
-    return z
 
 
 def solve_bordered(system: BorderedSystem) -> np.ndarray:

@@ -262,22 +262,25 @@ def newton_outer(
     * |Delta_k| <= tol (even a start that is already a root costs one
       linear solve);
     * k >= 2 and the contraction estimate theta_k = |Delta_k| / |Delta_{k-1}|
-      satisfies theta_k < 1/2 and theta_k |Delta_k| <= tol.  For a
-      contracting iteration theta_k |Delta_k| estimates the size of the next
-      update, so the solve that would only show it below tol is skipped
-      (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 2).
+      satisfies theta_k < 1/2 and theta_k |Delta_k| <= tol, while lam still
+      equals the start's.  For a contracting iteration theta_k |Delta_k|
+      estimates the size of the next update, so the solve that would only
+      show it below tol is skipped (Deuflhard, Newton Methods for Nonlinear
+      Problems, 2004, ch. 2).  That needs Newton's quadratic contraction:
+      once lam moves, the held lam_eff M (below) makes it linear, and an
+      early theta_k can understate the later ones.
 
     Returns (iterate, iterations).  A non-finite update component raises
     NewtonDivergenceError at once, with last_norm = inf.
 
     ``model(it, previous)`` gives the blocks at ``it``; ``previous`` is the
     run's blocks of the last iteration, or None in the first.  The blocks of
-    one run may differ only where assemble_newton_blocks lets them: in Q's
-    diagonal, a1, the border rows and the residual.  The first iteration
-    allocates the run's blocks and system, and each later one writes into
-    them (the model by passing ``previous`` on to assemble_newton_blocks);
-    a run without the perimeter multiplier (a1 None) factors its core once,
-    in the first iteration.
+    one run may differ only where assemble_newton_blocks lets them: in a1,
+    the border rows and the residual.  The first iteration allocates the
+    run's blocks and system, and each later one writes into them (the model
+    by passing ``previous`` on to assemble_newton_blocks).  The core, with
+    lam_eff M of the start iterate on Q's diagonal, is factored once, in the
+    first iteration: a simplified Newton method with an exact residual.
     """
     it = start
     norm = math.inf
@@ -302,7 +305,7 @@ def newton_outer(
         if norm <= tol:
             return it, iteration
         theta = norm / previous_norm  # 0 in the first iteration, which has no estimate
-        if iteration >= 2 and theta < 0.5 and theta * norm <= tol:
+        if iteration >= 2 and theta < 0.5 and theta * norm <= tol and it.lam == start.lam:
             return it, iteration
     raise NewtonDivergenceError(
         f"Newton did not reach tol={tol} within {max_newton} iterations (last update {norm:.3e})",
@@ -318,47 +321,6 @@ def _start_iterate(level: HistoryEntry, ctx: SchemeContext) -> NewtonIterate:
         level.lam if ctx.use_perimeter else 0.0,
         level.eta if ctx.use_area else 0.0,
     )
-
-
-# Continuation ladder for Euler-type steps whose direct solve diverges: the
-# same step problem is solved at tau / 2^j for j = _CONTINUATION_STAGES .. 0,
-# each root seeding the next stage, so the final stage is the original system.
-_CONTINUATION_STAGES = 10
-
-
-def _solve_step(
-    state: SchemeState,
-    config: SchemeConfig,
-    ctx: SchemeContext,
-    ref_curve: PolygonalCurve,
-    start_level: HistoryEntry,
-    tau_scalable: bool,
-) -> Tuple[NewtonIterate, int]:
-    tau = state.tau
-    ref = ReferenceGeometry(ref_curve)
-
-    def model_at(tau_s: float):
-        def model(it: NewtonIterate, previous: Optional[NewtonBlocks]) -> NewtonBlocks:
-            return assemble_newton_blocks(ctx, ref, it, tau_s, previous)
-
-        return model
-
-    start = _start_iterate(start_level, ctx)
-    try:
-        return newton_outer(model_at(tau), start, config.tol, config.max_newton)
-    except NewtonDivergenceError:
-        if not tau_scalable:
-            raise
-    # An Euler-type step scales cleanly in the time step (the history terms do
-    # not involve tau), so a rough curve whose direct solve overshoots can be
-    # reached by continuation; only the iterations that build the accepted
-    # root are reported.
-    it = start
-    total = 0
-    for j in range(_CONTINUATION_STAGES, -1, -1):
-        it, iters = newton_outer(model_at(tau / 2.0**j), it, config.tol, config.max_newton)
-        total += iters
-    return it, total
 
 
 def _wrap_accepted(X: np.ndarray, step_index: int) -> PolygonalCurve:
@@ -403,8 +365,8 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
     to the same tolerance; that step's Newton iterations are not counted in
     the new level's ``newton_iters``.  Newton starts at the reference
     step's root when that step is at the full tau, and at the newest level
-    otherwise.  Only an Euler step falls back to continuation in tau.
-    Returns the state with the new level appended.
+    otherwise, and makes one Newton run (see newton_outer).  Returns the
+    state with the new level appended.
     """
     spec = SPECS[scheme or config.scheme]
     while spec.order > len(state.history):
@@ -432,7 +394,12 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
         ref_curve = ref_level.curve
         if not spec.cn:
             start_level = ref_level
-    it, iters = _solve_step(state, config, ctx, ref_curve, start_level, tau_scalable=spec.lower is None)
+    ref = ReferenceGeometry(ref_curve)
+
+    def model(it: NewtonIterate, previous: Optional[NewtonBlocks]) -> NewtonBlocks:
+        return assemble_newton_blocks(ctx, ref, it, state.tau, previous)
+
+    it, iters = newton_outer(model, _start_iterate(start_level, ctx), config.tol, config.max_newton)
     return _accept(state, it, iters, spec.kind)
 
 

@@ -444,6 +444,43 @@ def template_residual(ctx, Vref: np.ndarray, it, tau: float):
     return value, size
 
 
+def template_jacobian_row_norms(ctx, Vref: np.ndarray, it, tau: float) -> np.ndarray:
+    """Upper bounds of the 1-norms of the rows of template_residual's
+    Jacobian with respect to (X, kappa, lam?, eta?) at the iterate, in its
+    row order: |J_i . d| <= norms[i] |d|_inf for every direction d.  Each
+    row's derivatives are written out from the template's equations, and
+    terms that fall on the same unknown are bounded by the triangle
+    inequality."""
+    n = len(Vref)
+    m, om = loop_masses(Vref), loop_omegas(Vref)
+    w = [1.0 / math.dist(Vref[k], Vref[(k + 1) % n]) for k in range(n)]
+    alpha = 1.0 if ctx.averaged is None else 0.5
+    X, kap, lam = it.X, it.kappa, it.lam
+    if ctx.averaged is not None:
+        kap, lam = 0.5 * kap + 0.5 * ctx.averaged.kappa, 0.5 * lam + 0.5 * ctx.averaged.lam
+    s_flux = tau * alpha / ctx.delta0
+    norms = []
+    for k in range(n):
+        # kappa_eff omega - S X_eff, on kappa_k and on X_{k-1}, X_k, X_{k+1}
+        for c in range(2):
+            norms.append(alpha * (abs(om[k, c]) + 2.0 * (w[k - 1] + w[k])))
+    for k in range(n):
+        # on X_k (weight omega_k), on kappa_{k-1}, kappa_k, kappa_{k+1}
+        # (stiffness and lam_eff m_k), on lam (m_k kappa_eff) and on eta (m_k)
+        row = alpha * (abs(om[k, 0]) + abs(om[k, 1])) + alpha * s_flux * (2.0 * (w[k - 1] + w[k]) + abs(lam) * m[k])
+        row += alpha * s_flux * m[k] * (abs(kap[k]) * ctx.use_perimeter + ctx.use_area)
+        norms.append(row)
+    if ctx.use_perimeter:
+        # dL0 L(X) / tau: each edge's unit tangent on its two ends; and the
+        # gradient 2 alpha S kappa_eff of kappa_eff^T S kappa_eff
+        tangents = sum(2.0 * (abs(a) + abs(b)) / math.hypot(a, b) for a, b in np.roll(X, -1, axis=0) - X)
+        norms.append(ctx.dL0 * tangents / tau + 2.0 * alpha * float(np.abs(loop_stiffness_apply(Vref, kap)).sum()))
+    if ctx.use_area:
+        # the shoelace gradient at X_k is ((X_{k+1} - X_{k-1})_y, (X_{k-1} - X_{k+1})_x) / 2
+        norms.append(0.5 * float(np.abs(np.roll(X, -1, axis=0) - np.roll(X, 1, axis=0)).sum()))
+    return np.array(norms)
+
+
 # ---------------------------------------------------------------------------
 # dense bordered systems
 

@@ -262,7 +262,7 @@ def test_stored_factor_gives_bitwise_the_fresh_solve(flavor):
 @pytest.mark.parametrize("flavor", ["lam", "eta", "both"])
 def test_stack_holds_the_border_columns_or_their_core_solves(flavor):
     # while the core is factored, stack[:, 1:] holds the core solves of the
-    # border columns; an assembly that drops the factor writes the columns
+    # border columns, also right after an assembly that brings a new a1
     for n in range(3, 10):
         m = 3 * n
         rows, cols = _folded_permutations(n)
@@ -274,19 +274,22 @@ def test_stack_holds_the_border_columns_or_their_core_solves(flavor):
         assert np.abs(system.stack[:, 1:] - expected).max() <= 1e-12 * np.abs(expected).max()
         solves = system.stack[:, 1:].copy()
         other = oracles.random_blocks(rng, n=n, flavor=flavor)
+        piv = system.piv
         if blocks.a1 is None:
             # an AP iterate: only the border rows and the rhs change
             assemble_system(replace(blocks, rows=other.rows, rhs=other.rhs), reuse=system)
-            assert system.piv is not None
+            assert system.piv is piv
             assert np.array_equal(system.stack[:, 1:], solves)
         else:
-            # with the perimeter multiplier, Q's diagonal and a1 change too
-            Q = blocks.Q.copy()
-            Q[:, 1] = other.Q[:, 1]
-            later = replace(blocks, Q=Q, a1=other.a1, rows=other.rows, rhs=other.rhs)
+            # with the perimeter multiplier, a1 changes too; the core does not
+            later = replace(blocks, a1=other.a1, rows=other.rows, rhs=other.rhs)
             assemble_system(later, reuse=system)
-            assert system.piv is None
-            assert np.array_equal(system.stack[:, 1:], oracles.dense_from_blocks(later)[0][rows, m:])
+            assert system.piv is piv
+            M, _ = oracles.dense_from_blocks(later)
+            expected = np.linalg.solve(M[np.ix_(rows, cols)], M[rows, m:])
+            assert np.abs(system.stack[:, 1:] - expected).max() <= 1e-12 * np.abs(expected).max()
+            if blocks.a2 is not None:
+                assert np.array_equal(system.stack[:, 2], solves[:, 1])  # the eta column's solve, bitwise
 
 
 def test_reused_factor_serves_a_later_area_preserving_iterate():
@@ -309,30 +312,32 @@ def test_reused_factor_serves_a_later_area_preserving_iterate():
 
 
 def _check_blocks_written_over_an_earlier_iterate(ctx, ref, first, later, tau):
-    # a later iterate of the same run writes Q's diagonal, a1, the border
-    # rows and the rhs into the earlier blocks and system: blocks, system
-    # and solve are bitwise fresh ones
+    # a later iterate of the same run writes a1, the border rows and the rhs
+    # into the earlier blocks and system, and keeps the core of the run's
+    # start: blocks, system and solve are bitwise fresh ones at the later
+    # iterate with the start's Q
     earlier = assemble_newton_blocks(ctx, ref, first, tau)
     first_Q = earlier.Q.copy()
     system = assemble_system(earlier)
     solve_bordered(system)
+    piv = system.piv
     blocks = assemble_newton_blocks(ctx, ref, later, tau, earlier)
-    fresh_blocks = assemble_newton_blocks(ctx, ref, later, tau)
+    fresh_blocks = replace(assemble_newton_blocks(ctx, ref, later, tau), Q=first_Q)
     assert blocks is earlier
     for name in ("P", "Q", "R", "a1", "a2", "rows", "rhs"):
         got, value = getattr(blocks, name), getattr(fresh_blocks, name)
         assert (got is None and value is None) or np.array_equal(got, value), name
     if first.lam != later.lam:
-        assert not np.array_equal(blocks.Q, first_Q)  # lam moved Q's diagonal
+        # lam_eff M of the later iterate is not on the held diagonal
+        assert not np.array_equal(assemble_newton_blocks(ctx, ref, later, tau).Q, first_Q)
     reused = assemble_system(blocks, reuse=system)
     fresh = assemble_system(fresh_blocks)
-    assert reused is system and (reused.piv is None) == ctx.use_perimeter
+    assert reused is system and reused.piv is piv
     for name in ("border_rows", "rhs"):
         assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
-    if ctx.use_perimeter:
-        assert np.array_equal(reused.core.band, fresh.core.band)
-        assert np.array_equal(reused.stack[:, 1:], fresh.stack[:, 1:])
+    assert np.array_equal(reused.core.band, fresh.core.band)
     assert np.array_equal(solve_bordered(reused), solve_bordered(fresh))
+    assert np.array_equal(reused.stack, fresh.stack)
     # the velocity rows sum their terms in another order than the loops:
     # the whole residual agrees with the loop oracle to 1e-13 of its terms
     value, size = oracles.template_residual(ctx, ref.vertices, later, tau)

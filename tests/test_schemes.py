@@ -298,8 +298,9 @@ def test_runs_are_deterministic():
 
 
 def test_oscillatory_curve_run_completes():
-    # strong curvature spikes force the step solver through its continuation
-    # ladder; the run must still conserve area and dissipate length
+    # strong curvature spikes: each step is one Newton run, whose core holds
+    # lam M of its start iterate; the run must still conserve area and
+    # dissipate length
     cfg = SchemeConfig(scheme="sp-euler", N=64, tau=1e-3, T=5e-3, shape="mikula", gamma=0.0)
     result = run(cfg)
     assert result.ok
@@ -308,29 +309,34 @@ def test_oscillatory_curve_run_completes():
     assert rows[-1].L_norm < 1.0
 
 
-@pytest.mark.xfail(
-    raises=NewtonDivergenceError,
-    strict=True,
-    reason="sp-cn has no continuation ladder: its reference, a step at tau / 2, depends on tau, "
-    "and only steps whose reference is the current curve are continued in tau",
-)
-def test_sp_cn_first_step_on_mikula():
-    # sp-euler finishes this step through its ladder (test_oscillatory_curve_run_completes)
-    cfg = SchemeConfig(scheme="sp-cn", N=64, tau=1e-3, T=5e-3, shape="mikula", gamma=0.0)
+def _assert_step_conserves_area(cfg):
     state = startup(cfg)
     assert state.step_index == 0
-    step(state, cfg)
+    new = step(state, cfg).history[-1]
+    assert abs(new.A - state.A0) / abs(state.A0) < 1e-9
 
 
-@pytest.mark.xfail(
-    raises=NewtonDivergenceError,
-    strict=True,
-    reason="the continuation ladder stops at tau / 2^10 = 4.9e-5, and on this curve already that first "
-    "stage diverges from the initial polygon; a direct Euler step converges only from tau / 2^12 down",
-)
+def test_sp_cn_first_step_on_mikula():
+    # this step diverged while Q's diagonal followed lam: sp-cn's reference,
+    # a step at tau / 2, put it out of reach of the old continuation in tau
+    _assert_step_conserves_area(SchemeConfig(scheme="sp-cn", N=64, tau=1e-3, T=5e-3, shape="mikula", gamma=0.0))
+
+
 def test_sp_euler_first_step_on_mikula_at_large_tau():
-    cfg = SchemeConfig(scheme="sp-euler", N=160, tau=0.05, T=0.05, shape="mikula", gamma=0.0)
-    step(startup(cfg), cfg)
+    # this step diverged while Q's diagonal followed lam, whose iterates
+    # (443, 287, 346, 316, ...) landed among the generalized eigenvalues of
+    # (S, M), directly and at every stage of the old continuation in tau
+    _assert_step_conserves_area(SchemeConfig(scheme="sp-euler", N=160, tau=0.05, T=0.05, shape="mikula", gamma=0.0))
+
+
+def test_sp_cn_on_mikula_runs_without_a_forced_switch():
+    # with Q's diagonal following lam, this run failed at its first step
+    cfg = SchemeConfig(scheme="sp-cn", N=160, tau=1 / 6400, T=0.03, shape="mikula")
+    result = run(cfg)
+    assert result.ok, result.failure
+    assert not result.forced_switch
+    assert len(result.series.rows) == cfg.n_steps + 1
+    assert all(abs(r.dA) < 1e-9 for r in result.series.rows)
 
 
 def test_ap_bdf4_on_mikula_completes():
@@ -341,6 +347,42 @@ def test_ap_bdf4_on_mikula_completes():
     assert result.ok, result.failure
     assert len(result.series.rows) == 6
     assert all(abs(r.dA) < 1e-9 for r in result.series.rows)
+
+
+@pytest.mark.parametrize("shape", ["ellipse", "mikula"])
+def test_every_newton_root_meets_the_template_to_tol(monkeypatch, shape):
+    # every root a run accepts (corrector, reference step, startup substep)
+    # is measured by the loop oracle of the step template, not by the
+    # solver's blocks.  The exits leave the root within tol of the exact one
+    # in every unknown (the next update, which measures that distance, is
+    # below tol), and a residual row is its Jacobian row times that
+    # distance: |F_i| <= tol |J_i|_1.  1e-13 of the row's term sum allows
+    # for the rounding of the terms at a floating-point root.
+    runs, roots = [], []
+    assemble, newton = curveflow.schemes.assemble_newton_blocks, curveflow.schemes.newton_outer
+
+    def capture_run(ctx, ref, it, tau, previous=None):
+        if previous is None:
+            runs.append((ctx, ref.vertices, tau))
+        return assemble(ctx, ref, it, tau, previous)
+
+    def capture_root(*args, **kwargs):
+        it, iters = newton(*args, **kwargs)
+        roots.append((*runs[-1], it))
+        return it, iters
+
+    monkeypatch.setattr(curveflow.schemes, "assemble_newton_blocks", capture_run)
+    monkeypatch.setattr(curveflow.schemes, "newton_outer", capture_root)
+    for scheme in SCHEMES:
+        cfg = SchemeConfig(scheme=scheme, N=16, tau=0.01, T=0.04, shape=shape, gamma=0.0)
+        result = run(cfg)
+        assert result.ok, f"{scheme}: {result.failure}"
+        assert len(roots) >= cfg.n_steps
+        for ctx, vref, tau, it in roots:
+            value, size = oracles.template_residual(ctx, vref, it, tau)
+            bound = cfg.tol * oracles.template_jacobian_row_norms(ctx, vref, it, tau) + 1e-13 * size
+            assert np.all(np.abs(value) <= bound), f"{scheme}: worst |F_i| / bound {np.max(np.abs(value) / bound):.3g}"
+        roots.clear()
 
 
 def _cos_amplitude(v, k):
@@ -566,8 +608,8 @@ def test_every_solve_runs_inside_newton_outer(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["ap-bdf3", "sp-bdf2", "pd-bdf2"])
 def test_core_factorizations_per_newton_run(monkeypatch, scheme):
-    # without the perimeter multiplier the core is fixed through a Newton run
-    # and is factored once per run; with it, every solve needs a new factor
+    # the core, with lam_eff M of the start iterate on Q's diagonal, is fixed
+    # through a Newton run and is factored once per run in every family
     counts = {"factor": 0, "solves": 0, "newton": 0}
     factor, solve, newton = curveflow.linalg.dgbtrf, curveflow.schemes.solve_bordered, curveflow.schemes.newton_outer
 
@@ -584,7 +626,7 @@ def test_core_factorizations_per_newton_run(monkeypatch, scheme):
     result = run(SchemeConfig(scheme=scheme, N=24, tau=0.01, T=0.05, gamma=0.0))
     assert result.ok, result.failure
     assert counts["solves"] > counts["newton"] > 0
-    assert counts["factor"] == (counts["newton"] if SPECS[scheme].kind == "AP" else counts["solves"])
+    assert counts["factor"] == counts["newton"]
 
 
 def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
@@ -606,10 +648,10 @@ def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
         assert info.value.last_norm == math.inf
 
 
-def _newton_on_update_norms(monkeypatch, norms, tol):
-    # newton_outer on solves whose updates have the given norms, one a call;
-    # returns the iterations or raises NewtonDivergenceError once the norms
-    # run out
+def _newton_on_update_norms(monkeypatch, norms, tol, lam_update=0.0):
+    # newton_outer on solves whose updates have the given norms, one a call,
+    # and move lam by lam_update; returns the iterations or raises
+    # NewtonDivergenceError once the norms run out
     n = 6
     blocks = oracles.random_blocks(rng, n=n, flavor="both")
     updates = iter(norms)
@@ -617,6 +659,7 @@ def _newton_on_update_norms(monkeypatch, norms, tol):
     def solve(system):
         z = np.zeros(3 * n + 2)
         z[0] = next(updates)
+        z[3 * n] = lam_update
         return z
 
     monkeypatch.setattr(curveflow.schemes, "solve_bordered", solve)
@@ -638,6 +681,12 @@ def _newton_on_update_norms(monkeypatch, norms, tol):
 )
 def test_newton_stops_on_the_contraction_estimate(monkeypatch, norms, stop):
     assert _newton_on_update_norms(monkeypatch, norms, tol=1e-9) == stop
+
+
+def test_newton_takes_no_contraction_exit_once_lam_moves(monkeypatch):
+    # the core holds lam_eff M of the start, so once lam has moved the
+    # contraction is linear and theta_k no longer bounds the next update
+    assert _newton_on_update_norms(monkeypatch, [1e-2, 1e-6, 1e-12], tol=1e-9, lam_update=1e-13) == 3
 
 
 def test_newton_without_contraction_runs_to_tol(monkeypatch):
