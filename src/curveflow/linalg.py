@@ -20,14 +20,15 @@ complement, whose singularity is detected explicitly because it carries the
 geometric degeneracy of an equilibrium (constant curvature makes the two
 border columns parallel).
 
-A Newton run allocates one `BorderedSystem`, in its first iteration, and
-every later iteration writes into it (`assemble_system` with ``reuse=``).
-The core is fixed through a run (Q's diagonal holds lam_eff M of the run's
-start iterate, see NewtonBlocks), so every run factors it once, in its
-first iteration; a later one solves the new rhs, and the border columns
-when the lam column changed, with that factor.  The multipliers come from a
-1 x 1 or 2 x 2 Schur step in Python floats, with closed-form singular
-values for the degeneracy verdict.
+A Newton run builds one `BorderedSystem`, in its first iteration, and every
+later iteration writes into it (`assemble_system` with ``reuse=``).  The
+core is fixed through a run (Q's diagonal holds lam_eff M of the run's
+start iterate, see NewtonBlocks), and so is the eta column: the system is
+built factored, with the eta column's core solve, and a later assembly
+writes only its inputs, the rhs, the border rows and the lam column.  Each
+solve then makes one banded solve, of the rhs and the lam column together.
+The multipliers come from a 1 x 1 or 2 x 2 Schur step in Python floats,
+with closed-form singular values for the degeneracy verdict.
 """
 
 from __future__ import annotations
@@ -130,9 +131,8 @@ def _fold(n: int) -> _Fold:
 
 @dataclass
 class PeriodicBandCore:
-    """The 3N x 3N core in folded order, in LAPACK band storage:
-    2 KL + KU + 1 rows, the first KL of them workspace for the
-    factorization, and one column per unknown."""
+    """The band LU of the 3N x 3N core in folded order, as LAPACK's dgbtrf
+    leaves it in band storage: 2 KL + KU + 1 rows, one column per unknown."""
 
     band: np.ndarray
 
@@ -144,39 +144,39 @@ class PeriodicBandCore:
 
 @dataclass
 class BorderedSystem:
-    """Core plus dense borders, rows and unknowns in folded order: rhs holds
-    the equations (curvature x, curvature y, velocity) of each slot's
-    vertex, then perimeter?, area?; unknowns are (x_k, y_k, kappa_k) per
-    slot, then lam?, eta?.  nb in {0, 1, 2} counts the borders actually
+    """Factored core plus dense borders, rows and unknowns in folded order:
+    rhs holds the equations (curvature x, curvature y, velocity) of each
+    slot's vertex, then perimeter?, area?; unknowns are (x_k, y_k, kappa_k)
+    per slot, then lam?, eta?.  nb in {0, 1, 2} counts the borders actually
     present, lam before eta in both the columns and the rows.
 
-    The arrays are the buffers of one Newton run.  ``stack`` (3N, 1 + nb),
-    Fortran order, is [rhs, border columns] as the banded solve takes them
-    and overwrites them with their core solves.  ``piv`` is None until the
-    core is factored: stack[:, 1:] then holds the border columns, which live
-    in the velocity rows.  While it is set, ``work_band`` holds the band LU
-    of the core and stack[:, 1:] the core solves of the border columns."""
+    The arrays are the buffers of one Newton run.  rhs, border_rows and a1,
+    the lam column (3N,) or None, are the inputs an assembly writes; the core
+    LU, its pivots ``piv`` and the eta column are fixed through the run.
+    ``stack`` (3N, 1 + nb), Fortran order, holds the core solves [g, Y] of
+    the rhs and the border columns: the eta column's is taken when the
+    system is built, and each solve writes the rhs and a1 into the leading
+    columns and overwrites them with theirs."""
 
     core: PeriodicBandCore
     border_rows: np.ndarray  # (nb, 3N)
     rhs: np.ndarray  # (3N + nb,)
+    a1: Optional[np.ndarray] = field(repr=False)
     stack: np.ndarray = field(repr=False)
-    work_band: np.ndarray = field(repr=False)
+    piv: np.ndarray = field(repr=False)
     nb: int
-    piv: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None) -> BorderedSystem:
-    """Pack Newton blocks into one bordered system in folded order.
+    """Pack Newton blocks into one factored bordered system in folded order.
 
-    ``reuse`` is the system of an earlier iteration of the same Newton run,
-    whose blocks differ from ``blocks`` at most in a1, the border rows and
-    the rhs (see NewtonBlocks).  The call then gathers the rhs and the
-    border rows into its arrays and returns it, and allocates nothing; its
-    core and factor are kept.  The border columns are written into the
-    stack while the core is not factored, and with a new a1 also once it
-    is: they are then solved with the kept factor at once, so that
-    stack[:, 1:] holds what BorderedSystem says it does.
+    Without ``reuse`` the call scatters the core into its band, factors it in
+    place and solves the eta column, so a singular core raises
+    SingularCoreError before any system exists.  ``reuse`` is the system of
+    an earlier iteration of the same Newton run, whose blocks differ from
+    ``blocks`` at most in a1, the border rows and the rhs (see NewtonBlocks).
+    Either way the call then gathers the rhs, the border rows and a1 into the
+    system's inputs and returns it; with ``reuse`` it allocates nothing.
     """
     n = len(blocks.P)
     m = 3 * n
@@ -185,71 +185,53 @@ def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None
     if reuse is None:
         flat = np.zeros(m * _LDAB)
         flat[fold.scatter] = np.concatenate((blocks.P, blocks.P, blocks.Q, blocks.R, blocks.R), axis=1)
-        # band storage in Fortran order, as LAPACK takes it
-        core = PeriodicBandCore(flat.reshape(m, _LDAB).T)
+        # band storage in Fortran order, as LAPACK takes it, factored in place
+        band, piv, info = dgbtrf(flat.reshape(m, _LDAB).T, KL, KU, overwrite_ab=1)
+        if info > 0:
+            raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
+        if info < 0:
+            raise ValueError(f"dgbtrf rejected argument {-info}")
         reuse = BorderedSystem(
-            core,
+            PeriodicBandCore(band),
             border_rows=np.empty((nb, m)),
             rhs=np.empty(m + nb),
-            stack=np.empty((m, 1 + nb), order="F"),
-            work_band=np.empty((_LDAB, m), order="F"),
+            a1=np.zeros(m) if blocks.a1 is not None else None,
+            stack=np.zeros((m, 1 + nb), order="F"),
+            piv=piv,
             nb=nb,
         )
-    if reuse.piv is None or blocks.a1 is not None:
-        # the border columns, a new a1 = -s m kappa_eff among them; a kept
-        # factor solves them at once
-        reuse.stack[:, 1:] = 0.0
-        for j, a in enumerate(a for a in (blocks.a1, blocks.a2) if a is not None):
-            np.take(a, fold.vertex, out=reuse.stack[2::3, 1 + j])
-        if reuse.piv is not None:
-            _band_solve(reuse, reuse.stack[:, 1:])
+        if blocks.a2 is not None:
+            # the eta column lives in the velocity rows
+            np.take(blocks.a2, fold.vertex, out=reuse.stack[2::3, nb])
+            _band_solve(reuse, reuse.stack[:, nb:])
+    if blocks.a1 is not None:
+        np.take(blocks.a1, fold.vertex, out=reuse.a1[2::3])
     np.take(blocks.rows, fold.gather, axis=1, out=reuse.border_rows)
     np.take(blocks.rhs, fold.gather, out=reuse.rhs[:m])
     reuse.rhs[m:] = blocks.rhs[m:]
     return reuse
 
 
-def _solve_core(system: BorderedSystem) -> np.ndarray:
-    """The stack, with the core solve of the rhs in column 0.  An unfactored
-    core is factored, from a copy of the band, and the rhs and the border
-    columns are solved together in one banded solve; a factored one takes
-    one banded solve for the rhs.  LAPACK treats each right-hand side
-    column on its own, so the result is bitwise the same either way."""
-    m = system.core.shape[0]
-    z = system.stack
-    z[:, 0] = system.rhs[:m]
-    cols = z[:, :1]
-    if system.piv is None:
-        # work_band is Fortran-ordered, so dgbtrf factors it in place
-        np.copyto(system.work_band, system.core.band)
-        _, piv, info = dgbtrf(system.work_band, KL, KU, overwrite_ab=1)
-        if info > 0:
-            raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
-        if info < 0:
-            raise ValueError(f"dgbtrf rejected argument {-info}")
-        system.piv = piv
-        cols = z
-    _band_solve(system, cols)
-    return z
-
-
 def _band_solve(system: BorderedSystem, cols: np.ndarray) -> None:
     # cols, Fortran-ordered columns of the stack, overwritten by dgbtrs with
     # their core solves (any other layout would be copied, the solution lost)
-    _, info = dgbtrs(system.work_band, KL, KU, cols, system.piv, overwrite_b=1)
+    _, info = dgbtrs(system.core.band, KL, KU, cols, system.piv, overwrite_b=1)
     if info != 0:
         raise ValueError(f"dgbtrs rejected argument {-info}")
 
 
 def solve_bordered(system: BorderedSystem) -> np.ndarray:
-    """Solve via block elimination: factor the folded band core, eliminate
-    it from the border rows, solve the nb x nb Schur complement for the
-    multipliers, back-substitute.  Returns the full unknown vector (3N + nb,)
-    in block order: positions (interleaved), curvatures, then lam?, eta?.
+    """Solve via block elimination: solve the factored core for the rhs and
+    the border columns, eliminate it from the border rows, solve the nb x nb
+    Schur complement for the multipliers, back-substitute.  Returns the full
+    unknown vector (3N + nb,) in block order: positions (interleaved),
+    curvatures, then lam?, eta?.
 
-    The solve writes the system's stack, and its work_band and piv when it
-    factors (see BorderedSystem); everything else it only reads.  A later
-    solve of a factored system is bitwise the first.
+    The rhs and a1 are solved together in one banded solve, into the
+    stack's leading columns, beside the eta column's solve the assembly took
+    (see BorderedSystem); everything else the solve only reads.  LAPACK
+    treats each right-hand side column on its own, so a later solve of the
+    same system is bitwise the first.
 
     The Schur step (see _multipliers) runs in Python floats from one
     border_rows @ [g, Y] product and one |border_rows| |Y| product.  It is
@@ -262,7 +244,11 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
     form, with 1e-13."""
     m = system.core.shape[0]
     inverse = _fold(m // 3).inverse
-    z = _solve_core(system)
+    z = system.stack
+    z[:, 0] = system.rhs[:m]
+    if system.a1 is not None:
+        z[:, 1] = system.a1
+    _band_solve(system, z[:, : 1 + (system.a1 is not None)])
     out = np.empty(m + system.nb)
     if system.nb == 0:
         np.take(z[:, 0], inverse, out=out)

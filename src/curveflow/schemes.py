@@ -218,6 +218,9 @@ class SchemeConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if int(self.max_newton) != self.max_newton or self.max_newton < 1:
             raise ValueError(f"max_newton must be a positive integer, got {self.max_newton}")
+        # an integral float such as 50.0 is accepted, and stored as an int
+        for name in ("N", "max_newton"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         # the generator's own checks of N and the shape parameters
         self.make_initial_curve()
 
@@ -279,8 +282,10 @@ def newton_outer(
     the border rows and the residual.  The first iteration allocates the
     run's blocks and system, and each later one writes into them (the model
     by passing ``previous`` on to assemble_newton_blocks).  The core, with
-    lam_eff M of the start iterate on Q's diagonal, is factored once, in the
-    first iteration: a simplified Newton method with an exact residual.
+    lam_eff M of the start iterate on Q's diagonal, is factored once, when
+    the first iteration builds the system: a simplified Newton method with
+    an exact residual.  Each iteration then makes one banded solve, of the
+    rhs and the lam column, under that factor.
     """
     it = start
     norm = math.inf

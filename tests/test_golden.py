@@ -1,0 +1,77 @@
+"""Golden outputs: the diagnostics and final state of short runs of every
+scheme, pinned by digest.
+
+A change that is meant to keep the solver's outputs bitwise must leave every
+digest here unchanged.  Rounding differs across numpy, scipy and BLAS builds,
+so the digests only hold for the versions they were taken with; elsewhere the
+test is skipped with the reason.
+"""
+
+import hashlib
+import io
+
+import numpy as np
+import pytest
+import scipy
+
+from curveflow.metrics import write_diagnostics_csv
+from curveflow.schemes import SCHEMES, SchemeConfig, run
+
+# numpy and scipy versions the digests were taken with (OpenBLAS 0.3.31, x86-64)
+VERSIONS = ("2.4.6", "1.17.1")
+
+# (scheme, shape) -> first 16 hex digits of the SHA-256 of the diagnostics
+# CSV text, and of the final vertices' and curvatures' float64 bytes.  All
+# nine schemes at N=16, tau=0.01, T=0.04, gamma=0; "circle" is sp-bdf2 on
+# the unit circle with the default threshold, which forces the switch to
+# ap-bdf2 at its startup step.
+GOLDEN = {
+    ("sp-euler", "ellipse"): ("5b840ffd9d891d2e", "0a8f56f5af734475"),
+    ("sp-cn", "ellipse"): ("8b6d94a4404a338e", "0ca33680291c9a20"),
+    ("sp-bdf2", "ellipse"): ("19f89de65f67b1ef", "a8a7cad0f799eacf"),
+    ("sp-bdf2-variant", "ellipse"): ("7caa26ddeaf5c429", "b7f79e4257968633"),
+    ("pd-bdf2", "ellipse"): ("4693f3eeb70e53e9", "4085981c79308296"),
+    ("ap-bdf1", "ellipse"): ("19b4f72126453390", "d457eddd660d822f"),
+    ("ap-bdf2", "ellipse"): ("3afd4b3847e01dae", "dd4c8f85325e4da3"),
+    ("ap-bdf3", "ellipse"): ("c709c5ec9093a023", "79cd295cbf3813ab"),
+    ("ap-bdf4", "ellipse"): ("0fddc083aa052ba5", "8ccfa8f8b384315b"),
+    ("sp-euler", "mikula"): ("51006b05203aa818", "b88b4873b99bc56d"),
+    ("sp-cn", "mikula"): ("c39f05a671017efa", "69f70646273c5ef8"),
+    ("sp-bdf2", "mikula"): ("3ff10d123466a1fb", "8c56edc193c4a822"),
+    ("sp-bdf2-variant", "mikula"): ("7fbce57bd944ae13", "7b332b592a962c27"),
+    ("pd-bdf2", "mikula"): ("2bc66be704bec09c", "88514bb7e4957a4c"),
+    ("ap-bdf1", "mikula"): ("0695bc50e3512f3b", "878b96fc16559bc6"),
+    ("ap-bdf2", "mikula"): ("dddd0ca730c4f85b", "8f335c625ac5fadd"),
+    ("ap-bdf3", "mikula"): ("b6dfe65642234056", "bc82151d8ae66d41"),
+    ("ap-bdf4", "mikula"): ("21dd7228cb45bd86", "7211fac462423e62"),
+    ("sp-bdf2", "circle"): ("d53a744434c7d601", "acf4352a28a92d8a"),
+}
+
+
+def _config(scheme, shape):
+    if shape == "circle":
+        return SchemeConfig(scheme=scheme, N=16, tau=0.01, T=0.04, a=1.0, b=1.0)
+    return SchemeConfig(scheme=scheme, N=16, tau=0.01, T=0.04, shape=shape, gamma=0.0)
+
+
+def _digests(result):
+    text = io.StringIO()
+    write_diagnostics_csv(result.series, text)
+    last = result.state.history[-1]
+    state = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (last.curve.vertices, last.kappa))
+    return tuple(hashlib.sha256(data).hexdigest()[:16] for data in (text.getvalue().encode(), state))
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != VERSIONS,
+    reason=f"digests taken with numpy {VERSIONS[0]} and scipy {VERSIONS[1]}",
+)
+def test_runs_reproduce_their_golden_digests():
+    assert set(SCHEMES) == {scheme for scheme, _ in GOLDEN}
+    got = {}
+    for scheme, shape in GOLDEN:
+        result = run(_config(scheme, shape))
+        assert result.ok, f"{scheme} on {shape}: {result.failure}"
+        assert result.forced_switch == (shape == "circle")
+        got[scheme, shape] = _digests(result)
+    assert got == GOLDEN

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import curveflow.schemes
 
@@ -66,7 +67,9 @@ def _folded_permutations(n):
 def test_folded_core_is_a_band_of_width_six():
     # every structural nonzero of the folded core lies within six diagonals,
     # and the assembled band, border rows, border columns and rhs hold
-    # exactly the dense system's entries at their folded places
+    # exactly the dense system's entries at their folded places: the band
+    # as LAPACK's LU of the expected band, the eta column as its core solve
+    # under that LU
     for n in range(3, 65):
         blocks = oracles.random_blocks(rng, n=n, flavor="both")
         M, rhs = oracles.dense_from_blocks(blocks)
@@ -75,17 +78,22 @@ def test_folded_core_is_a_band_of_width_six():
         core = M[np.ix_(rows, cols)]
         i, j = np.nonzero(core)
         assert len(i) == 13 * n and np.abs(i - j).max() <= 6
-        expected = np.zeros((19, m))
+        expected = np.zeros((19, m), order="F")
         expected[12 + i - j, j] = core[i, j]
+        lu, piv, info = dgbtrf(expected, 6, 6)
+        eta, _ = dgbtrs(lu, 6, 6, M[rows, m + 1], piv)
+        assert info == 0
         system = assemble_system(blocks)
-        assert np.array_equal(system.core.band, expected), n
-        assert np.array_equal(system.stack[:, 1:], M[rows, m:])
+        assert np.array_equal(system.core.band, lu), n
+        assert np.array_equal(system.piv, piv)
+        assert np.array_equal(system.a1, M[rows, m])
+        assert np.array_equal(system.stack[:, 2], eta)
         assert np.array_equal(system.border_rows, M[m:][:, cols])
         assert np.array_equal(system.rhs, np.concatenate((rhs[rows], rhs[m:])))
 
 
 def test_two_border_solve_at_large_n_keeps_memory_to_the_band():
-    # at N = 8192 the band and its LU copy are 2 x 19 x 3N doubles (7.5 MB);
+    # at N = 8192 the band, factored in place, is 19 x 3N doubles (3.7 MB);
     # everything else is a few vectors of length 3N and the fold's index
     # arrays, so 16 MB leaves room for those, and any (3N, 3N) array fails it
     n = 8192
@@ -261,8 +269,8 @@ def test_stored_factor_gives_bitwise_the_fresh_solve(flavor):
 
 @pytest.mark.parametrize("flavor", ["lam", "eta", "both"])
 def test_stack_holds_the_border_columns_or_their_core_solves(flavor):
-    # while the core is factored, stack[:, 1:] holds the core solves of the
-    # border columns, also right after an assembly that brings a new a1
+    # after a solve, stack[:, 1:] holds the core solves of the border
+    # columns; a later assembly brings a new a1, which the next solve solves
     for n in range(3, 10):
         m = 3 * n
         rows, cols = _folded_permutations(n)
@@ -285,6 +293,7 @@ def test_stack_holds_the_border_columns_or_their_core_solves(flavor):
             later = replace(blocks, a1=other.a1, rows=other.rows, rhs=other.rhs)
             assemble_system(later, reuse=system)
             assert system.piv is piv
+            solve_bordered(system)
             M, _ = oracles.dense_from_blocks(later)
             expected = np.linalg.solve(M[np.ix_(rows, cols)], M[rows, m:])
             assert np.abs(system.stack[:, 1:] - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -376,9 +385,10 @@ def test_blocks_of_captured_iterates_are_bitwise_the_fresh_ones(scheme, monkeypa
 
 
 def test_newton_run_at_large_n_keeps_memory_to_its_buffers():
-    # a Newton run allocates its blocks, band, working band and solve stack
-    # once: six SP iterations at N = 8192 stay within the bound of a single
-    # solve (test_two_border_solve_at_large_n_keeps_memory_to_the_band)
+    # a Newton run allocates its blocks, its one band and its solve stack
+    # once: six SP iterations at N = 8192 peak at 11.0 MB.  One band is
+    # 19 x 3N doubles (3.7 MB), and 12.5 MB leaves no room for a second,
+    # such as a copy of the band to factor (14.5 MB)
     n = 8192
     theta = 2.0 * np.pi * np.arange(n) / n
     v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
@@ -399,7 +409,7 @@ def test_newton_run_at_large_n_keeps_memory_to_its_buffers():
     finally:
         tracemalloc.stop()
     assert solves == [True] + [False] * 5
-    assert peak < 16e6
+    assert peak < 12.5e6
 
 
 def _rotation(angle):
@@ -501,8 +511,9 @@ def test_singular_core_raises():
         rows=base.rows,
         rhs=base.rhs,
     )
+    # the core is factored when the system is built
     with pytest.raises(SingularCoreError):
-        solve_bordered(assemble_system(blocks))
+        assemble_system(blocks)
 
 
 def test_solver_errors_share_base_class():
