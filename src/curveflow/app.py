@@ -242,19 +242,31 @@ def _converge_level(config: SchemeConfig) -> Dict[str, object]:
     return {"ok": True, "vertices": np.array(result.state.history[-1].curve.vertices)}
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("CURVEFLOW_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"CURVEFLOW_THREADS must be an integer, got '{raw}'") from exc
-    return max(1, cap)
+def _pool_size(levels: int) -> int:
+    # CURVEFLOW_THREADS if set, else the usable CPUs; never more than the levels
+    raw = os.environ.get("CURVEFLOW_THREADS")
+    if raw is None:
+        cap = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    else:
+        try:
+            cap = int(raw)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ConfigError(f"CURVEFLOW_THREADS must be a positive integer, got '{raw}'")
+    return min(cap, levels)
 
 
 def cli_converge(config_path: str) -> int:
     """Run a refinement study: one run per tau with N set by the path rule,
     errors between consecutive terminal curves, orders between consecutive
-    error rows; writes eoc.csv and manifest.json."""
+    error rows; writes eoc.csv and manifest.json.
+
+    The levels run in a process pool of CURVEFLOW_THREADS workers (default:
+    the usable CPUs, at most one per level; 1 runs them in this process).
+    The pool gets the smallest tau, the finest and slowest level, first;
+    outcomes are read back in level order, so the outputs and the failure
+    message do not depend on the pool size."""
     started = time.perf_counter()
     entries = parse_config_file(config_path)
     out_dir = entries.pop("out", (".", 0))[0]
@@ -274,10 +286,12 @@ def cli_converge(config_path: str) -> int:
         _build_scheme_config(entries, config_path, skip=("N", "tau", "gamma"), N=resolve(tau), tau=tau, gamma=0.0)
         for tau in taus
     ]
-    workers = min(_thread_cap(), len(configs))
+    workers = _pool_size(len(configs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_converge_level, configs))
+            finest_first = sorted(range(len(configs)), key=lambda i: taus[i])
+            futures = {i: pool.submit(_converge_level, configs[i]) for i in finest_first}
+            outcomes = [futures[i].result() for i in range(len(configs))]
     else:
         outcomes = [_converge_level(c) for c in configs]
 

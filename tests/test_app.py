@@ -2,11 +2,15 @@
 
 import io
 import json
+import multiprocessing
+import os
 import textwrap
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import curveflow.app
 from curveflow.app import ConfigError, main, parse_config_file, parse_path_rule
 from curveflow.geometry import PolygonalCurve, write_snapshot
 from curveflow.metrics import DIAGNOSTICS_HEADER, write_diagnostics_csv
@@ -330,10 +334,58 @@ def test_converge_refinement_study_and_thread_pool_agree(tmp_path, monkeypatch):
         {"tau": 1.0 / 4096.0, "N": 64},
     ]
 
+    for threads in ("2", None):  # None: the default pool, one worker per usable CPU
+        out_pool = tmp_path / f"pool-{threads}"
+        cfg_pool = write_config(tmp_path / f"pool-{threads}.cfg", body.format(out=out_pool))
+        if threads is None:
+            monkeypatch.delenv("CURVEFLOW_THREADS")
+        else:
+            monkeypatch.setenv("CURVEFLOW_THREADS", threads)
+        assert main(["converge", "--config", cfg_pool]) == 0
+        assert (out_pool / "eoc.csv").read_bytes() == (out_serial / "eoc.csv").read_bytes(), threads
+
+
+def test_converge_default_pool_uses_usable_cpus_and_starts_finest_level(tmp_path, monkeypatch):
+    body = """\
+        scheme = sp-euler
+        T = 0.02
+        taus = 0.005 0.0025 0.00125
+        path = 0.05h
+        out = {out}
+        """
+    out_serial = tmp_path / "serial"
+    monkeypatch.setenv("CURVEFLOW_THREADS", "1")
+    assert main(["converge", "--config", write_config(tmp_path / "serial.cfg", body.format(out=out_serial))]) == 0
+
+    executors = []
+
+    class InlineExecutor:
+        # records how it is built and what is submitted; runs each call at once
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.submitted = []
+            executors.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, config):
+            self.submitted.append(config.tau)
+            future = Future()
+            future.set_result(fn(config))
+            return future
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(curveflow.app, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.delenv("CURVEFLOW_THREADS")
     out_pool = tmp_path / "pool"
-    cfg_pool = write_config(tmp_path / "pool.cfg", body.format(out=out_pool))
-    monkeypatch.setenv("CURVEFLOW_THREADS", "2")
-    assert main(["converge", "--config", cfg_pool]) == 0
+    assert main(["converge", "--config", write_config(tmp_path / "pool.cfg", body.format(out=out_pool))]) == 0
+
+    assert [e.max_workers for e in executors] == [2]
+    assert executors[0].submitted == [0.00125, 0.0025, 0.005]
     assert (out_pool / "eoc.csv").read_bytes() == (out_serial / "eoc.csv").read_bytes()
 
 
@@ -367,9 +419,10 @@ def test_converge_rejects_bad_thread_cap(tmp_path, monkeypatch, capsys):
         out = {out}
         """,
     )
-    monkeypatch.setenv("CURVEFLOW_THREADS", "many")
-    assert main(["converge", "--config", cfg]) == 1
-    assert "CURVEFLOW_THREADS" in capsys.readouterr().err
+    for raw in ("many", "0", "-2"):
+        monkeypatch.setenv("CURVEFLOW_THREADS", raw)
+        assert main(["converge", "--config", cfg]) == 1, raw
+        assert "CURVEFLOW_THREADS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -386,24 +439,49 @@ def test_converge_rejects_incomplete_studies(tmp_path, body):
     assert main(["converge", "--config", cfg]) == 1
 
 
-def test_converge_failure_exits_two(tmp_path, capsys):
-    out = tmp_path / "study"
-    cfg = write_config(
-        tmp_path / "study.cfg",
-        f"""\
-        scheme = sp-euler
-        T = 0.02
-        taus = 0.005 0.0025
-        path = 0.05h
-        max_newton = 1
-        out = {out}
-        """,
-    )
-    assert main(["converge", "--config", cfg]) == 2
-    assert "level 0" in capsys.readouterr().err
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["failure"].startswith("level 0 (tau=0.005, N=10)")
-    assert (out / "eoc.csv").read_text(encoding="ascii") == "tau,h,error,order\n"
+def test_converge_failure_exits_two(tmp_path, monkeypatch, capsys):
+    # both levels fail; the pool starts level 1 first, yet level 0 is named
+    for threads in (None, "1"):
+        out = tmp_path / f"study-{threads}"
+        cfg = write_config(
+            tmp_path / f"study-{threads}.cfg",
+            f"""\
+            scheme = sp-euler
+            T = 0.02
+            taus = 0.005 0.0025
+            path = 0.05h
+            max_newton = 1
+            out = {out}
+            """,
+        )
+        if threads is None:
+            monkeypatch.delenv("CURVEFLOW_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CURVEFLOW_THREADS", threads)
+        assert main(["converge", "--config", cfg]) == 2, threads
+        assert "level 0" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure"].startswith("level 0 (tau=0.005, N=10)"), threads
+        assert (out / "eoc.csv").read_text(encoding="ascii") == "tau,h,error,order\n"
+
+
+def test_converge_leaves_no_child_process(tmp_path, monkeypatch):
+    monkeypatch.setenv("CURVEFLOW_THREADS", "2")
+    assert multiprocessing.active_children() == []
+    for max_newton, code in ((50, 0), (1, 2)):
+        cfg = write_config(
+            tmp_path / f"study-{max_newton}.cfg",
+            f"""\
+            scheme = sp-euler
+            T = 0.02
+            taus = 0.005 0.0025
+            path = 0.05h
+            max_newton = {max_newton}
+            out = {tmp_path / f"study-{max_newton}"}
+            """,
+        )
+        assert main(["converge", "--config", cfg]) == code
+        assert multiprocessing.active_children() == [], code
 
 
 # ---------------------------------------------------------------------------
