@@ -123,7 +123,7 @@ class ReferenceGeometry:
     reuses: lumped masses, normal weights, the edge weights 1 / |h_j| and the
     stiffness stencil built from them."""
 
-    __slots__ = ("vertices", "lengths", "mass", "omega", "weights", "stencil", "perimeter")
+    __slots__ = ("vertices", "lengths", "mass", "omega", "weights", "stencil")
 
     def __init__(self, curve) -> None:
         v = _as_vertices(curve)
@@ -133,7 +133,6 @@ class ReferenceGeometry:
         self.omega = normal_weights(self.vertices)
         self.weights = 1.0 / self.lengths
         self.stencil = stiffness_stencil(self.weights)
-        self.perimeter = float(self.lengths.sum())
 
     @property
     def n(self) -> int:
@@ -249,9 +248,11 @@ class NewtonBlocks:
     absent multiplier leaves its column None and has no row.  Q's only
     iterate term, -lam_eff M on its diagonal, is taken at the run's start.
 
-    These arrays are the buffers of one Newton run: a later iteration's
-    `assemble_newton_blocks` overwrites a1, rows and rhs in place, and P, Q,
-    R and a2 stay.  ``work`` holds the run's other buffers; it is None for
+    These arrays are the buffers of one Newton run and the only home of its
+    solver inputs: a later iteration's `assemble_newton_blocks` overwrites
+    a1, rows and rhs in place, and P, Q, R and a2 stay.  The run's
+    `linalg.BorderedSystem` holds these blocks and reads a1, rows and rhs at
+    each solve.  ``work`` holds the run's other buffers; it is None for
     blocks built by hand, which cannot serve as ``previous``.
     """
 

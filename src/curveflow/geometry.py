@@ -70,9 +70,7 @@ class PolygonalCurve:
         n = arr.shape[0]
         if n < 3:
             raise ValueError(f"a closed curve needs at least 3 vertices, got {n}")
-        if not np.isfinite(arr).all():
-            bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
-            raise ValueError(f"non-finite coordinates at vertex {bad}")
+        _require_finite(arr)
         _nonzero_edge_lengths(arr)
         area = _shoelace(arr)
         if area == 0.0:
@@ -113,6 +111,13 @@ def edge_lengths(curve) -> np.ndarray:
     """Edge lengths |h_j| as an (N,) array."""
     h = edge_vectors(curve)
     return np.hypot(h[:, 0], h[:, 1])
+
+
+def _require_finite(vertices: np.ndarray) -> None:
+    """ValueError naming the first vertex with a non-finite coordinate."""
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite coordinates at vertex {int(np.flatnonzero(~finite)[0])}")
 
 
 def _nonzero_edge_lengths(curve) -> np.ndarray:

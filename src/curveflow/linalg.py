@@ -20,15 +20,15 @@ complement, whose singularity is detected explicitly because it carries the
 geometric degeneracy of an equilibrium (constant curvature makes the two
 border columns parallel).
 
-A Newton run builds one `BorderedSystem`, in its first iteration, and every
-later iteration writes into it (`assemble_system` with ``reuse=``).  The
-core is fixed through a run (Q's diagonal holds lam_eff M of the run's
-start iterate, see NewtonBlocks), and so is the eta column: the system is
-built factored, with the eta column's core solve, and a later assembly
-writes only its inputs, the rhs, the border rows and the lam column.  Each
-solve then makes one banded solve, of the rhs and the lam column together.
-The multipliers come from a 1 x 1 or 2 x 2 Schur step in Python floats,
-with closed-form singular values for the degeneracy verdict.
+A Newton run builds one `BorderedSystem`, in its first iteration: the
+factored core plus the run's `NewtonBlocks`.  The core is fixed through the
+run (Q's diagonal holds lam_eff M of the run's start, see NewtonBlocks), and
+so is the eta column, solved when the system is built.  The rhs, the border
+rows and the lam column live only in the blocks, which later iterations
+overwrite in place; each solve gathers them into folded order and makes one
+banded solve, of the rhs and the lam column together.  The multipliers come
+from a 1 x 1 or 2 x 2 Schur step in Python floats, with closed-form singular
+values for the degeneracy verdict.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -144,72 +143,51 @@ class PeriodicBandCore:
 
 @dataclass
 class BorderedSystem:
-    """Factored core plus dense borders, rows and unknowns in folded order:
-    rhs holds the equations (curvature x, curvature y, velocity) of each
-    slot's vertex, then perimeter?, area?; unknowns are (x_k, y_k, kappa_k)
-    per slot, then lam?, eta?.  nb in {0, 1, 2} counts the borders actually
-    present, lam before eta in both the columns and the rows.
+    """The factored core of one Newton run plus the run's blocks.  In folded
+    order the equations of a slot's vertex are (curvature x, curvature y,
+    velocity), then perimeter?, area?; its unknowns are (x_k, y_k, kappa_k),
+    then lam?, eta?.  nb in {0, 1, 2} counts the borders present, lam
+    before eta in both the columns and the rows.
 
-    The arrays are the buffers of one Newton run.  rhs, border_rows and a1,
-    the lam column (3N,) or None, are the inputs an assembly writes; the core
-    LU, its pivots ``piv`` and the eta column are fixed through the run.
+    The core LU, its pivots ``piv`` and the eta column are fixed through the
+    run; each solve reads the rhs, the border rows and a1 from ``blocks``.
     ``stack`` (3N, 1 + nb), Fortran order, holds the core solves [g, Y] of
     the rhs and the border columns: the eta column's is taken when the
-    system is built, and each solve writes the rhs and a1 into the leading
+    system is built, and each solve gathers the rhs and a1 into the leading
     columns and overwrites them with theirs."""
 
     core: PeriodicBandCore
-    border_rows: np.ndarray  # (nb, 3N)
-    rhs: np.ndarray  # (3N + nb,)
-    a1: Optional[np.ndarray] = field(repr=False)
+    blocks: NewtonBlocks = field(repr=False)
     stack: np.ndarray = field(repr=False)
     piv: np.ndarray = field(repr=False)
     nb: int
 
 
-def assemble_system(blocks: NewtonBlocks, reuse: Optional[BorderedSystem] = None) -> BorderedSystem:
-    """Pack Newton blocks into one factored bordered system in folded order.
-
-    Without ``reuse`` the call scatters the core into its band, factors it in
-    place and solves the eta column, so a singular core raises
-    SingularCoreError before any system exists.  ``reuse`` is the system of
-    an earlier iteration of the same Newton run, whose blocks differ from
-    ``blocks`` at most in a1, the border rows and the rhs (see NewtonBlocks).
-    Either way the call then gathers the rhs, the border rows and a1 into the
-    system's inputs and returns it; with ``reuse`` it allocates nothing.
-    """
+def assemble_system(blocks: NewtonBlocks) -> BorderedSystem:
+    """Build the factored bordered system of the Newton run with ``blocks``,
+    once per run: scatter the core into its band in folded order, factor it
+    in place and solve the eta column, so a singular core raises
+    SingularCoreError before any system exists.  The system keeps
+    ``blocks``, whose a1, border rows and rhs later iterations overwrite in
+    place (see NewtonBlocks); each solve reads them."""
     n = len(blocks.P)
     m = 3 * n
     fold = _fold(n)
     nb = len(blocks.rows)
-    if reuse is None:
-        flat = np.zeros(m * _LDAB)
-        flat[fold.scatter] = np.concatenate((blocks.P, blocks.P, blocks.Q, blocks.R, blocks.R), axis=1)
-        # band storage in Fortran order, as LAPACK takes it, factored in place
-        band, piv, info = dgbtrf(flat.reshape(m, _LDAB).T, KL, KU, overwrite_ab=1)
-        if info > 0:
-            raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
-        if info < 0:
-            raise ValueError(f"dgbtrf rejected argument {-info}")
-        reuse = BorderedSystem(
-            PeriodicBandCore(band),
-            border_rows=np.empty((nb, m)),
-            rhs=np.empty(m + nb),
-            a1=np.zeros(m) if blocks.a1 is not None else None,
-            stack=np.zeros((m, 1 + nb), order="F"),
-            piv=piv,
-            nb=nb,
-        )
-        if blocks.a2 is not None:
-            # the eta column lives in the velocity rows
-            np.take(blocks.a2, fold.vertex, out=reuse.stack[2::3, nb])
-            _band_solve(reuse, reuse.stack[:, nb:])
-    if blocks.a1 is not None:
-        np.take(blocks.a1, fold.vertex, out=reuse.a1[2::3])
-    np.take(blocks.rows, fold.gather, axis=1, out=reuse.border_rows)
-    np.take(blocks.rhs, fold.gather, out=reuse.rhs[:m])
-    reuse.rhs[m:] = blocks.rhs[m:]
-    return reuse
+    flat = np.zeros(m * _LDAB)
+    flat[fold.scatter] = np.concatenate((blocks.P, blocks.P, blocks.Q, blocks.R, blocks.R), axis=1)
+    # band storage in Fortran order, as LAPACK takes it, factored in place
+    band, piv, info = dgbtrf(flat.reshape(m, _LDAB).T, KL, KU, overwrite_ab=1)
+    if info > 0:
+        raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
+    if info < 0:
+        raise ValueError(f"dgbtrf rejected argument {-info}")
+    system = BorderedSystem(PeriodicBandCore(band), blocks, stack=np.zeros((m, 1 + nb), order="F"), piv=piv, nb=nb)
+    if blocks.a2 is not None:
+        # the eta column lives in the velocity rows
+        np.take(blocks.a2, fold.vertex, out=system.stack[2::3, nb])
+        _band_solve(system, system.stack[:, nb:])
+    return system
 
 
 def _band_solve(system: BorderedSystem, cols: np.ndarray) -> None:
@@ -227,11 +205,12 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
     unknown vector (3N + nb,) in block order: positions (interleaved),
     curvatures, then lam?, eta?.
 
-    The rhs and a1 are solved together in one banded solve, into the
-    stack's leading columns, beside the eta column's solve the assembly took
-    (see BorderedSystem); everything else the solve only reads.  LAPACK
-    treats each right-hand side column on its own, so a later solve of the
-    same system is bitwise the first.
+    The rhs and a1 are gathered from the blocks into the stack's leading
+    columns and solved together in one banded solve, beside the eta
+    column's solve the assembly took (see BorderedSystem); the border rows
+    are gathered into folded order.  LAPACK treats each right-hand side
+    column on its own, so a later solve of the same system is bitwise the
+    first.
 
     The Schur step (see _multipliers) runs in Python floats from one
     border_rows @ [g, Y] product and one |border_rows| |Y| product.  It is
@@ -243,20 +222,22 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
     singular value of the equilibrated 1 x 1 or 2 x 2 matrix, in closed
     form, with 1e-13."""
     m = system.core.shape[0]
-    inverse = _fold(m // 3).inverse
+    fold = _fold(m // 3)
+    blocks = system.blocks
     z = system.stack
-    z[:, 0] = system.rhs[:m]
-    if system.a1 is not None:
-        z[:, 1] = system.a1
-    _band_solve(system, z[:, : 1 + (system.a1 is not None)])
+    np.take(blocks.rhs, fold.gather, out=z[:, 0])
+    if blocks.a1 is not None:
+        z[:, 1] = 0.0
+        np.take(blocks.a1, fold.vertex, out=z[2::3, 1])
+    _band_solve(system, z[:, : 1 + (blocks.a1 is not None)])
     out = np.empty(m + system.nb)
     if system.nb == 0:
-        np.take(z[:, 0], inverse, out=out)
+        np.take(z[:, 0], fold.inverse, out=out)
         return out
-    B = system.border_rows
-    mu = _multipliers(B @ z, np.abs(B) @ np.abs(z[:, 1:]), system.rhs[m:])
+    B = np.take(blocks.rows, fold.gather, axis=1)
+    mu = _multipliers(B @ z, np.abs(B) @ np.abs(z[:, 1:]), blocks.rhs[m:])
     # g - Y mu, with g the core solve of the rhs and Y those of the columns
-    np.take(z @ np.array((1.0, *(-x for x in mu))), inverse, out=out[:m])
+    np.take(z @ np.array((1.0, *(-x for x in mu))), fold.inverse, out=out[:m])
     out[m:] = mu
     return out
 

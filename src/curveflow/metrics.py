@@ -24,7 +24,7 @@ from typing import IO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import _as_vertices, _box_pairs, _nonzero_edge_lengths, _overlapping, _shoelace, _write_text, is_simple
+from .geometry import _as_vertices, _box_pairs, _nonzero_edge_lengths, _overlapping, _require_finite, _shoelace, _write_text, is_simple
 
 __all__ = [
     "DiagnosticsRow",
@@ -342,6 +342,7 @@ def _boundary_pieces_area(
 
 def _validated_vertices(curve) -> np.ndarray:
     v = _as_vertices(curve)
+    _require_finite(v)
     _nonzero_edge_lengths(v)
     if _shoelace(v) <= 0.0:
         raise ValueError("curve must be positively oriented")

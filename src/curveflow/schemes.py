@@ -277,22 +277,23 @@ def newton_outer(
     NewtonDivergenceError at once, with last_norm = inf.
 
     ``model(it, previous)`` gives the blocks at ``it``; ``previous`` is the
-    run's blocks of the last iteration, or None in the first.  The blocks of
-    one run may differ only where assemble_newton_blocks lets them: in a1,
-    the border rows and the residual.  The first iteration allocates the
-    run's blocks and system, and each later one writes into them (the model
-    by passing ``previous`` on to assemble_newton_blocks).  The core, with
-    lam_eff M of the start iterate on Q's diagonal, is factored once, when
-    the first iteration builds the system: a simplified Newton method with
-    an exact residual.  Each iteration then makes one banded solve, of the
-    rhs and the lam column, under that factor.
+    run's blocks of the last iteration, or None in the first.  The first
+    iteration allocates the run's blocks and builds its system from them;
+    each later one has the model write a1, the border rows and the residual
+    into those same blocks (by passing ``previous`` on to
+    assemble_newton_blocks), where the system's solve reads them.  The
+    core, with lam_eff M of the start iterate on Q's diagonal, is factored
+    once, when the system is built: a simplified Newton method with an
+    exact residual.  Each iteration then makes one banded solve, of the rhs
+    and the lam column, under that factor.
     """
     it = start
     norm = math.inf
     blocks = system = None
     for iteration in range(1, max_newton + 1):
         blocks = model(it, blocks)
-        system = assemble_system(blocks, system)
+        if system is None:
+            system = assemble_system(blocks)
         z = solve_bordered(system)
         previous_norm, norm = norm, float(np.abs(z).max())
         n = blocks.P.shape[0]

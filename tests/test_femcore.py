@@ -145,7 +145,6 @@ def test_reference_geometry_consistency():
     assert ref.n == len(v)
     assert np.array_equal(ref.mass, lumped_masses(v))
     assert np.array_equal(ref.omega, normal_weights(v))
-    assert ref.perimeter == pytest.approx(oracles.loop_perimeter(v), rel=1e-14)
     assert np.array_equal(ref.weights, 1.0 / ref.lengths)
     assert np.array_equal(ref.stencil, stiffness_stencil(ref.weights))
     S = oracles.stiffness_matrix(v).toarray()

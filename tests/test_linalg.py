@@ -1,6 +1,7 @@
 """Bordered banded solver against a dense oracle, plus its failure modes."""
 
 import tracemalloc
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -66,10 +67,11 @@ def _folded_permutations(n):
 
 def test_folded_core_is_a_band_of_width_six():
     # every structural nonzero of the folded core lies within six diagonals,
-    # and the assembled band, border rows, border columns and rhs hold
-    # exactly the dense system's entries at their folded places: the band
-    # as LAPACK's LU of the expected band, the eta column as its core solve
-    # under that LU
+    # and the band, border rows, border columns and rhs reach LAPACK and the
+    # Schur step as exactly the dense system's entries at their folded
+    # places: the band as LAPACK's LU of the expected band, the eta column,
+    # the rhs and the lam column as their core solves under that LU, the
+    # border rows through the multipliers they give
     for n in range(3, 65):
         blocks = oracles.random_blocks(rng, n=n, flavor="both")
         M, rhs = oracles.dense_from_blocks(blocks)
@@ -83,13 +85,16 @@ def test_folded_core_is_a_band_of_width_six():
         lu, piv, info = dgbtrf(expected, 6, 6)
         eta, _ = dgbtrs(lu, 6, 6, M[rows, m + 1], piv)
         assert info == 0
+        g, _ = dgbtrs(lu, 6, 6, np.column_stack((rhs[rows], M[rows, m])), piv)
         system = assemble_system(blocks)
+        assert system.blocks is blocks
         assert np.array_equal(system.core.band, lu), n
         assert np.array_equal(system.piv, piv)
-        assert np.array_equal(system.a1, M[rows, m])
         assert np.array_equal(system.stack[:, 2], eta)
-        assert np.array_equal(system.border_rows, M[m:][:, cols])
-        assert np.array_equal(system.rhs, np.concatenate((rhs[rows], rhs[m:])))
+        x = solve_bordered(system)
+        assert np.array_equal(system.stack[:, :2], g)
+        B = np.ascontiguousarray(M[m:][:, cols])  # row-major, as gathered, so the products round alike
+        assert np.array_equal(x[m:], _multipliers(B @ system.stack, np.abs(B) @ np.abs(system.stack[:, 1:]), rhs[m:]))
 
 
 def test_two_border_solve_at_large_n_keeps_memory_to_the_band():
@@ -254,23 +259,40 @@ def test_lone_area_border_verdict(factor):
         assert oracles.residual_norm(_with_area_row(blocks, v), x) <= 1e-9 * max(1.0, np.abs(x).max())
 
 
+def _overwrite_inputs(blocks, other):
+    # write other's a1, border rows and rhs into blocks in place, as a later
+    # Newton iteration does
+    if blocks.a1 is not None:
+        blocks.a1[:] = other.a1
+    blocks.rows[:] = other.rows
+    blocks.rhs[:] = other.rhs
+
+
 @pytest.mark.parametrize("flavor", ["none", "lam", "eta", "both"])
 def test_stored_factor_gives_bitwise_the_fresh_solve(flavor):
-    # a second solve of a system, and a system assembled with reuse=, go
-    # through the factor the first solve stored: same bits as a fresh solve
+    # every solve of a system gathers its inputs from the blocks afresh and
+    # goes through the stored factor: a second solve, and a solve after the
+    # inputs were overwritten and then written back, have the same bits as
+    # a fresh one, and a solve in between is that of the other inputs
     for n in (3, 8, 50):
         blocks = oracles.random_blocks(rng, n=n, flavor=flavor)
+        saved = deepcopy(blocks)
         system = assemble_system(blocks)
         fresh = solve_bordered(system)
-        assert system.piv is not None
         assert np.array_equal(solve_bordered(system), fresh)
-        assert np.array_equal(solve_bordered(assemble_system(blocks, reuse=system)), fresh)
+        other = oracles.random_blocks(rng, n=n, flavor=flavor)
+        _overwrite_inputs(blocks, other)
+        expected = solve_bordered(assemble_system(blocks))
+        assert np.array_equal(solve_bordered(system), expected)
+        _overwrite_inputs(blocks, saved)
+        assert np.array_equal(solve_bordered(system), fresh)
 
 
 @pytest.mark.parametrize("flavor", ["lam", "eta", "both"])
 def test_stack_holds_the_border_columns_or_their_core_solves(flavor):
     # after a solve, stack[:, 1:] holds the core solves of the border
-    # columns; a later assembly brings a new a1, which the next solve solves
+    # columns; a later iteration writes a new a1 into the blocks, which the
+    # next solve solves, and the eta column's solve stays
     for n in range(3, 10):
         m = 3 * n
         rows, cols = _folded_permutations(n)
@@ -283,18 +305,15 @@ def test_stack_holds_the_border_columns_or_their_core_solves(flavor):
         solves = system.stack[:, 1:].copy()
         other = oracles.random_blocks(rng, n=n, flavor=flavor)
         piv = system.piv
+        _overwrite_inputs(blocks, other)
+        solve_bordered(system)
+        assert system.piv is piv
         if blocks.a1 is None:
             # an AP iterate: only the border rows and the rhs change
-            assemble_system(replace(blocks, rows=other.rows, rhs=other.rhs), reuse=system)
-            assert system.piv is piv
             assert np.array_equal(system.stack[:, 1:], solves)
         else:
             # with the perimeter multiplier, a1 changes too; the core does not
-            later = replace(blocks, a1=other.a1, rows=other.rows, rhs=other.rhs)
-            assemble_system(later, reuse=system)
-            assert system.piv is piv
-            solve_bordered(system)
-            M, _ = oracles.dense_from_blocks(later)
+            M, _ = oracles.dense_from_blocks(blocks)
             expected = np.linalg.solve(M[np.ix_(rows, cols)], M[rows, m:])
             assert np.abs(system.stack[:, 1:] - expected).max() <= 1e-12 * np.abs(expected).max()
             if blocks.a2 is not None:
@@ -311,20 +330,19 @@ def test_reused_factor_serves_a_later_area_preserving_iterate():
     ref = ReferenceGeometry(v)
     first = NewtonIterate(v, initial_curvature(v), 0.0, 0.0)
     later = NewtonIterate(v + 1e-3 * rng.standard_normal((n, 2)), first.kappa + 0.1 * rng.standard_normal(n), 0.0, 0.3)
-    system = assemble_system(assemble_newton_blocks(ctx, ref, first, 1e-3))
+    blocks = assemble_newton_blocks(ctx, ref, first, 1e-3)
+    system = assemble_system(blocks)
     solve_bordered(system)
-    piv = system.piv
-    blocks = assemble_newton_blocks(ctx, ref, later, 1e-3)
-    reused = assemble_system(blocks, reuse=system)
-    assert reused is system and reused.piv is piv
-    assert np.array_equal(solve_bordered(reused), solve_bordered(assemble_system(blocks)))
+    assemble_newton_blocks(ctx, ref, later, 1e-3, blocks)
+    fresh = assemble_system(assemble_newton_blocks(ctx, ref, later, 1e-3))
+    assert np.array_equal(solve_bordered(system), solve_bordered(fresh))
 
 
 def _check_blocks_written_over_an_earlier_iterate(ctx, ref, first, later, tau):
     # a later iterate of the same run writes a1, the border rows and the rhs
-    # into the earlier blocks and system, and keeps the core of the run's
-    # start: blocks, system and solve are bitwise fresh ones at the later
-    # iterate with the start's Q
+    # into the earlier blocks, and keeps the core of the run's start: the
+    # blocks, and the solve of the run's system without a new assembly, are
+    # bitwise fresh ones at the later iterate with the start's Q
     earlier = assemble_newton_blocks(ctx, ref, first, tau)
     first_Q = earlier.Q.copy()
     system = assemble_system(earlier)
@@ -339,14 +357,11 @@ def _check_blocks_written_over_an_earlier_iterate(ctx, ref, first, later, tau):
     if first.lam != later.lam:
         # lam_eff M of the later iterate is not on the held diagonal
         assert not np.array_equal(assemble_newton_blocks(ctx, ref, later, tau).Q, first_Q)
-    reused = assemble_system(blocks, reuse=system)
     fresh = assemble_system(fresh_blocks)
-    assert reused is system and reused.piv is piv
-    for name in ("border_rows", "rhs"):
-        assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
-    assert np.array_equal(reused.core.band, fresh.core.band)
-    assert np.array_equal(solve_bordered(reused), solve_bordered(fresh))
-    assert np.array_equal(reused.stack, fresh.stack)
+    assert np.array_equal(solve_bordered(system), solve_bordered(fresh))
+    assert np.array_equal(system.stack, fresh.stack)
+    assert np.array_equal(system.core.band, fresh.core.band)
+    assert system.blocks is blocks and system.piv is piv
     # the velocity rows sum their terms in another order than the loops:
     # the whole residual agrees with the loop oracle to 1e-13 of its terms
     value, size = oracles.template_residual(ctx, ref.vertices, later, tau)
@@ -386,7 +401,7 @@ def test_blocks_of_captured_iterates_are_bitwise_the_fresh_ones(scheme, monkeypa
 
 def test_newton_run_at_large_n_keeps_memory_to_its_buffers():
     # a Newton run allocates its blocks, its one band and its solve stack
-    # once: six SP iterations at N = 8192 peak at 11.0 MB.  One band is
+    # once: six SP iterations at N = 8192 peak at 10.6 MB.  One band is
     # 19 x 3N doubles (3.7 MB), and 12.5 MB leaves no room for a second,
     # such as a copy of the band to factor (14.5 MB)
     n = 8192

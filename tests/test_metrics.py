@@ -200,6 +200,19 @@ def test_repeated_vertex_is_named_as_a_zero_length_edge():
 # manifold distance
 
 
+def test_non_finite_vertex_is_named_in_either_argument():
+    # a NaN vertex once passed the orientation and simplicity checks and
+    # gave a distance of 0; an inf one overflowed in the exact arithmetic
+    e = generate_ellipse(2.0, 1.0, 50).vertices
+    for value in (math.nan, math.inf, -math.inf):
+        f = e.copy()
+        f[3, 0] = value
+        for measure in (polygon_intersection_area, manifold_distance):
+            for args in ((e, f), (f, e)):
+                with pytest.raises(ValueError, match="non-finite coordinates at vertex 3"):
+                    measure(*args)
+
+
 def test_distance_to_self_is_zero():
     curve = generate_mikula(64)
     assert manifold_distance(curve, curve) <= 1e-12

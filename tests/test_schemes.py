@@ -615,12 +615,12 @@ def test_every_solve_runs_inside_newton_outer(monkeypatch):
 @pytest.mark.parametrize("scheme", ["ap-bdf3", "sp-bdf2", "pd-bdf2"])
 def test_core_factorizations_per_newton_run(monkeypatch, scheme):
     # the core, with lam_eff M of the start iterate on Q's diagonal, is fixed
-    # through a Newton run and is factored once per run in every family.
-    # Each bordered solve makes one banded solve, of the rhs and the lam
-    # column when there is one; the eta column is fixed through the run and
-    # is solved once, in one more single-column banded solve
-    counts = {"factor": 0, "solves": 0, "newton": 0, "banded": 0, "columns": 0}
-    assemblies = []
+    # through a Newton run: every family builds one system per run, factored
+    # once.  Each bordered solve makes one banded solve, of the rhs and the
+    # lam column when there is one; the eta column is fixed through the run
+    # and is solved once, in one more single-column banded solve
+    counts = {"factor": 0, "newton": 0, "banded": 0, "columns": 0}
+    assemblies, solves = [], []
     factor, banded = curveflow.linalg.dgbtrf, curveflow.linalg.dgbtrs
     solve, newton, assemble = curveflow.schemes.solve_bordered, curveflow.schemes.newton_outer, curveflow.schemes.assemble_system
 
@@ -635,24 +635,27 @@ def test_core_factorizations_per_newton_run(monkeypatch, scheme):
         counts["columns"] += b.shape[1]
         return banded(band, kl, ku, b, *args, **kwargs)
 
-    def recorded(blocks, reuse=None):
-        assemblies.append((reuse is None, blocks.a1 is not None, blocks.a2 is not None))
-        return assemble(blocks, reuse)
+    def recorded(blocks):
+        assemblies.append(blocks.a2 is not None)
+        return assemble(blocks)
+
+    def recorded_solve(system):
+        solves.append(system.blocks.a1 is not None)
+        return solve(system)
 
     monkeypatch.setattr(curveflow.linalg, "dgbtrf", counted("factor", factor))
     monkeypatch.setattr(curveflow.linalg, "dgbtrs", counted("banded", banded_solve))
-    monkeypatch.setattr(curveflow.schemes, "solve_bordered", counted("solves", solve))
+    monkeypatch.setattr(curveflow.schemes, "solve_bordered", recorded_solve)
     monkeypatch.setattr(curveflow.schemes, "newton_outer", counted("newton", newton))
     monkeypatch.setattr(curveflow.schemes, "assemble_system", recorded)
     result = run(SchemeConfig(scheme=scheme, N=24, tau=0.01, T=0.05, gamma=0.0))
     assert result.ok, result.failure
-    assert counts["solves"] > counts["newton"] > 0
-    assert counts["factor"] == counts["newton"] == sum(first for first, _, _ in assemblies)
-    assert len(assemblies) == counts["solves"]
-    eta_runs = sum(first and eta for first, _, eta in assemblies)
+    assert len(solves) > counts["newton"] > 0
+    assert counts["factor"] == counts["newton"] == len(assemblies)
+    eta_runs = sum(assemblies)
     assert eta_runs == (counts["newton"] if scheme != "pd-bdf2" else 0)
-    assert counts["banded"] == counts["solves"] + eta_runs
-    assert counts["columns"] == sum(1 + lam for _, lam, _ in assemblies) + eta_runs
+    assert counts["banded"] == len(solves) + eta_runs
+    assert counts["columns"] == sum(1 + lam for lam in solves) + eta_runs
 
 
 def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
