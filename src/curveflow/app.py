@@ -111,7 +111,12 @@ def parse_path_rule(text: str):
         raise ConfigError(f"path rule '{text}' must have positive coefficient and exponent")
 
     def resolve(tau: float) -> int:
-        n = int(round((coef / tau) ** (1.0 / exponent)))
+        if not tau > 0:
+            raise ConfigError(f"path rule '{text}' needs tau > 0, got tau={tau}")
+        try:
+            n = int(round((coef / tau) ** (1.0 / exponent)))
+        except OverflowError:
+            raise ConfigError(f"path rule '{text}' gives a non-finite N at tau={tau}") from None
         if n < 3:
             raise ConfigError(f"path rule '{text}' gives N={n} < 3 at tau={tau}")
         return n

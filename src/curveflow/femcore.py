@@ -39,7 +39,6 @@ __all__ = [
     "stiffness_stencil",
     "initial_curvature",
     "ReferenceGeometry",
-    "Anchor",
     "SchemeContext",
     "NewtonIterate",
     "NewtonBlocks",
@@ -139,20 +138,6 @@ class ReferenceGeometry:
         return len(self.lengths)
 
 
-class Anchor:
-    """The polygon Y the conservation rows are written against, with its edge
-    vectors g, edge lengths |g|, shoelace area A and perimeter L."""
-
-    __slots__ = ("Y", "g", "glen", "A", "L")
-
-    def __init__(self, curve) -> None:
-        self.Y = _as_vertices(curve)
-        self.g = edge_vectors(self.Y)
-        self.glen = np.hypot(self.g[:, 0], self.g[:, 1])
-        self.A = _shoelace(self.Y)
-        self.L = float(self.glen.sum())
-
-
 class NewtonIterate(NamedTuple):
     """Current Newton iterate; lam/eta stay 0 when not unknowns."""
 
@@ -182,14 +167,14 @@ class SchemeContext:
     others.  ``alpha`` is the iterate's weight in the effective unknowns.
     Multistep schemes put the history combination into xhist and Lhist.  Rows
     3 and 4 are present only when the corresponding multiplier is an unknown.
-    Y is the anchor (the newest accepted level), d = X - Y, and L(X) - L(Y) =
-    sum_j (h_j - g_j).(h_j + g_j) / (|h_j| + |g_j|) over the edges h of X, g
-    of Y and h - g of d.
+    Y is the anchor, the (N, 2) vertices of the newest accepted level, d =
+    X - Y, and L(X) - L(Y) = sum_j (h_j - g_j).(h_j + g_j) / (|h_j| + |g_j|)
+    over the edges h of X, g of Y and h - g of d.
     """
 
     delta0: float
     xhist: np.ndarray
-    anchor: Anchor
+    anchor: np.ndarray
     averaged: Optional[NewtonIterate] = None
     use_perimeter: bool = True
     dL0: float = 1.0
@@ -208,8 +193,9 @@ _AREA_ROW_SCALE = np.array([0.5, -0.5])
 
 class _RunBuffers:
     """What one Newton run (same ctx, ref and tau) computes once: the
-    residual terms that do not depend on the iterate, and scratch arrays
-    that every iteration overwrites."""
+    residual terms that do not depend on the iterate (among them the anchor
+    Y with its Y_{k+1}, g, |g| and the laws' constant parts), and scratch
+    arrays that every iteration overwrites."""
 
     def __init__(self, ctx: SchemeContext, ref: ReferenceGeometry, tau: float) -> None:
         n = ref.n
@@ -217,8 +203,13 @@ class _RunBuffers:
         # the velocity rows' history term and mass factor
         self.hist = ctx.alpha / ctx.delta0 * (ctx.xhist * ref.omega).sum(axis=1)
         self.flux_mass = self.s_flux * ref.mass
-        self.Yn = np.concatenate((ctx.anchor.Y[1:], ctx.anchor.Y[:1]))  # Y_{k+1}
-        self.law = ctx.dL0 * ctx.anchor.L + ctx.Lhist
+        Y = self.Y = ctx.anchor
+        self.Yn = np.concatenate((Y[1:], Y[:1]))  # Y_{k+1}
+        self.g = edge_vectors(Y)
+        self.glen = np.hypot(self.g[:, 0], self.g[:, 1])
+        # the perimeter law's dL0 L(Y) + Lhist and the area law's A(Y) - A0
+        self.law = ctx.dL0 * float(self.glen.sum()) + ctx.Lhist
+        self.area = _shoelace(Y) - ctx.A0
         # half the averaged level, the constant half of the effective unknowns
         self.half = None if ctx.averaged is None else NewtonIterate(*(0.5 * u for u in ctx.averaged))
         self.Xn, self.h, self.d, self.dn, self.dh, self.flux, self.t2, self.e2, self.Xe = np.empty((9, n, 2))
@@ -302,7 +293,7 @@ def assemble_newton_blocks(
             rhs=np.empty(3 * n + nb),
             work=_RunBuffers(ctx, ref, tau),
         )
-    w, a, X = blocks.work, ctx.anchor, it.X
+    w, X = blocks.work, it.X
     # the iterate's next vertices X_{k+1} and edges h
     w.Xn[:-1] = X[1:]
     w.Xn[-1] = X[0]
@@ -356,21 +347,21 @@ def assemble_newton_blocks(
     velocity_rhs -= PX[:, 1]
 
     # the laws, as increments from the anchor: d = X - Y and its edges
-    d = np.subtract(X, a.Y, out=w.d)
+    d = np.subtract(X, w.Y, out=w.d)
     dn = np.subtract(w.Xn, w.Yn, out=w.dn)
     if ctx.use_perimeter:
-        t = np.add(h, a.g, out=w.t2)
+        t = np.add(h, w.g, out=w.t2)
         t *= np.subtract(dn, d, out=w.dh)
         per_edge = np.add(t[:, 0], t[:, 1], out=w.t1)
-        per_edge /= np.add(hlen, a.glen, out=w.e1)
+        per_edge /= np.add(hlen, w.glen, out=w.e1)
         dL = float(per_edge.sum())
         blocks.rhs[3 * n] = -((ctx.dL0 * dL + w.law) / tau + float(kap @ Skap))
     if ctx.use_area:
         # cross = d_k x X_{k+1} + Y_k x d_{k+1}
         c = np.multiply(d, w.Xn[:, ::-1], out=w.t2)
-        e = np.multiply(a.Y, dn[:, ::-1], out=w.e2)
+        e = np.multiply(w.Y, dn[:, ::-1], out=w.e2)
         cross = np.subtract(c[:, 0], c[:, 1], out=w.t1)
         cross += e[:, 0]
         cross -= e[:, 1]
-        blocks.rhs[-1] = -((a.A - ctx.A0) + 0.5 * float(cross.sum()))
+        blocks.rhs[-1] = -(w.area + 0.5 * float(cross.sum()))
     return blocks

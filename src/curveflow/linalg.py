@@ -46,7 +46,6 @@ __all__ = [
     "SolverError",
     "SingularCoreError",
     "EquilibriumDegeneracyError",
-    "PeriodicBandCore",
     "BorderedSystem",
     "assemble_system",
     "solve_bordered",
@@ -129,19 +128,6 @@ def _fold(n: int) -> _Fold:
 
 
 @dataclass
-class PeriodicBandCore:
-    """The band LU of the 3N x 3N core in folded order, as LAPACK's dgbtrf
-    leaves it in band storage: 2 KL + KU + 1 rows, one column per unknown."""
-
-    band: np.ndarray
-
-    @property
-    def shape(self):
-        m = self.band.shape[1]
-        return (m, m)
-
-
-@dataclass
 class BorderedSystem:
     """The factored core of one Newton run plus the run's blocks.  In folded
     order the equations of a slot's vertex are (curvature x, curvature y,
@@ -149,14 +135,16 @@ class BorderedSystem:
     then lam?, eta?.  nb in {0, 1, 2} counts the borders present, lam
     before eta in both the columns and the rows.
 
-    The core LU, its pivots ``piv`` and the eta column are fixed through the
-    run; each solve reads the rhs, the border rows and a1 from ``blocks``.
+    ``core`` (3N, 2 KL + KU + 1), the band LU in folded order with one row
+    per unknown (the transpose of dgbtrf's Fortran-ordered band), its pivots
+    ``piv`` and the eta column are fixed through the run; each solve reads
+    the rhs, the border rows and a1 from ``blocks``.
     ``stack`` (3N, 1 + nb), Fortran order, holds the core solves [g, Y] of
     the rhs and the border columns: the eta column's is taken when the
     system is built, and each solve gathers the rhs and a1 into the leading
     columns and overwrites them with theirs."""
 
-    core: PeriodicBandCore
+    core: np.ndarray = field(repr=False)
     blocks: NewtonBlocks = field(repr=False)
     stack: np.ndarray = field(repr=False)
     piv: np.ndarray = field(repr=False)
@@ -182,7 +170,7 @@ def assemble_system(blocks: NewtonBlocks) -> BorderedSystem:
         raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
     if info < 0:
         raise ValueError(f"dgbtrf rejected argument {-info}")
-    system = BorderedSystem(PeriodicBandCore(band), blocks, stack=np.zeros((m, 1 + nb), order="F"), piv=piv, nb=nb)
+    system = BorderedSystem(band.T, blocks, stack=np.zeros((m, 1 + nb), order="F"), piv=piv, nb=nb)
     if blocks.a2 is not None:
         # the eta column lives in the velocity rows
         np.take(blocks.a2, fold.vertex, out=system.stack[2::3, nb])
@@ -193,7 +181,7 @@ def assemble_system(blocks: NewtonBlocks) -> BorderedSystem:
 def _band_solve(system: BorderedSystem, cols: np.ndarray) -> None:
     # cols, Fortran-ordered columns of the stack, overwritten by dgbtrs with
     # their core solves (any other layout would be copied, the solution lost)
-    _, info = dgbtrs(system.core.band, KL, KU, cols, system.piv, overwrite_b=1)
+    _, info = dgbtrs(system.core.T, KL, KU, cols, system.piv, overwrite_b=1)
     if info != 0:
         raise ValueError(f"dgbtrs rejected argument {-info}")
 

@@ -33,7 +33,6 @@ __all__ = [
     "write_diagnostics_csv",
     "ConvergenceRow",
     "EOC_HEADER",
-    "eoc",
     "convergence_rows",
     "write_eoc_csv",
     "polygon_intersection_area",
@@ -91,11 +90,11 @@ def write_diagnostics_csv(series: DiagnosticsSeries, path_or_file: Union[str, IO
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One refinement level: time step, mesh size (if known), error against
-    the next-finer level, and the order measured against the previous row."""
+    """One refinement level: time step, mesh size, error against the
+    next-finer level, and the order measured against the previous row."""
 
     tau: float
-    h: Optional[float]
+    h: float
     error: float
     order: Optional[float]
 
@@ -103,29 +102,7 @@ class ConvergenceRow:
 EOC_HEADER = "tau,h,error,order"
 
 
-def eoc(rows: Sequence[Sequence[float]]) -> List[ConvergenceRow]:
-    """Experimental orders of convergence from (tau, error) or (tau, h,
-    error) rows, by convergence_rows.  Requires strictly decreasing tau and
-    positive errors."""
-    parsed: List[Tuple[float, Optional[float], float]] = []
-    for item in rows:
-        vals = tuple(item)
-        if len(vals) == 2:
-            tau, h, err = float(vals[0]), None, float(vals[1])
-        elif len(vals) == 3:
-            tau, h, err = float(vals[0]), float(vals[1]), float(vals[2])
-        else:
-            raise ValueError(f"expected (tau, error) or (tau, h, error), got {vals!r}")
-        if err <= 0 or not math.isfinite(err):
-            raise ValueError(f"errors must be positive, got {err}")
-        parsed.append((tau, h, err))
-    for (t0, _, _), (t1, _, _) in zip(parsed, parsed[1:]):
-        if not t1 < t0:
-            raise ValueError(f"taus must be strictly decreasing, got {t0} then {t1}")
-    return convergence_rows(parsed)
-
-
-def convergence_rows(levels: Sequence[Tuple[float, Optional[float], float]]) -> List[ConvergenceRow]:
+def convergence_rows(levels: Sequence[Tuple[float, float, float]]) -> List[ConvergenceRow]:
     """ConvergenceRows for (tau, h, error) levels; order_j = log(e_{j-1}/e_j)
     / log(tau_{j-1}/tau_j), and None for the first level and wherever an
     error is not positive or tau did not decrease."""
@@ -143,9 +120,8 @@ def convergence_rows(levels: Sequence[Tuple[float, Optional[float], float]]) -> 
 def write_eoc_csv(rows: Sequence[ConvergenceRow], path_or_file: Union[str, IO[str]]) -> None:
     lines = [EOC_HEADER]
     for r in rows:
-        h = "" if r.h is None else _fmt(r.h)
         order = "" if r.order is None else _fmt(r.order)
-        lines.append(f"{_fmt(r.tau)},{h},{_fmt(r.error)},{order}")
+        lines.append(f"{_fmt(r.tau)},{_fmt(r.h)},{_fmt(r.error)},{order}")
     _write_text(path_or_file, "\n".join(lines) + "\n")
 
 

@@ -33,7 +33,6 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .femcore import (
-    Anchor,
     NewtonBlocks,
     NewtonIterate,
     ReferenceGeometry,
@@ -212,7 +211,7 @@ class SchemeConfig:
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         ratio = self.T / self.tau
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError(f"T/tau must be a positive integer, got {ratio}")
         if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
@@ -383,7 +382,7 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
     ctx = SchemeContext(
         delta0=delta[0],
         xhist=_history_sum(delta, state.history, lambda e: e.curve.vertices),
-        anchor=Anchor(last.curve),
+        anchor=last.curve.vertices,
         averaged=NewtonIterate(last.curve.vertices, last.kappa, last.lam, last.eta) if spec.cn else None,
         use_perimeter=spec.kind != "AP",
         dL0=dL[0],
@@ -426,7 +425,7 @@ def _substepped_startup(config: SchemeConfig, spec: SchemeSpec) -> SchemeState:
     (k-1) scheme at substep sigma = tau / n_sub, n_sub = ceil(tau^(-1/(k-1))),
     so the startup error sigma^(k-1) <= tau^k; every n_sub-th substate becomes
     a history level, whose newton_iters sums the substeps of its tau
-    interval."""
+    interval.  The ap-bdf2 sub-run of ap-bdf3 starts from level 0 alone."""
     k, tau = spec.order, config.tau
     n_sub = max(1, math.ceil(tau ** (-1.0 / (k - 1)) - 1e-12))
     sub_cfg = replace(config, scheme=spec.lower, tau=tau / n_sub, T=(k - 1) * tau, gamma=0.0)
@@ -453,20 +452,18 @@ def _substepped_startup(config: SchemeConfig, spec: SchemeSpec) -> SchemeState:
 
 
 def startup(config: SchemeConfig) -> SchemeState:
-    """Initial SchemeState with history filled to the scheme's order.
+    """Initial SchemeState of a run.
 
     Level 0 uses the generated curve with least-squares curvature and zero
-    multipliers.  Two-level schemes then take one `step`, which from one
-    level is a step of the lower-order scheme of their family; order 3 and 4
-    AP schemes substep with the next-lower order (see _substepped_startup).
+    multipliers; it is the whole start of a one- or two-level scheme, whose
+    first `step` is that of its lower-order relative.  Order 3 and 4 AP
+    schemes fill their history by substepping with the next-lower order (see
+    _substepped_startup).
     """
     spec = SPECS[config.scheme]
     if spec.order > 2:
         return _substepped_startup(config, spec)
-    state = _initial_state(config)
-    if spec.order == 2:
-        state = step(state, config)
-    return state
+    return _initial_state(config)
 
 
 class Snapshot(NamedTuple):
@@ -514,9 +511,9 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     algorithm active for SP schemes when gamma > 0.
 
     The SP phase ends by the threshold rule (a level m >= 1 with
-    |deltaL| <= gamma) or, as a forced switch that retries the step with the
-    AP partner, by an EquilibriumDegeneracyError; any other failure ends the
-    run.
+    |deltaL| <= gamma) or, as a forced switch that retries the step (the
+    first one included) with the AP partner, by an EquilibriumDegeneracyError;
+    any other failure, also one in a substepped startup, ends the run.
 
     Snapshot times are rounded to the nearest completed step; the recorded t
     is the actual grid time.  Numerical failures do not raise: the partial
@@ -548,12 +545,9 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     try:
         state = startup(config)
     except (SchemeError, SolverError) as exc:
-        # a forced switch at startup restarts from level 0 with the AP partner
+        # only a substepped (AP) startup solves anything, and it never switches
         state = _initial_state(config)
-        if isinstance(exc, EquilibriumDegeneracyError) and switching:
-            switched, forced, switch_time = True, True, 0.0
-        else:
-            failure = exc
+        failure = exc
 
     levels = list(state.history)
     for m, entry in enumerate(levels):

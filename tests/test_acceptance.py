@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from curveflow.femcore import (
-    Anchor,
     NewtonIterate,
     ReferenceGeometry,
     SchemeContext,
@@ -27,7 +26,7 @@ from curveflow.femcore import (
 )
 from curveflow.geometry import PolygonalCurve, perimeter, signed_area
 from curveflow.linalg import assemble_system, solve_bordered
-from curveflow.metrics import eoc, manifold_distance, polygon_intersection_area
+from curveflow.metrics import convergence_rows, manifold_distance, polygon_intersection_area
 from curveflow.schemes import SchemeConfig, bdf_coefficients, run
 
 from oracles import dense_from_blocks, mc_intersection_area, random_blocks
@@ -53,7 +52,7 @@ def run_ladder(scheme: str, levels, T: float = 0.25):
         results.append(result)
     curves = [r.state.history[-1].curve for r in results]
     errors = [manifold_distance(a, b) for a, b in zip(curves, curves[1:])]
-    rows = eoc([(levels[j][0], errors[j]) for j in range(len(errors))])
+    rows = convergence_rows([(levels[j][0], 1.0 / levels[j][1], errors[j]) for j in range(len(errors))])
     orders = [row.order for row in rows[1:]]
     return results, errors, orders
 
@@ -180,7 +179,7 @@ def test_05_variant_order_degradation(spbdf2_ladder, variant_ladder):
         manifold_distance(a.state.history[-1].curve, b.state.history[-1].curve)
         for a, b in zip(sp_results, variant_results)
     ]
-    rows = eoc([(level[0], gap) for level, gap in zip(LADDER_SECOND, gaps)])
+    rows = convergence_rows([(level[0], 1.0 / level[1], gap) for level, gap in zip(LADDER_SECOND, gaps)])
     variant_orders = [row.order for row in rows[1:]]
     ok = all(o >= 1.85 for o in sp_orders) and all(0.5 <= o <= 1.5 for o in variant_orders)
     report(
@@ -279,7 +278,7 @@ def test_09_property_battery(ellipse_runs):
         # the border rows Newton uses at this iterate: the perimeter row is
         # dL0 / tau times the gradient of L, the area row the gradient of A
         v, tau, dL0 = curve.vertices, 1e-3, 1.5
-        ctx = SchemeContext(delta0=1.0, xhist=np.zeros_like(v), anchor=Anchor(v), dL0=dL0)
+        ctx = SchemeContext(delta0=1.0, xhist=np.zeros_like(v), anchor=v, dL0=dL0)
         rows = assemble_newton_blocks(ctx, ReferenceGeometry(v), NewtonIterate(v, np.zeros(len(v)), 0.0, 0.0), tau).rows
         gradients = (rows[0, : 2 * len(v)] * (tau / dL0), rows[-1, : 2 * len(v)])
         for functional, gradient in zip((perimeter, signed_area), gradients):

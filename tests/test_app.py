@@ -4,6 +4,8 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import textwrap
 from concurrent.futures import Future
 
@@ -250,6 +252,7 @@ def test_simulate_numerical_failure_exits_two_with_partial_outputs(tmp_path, cap
         "scheme = sp-euler\nN = 8\ntau = 0.1\nT = 0.2\na = nan\n",
         "scheme = sp-euler\nshape = rectangle\nN = 8\ntau = 0.1\nT = 0.2\nwidth = 0\n",
         "scheme = sp-euler\nshape = rectangle\nN = 6\ntau = 0.1\nT = 0.2\n",
+        "scheme = sp-bdf2\nN = 16\ntau = 1e-320\nT = 0.8\n",
     ],
     ids=[
         "duplicate",
@@ -267,6 +270,7 @@ def test_simulate_numerical_failure_exits_two_with_partial_outputs(tmp_path, cap
         "nan-axis",
         "zero-width",
         "rectangle-too-few-vertices",
+        "T-over-tau-overflows",
     ],
 )
 def test_simulate_rejects_invalid_configs(tmp_path, capsys, body):
@@ -437,6 +441,31 @@ def test_converge_rejects_bad_thread_cap(tmp_path, monkeypatch, capsys):
 def test_converge_rejects_incomplete_studies(tmp_path, body):
     cfg = write_config(tmp_path / "study.cfg", body + f"out = {tmp_path / 'out'}\n")
     assert main(["converge", "--config", cfg]) == 1
+
+
+@pytest.mark.parametrize(
+    "taus, named",
+    [("-1/500 1/720", "tau=-0.002"), ("0 1/720", "tau=0.0"), ("1e-300 1e-301", "tau=1e-300")],
+    ids=["negative", "zero", "N-overflows"],
+)
+def test_converge_rejects_a_tau_its_path_rule_cannot_resolve(tmp_path, taus, named):
+    # a fresh interpreter, so that an uncaught exception shows as a traceback
+    cfg = write_config(
+        tmp_path / "study.cfg",
+        f"scheme = ap-bdf3\nT = 0.02\ntaus = {taus}\npath = 0.05h^(2/3)\nout = {tmp_path / 'out'}\n",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curveflow.app.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curveflow.app", "converge", "--config", cfg],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and named in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_converge_failure_exits_two(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from curveflow.femcore import (
-    Anchor,
     NewtonIterate,
     ReferenceGeometry,
     SchemeContext,
@@ -19,7 +18,7 @@ from curveflow.femcore import (
     normal_weights,
     stiffness_stencil,
 )
-from curveflow.geometry import edge_vectors, generate_ellipse, generate_mikula, generate_rectangle, signed_area
+from curveflow.geometry import edge_vectors, generate_ellipse, generate_mikula, generate_rectangle, perimeter, signed_area
 
 import oracles
 
@@ -167,7 +166,7 @@ def test_slice_arithmetic_is_bitwise_the_roll_formula():
         assert np.array_equal(normal_weights(v), 0.5 * (ln + np.roll(ln, 1, axis=0)))
         u = h / ell[:, None]
         # the perimeter row of the Newton blocks at tau = dL0 = 1 is grad L
-        ctx = SchemeContext(delta0=1.0, xhist=np.zeros_like(v), anchor=Anchor(v))
+        ctx = SchemeContext(delta0=1.0, xhist=np.zeros_like(v), anchor=v)
         blocks = assemble_newton_blocks(ctx, ReferenceGeometry(v), NewtonIterate(v, np.zeros(len(v)), 0.0, 0.0), 1.0)
         assert np.array_equal(blocks.rows[0, : 2 * len(v)].reshape(-1, 2), np.roll(u, 1, axis=0) - u)
         w = 1.0 / ell
@@ -193,12 +192,11 @@ def context_cases(vm, tau):
     Lm = oracles.loop_perimeter(vm)
     A0 = oracles.loop_shoelace(vm)
     kap_prev = initial_curvature(vm)
-    anchor = Anchor(vm)
-    euler = SchemeContext(delta0=1.0, xhist=-vm, anchor=anchor, A0=A0)
+    euler = SchemeContext(delta0=1.0, xhist=-vm, anchor=vm, A0=A0)
     averaged = SchemeContext(
         delta0=1.0,
         xhist=-vm,
-        anchor=anchor,
+        anchor=vm,
         averaged=NewtonIterate(vm, kap_prev, 0.1, -0.04),
         dL0=1.0,
         Lhist=-Lm,
@@ -207,13 +205,13 @@ def context_cases(vm, tau):
     two_step = SchemeContext(
         delta0=1.5,
         xhist=-2.0 * vm + 0.5 * (vm + 0.01),
-        anchor=anchor,
+        anchor=vm,
         dL0=1.5,
         Lhist=-2.0 * Lm + 0.5 * (Lm - 0.03),
         use_area=False,
     )
     area_only = SchemeContext(
-        delta0=1.5, xhist=-2.0 * vm + 0.5 * (vm + 0.01), anchor=anchor, use_perimeter=False, A0=A0
+        delta0=1.5, xhist=-2.0 * vm + 0.5 * (vm + 0.01), anchor=vm, use_perimeter=False, A0=A0
     )
     return [euler, averaged, two_step, area_only]
 
@@ -283,7 +281,7 @@ def test_velocity_row_scaling_makes_core_self_adjoint():
     n = 6
     tau = 0.02
     ref = ReferenceGeometry(vm)
-    ctx = SchemeContext(delta0=1.0, xhist=-vm, anchor=Anchor(vm), A0=oracles.loop_shoelace(vm))
+    ctx = SchemeContext(delta0=1.0, xhist=-vm, anchor=vm, A0=oracles.loop_shoelace(vm))
     z0 = np.concatenate([vm.ravel(), initial_curvature(vm), [0.1, -0.2]])
 
     def res_of(z):
@@ -306,7 +304,7 @@ def test_velocity_row_scaling_makes_core_self_adjoint():
 
 def conservation_rows(Y, X, A0, Lhist):
     # tau = 1 and kappa = 0 leave the perimeter row dL0 (L(X) - L(Y)) + (L(Y) + Lhist)
-    ctx = SchemeContext(delta0=1.0, xhist=-Y, anchor=Anchor(Y), Lhist=Lhist, A0=A0)
+    ctx = SchemeContext(delta0=1.0, xhist=-Y, anchor=Y, Lhist=Lhist, A0=A0)
     res = residual(ctx, ReferenceGeometry(Y), NewtonIterate(X, np.zeros(len(X)), 0.0, 0.0), 1.0)
     return float(res[-2]), float(res[-1])
 
@@ -334,7 +332,7 @@ def test_conservation_rows_are_increments_from_the_anchor():
         # at X = Y the increments vanish exactly
         A0 = 0.37
         area_row = conservation_rows(Y, Y.copy(), A0, 0.0)[1]
-        assert area_row == Anchor(Y).A - A0
+        assert area_row == signed_area(Y) - A0
         for size in (1e-1, 1e-4, 1e-9):
             X = Y + size * rng.standard_normal(Y.shape)
             # the rows are the perimeter and area of X
@@ -343,8 +341,7 @@ def test_conservation_rows_are_increments_from_the_anchor():
             assert abs(area_row - oracles.loop_shoelace(X)) <= 1e-13
             # with the anchor's own values subtracted exactly, what is left is
             # the increment, whose rounding error scales with |X - Y|
-            anchor = Anchor(Y)
-            per_row, area_row = conservation_rows(Y, X, anchor.A, -anchor.L)
+            per_row, area_row = conservation_rows(Y, X, signed_area(Y), -perimeter(Y))
             scale = np.abs(X - Y).max()
             assert abs(Fraction(area_row) - (exact_area(X) - exact_area(Y))) <= 1e-14 * scale
             assert abs(Decimal(per_row) - (precise_perimeter(X) - precise_perimeter(Y))) <= Decimal(1e-14 * scale)

@@ -1,5 +1,5 @@
 """Golden outputs: the diagnostics and final state of short runs of every
-scheme, pinned by digest.
+scheme, a snapshot file and a convergence study's eoc.csv, pinned by digest.
 
 A change that is meant to keep the solver's outputs bitwise must leave every
 digest here unchanged.  Rounding differs across numpy, scipy and BLAS builds,
@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 import scipy
 
+from curveflow.app import main
+from curveflow.geometry import write_snapshot
 from curveflow.metrics import write_diagnostics_csv
 from curveflow.schemes import SCHEMES, SchemeConfig, run
 
@@ -47,6 +49,16 @@ GOLDEN = {
     ("sp-bdf2", "circle"): ("d53a744434c7d601", "acf4352a28a92d8a"),
 }
 
+# the circle run's final level through write_snapshot, and the eoc.csv of an
+# ap-bdf3 study: tau = 1/100, 1/200, 1/400 on the path 0.05 h^(2/3) to T = 0.02
+SNAPSHOT_GOLDEN = "116cb003d0f2fb06"
+EOC_GOLDEN = "453769f4bae782ad"
+
+pinned = pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != VERSIONS,
+    reason=f"digests taken with numpy {VERSIONS[0]} and scipy {VERSIONS[1]}",
+)
+
 
 def _config(scheme, shape):
     if shape == "circle":
@@ -59,13 +71,14 @@ def _digests(result):
     write_diagnostics_csv(result.series, text)
     last = result.state.history[-1]
     state = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (last.curve.vertices, last.kappa))
-    return tuple(hashlib.sha256(data).hexdigest()[:16] for data in (text.getvalue().encode(), state))
+    return tuple(_digest(data) for data in (text.getvalue().encode(), state))
 
 
-@pytest.mark.skipif(
-    (np.__version__, scipy.__version__) != VERSIONS,
-    reason=f"digests taken with numpy {VERSIONS[0]} and scipy {VERSIONS[1]}",
-)
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pinned
 def test_runs_reproduce_their_golden_digests():
     assert set(SCHEMES) == {scheme for scheme, _ in GOLDEN}
     got = {}
@@ -75,3 +88,19 @@ def test_runs_reproduce_their_golden_digests():
         assert result.forced_switch == (shape == "circle")
         got[scheme, shape] = _digests(result)
     assert got == GOLDEN
+
+
+@pinned
+def test_writers_reproduce_their_golden_digests(tmp_path, monkeypatch):
+    config = _config("sp-bdf2", "circle")
+    result = run(config)
+    assert result.ok, result.failure
+    last = result.state.history[-1]
+    text = io.StringIO()
+    write_snapshot(text, last.curve, config.T, last.kappa)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"scheme = ap-bdf3\nT = 0.02\ntaus = 1/100 1/200 1/400\npath = 0.05h^(2/3)\nout = {tmp_path / 'out'}\n")
+    monkeypatch.setenv("CURVEFLOW_THREADS", "1")
+    assert main(["converge", "--config", str(cfg)]) == 0
+    got = (_digest(text.getvalue().encode()), _digest((tmp_path / "out" / "eoc.csv").read_bytes()))
+    assert got == (SNAPSHOT_GOLDEN, EOC_GOLDEN)

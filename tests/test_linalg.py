@@ -11,7 +11,6 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 import curveflow.schemes
 
 from curveflow.femcore import (
-    Anchor,
     NewtonBlocks,
     NewtonIterate,
     ReferenceGeometry,
@@ -88,7 +87,7 @@ def test_folded_core_is_a_band_of_width_six():
         g, _ = dgbtrs(lu, 6, 6, np.column_stack((rhs[rows], M[rows, m])), piv)
         system = assemble_system(blocks)
         assert system.blocks is blocks
-        assert np.array_equal(system.core.band, lu), n
+        assert np.array_equal(system.core.T, lu), n
         assert np.array_equal(system.piv, piv)
         assert np.array_equal(system.stack[:, 2], eta)
         x = solve_bordered(system)
@@ -126,7 +125,10 @@ def test_unbordered_system_is_plain_core_solve():
     blocks = oracles.random_blocks(rng, n=8, flavor="none")
     system = assemble_system(blocks)
     assert system.nb == 0
-    assert system.core.shape == (24, 24)
+    # the factored band, one row per unknown; its transpose is LAPACK's
+    # Fortran-ordered band storage, which dgbtrs reads without a copy
+    assert system.core.shape == (24, 19)
+    assert system.core.T.flags.f_contiguous
     x = solve_bordered(system)
     assert len(x) == 24
     assert oracles.residual_norm(blocks, x) < 1e-10
@@ -151,7 +153,7 @@ def test_relabelled_start_vertex_rolls_the_newton_direction(rows):
         ctx = SchemeContext(
             delta0=1.0,
             xhist=-v,
-            anchor=Anchor(v),
+            anchor=v,
             use_perimeter=use_perimeter,
             Lhist=-oracles.loop_perimeter(v),
             use_area=use_area,
@@ -326,7 +328,7 @@ def test_reused_factor_serves_a_later_area_preserving_iterate():
     n = 40
     theta = 2.0 * np.pi * np.arange(n) / n
     v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
-    ctx = SchemeContext(delta0=1.5, xhist=-1.5 * v, anchor=Anchor(v), use_perimeter=False, A0=oracles.loop_shoelace(v))
+    ctx = SchemeContext(delta0=1.5, xhist=-1.5 * v, anchor=v, use_perimeter=False, A0=oracles.loop_shoelace(v))
     ref = ReferenceGeometry(v)
     first = NewtonIterate(v, initial_curvature(v), 0.0, 0.0)
     later = NewtonIterate(v + 1e-3 * rng.standard_normal((n, 2)), first.kappa + 0.1 * rng.standard_normal(n), 0.0, 0.3)
@@ -360,7 +362,7 @@ def _check_blocks_written_over_an_earlier_iterate(ctx, ref, first, later, tau):
     fresh = assemble_system(fresh_blocks)
     assert np.array_equal(solve_bordered(system), solve_bordered(fresh))
     assert np.array_equal(system.stack, fresh.stack)
-    assert np.array_equal(system.core.band, fresh.core.band)
+    assert np.array_equal(system.core.T, fresh.core.T)
     assert system.blocks is blocks and system.piv is piv
     # the velocity rows sum their terms in another order than the loops:
     # the whole residual agrees with the loop oracle to 1e-13 of its terms
@@ -373,7 +375,7 @@ def test_blocks_built_from_an_earlier_iterate_are_bitwise_the_fresh_ones(use_are
     n = 40
     theta = 2.0 * np.pi * np.arange(n) / n
     v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
-    ctx = SchemeContext(delta0=1.5, xhist=-1.5 * v, anchor=Anchor(v), use_area=use_area, A0=oracles.loop_shoelace(v))
+    ctx = SchemeContext(delta0=1.5, xhist=-1.5 * v, anchor=v, use_area=use_area, A0=oracles.loop_shoelace(v))
     first = NewtonIterate(v, initial_curvature(v), 0.1, 0.0)
     later = NewtonIterate(v + 1e-3 * rng.standard_normal((n, 2)), first.kappa + 0.1 * rng.standard_normal(n), -0.4, 0.3 * use_area)
     _check_blocks_written_over_an_earlier_iterate(ctx, ReferenceGeometry(v), first, later, 1e-3)
@@ -407,7 +409,7 @@ def test_newton_run_at_large_n_keeps_memory_to_its_buffers():
     n = 8192
     theta = 2.0 * np.pi * np.arange(n) / n
     v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
-    ctx = SchemeContext(delta0=1.0, xhist=-v, anchor=Anchor(v), Lhist=-oracles.loop_perimeter(v), A0=oracles.loop_shoelace(v))
+    ctx = SchemeContext(delta0=1.0, xhist=-v, anchor=v, Lhist=-oracles.loop_perimeter(v), A0=oracles.loop_shoelace(v))
     ref = ReferenceGeometry(v)
     start = NewtonIterate(v.copy(), initial_curvature(v), 0.0, 0.0)
     solves = []

@@ -23,7 +23,7 @@ from curveflow.metrics import (
     DiagnosticsRow,
     DiagnosticsSeries,
     _collect_params,
-    eoc,
+    convergence_rows,
     manifold_distance,
     polygon_intersection_area,
     write_diagnostics_csv,
@@ -307,63 +307,41 @@ def test_distance_memory_stays_linear_at_n5000(kind):
 
 
 def test_eoc_first_row_has_no_order():
-    rows = eoc([(0.5, 0.5)])
+    rows = convergence_rows([(0.5, 0.1, 0.5)])
     assert len(rows) == 1
     assert rows[0].order is None
-    assert rows[0].h is None
+    assert rows[0].h == 0.1
 
 
 def test_eoc_exact_second_order_halving():
-    rows = eoc([(0.5, 0.5), (0.25, 0.125)])
+    rows = convergence_rows([(0.5, 0.1, 0.5), (0.25, 0.05, 0.125)])
     assert rows[0].order is None
     assert rows[1].order == pytest.approx(2.0, abs=1e-15)
 
 
 def test_eoc_published_second_order_pair():
-    rows = eoc([(1.0 / 200.0, 2.28e-2), (1.0 / 400.0, 5.75e-3)])
+    rows = convergence_rows([(1.0 / 200.0, 1.0 / 40.0, 2.28e-2), (1.0 / 400.0, 1.0 / 80.0, 5.75e-3)])
     assert rows[1].order == pytest.approx(1.9874, abs=5e-4)
 
 
 def test_eoc_published_third_order_pair():
-    rows = eoc([(1.0 / 500.0, 2.21e-3), (1.0 / 720.0, 6.94e-4)])
+    rows = convergence_rows([(1.0 / 500.0, 1.0 / 125.0, 2.21e-3), (1.0 / 720.0, 1.0 / 216.0, 6.94e-4)])
     assert rows[1].order == pytest.approx(3.1765, abs=1e-3)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_eoc_recovers_synthetic_rates(p):
     taus = [0.2, 0.1, 0.05, 0.025]
-    rows = eoc([(tau, 3.0 * tau**p) for tau in taus])
+    rows = convergence_rows([(tau, tau, 3.0 * tau**p) for tau in taus])
     for row in rows[1:]:
         assert row.order == pytest.approx(float(p), abs=1e-10)
 
 
 def test_eoc_keeps_mesh_column_when_given():
-    rows = eoc([(0.5, 0.1, 0.5), (0.25, 0.05, 0.125)])
+    rows = convergence_rows([(0.5, 0.1, 0.5), (0.25, 0.05, 0.125)])
     assert rows[0].h == 0.1
     assert rows[1].h == 0.05
     assert rows[1].order == pytest.approx(2.0, abs=1e-15)
-
-
-def test_eoc_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        eoc([(0.1, 1.0), (0.1, 0.5)])
-    with pytest.raises(ValueError):
-        eoc([(0.1, 1.0), (0.2, 0.5)])
-    with pytest.raises(ValueError):
-        eoc([(0.1, 0.0)])
-    with pytest.raises(ValueError):
-        eoc([(0.1, -1.0)])
-    with pytest.raises(ValueError):
-        eoc([(0.1, 1.0, 0.5, 2.0)])
-    with pytest.raises(ValueError):
-        eoc([(0.1,)])
-
-
-def test_eoc_rejects_non_finite_errors():
-    with pytest.raises(ValueError):
-        eoc([(0.1, math.nan)])
-    with pytest.raises(ValueError):
-        eoc([(0.1, math.inf)])
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +349,15 @@ def test_eoc_rejects_non_finite_errors():
 
 
 def test_eoc_csv_golden():
-    rows = eoc([(0.5, 0.5), (0.25, 0.125)])
+    # no order for the first row, nor where the error is not positive
+    rows = convergence_rows([(0.5, 0.25, 0.5), (0.25, 0.125, 0.125), (0.125, 0.0625, 0.0)])
     buf = io.StringIO()
     write_eoc_csv(rows, buf)
-    assert buf.getvalue() == "tau,h,error,order\n0.5,,0.5,\n0.25,,0.125,2.0\n"
+    assert buf.getvalue() == "tau,h,error,order\n0.5,0.25,0.5,\n0.25,0.125,0.125,2.0\n0.125,0.0625,0.0,\n"
 
 
 def test_eoc_csv_with_mesh_column_golden():
-    rows = eoc([(0.5, 0.1, 0.5), (0.25, 0.05, 0.125)])
+    rows = convergence_rows([(0.5, 0.1, 0.5), (0.25, 0.05, 0.125)])
     buf = io.StringIO()
     write_eoc_csv(rows, buf)
     assert buf.getvalue() == "tau,h,error,order\n0.5,0.1,0.5,\n0.25,0.05,0.125,2.0\n"
@@ -429,7 +408,7 @@ def test_diagnostics_header_constant():
 
 
 def test_csv_writers_accept_paths(tmp_path):
-    rows = eoc([(0.5, 0.5), (0.25, 0.125)])
+    rows = convergence_rows([(0.5, 0.1, 0.5), (0.25, 0.05, 0.125)])
     target = tmp_path / "orders.csv"
     write_eoc_csv(rows, str(target))
     assert target.read_text(encoding="ascii").startswith("tau,h,error,order\n")
@@ -441,6 +420,6 @@ def test_csv_writers_accept_paths(tmp_path):
 
 
 def test_convergence_row_is_frozen():
-    row = ConvergenceRow(tau=0.5, h=None, error=0.5, order=None)
+    row = ConvergenceRow(tau=0.5, h=0.1, error=0.5, order=None)
     with pytest.raises(AttributeError):
         row.error = 1.0

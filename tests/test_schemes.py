@@ -104,6 +104,8 @@ def test_config_validation():
         SchemeConfig(**{**good, "gamma": -1.0})
     with pytest.raises(ValueError):
         SchemeConfig(**{**good, "max_newton": 0})
+    with pytest.raises(ValueError, match="T/tau must be a positive integer, got inf"):
+        SchemeConfig(**{**good, "scheme": "sp-bdf2", "tau": 1e-320, "T": 0.8})  # T / tau overflows
     # integral floats are accepted, and stored as the integers they are
     cfg = SchemeConfig(**{**good, "N": 16.0, "max_newton": 50.0})
     assert type(cfg.N) is int and type(cfg.max_newton) is int
@@ -157,8 +159,7 @@ def test_euler_steps_match_oracle():
     a0 = oracles.loop_shoelace(v0)
     for scheme, flavor in (("sp-euler", "sp"), ("pd-bdf2", "pd"), ("ap-bdf1", "ap")):
         cfg, state = fresh_state(scheme)
-        if scheme != "pd-bdf2":  # pd-bdf2 startup is exactly one pd-euler step
-            state = step(state, cfg)
+        state = step(state, cfg)  # pd-bdf2's first step is one pd-euler step
         entry = state.history[-1]
         sol = oracles.oracle_euler_step(v0, TAU, flavor, A0=a0)
         assert_same_root(entry, sol)
@@ -181,6 +182,7 @@ def test_bdf2_steps_match_oracle():
         ("ap-bdf2", "ap", False),
     ):
         cfg, state = fresh_state(scheme)
+        state = step(state, cfg)  # the first step, of the lower Euler scheme
         v0 = state.history[-2].curve.vertices
         v1 = state.history[-1].curve.vertices
         state = step(state, cfg)
@@ -435,8 +437,9 @@ def test_circle_mode_decays_at_the_linear_rate(scheme, k, T):
 
 
 def test_two_level_startup_shapes():
+    # the startup's level 0 and the first step, of the lower scheme
     cfg = SchemeConfig(scheme="sp-bdf2", N=16, tau=0.01, T=0.05, gamma=0.0)
-    state = startup(cfg)
+    state = step(startup(cfg), cfg)
     assert state.step_index == 1
     assert len(state.history) == 2
     assert [entry.newton_iters > 0 for entry in state.history] == [False, True]
@@ -456,6 +459,25 @@ def test_substepped_startup_covers_history():
     state4 = startup(cfg4)
     assert state4.step_index == 3
     assert len(state4.history) == 4
+
+
+@pytest.mark.parametrize("scheme, lower", [("sp-bdf2", "sp-euler"), ("pd-bdf2", "pd-euler"), ("ap-bdf2", "ap-bdf1")])
+def test_two_level_scheme_starts_from_level_0_and_steps_with_its_lower(scheme, lower):
+    # startup holds level 0 alone; the run's first level is the step of the
+    # lower scheme from it, bit for bit, and so is its diagnostics row
+    cfg = SchemeConfig(scheme=scheme, N=16, tau=0.01, T=0.01, gamma=0.0)
+    state0 = startup(cfg)
+    assert state0.step_index == 0 and len(state0.history) == 1
+    want = step(state0, cfg, lower).history[-1]
+    result = run(cfg)
+    assert result.ok, result.failure
+    got = result.state.history[-1]
+    assert np.array_equal(got.curve.vertices, want.curve.vertices)
+    assert np.array_equal(got.kappa, want.kappa)
+    assert got[2:] == want[2:]  # lam, eta, L, A, newton_iters, mode
+    row = result.series.rows[1]
+    assert (row.L_norm, row.lam, row.eta, row.newton_iters) == (want.L / state0.L0, want.lam, want.eta, want.newton_iters)
+    assert row.deltaL == (want.L - state0.history[0].L) / cfg.tau
 
 
 @pytest.mark.parametrize("scheme, lower", [("sp-bdf2", "sp-euler"), ("ap-bdf3", "ap-bdf1")])
@@ -529,7 +551,7 @@ def test_sp_startup_on_mikula_is_not_degenerate(tau):
     cfg = SchemeConfig(scheme="sp-bdf2", shape="mikula", N=160, tau=tau, T=2 * tau, gamma=0.0)
     kappa0 = initial_curvature(cfg.make_initial_curve())
     assert (kappa0.max() - kappa0.min()) / kappa0.mean() > 1.0
-    state = startup(cfg)
+    state = step(startup(cfg), cfg)
     assert state.step_index == 1
     assert state.history[1].mode == "SP"
 
@@ -732,7 +754,7 @@ def test_corrector_start(monkeypatch, scheme):
     # a corrector whose reference is one step of the lower scheme at the full
     # tau starts at that step's root; the others start at the newest level
     cfg = SchemeConfig(scheme=scheme, N=24, tau=0.01, T=0.05, gamma=0.0)
-    state = startup(cfg)
+    state = step(startup(cfg), cfg)  # a BDF2 scheme's second level
     calls = []
     newton = curveflow.schemes.newton_outer
 
