@@ -11,7 +11,6 @@ sign system the discrete curvature of a convex curve is positive.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -352,7 +351,7 @@ def read_snapshot(path_or_file):
     widths = {len(r) for r in rows}
     if widths not in ({2}, {3}):
         raise ValueError("vertex lines must uniformly hold 'x y' or 'x y kappa'")
-    data = np.array([[float(c) for c in r] for r in rows])
+    data = np.array(rows, dtype=float)
     vertices = data[:, :2]
     kappa = data[:, 2].copy() if data.shape[1] == 3 else None
     if kappa is not None and _shoelace(vertices) < 0.0:

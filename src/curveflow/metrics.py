@@ -13,6 +13,14 @@ number of candidates.  Sidedness decisions use a floating point orientation
 filter with an exact rational fallback, so coincident geometry (identical
 curves, shared edges, touching vertices) is classified deterministically
 rather than by perturbation.
+
+The filter, the proper crossings and the sub-segments of every edge are
+array passes over all candidates at once.  Python loops run only where an
+exact or sequential rule decides: the rational fallback of an inconclusive
+orientation; pairs with a zero orientation (collinear overlaps and endpoint
+touches), in lexicographic pair order; edges with two cuts within 1e-14 of
+each other, whose cut rule is sequential; the sub-segments of edges with a
+recorded overlap; and the left-to-right sum of the kept Green's terms.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, List, Optional, Sequence, Tuple, Union
+from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -155,6 +163,19 @@ def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) ->
     return 0
 
 
+def _orient_all(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """_orient over arrays: the float filter on every entry, the exact
+    rational test only on the entries the filter leaves open."""
+    detl = (bx - ax) * (cy - ay)
+    detr = (by - ay) * (cx - ax)
+    det = detl - detr
+    err = _FILTER * (np.abs(detl) + np.abs(detr))
+    o = (det > err).astype(int) - (det < -err)
+    for k in np.flatnonzero((o == 0) & (err != 0.0)):
+        o[k] = _orient(ax[k], ay[k], bx[k], by[k], cx[k], cy[k])
+    return o
+
+
 def _classify_points(px: np.ndarray, py: np.ndarray, W: np.ndarray, W1: np.ndarray):
     """Winding-number test of points (px, py) against the closed polygon with
     edges W -> W1.  Returns boolean arrays (inside, on_boundary); inside is
@@ -168,101 +189,117 @@ def _classify_points(px: np.ndarray, py: np.ndarray, W: np.ndarray, W1: np.ndarr
     on = (wy0 == y) & (wy1 == y) & (np.minimum(wx0, wx1) <= x) & (x <= np.maximum(wx0, wx1))
     up = (wy0 <= y) & (wy1 > y)
     dn = (wy1 <= y) & (wy0 > y)
-    detl = (wx1 - wx0) * (y - wy0)
-    detr = (wy1 - wy0) * (x - wx0)
-    det = detl - detr
-    ambiguous = (up | dn) & (np.abs(det) <= _FILTER * (np.abs(detl) + np.abs(detr)))
-    for k in np.flatnonzero(ambiguous):
-        o = _orient(wx0[k], wy0[k], wx1[k], wy1[k], x[k], y[k])
-        det[k] = float(o)
-        on[k] |= o == 0
-    wn = np.bincount(s, weights=(up & (det > 0)).astype(float) - (dn & (det < 0)), minlength=len(px))
+    c = np.flatnonzero(up | dn)
+    o = np.zeros(len(x), dtype=int)
+    o[c] = _orient_all(wx0[c], wy0[c], wx1[c], wy1[c], x[c], y[c])
+    on[c] |= o[c] == 0
+    wn = np.bincount(s, weights=(up & (o > 0)).astype(float) - (dn & (o < 0)), minlength=len(px))
     return wn != 0, np.bincount(s, weights=on, minlength=len(px)) > 0
 
 
 def _collect_params(P: np.ndarray, Q: np.ndarray):
     """Split parameters of every edge of P and Q against the other polygon.
 
-    Returns per-edge parameter lists for both polygons plus the recorded
-    collinear-overlap intervals (t_lo, t_hi, other_edge_index); a sub-segment
-    contained in such an interval lies exactly on the other boundary, which
-    is decided structurally here, never from sampled points.
+    Returns, for P and then Q, the split parameters as flat arrays
+    (edge, t) sorted by edge and then by t, and then for P and Q the
+    recorded collinear-overlap intervals {edge: [(t_lo, t_hi,
+    other_edge_index), ...]}; a sub-segment contained in such an interval
+    lies exactly on the other boundary, which is decided structurally here,
+    never from sampled points.  The orientations and the proper crossings
+    of all candidate pairs are array passes; only pairs with a zero
+    orientation (collinear overlaps and endpoint touches) run in Python.
     """
-    nP, nQ = len(P), len(Q)
     P1 = np.roll(P, -1, axis=0)
     Q1 = np.roll(Q, -1, axis=0)
-    paramsP: List[List[float]] = [[] for _ in range(nP)]
-    paramsQ: List[List[float]] = [[] for _ in range(nQ)]
-    overlapsP: List[List[Tuple[float, float, int]]] = [[] for _ in range(nP)]
-    overlapsQ: List[List[Tuple[float, float, int]]] = [[] for _ in range(nQ)]
-
     ii, jj = _box_pairs(np.minimum(P, P1), np.maximum(P, P1), np.minimum(Q, Q1), np.maximum(Q, Q1))
-    # lexicographic (i, j): the order of each edge's overlap list decides
-    # which overlap _boundary_pieces_area matches first
-    order = np.lexsort((jj, ii))
-    for i, j in zip(ii[order].tolist(), jj[order].tolist()):
+    p0x, p0y, p1x, p1y = P[ii, 0], P[ii, 1], P1[ii, 0], P1[ii, 1]
+    q0x, q0y, q1x, q1y = Q[jj, 0], Q[jj, 1], Q1[jj, 0], Q1[jj, 1]
+    o1 = _orient_all(q0x, q0y, q1x, q1y, p0x, p0y)
+    o2 = _orient_all(q0x, q0y, q1x, q1y, p1x, p1y)
+    o3 = _orient_all(p0x, p0y, p1x, p1y, q0x, q0y)
+    o4 = _orient_all(p0x, p0y, p1x, p1y, q1x, q1y)
+
+    # proper interior crossings
+    c = (o1 * o2 < 0) & (o3 * o4 < 0)
+    dpx, dpy = p1x[c] - p0x[c], p1y[c] - p0y[c]
+    dqx, dqy = q1x[c] - q0x[c], q1y[c] - q0y[c]
+    denom = dpx * dqy - dpy * dqx
+    t = ((q0x[c] - p0x[c]) * dqy - (q0y[c] - p0y[c]) * dqx) / denom
+    s = -((p0x[c] - q0x[c]) * dpy - (p0y[c] - q0y[c]) * dpx) / denom
+
+    # pairs with a zero orientation, in lexicographic (i, j) order: the order
+    # of each edge's overlap list decides which overlap _boundary_pieces_area
+    # matches first
+    extraP: List[Tuple[int, float]] = []
+    extraQ: List[Tuple[int, float]] = []
+    overlapsP: Dict[int, List[Tuple[float, float, int]]] = {}
+    overlapsQ: Dict[int, List[Tuple[float, float, int]]] = {}
+    k = np.flatnonzero((o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0))
+    k = k[np.lexsort((jj[k], ii[k]))]
+    for i, j, a1, a2, a3, a4 in zip(*(v[k].tolist() for v in (ii, jj, o1, o2, o3, o4))):
         p0x, p0y = P[i]
         p1x, p1y = P1[i]
         q0x, q0y = Q[j]
         q1x, q1y = Q1[j]
-        o1 = _orient(q0x, q0y, q1x, q1y, p0x, p0y)
-        o2 = _orient(q0x, q0y, q1x, q1y, p1x, p1y)
-        o3 = _orient(p0x, p0y, p1x, p1y, q0x, q0y)
-        o4 = _orient(p0x, p0y, p1x, p1y, q1x, q1y)
         dpx, dpy = p1x - p0x, p1y - p0y
         dqx, dqy = q1x - q0x, q1y - q0y
-        if o1 == 0 and o2 == 0:
+        if a1 == 0 and a2 == 0:
             # shared supporting line: record the overlap on both edges
-            _record_overlap(paramsP[i], overlapsP[i], p0x, p0y, dpx, dpy, (q0x, q0y), (q1x, q1y), j)
-            _record_overlap(paramsQ[j], overlapsQ[j], q0x, q0y, dqx, dqy, (p0x, p0y), (p1x, p1y), i)
-        elif o1 * o2 < 0 and o3 * o4 < 0:
-            # proper interior crossing
-            denom = dpx * dqy - dpy * dqx
-            t = ((q0x - p0x) * dqy - (q0y - p0y) * dqx) / denom
-            s = -((p0x - q0x) * dpy - (p0y - q0y) * dpx) / denom
-            paramsP[i].append(min(1.0, max(0.0, t)))
-            paramsQ[j].append(min(1.0, max(0.0, s)))
+            _record_overlap(extraP, overlapsP, i, p0x, p0y, dpx, dpy, (q0x, q0y), (q1x, q1y), j)
+            _record_overlap(extraQ, overlapsQ, j, q0x, q0y, dqx, dqy, (p0x, p0y), (p1x, p1y), i)
         else:
-            # endpoint touches: split the edge the endpoint lands on; most pairs
-            # have none, and a helper call for each of them costs time
-            if o3 == 0 or o4 == 0:
-                _record_touches(paramsP[i], p0x, p0y, dpx, dpy, ((q0x, q0y), (q1x, q1y)), (o3, o4))
-            if o1 == 0 or o2 == 0:
-                _record_touches(paramsQ[j], q0x, q0y, dqx, dqy, ((p0x, p0y), (p1x, p1y)), (o1, o2))
-    return paramsP, paramsQ, overlapsP, overlapsQ
+            # endpoint touches: split the edge the endpoint lands on
+            if a3 == 0 or a4 == 0:
+                _record_touches(extraP, i, p0x, p0y, dpx, dpy, ((q0x, q0y), (q1x, q1y)), (a3, a4))
+            if a1 == 0 or a2 == 0:
+                _record_touches(extraQ, j, q0x, q0y, dqx, dqy, ((p0x, p0y), (p1x, p1y)), (a1, a2))
+    cutsP = _sorted_cuts(ii[c], np.clip(t, 0.0, 1.0), extraP)
+    cutsQ = _sorted_cuts(jj[c], np.clip(s, 0.0, 1.0), extraQ)
+    return cutsP, cutsQ, overlapsP, overlapsQ
 
 
-def _record_overlap(params, overlaps, ax, ay, dax, day, b0, b1, other: int) -> None:
-    # the part of edge a = (ax, ay) + t (dax, day), t in [0, 1], covered by
-    # the collinear edge b0 b1 of the other polygon, with that edge's index
+def _sorted_cuts(edge: np.ndarray, t: np.ndarray, extra: List[Tuple[int, float]]):
+    # the crossings' (edge, t) arrays joined by the Python path's pairs,
+    # sorted by edge and then by t
+    if extra:
+        more_edge, more_t = zip(*extra)
+        edge, t = np.concatenate((edge, more_edge)), np.concatenate((t, more_t))
+    order = np.lexsort((t, edge))
+    return edge[order], t[order]
+
+
+def _record_overlap(cuts, overlaps, index, ax, ay, dax, day, b0, b1, other: int) -> None:
+    # the part of edge `index`, a = (ax, ay) + t (dax, day), t in [0, 1],
+    # covered by the collinear edge b0 b1 of the other polygon
     dd = dax * dax + day * day
     t0 = ((b0[0] - ax) * dax + (b0[1] - ay) * day) / dd
     t1 = ((b1[0] - ax) * dax + (b1[1] - ay) * day) / dd
     lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
     lo, hi = max(0.0, lo), min(1.0, hi)
     if lo < hi:
-        params.extend((lo, hi))
-        overlaps.append((lo, hi, other))
+        cuts += ((index, lo), (index, hi))
+        overlaps.setdefault(index, []).append((lo, hi, other))
     elif lo == hi:
-        params.append(lo)
+        cuts.append((index, lo))
 
 
-def _record_touches(params, ax, ay, dax, day, ends, orients) -> None:
-    # the parameters on edge a = (ax, ay) + t (dax, day) of the other edge's
-    # endpoints that lie on its supporting line (orientation 0) within it
+def _record_touches(cuts, index, ax, ay, dax, day, ends, orients) -> None:
+    # the parameters on edge `index`, a = (ax, ay) + t (dax, day), of the
+    # other edge's endpoints that lie on its supporting line (orientation 0)
+    # within it
     dd = dax * dax + day * day
     for (bx, by), o in zip(ends, orients):
         if o == 0:
             u = (bx - ax) * dax + (by - ay) * day
             if 0.0 <= u <= dd:
-                params.append(u / dd)
+                cuts.append((index, u / dd))
 
 
 def _boundary_pieces_area(
     V: np.ndarray,
     V1: np.ndarray,
-    params: List[List[float]],
-    overlaps: List[List[Tuple[float, float, int]]],
+    cuts: Tuple[np.ndarray, np.ndarray],
+    overlaps: Dict[int, List[Tuple[float, float, int]]],
     W: np.ndarray,
     W1: np.ndarray,
     keep_shared: bool,
@@ -272,40 +309,53 @@ def _boundary_pieces_area(
     region; a sub-segment on the shared boundary counts only from the first
     polygon (keep_shared=True) and only when co-directed with the other
     boundary, so shared arcs enter exactly once."""
-    edge: List[int] = []
-    t0s: List[float] = []
-    t1s: List[float] = []
-    verdicts: List[Optional[bool]] = []  # None: decided by an interior sample
-    for i in range(len(V)):
-        cuts = [0.0]
-        for t in sorted(params[i]):
-            if cuts[-1] + 1e-14 < t < 1.0 - 1e-14:
-                cuts.append(t)
-        cuts.append(1.0)
-        for t0, t1 in zip(cuts, cuts[1:]):
-            verdict = None
-            for lo, hi, j in overlaps[i]:
-                if lo - 1e-12 <= t0 and t1 <= hi + 1e-12:
+    n = len(V)
+    edge, t = cuts
+    inner = (1e-14 < t) & (t < 1.0 - 1e-14)
+    edge, t = edge[inner], t[inner]
+    # a cut within 1e-14 of the last cut kept on its edge is dropped; the
+    # rule is sequential, so it runs only on the edges where it drops one
+    close = (edge[1:] == edge[:-1]) & ~(t[:-1] + 1e-14 < t[1:])
+    if close.any():
+        kept = np.ones(len(t), dtype=bool)
+        for i in np.unique(edge[1:][close]).tolist():
+            last = 0.0
+            for k in range(np.searchsorted(edge, i), np.searchsorted(edge, i, "right")):
+                if last + 1e-14 < t[k]:
+                    last = t[k]
+                else:
+                    kept[k] = False
+        edge, t = edge[kept], t[kept]
+    # sub-segments in edge order, each edge split at its kept cuts; cut k
+    # ends sub-segment k + edge[k] and starts the next one
+    count = np.bincount(edge, minlength=n) + 1
+    at = np.arange(len(t)) + edge
+    t0, t1 = np.zeros(len(t) + n), np.ones(len(t) + n)
+    t0[at + 1] = t
+    t1[at] = t
+    seg = np.repeat(np.arange(n), count)
+    keep = np.zeros(len(seg), dtype=bool)
+    decided = np.zeros(len(seg), dtype=bool)
+    first = np.cumsum(count) - count
+    for i, spans in overlaps.items():
+        for k in range(first[i], first[i] + count[i]):
+            for lo, hi, j in spans:
+                if lo - 1e-12 <= t0[k] and t1[k] <= hi + 1e-12:
                     ax, ay = V[i]
                     bx, by = V1[i]
                     dqx = W1[j, 0] - W[j, 0]
                     dqy = W1[j, 1] - W[j, 1]
-                    verdict = keep_shared and bool((bx - ax) * dqx + (by - ay) * dqy > 0.0)
+                    keep[k] = keep_shared and bool((bx - ax) * dqx + (by - ay) * dqy > 0.0)
+                    decided[k] = True
                     break
-            edge.append(i)
-            t0s.append(t0)
-            t1s.append(t1)
-            verdicts.append(verdict)
-    ax, ay = V[edge, 0], V[edge, 1]
-    dx, dy = V1[edge, 0] - ax, V1[edge, 1] - ay
-    t0, t1 = np.array(t0s), np.array(t1s)
-    keep = np.array([v is True for v in verdicts])
+    ax, ay = V[seg, 0], V[seg, 1]
+    dx, dy = V1[seg, 0] - ax, V1[seg, 1] - ay
     # sample an interior point of each remaining sub-segment; resample once
     # where the float sample lands exactly on the other boundary
-    todo = np.flatnonzero([v is None for v in verdicts])
+    todo = np.flatnonzero(~decided)
     for frac in (0.5, 0.618033988749895):
-        t = t0[todo] + frac * (t1[todo] - t0[todo])
-        inside, on_boundary = _classify_points(ax[todo] + t * dx[todo], ay[todo] + t * dy[todo], W, W1)
+        u = t0[todo] + frac * (t1[todo] - t0[todo])
+        inside, on_boundary = _classify_points(ax[todo] + u * dx[todo], ay[todo] + u * dy[todo], W, W1)
         keep[todo[~on_boundary]] = inside[~on_boundary]
         todo = todo[on_boundary]
     s0x, s0y = ax + t0 * dx, ay + t0 * dy
@@ -343,9 +393,9 @@ def polygon_intersection_area(A, B) -> float:
         return 0.0
     P1 = np.roll(P, -1, axis=0)
     Q1 = np.roll(Q, -1, axis=0)
-    paramsP, paramsQ, overlapsP, overlapsQ = _collect_params(P, Q)
-    total = _boundary_pieces_area(P, P1, paramsP, overlapsP, Q, Q1, keep_shared=True)
-    total += _boundary_pieces_area(Q, Q1, paramsQ, overlapsQ, P, P1, keep_shared=False)
+    cutsP, cutsQ, overlapsP, overlapsQ = _collect_params(P, Q)
+    total = _boundary_pieces_area(P, P1, cutsP, overlapsP, Q, Q1, keep_shared=True)
+    total += _boundary_pieces_area(Q, Q1, cutsQ, overlapsQ, P, P1, keep_shared=False)
     return float(min(max(total, 0.0), areaP, areaQ))
 
 

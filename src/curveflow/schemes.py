@@ -521,7 +521,8 @@ def run(config: SchemeConfig, snapshot_times: Sequence[float] = ()) -> RunResult
     """
     tau = config.tau
     n_steps = config.n_steps
-    snap_set = {min(n_steps, max(0, int(round(t / tau)))) for t in snapshot_times}
+    # clamped before rounding: a finite t over a tiny tau can overflow to inf
+    snap_set = {int(round(min(n_steps, max(0.0, t / tau)))) for t in snapshot_times}
     spec = SPECS[config.scheme]
     gamma = config.gamma_value
     switching = spec.kind == "SP" and gamma > 0

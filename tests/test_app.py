@@ -280,6 +280,28 @@ def test_simulate_rejects_invalid_configs(tmp_path, capsys, body):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_snapshot_time_far_past_T_is_taken_at_T(tmp_path):
+    # t / tau = 1e308 * 128 is inf; a fresh interpreter, so that an
+    # uncaught exception shows as a traceback
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "run.cfg",
+        f"scheme = sp-euler\nN = 24\ntau = 1/128\nT = 1/16\nsnapshots = 0 1e308\nout = {out}\n",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curveflow.app.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curveflow.app", "simulate", "--config", cfg],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["snapshot_times"] == [0.0, 0.0625]
+
+
 # ---------------------------------------------------------------------------
 # converge
 

@@ -301,14 +301,31 @@ def test_snapshot_clockwise_file_normalized_with_kappa():
     assert np.array_equal(kappa_back, [10.0, 13.0, 12.0, 11.0])
 
 
+def test_snapshot_parse_is_bitwise_float_of_each_token():
+    # 17 significant digits of negatives, -0.0, subnormals and exponents
+    # near both ends of the range, in the vertex and the curvature columns
+    gen = np.random.default_rng(7)
+    v = generate_ellipse(2.0, 1.0, 12).vertices.copy()
+    v[0, 1], v[3, 0], v[6, 1] = 5e-324, -0.0, -2.2250738585072014e-308
+    extremes = [-0.0, 5e-324, -2.2250738585072009e-308, 1e-300, -3e300, -1.7976931348623157e308]
+    kappa = np.concatenate((extremes, gen.standard_normal(6) * 10.0 ** gen.integers(-300, 300, 6)))
+    text = "t=0.1 N=12\n" + "".join(f"{x:.17g} {y:.17g} {k:.17g}\n" for (x, y), k in zip(v, kappa))
+    expect = np.array([[float(tok) for tok in line.split()] for line in text.splitlines()[1:]])
+    _, curve, kappa_back = read_snapshot(io.StringIO(text))
+    assert curve.vertices.tobytes() == np.ascontiguousarray(expect[:, :2]).tobytes()
+    assert kappa_back.tobytes() == expect[:, 2].tobytes() == kappa.tobytes()
+
+
 def test_snapshot_malformed_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty snapshot file$"):
         read_snapshot(io.StringIO(""))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^malformed snapshot header: 'time=0 N=3'$"):
         read_snapshot(io.StringIO("time=0 N=3\n0 0\n1 0\n0 1\n"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^snapshot declares N=4 but holds 3 vertex lines$"):
         read_snapshot(io.StringIO("t=0 N=4\n0 0\n1 0\n0 1\n"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex lines must uniformly hold 'x y' or 'x y kappa'$"):
         read_snapshot(io.StringIO("t=0 N=3\n0 0\n1 0 5.0\n0 1\n"))
+    with pytest.raises(ValueError, match="^could not convert string to float: '1,0'$"):
+        read_snapshot(io.StringIO("t=0 N=3\n0 0\n1,0 0\n0 1\n"))
     with pytest.raises(ValueError):
         write_snapshot(io.StringIO(), generate_ellipse(1.0, 1.0, 5), t=0.0, kappa=np.zeros(4))

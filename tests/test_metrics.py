@@ -153,13 +153,20 @@ def test_split_parameters_of_a_touch_and_an_overlap():
     # touches the middle of the square's bottom edge (the end of two of its
     # edges), and a shelf whose top edge runs back along the right half of
     # that edge, covering [2/3, 1] of its own length
+    def per_edge(P, Q):
+        # the flat (edge, t) cuts and the overlap dicts as one list per edge
+        cutsP, cutsQ, overlapsP, overlapsQ = _collect_params(P, Q)
+        cuts = [[t[edge == k].tolist() for k in range(len(v))] for v, (edge, t) in ((P, cutsP), (Q, cutsQ))]
+        overlaps = [[spans.get(k, []) for k in range(len(v))] for v, spans in ((P, overlapsP), (Q, overlapsQ))]
+        return (*cuts, *overlaps)
+
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     apex = np.array([[0.5, 0.0], [0.25, -1.0], [0.75, -1.0]])
     touched = [[0.5, 0.5], [], [], []]
-    assert _collect_params(apex, square) == ([[], [], []], touched, [[], [], []], [[], [], [], []])
-    assert _collect_params(square, apex) == (touched, [[], [], []], [[], [], [], []], [[], [], []])
+    assert per_edge(apex, square) == ([[], [], []], touched, [[], [], []], [[], [], [], []])
+    assert per_edge(square, apex) == (touched, [[], [], []], [[], [], [], []], [[], [], []])
     shelf = np.array([[0.5, -1.0], [2.0, -1.0], [2.0, 0.0], [0.5, 0.0]])
-    _, _, overlaps_square, overlaps_shelf = _collect_params(square, shelf)
+    _, _, overlaps_square, overlaps_shelf = per_edge(square, shelf)
     assert overlaps_square == [[(0.5, 1.0, 2)], [], [], []]
     assert overlaps_shelf == [[], [], [(1.5 / 2.25, 1.0, 0)], []]
 
@@ -300,6 +307,68 @@ def test_distance_memory_stays_linear_at_n5000(kind):
         assert 0.0 < d < signed_area(a) + signed_area(b)
     else:
         assert d == pytest.approx((1.0 - 0.8**2) * signed_area(a), rel=1e-9)
+
+
+def regular_polygon(n: int, radius: float, rotation: float) -> np.ndarray:
+    theta = rotation + 2.0 * np.pi * np.arange(n) / n
+    return np.column_stack((radius * np.cos(theta), radius * np.sin(theta)))
+
+
+def pinned_pairs():
+    phase = np.random.default_rng(2024).uniform(0.0, 2.0 * np.pi, 3)
+    a, b, c = star(300, 12, 0.2, phase[0]), star(500, 12, 0.2, phase[1]), star(700, 12, 0.2, phase[2])
+    big = 2.0 * unit_square()
+    e = generate_ellipse(2.0, 1.0, 200).vertices
+    m = generate_mikula(32).vertices
+    # three crossings of one edge, 0.6e-14 apart: the middle cut is dropped
+    # and the third kept, as it lies over 1e-14 from the first
+    d = 0.6e-14
+    zigzag = [(0.5, -1.0), (0.5, 0.5), (0.5 + d, 0.5), (0.5 + d, -1.0), (0.5 + 2 * d, -1.0), (0.5 + 2 * d, 0.5), (0.9, 0.5), (0.9, -2.0)]
+    return {
+        "stars-ab": (a, b),
+        "stars-ba": (b, a),
+        "stars-ac": (a, c),
+        "stars-ca": (c, a),
+        "nested": (star(400, 5, 0.25, 0.7), star(400, 5, 0.25, 0.7, scale=0.8)),
+        "rotated-400-gons": (regular_polygon(400, 1.3, 0.2), regular_polygon(400, 1.3, 0.2 + np.pi / 400)),
+        "rotated-7-gons": (regular_polygon(7, 1.0, 0.0), regular_polygon(7, 1.0, np.pi / 7)),
+        "shared-edge": (unit_square(), unit_square(1.0, 0.0)),
+        "touching-vertex": (big, np.array([[1.0, 2.0], [2.0, 3.0], [0.0, 3.0]])),
+        "partial-collinear-overlap": (big, big + np.array([1.0, 0.0])),
+        "two-splits-within-1e-14": (unit_square(), np.array([[0.5, -2e-15], [2.5, 2.0], [-1.5, 2.0]])),
+        "three-splits-0.6e-14-apart": (unit_square(0.3, 0.7), PolygonalCurve(np.array(zigzag) + [0.3, 0.7])),
+        "ellipse-and-1e-16-noise": (e, e + 1e-16 * np.random.default_rng(1).standard_normal(e.shape)),
+        "relabelled-start-vertex": (m, np.roll(m, 7, axis=0)),
+    }
+
+
+# float.hex of each distance, taken from the scalar per-pair and per-edge
+# loops that the array passes replaced.  The "splits" pairs take the
+# sequential cut rule; the noisy ellipse and the relabelled curve the exact
+# orientation fallback; the shared-edge, touching and overlap pairs the
+# Python path of zero orientations
+PINNED_DISTANCES = {
+    "stars-ab": "0x1.95207575f4a50p+0",
+    "stars-ba": "0x1.95207575f4a50p+0",
+    "stars-ac": "0x1.74d98a45880a0p+0",
+    "stars-ca": "0x1.74d98a45880a0p+0",
+    "nested": "0x1.2a896b8c4bfb4p+0",
+    "rotated-400-gons": "0x1.5766eb7440000p-13",
+    "rotated-7-gons": "0x1.23f3193e4e260p-2",
+    "shared-edge": "0x1.0000000000000p+1",
+    "touching-vertex": "0x1.4000000000000p+2",
+    "partial-collinear-overlap": "0x1.0000000000000p+2",
+    "two-splits-within-1e-14": "0x1.c000000000000p+1",
+    "three-splits-0.6e-14-apart": "0x1.6666666666648p+0",
+    "ellipse-and-1e-16-noise": "0x1.b033d9e028d80p-3",
+    "relabelled-start-vertex": "0x1.0000000000000p-49",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DISTANCES))
+def test_distance_is_bitwise_pinned(name):
+    a, b = pinned_pairs()[name]
+    assert manifold_distance(a, b).hex() == PINNED_DISTANCES[name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The package's public surface: every exported name exists, and the CLI
-loads without the sparse-matrix module."""
+"""The package's public surface: every exported name exists, every
+imported name is used, and the CLI loads without the sparse-matrix module."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -17,6 +18,22 @@ MODULES = ("app", "femcore", "geometry", "linalg", "metrics", "schemes")
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"curveflow.{name}")
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    # a name counts as used when the module reads it or lists it in __all__
+    module = importlib.import_module(f"curveflow.{name}")
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(module.__all__)) == []
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

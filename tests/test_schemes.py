@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from curveflow.femcore import initial_curvature
-from curveflow.geometry import PolygonalCurve, generate_ellipse, generate_mikula, perimeter, signed_area
+from curveflow.geometry import PolygonalCurve, generate_ellipse, generate_mikula
 import curveflow.linalg
 import curveflow.schemes
 from curveflow.femcore import NewtonIterate
