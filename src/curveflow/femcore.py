@@ -191,14 +191,13 @@ class SchemeContext:
 _AREA_ROW_SCALE = np.array([0.5, -0.5])
 
 
-class _RunBuffers:
-    """What one Newton run (same ctx, ref and tau) computes once: the
-    residual terms that do not depend on the iterate (among them the anchor
-    Y with its Y_{k+1}, g, |g| and the laws' constant parts), and scratch
-    arrays that every iteration overwrites."""
+class _RunTerms:
+    """The residual terms of one Newton run (same ctx, ref and tau) that do
+    not depend on the iterate: the anchor Y with its Y_{k+1}, g and |g|, the
+    laws' constant parts, the velocity rows' history term and mass factor,
+    and half the averaged level."""
 
     def __init__(self, ctx: SchemeContext, ref: ReferenceGeometry, tau: float) -> None:
-        n = ref.n
         self.s_flux = tau * ctx.alpha / ctx.delta0
         # the velocity rows' history term and mass factor
         self.hist = ctx.alpha / ctx.delta0 * (ctx.xhist * ref.omega).sum(axis=1)
@@ -212,8 +211,6 @@ class _RunBuffers:
         self.area = _shoelace(Y) - ctx.A0
         # half the averaged level, the constant half of the effective unknowns
         self.half = None if ctx.averaged is None else NewtonIterate(*(0.5 * u for u in ctx.averaged))
-        self.Xn, self.h, self.d, self.dn, self.dh, self.flux, self.t2, self.e2, self.Xe = np.empty((9, n, 2))
-        self.hlen, self.fk, self.Skap, self.t1, self.e1, self.ke = np.empty((6, n))
 
 
 @dataclass
@@ -239,12 +236,12 @@ class NewtonBlocks:
     absent multiplier leaves its column None and has no row.  Q's only
     iterate term, -lam_eff M on its diagonal, is taken at the run's start.
 
-    These arrays are the buffers of one Newton run and the only home of its
-    solver inputs: a later iteration's `assemble_newton_blocks` overwrites
-    a1, rows and rhs in place, and P, Q, R and a2 stay.  The run's
-    `linalg.BorderedSystem` holds these blocks and reads a1, rows and rhs at
-    each solve.  ``work`` holds the run's other buffers; it is None for
-    blocks built by hand, which cannot serve as ``previous``.
+    Each iteration of a Newton run has blocks of its own, and nothing
+    writes into them once they are built.  The arrays that are fixed through
+    the run (P, Q, R, a2) and ``work``, the run's iterate-free residual
+    terms, are shared by all of them; a1, rows and rhs are each iteration's
+    own.  ``work`` is None for blocks built by hand, which cannot serve as
+    ``previous`` (see assemble_newton_blocks).
     """
 
     P: np.ndarray
@@ -254,7 +251,7 @@ class NewtonBlocks:
     a2: Optional[np.ndarray]
     rows: np.ndarray
     rhs: np.ndarray
-    work: Optional[_RunBuffers] = field(default=None, repr=False, compare=False)
+    work: Optional[_RunTerms] = field(default=None, repr=False, compare=False)
 
 
 def assemble_newton_blocks(
@@ -268,100 +265,96 @@ def assemble_newton_blocks(
     iterate (the quadratic multiplier-times-curvature update product is the
     only dropped term, as the Newton direction requires).
 
-    Without ``previous`` the call allocates the run's buffers: the blocks
-    that are fixed through the run (P, Q, R and a2, with -lam_eff M of this
-    iterate on Q's diagonal), the arrays that follow the iterate, and the
-    scratch and iterate-independent residual terms of ``work``.
-    ``previous`` is the result of an earlier iteration of the same Newton
-    run (same ctx, ref and tau): the call then writes a1, the border rows
-    and the rhs into its arrays and returns it, so nothing is allocated and
-    the earlier blocks are gone.  Q keeps the run start's lam_eff (the
-    simplified Newton method); every other array has the bits of a fresh
-    call at this iterate."""
+    Every call returns new blocks with new a1, border rows and rhs.  Without
+    ``previous`` the call also builds the blocks that are fixed through the
+    run (P, Q, R and a2, with -lam_eff M of this iterate on Q's diagonal)
+    and the run's iterate-free residual terms.  ``previous`` is the result
+    of an earlier iteration of the same Newton run (same ctx, ref and tau):
+    the new blocks share those fixed arrays and terms with it, and
+    ``previous`` itself is left as it was.  So Q keeps the run start's
+    lam_eff (the simplified Newton method), and every other array has the
+    bits of a fresh call at this iterate."""
     n = ref.n
     s_core = tau * ctx.alpha / ctx.delta0 * ctx.alpha
-    blocks = previous
-    if previous is None:
-        nb = ctx.use_perimeter + ctx.use_area
-        blocks = NewtonBlocks(
-            P=ctx.alpha * ref.omega,
-            Q=s_core * ref.stencil,
-            R=(-ctx.alpha) * ref.stencil,
-            a1=np.empty(n) if ctx.use_perimeter else None,
-            a2=(-s_core) * ref.mass if ctx.use_area else None,
-            rows=np.zeros((nb, 3 * n)),
-            rhs=np.empty(3 * n + nb),
-            work=_RunBuffers(ctx, ref, tau),
-        )
-    w, X = blocks.work, it.X
+    terms = _RunTerms(ctx, ref, tau) if previous is None else previous.work
+    X = it.X
     # the iterate's next vertices X_{k+1} and edges h
-    w.Xn[:-1] = X[1:]
-    w.Xn[-1] = X[0]
-    h = np.subtract(w.Xn, X, out=w.h)
+    Xn = np.concatenate((X[1:], X[:1]))
+    h = Xn - X
     # the effective unknowns and the edge fluxes of X_eff
-    if w.half is None:
+    if terms.half is None:
         kap, lam, eta = it.kappa, it.lam, it.eta
-        flux = np.multiply(h, ref.weights[:, None], out=w.flux)
+        flux = h * ref.weights[:, None]
     else:
-        kap = np.multiply(it.kappa, 0.5, out=w.ke)
-        kap += w.half.kappa
-        lam, eta = 0.5 * it.lam + w.half.lam, 0.5 * it.eta + w.half.eta
-        Xe = np.multiply(X, 0.5, out=w.Xe)
-        Xe += w.half.X
-        flux = _forward_difference(Xe, out=w.flux)
+        kap = it.kappa * 0.5
+        kap += terms.half.kappa
+        lam, eta = 0.5 * it.lam + terms.half.lam, 0.5 * it.eta + terms.half.eta
+        Xe = X * 0.5
+        Xe += terms.half.X
+        flux = _forward_difference(Xe)
         flux *= ref.weights[:, None]
-    # negated curvature rows: S_ref X_eff - kappa_eff omega_ref
-    curvature_rhs = _previous_minus(flux, blocks.rhs[: 2 * n].reshape(n, 2))
-    curvature_rhs -= np.multiply(kap[:, None], ref.omega, out=w.t2)
-    kappa_flux = _forward_difference(kap, out=w.fk)
-    kappa_flux *= ref.weights
-    Skap = _previous_minus(kappa_flux, w.Skap)
-
-    # Q's diagonal takes -lam_eff M at the run's start iterate and keeps it
-    # (the simplified Newton method); the borders follow the iterate
     if previous is None:
-        Qd = np.multiply(ref.mass, lam, out=blocks.Q[:, 1])
-        np.subtract(ref.stencil[:, 1], Qd, out=Qd)
-        Qd *= s_core
+        P = ctx.alpha * ref.omega
+        R = (-ctx.alpha) * ref.stencil
+        # Q's diagonal takes -lam_eff M at the run's start iterate and keeps
+        # it (the simplified Newton method); the borders follow the iterate
+        Q = s_core * ref.stencil
+        Q[:, 1] = (ref.stencil[:, 1] - ref.mass * lam) * s_core
+        a2 = (-s_core) * ref.mass if ctx.use_area else None
+    else:
+        P, Q, R, a2 = previous.P, previous.Q, previous.R, previous.a2
+    nb = ctx.use_perimeter + ctx.use_area
+    rhs = np.empty(3 * n + nb)
+    rows = np.zeros((nb, 3 * n))
+    # negated curvature rows: S_ref X_eff - kappa_eff omega_ref
+    curvature_rhs = _previous_minus(flux, rhs[: 2 * n].reshape(n, 2))
+    curvature_rhs -= kap[:, None] * ref.omega
+    kappa_flux = _forward_difference(kap)
+    kappa_flux *= ref.weights
+    Skap = _previous_minus(kappa_flux, np.empty(n))
+
+    a1 = None
     if ctx.use_perimeter:
-        np.multiply(ref.mass, kap, out=blocks.a1)
-        blocks.a1 *= -s_core
-        hlen = np.hypot(h[:, 0], h[:, 1], out=w.hlen)
-        grad = _previous_minus(np.divide(h, hlen[:, None], out=w.t2), blocks.rows[0, : 2 * n].reshape(n, 2))
+        a1 = ref.mass * kap
+        a1 *= -s_core
+        hlen = np.hypot(h[:, 0], h[:, 1])
+        grad = _previous_minus(h / hlen[:, None], rows[0, : 2 * n].reshape(n, 2))
         grad *= ctx.dL0 / tau
-        np.multiply(Skap, 2.0 * ctx.alpha, out=blocks.rows[0, 2 * n :])
+        np.multiply(Skap, 2.0 * ctx.alpha, out=rows[0, 2 * n :])
     if ctx.use_area:
-        np.add(h[1:], h[:-1], out=w.t2[1:])
-        np.add(h[:1], h[-1:], out=w.t2[:1])
-        np.multiply(w.t2[:, ::-1], _AREA_ROW_SCALE, out=blocks.rows[-1, : 2 * n].reshape(n, 2))
+        # h_k + h_{k-1} with its components swapped, then scaled
+        area_row = rows[-1, : 2 * n].reshape(n, 2)
+        np.add(h[1:, ::-1], h[:-1, ::-1], out=area_row[1:])
+        np.add(h[:1, ::-1], h[-1:, ::-1], out=area_row[:1])
+        area_row *= _AREA_ROW_SCALE
 
     # negated velocity rows: (lam_eff kappa_eff + eta_eff) s_flux m
     # - s_flux S_ref kappa_eff - s_time (xhist . omega) - P . X
-    velocity_rhs = np.multiply(kap, lam, out=blocks.rhs[2 * n : 3 * n])
+    velocity_rhs = np.multiply(kap, lam, out=rhs[2 * n : 3 * n])
     velocity_rhs += eta
-    velocity_rhs *= w.flux_mass
-    velocity_rhs -= np.multiply(Skap, w.s_flux, out=w.t1)
-    velocity_rhs -= w.hist
-    PX = np.multiply(blocks.P, X, out=w.t2)
+    velocity_rhs *= terms.flux_mass
+    velocity_rhs -= Skap * terms.s_flux
+    velocity_rhs -= terms.hist
+    PX = P * X
     velocity_rhs -= PX[:, 0]
     velocity_rhs -= PX[:, 1]
 
     # the laws, as increments from the anchor: d = X - Y and its edges
-    d = np.subtract(X, w.Y, out=w.d)
-    dn = np.subtract(w.Xn, w.Yn, out=w.dn)
+    d = X - terms.Y
+    dn = Xn - terms.Yn
     if ctx.use_perimeter:
-        t = np.add(h, w.g, out=w.t2)
-        t *= np.subtract(dn, d, out=w.dh)
-        per_edge = np.add(t[:, 0], t[:, 1], out=w.t1)
-        per_edge /= np.add(hlen, w.glen, out=w.e1)
+        t = h + terms.g
+        t *= dn - d
+        per_edge = t[:, 0] + t[:, 1]
+        per_edge /= hlen + terms.glen
         dL = float(per_edge.sum())
-        blocks.rhs[3 * n] = -((ctx.dL0 * dL + w.law) / tau + float(kap @ Skap))
+        rhs[3 * n] = -((ctx.dL0 * dL + terms.law) / tau + float(kap @ Skap))
     if ctx.use_area:
         # cross = d_k x X_{k+1} + Y_k x d_{k+1}
-        c = np.multiply(d, w.Xn[:, ::-1], out=w.t2)
-        e = np.multiply(w.Y, dn[:, ::-1], out=w.e2)
-        cross = np.subtract(c[:, 0], c[:, 1], out=w.t1)
+        c = d * Xn[:, ::-1]
+        e = terms.Y * dn[:, ::-1]
+        cross = c[:, 0] - c[:, 1]
         cross += e[:, 0]
         cross -= e[:, 1]
-        blocks.rhs[-1] = -(w.area + 0.5 * float(cross.sum()))
-    return blocks
+        rhs[-1] = -(terms.area + 0.5 * float(cross.sum()))
+    return NewtonBlocks(P, Q, R, a1, a2, rows, rhs, terms)

@@ -11,8 +11,6 @@ sign system the discrete curvature of a convex curve is positive.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 __all__ = [
@@ -98,9 +96,9 @@ def edge_vectors(curve) -> np.ndarray:
     return _forward_difference(_as_vertices(curve))
 
 
-def _forward_difference(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """a_{k+1} - a_k along the first axis, periodic (into ``out`` if given)."""
-    d = np.empty(a.shape) if out is None else out
+def _forward_difference(a: np.ndarray) -> np.ndarray:
+    """a_{k+1} - a_k along the first axis, periodic."""
+    d = np.empty(a.shape)
     np.subtract(a[1:], a[:-1], out=d[:-1])
     np.subtract(a[:1], a[-1:], out=d[-1:])
     return d

@@ -21,14 +21,13 @@ geometric degeneracy of an equilibrium (constant curvature makes the two
 border columns parallel).
 
 A Newton run builds one `BorderedSystem`, in its first iteration: the
-factored core plus the run's `NewtonBlocks`.  The core is fixed through the
-run (Q's diagonal holds lam_eff M of the run's start, see NewtonBlocks), and
-so is the eta column, solved when the system is built.  The rhs, the border
-rows and the lam column live only in the blocks, which later iterations
-overwrite in place; each solve gathers them into folded order and makes one
-banded solve, of the rhs and the lam column together.  The multipliers come
-from a 1 x 1 or 2 x 2 Schur step in Python floats, with closed-form singular
-values for the degeneracy verdict.
+factored core, which is fixed through the run (Q's diagonal holds lam_eff M
+of the run's start, see NewtonBlocks), and the solve of the eta column,
+which is fixed too.  Each iteration passes its own `NewtonBlocks` to the
+solve, which gathers their rhs, border rows and lam column into folded
+order and makes one banded solve, of the rhs and the lam column together.
+The multipliers come from a 1 x 1 or 2 x 2 Schur step in Python floats, with
+closed-form singular values for the degeneracy verdict.
 """
 
 from __future__ import annotations
@@ -129,35 +128,32 @@ def _fold(n: int) -> _Fold:
 
 @dataclass
 class BorderedSystem:
-    """The factored core of one Newton run plus the run's blocks.  In folded
-    order the equations of a slot's vertex are (curvature x, curvature y,
-    velocity), then perimeter?, area?; its unknowns are (x_k, y_k, kappa_k),
-    then lam?, eta?.  nb in {0, 1, 2} counts the borders present, lam
-    before eta in both the columns and the rows.
+    """The factored core of one Newton run.  In folded order the equations
+    of a slot's vertex are (curvature x, curvature y, velocity), then
+    perimeter?, area?; its unknowns are (x_k, y_k, kappa_k), then lam?,
+    eta?.  nb in {0, 1, 2} counts the borders present, lam before eta in
+    both the columns and the rows.
 
     ``core`` (3N, 2 KL + KU + 1), the band LU in folded order with one row
     per unknown (the transpose of dgbtrf's Fortran-ordered band), its pivots
-    ``piv`` and the eta column are fixed through the run; each solve reads
-    the rhs, the border rows and a1 from ``blocks``.
+    ``piv`` and the eta column are fixed through the run.
     ``stack`` (3N, 1 + nb), Fortran order, holds the core solves [g, Y] of
     the rhs and the border columns: the eta column's is taken when the
-    system is built, and each solve gathers the rhs and a1 into the leading
-    columns and overwrites them with theirs."""
+    system is built, and each solve gathers the rhs and a1 of the blocks it
+    is given into the leading columns and overwrites them with theirs."""
 
     core: np.ndarray = field(repr=False)
-    blocks: NewtonBlocks = field(repr=False)
     stack: np.ndarray = field(repr=False)
     piv: np.ndarray = field(repr=False)
     nb: int
 
 
 def assemble_system(blocks: NewtonBlocks) -> BorderedSystem:
-    """Build the factored bordered system of the Newton run with ``blocks``,
-    once per run: scatter the core into its band in folded order, factor it
-    in place and solve the eta column, so a singular core raises
-    SingularCoreError before any system exists.  The system keeps
-    ``blocks``, whose a1, border rows and rhs later iterations overwrite in
-    place (see NewtonBlocks); each solve reads them."""
+    """Build the factored bordered system of the Newton run that starts with
+    ``blocks``, once per run: scatter the core into its band in folded
+    order, factor it in place and solve the eta column, so a singular core
+    raises SingularCoreError before any system exists.  The system keeps no
+    blocks: each solve is given those of its iteration."""
     n = len(blocks.P)
     m = 3 * n
     fold = _fold(n)
@@ -170,7 +166,7 @@ def assemble_system(blocks: NewtonBlocks) -> BorderedSystem:
         raise SingularCoreError(f"core factorization failed: zero pivot in column {info - 1}")
     if info < 0:
         raise ValueError(f"dgbtrf rejected argument {-info}")
-    system = BorderedSystem(band.T, blocks, stack=np.zeros((m, 1 + nb), order="F"), piv=piv, nb=nb)
+    system = BorderedSystem(band.T, stack=np.zeros((m, 1 + nb), order="F"), piv=piv, nb=nb)
     if blocks.a2 is not None:
         # the eta column lives in the velocity rows
         np.take(blocks.a2, fold.vertex, out=system.stack[2::3, nb])
@@ -186,18 +182,22 @@ def _band_solve(system: BorderedSystem, cols: np.ndarray) -> None:
         raise ValueError(f"dgbtrs rejected argument {-info}")
 
 
-def solve_bordered(system: BorderedSystem) -> np.ndarray:
+def solve_bordered(system: BorderedSystem, *, blocks: NewtonBlocks) -> np.ndarray:
     """Solve via block elimination: solve the factored core for the rhs and
     the border columns, eliminate it from the border rows, solve the nb x nb
     Schur complement for the multipliers, back-substitute.  Returns the full
     unknown vector (3N + nb,) in block order: positions (interleaved),
     curvatures, then lam?, eta?.
 
+    ``blocks`` are those of an iteration of the run the system was built
+    for.  They are keyword-only because the benchmark's tracer passes a
+    traced call's positional arguments to a hook that takes the system alone.
+
     The rhs and a1 are gathered from the blocks into the stack's leading
     columns and solved together in one banded solve, beside the eta
     column's solve the assembly took (see BorderedSystem); the border rows
     are gathered into folded order.  LAPACK treats each right-hand side
-    column on its own, so a later solve of the same system is bitwise the
+    column on its own, so a later solve of the same blocks is bitwise the
     first.
 
     The Schur step (see _multipliers) runs in Python floats from one
@@ -211,7 +211,6 @@ def solve_bordered(system: BorderedSystem) -> np.ndarray:
     form, with 1e-13."""
     m = system.core.shape[0]
     fold = _fold(m // 3)
-    blocks = system.blocks
     z = system.stack
     np.take(blocks.rhs, fold.gather, out=z[:, 0])
     if blocks.a1 is not None:

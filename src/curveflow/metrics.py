@@ -140,39 +140,20 @@ def write_eoc_csv(rows: Sequence[ConvergenceRow], path_or_file: Union[str, IO[st
 _FILTER = 3.33e-16  # relative error bound of the two-product orientation test
 
 
-def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> int:
-    """Sign of cross(b - a, c - a): +1 left turn, -1 right turn, 0 collinear.
-    Float filter first, exact rational arithmetic when inconclusive."""
-    detl = (bx - ax) * (cy - ay)
-    detr = (by - ay) * (cx - ax)
-    det = detl - detr
-    err = _FILTER * (abs(detl) + abs(detr))
-    if det > err:
-        return 1
-    if det < -err:
-        return -1
-    if err == 0.0:
-        return 0
-    exact = (Fraction(bx) - Fraction(ax)) * (Fraction(cy) - Fraction(ay)) - (
-        Fraction(by) - Fraction(ay)
-    ) * (Fraction(cx) - Fraction(ax))
-    if exact > 0:
-        return 1
-    if exact < 0:
-        return -1
-    return 0
-
-
 def _orient_all(ax, ay, bx, by, cx, cy) -> np.ndarray:
-    """_orient over arrays: the float filter on every entry, the exact
-    rational test only on the entries the filter leaves open."""
+    """Signs of cross(b - a, c - a) over arrays: +1 left turn, -1 right
+    turn, 0 collinear.  The float filter decides every entry whose
+    determinant clears its error bound; the exact rational test runs only on
+    the entries the filter leaves open."""
     detl = (bx - ax) * (cy - ay)
     detr = (by - ay) * (cx - ax)
     det = detl - detr
     err = _FILTER * (np.abs(detl) + np.abs(detr))
     o = (det > err).astype(int) - (det < -err)
     for k in np.flatnonzero((o == 0) & (err != 0.0)):
-        o[k] = _orient(ax[k], ay[k], bx[k], by[k], cx[k], cy[k])
+        x0, y0, x1, y1, x2, y2 = (Fraction(u[k]) for u in (ax, ay, bx, by, cx, cy))
+        exact = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        o[k] = (exact > 0) - (exact < 0)
     return o
 
 

@@ -275,16 +275,15 @@ def newton_outer(
     Returns (iterate, iterations).  A non-finite update component raises
     NewtonDivergenceError at once, with last_norm = inf.
 
-    ``model(it, previous)`` gives the blocks at ``it``; ``previous`` is the
-    run's blocks of the last iteration, or None in the first.  The first
-    iteration allocates the run's blocks and builds its system from them;
-    each later one has the model write a1, the border rows and the residual
-    into those same blocks (by passing ``previous`` on to
-    assemble_newton_blocks), where the system's solve reads them.  The
-    core, with lam_eff M of the start iterate on Q's diagonal, is factored
-    once, when the system is built: a simplified Newton method with an
-    exact residual.  Each iteration then makes one banded solve, of the rhs
-    and the lam column, under that factor.
+    ``model(it, previous)`` gives new blocks at ``it``; ``previous`` is the
+    blocks of the run's last iteration, or None in the first.  The first
+    iteration builds the run's system from its blocks; each later one has
+    the model build its blocks from ``previous`` (by passing it on to
+    assemble_newton_blocks), sharing the core blocks, and hands them to the
+    system's solve.  The core, with lam_eff M of the start iterate on Q's
+    diagonal, is factored once, when the system is built: a simplified
+    Newton method with an exact residual.  Each iteration then makes one
+    banded solve, of its rhs and lam column, under that factor.
     """
     it = start
     norm = math.inf
@@ -293,7 +292,7 @@ def newton_outer(
         blocks = model(it, blocks)
         if system is None:
             system = assemble_system(blocks)
-        z = solve_bordered(system)
+        z = solve_bordered(system, blocks=blocks)
         previous_norm, norm = norm, float(np.abs(z).max())
         n = blocks.P.shape[0]
         if not math.isfinite(norm):
@@ -421,27 +420,24 @@ def _initial_state(config: SchemeConfig) -> SchemeState:
 
 
 def _substepped_startup(config: SchemeConfig, spec: SchemeSpec) -> SchemeState:
-    """History for an order-k AP run: cover [0, (k-1) tau] with the order
-    (k-1) scheme at substep sigma = tau / n_sub, n_sub = ceil(tau^(-1/(k-1))),
-    so the startup error sigma^(k-1) <= tau^k; every n_sub-th substate becomes
-    a history level, whose newton_iters sums the substeps of its tau
-    interval.  The ap-bdf2 sub-run of ap-bdf3 starts from level 0 alone."""
+    """History for an order-k AP run: one `run` of the order (k-1) scheme
+    over [0, (k-1) tau] at substep sigma = tau / n_sub, n_sub =
+    ceil(tau^(-1/(k-1))), so the startup error sigma^(k-1) <= tau^k.  Its
+    snapshots at 0, tau, ..., (k-1) tau become the history levels, with the
+    multipliers and mode of their rows; a level's newton_iters sums the
+    rows of its tau interval.  A failed sub-run raises its failure."""
     k, tau = spec.order, config.tau
     n_sub = max(1, math.ceil(tau ** (-1.0 / (k - 1)) - 1e-12))
     sub_cfg = replace(config, scheme=spec.lower, tau=tau / n_sub, T=(k - 1) * tau, gamma=0.0)
-    sub_state = startup(sub_cfg)
-    if len(sub_state.history) != sub_state.step_index + 1:
-        raise SchemeError("substepped startup lost its initial level")
-    levels = list(sub_state.history)[::n_sub]
-    # the Newton iterations of substeps 1, 2, ...
-    iters = [entry.newton_iters for entry in sub_state.history][1:]
-    while sub_state.step_index < (k - 1) * n_sub:
-        sub_state = step(sub_state, sub_cfg)
-        iters.append(sub_state.history[-1].newton_iters)
-        if sub_state.step_index % n_sub == 0:
-            levels.append(sub_state.history[-1])
-    for j in range(1, k):
-        levels[j] = levels[j]._replace(newton_iters=sum(iters[(j - 1) * n_sub : j * n_sub]))
+    sub = run(sub_cfg, [j * tau for j in range(k)])
+    if sub.failure is not None:
+        raise sub.failure
+    levels = []
+    for j, snap in enumerate(sub.snapshots):
+        m = j * n_sub  # the row of level j, which ends its tau interval
+        row = sub.series.rows[m]
+        iters = sum(r.newton_iters for r in sub.series.rows[max(0, m - n_sub + 1) : m + 1])
+        levels.append(_level(snap.curve, snap.kappa, row.lam, row.eta, iters, row.mode))
     return SchemeState(
         history=deque(levels, maxlen=5),
         step_index=k - 1,

@@ -3,8 +3,8 @@
 Everything here is written from first principles: geometry by explicit
 loops, areas by Monte Carlo sampling, the implicit step equations solved
 with a generic library root finder on finite-difference Jacobians.  None of
-it shares code with the package beyond plain containers and the exact
-orientation predicate, so agreement is evidence of correctness rather than a
+it shares code with the package beyond the plain container of a Newton
+step's blocks, so agreement is evidence of correctness rather than a
 tautology.  The one exception is `stiffness_matrix`, which takes the
 package's stencil so that products with it can be compared bit for bit.
 """
@@ -12,6 +12,7 @@ package's stencil so that products with it can be compared bit for bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Dict, Optional
 
 import numpy as np
@@ -20,7 +21,6 @@ import scipy.sparse
 
 from curveflow.femcore import NewtonBlocks, stiffness_stencil
 from curveflow.geometry import edge_lengths
-from curveflow.metrics import _FILTER, _orient
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +149,9 @@ def mc_intersection_area(A: np.ndarray, B: np.ndarray, n_samples: int, seed: int
 #
 # The library lists candidate edge pairs by a sort-and-sweep and classifies
 # sample points in one batch; these are the all-pairs and one-point versions
-# it replaced, kept as references.  strict_inside shares the library's exact
-# orientation predicate, so agreement checks the candidate search, the
-# batching and the reductions.
+# it replaced, kept as references.  strict_inside decides every orientation
+# by its own float bound, and exactly in rationals where the bound leaves it
+# open, so agreement also checks the library's orientation filter.
 
 
 def all_pairs_is_simple(v: np.ndarray) -> bool:
@@ -222,14 +222,17 @@ def strict_inside(x: float, y: float, W: np.ndarray, W1: np.ndarray) -> Optional
     detl = (wx1 - wx0) * (y - wy0)
     detr = (wy1 - wy0) * (x - wx0)
     det = detl - detr
-    ambiguous = cand & (np.abs(det) <= _FILTER * (np.abs(detl) + np.abs(detr)))
+    # 4 eps bounds the rounding of the two products and their difference
+    ambiguous = cand & (np.abs(det) <= 4.0 * np.finfo(float).eps * (np.abs(detl) + np.abs(detr)))
     if ambiguous.any():
         det = det.copy()
         for idx in np.flatnonzero(ambiguous):
-            o = _orient(wx0[idx], wy0[idx], wx1[idx], wy1[idx], x, y)
-            if o == 0:
+            exact = (Fraction(wx1[idx]) - Fraction(wx0[idx])) * (Fraction(y) - Fraction(wy0[idx])) - (
+                Fraction(wy1[idx]) - Fraction(wy0[idx])
+            ) * (Fraction(x) - Fraction(wx0[idx]))
+            if exact == 0:
                 return None
-            det[idx] = float(o)
+            det[idx] = float(exact > 0) - float(exact < 0)
     wn = int(np.count_nonzero(up & (det > 0))) - int(np.count_nonzero(dn & (det < 0)))
     return wn != 0
 

@@ -338,7 +338,7 @@ def test_09_property_battery(ellipse_runs):
         blocks = random_blocks(rng, n=(3, 4, 8)[(i // 4) % 3], flavor=flavors[i % 4])
         dense_m, dense_rhs = dense_from_blocks(blocks)
         expected = np.linalg.solve(dense_m, dense_rhs)
-        got = solve_bordered(assemble_system(blocks))
+        got = solve_bordered(assemble_system(blocks), blocks=blocks)
         solver_worst = max(
             solver_worst,
             np.abs(got - expected).max() / max(1.0, np.abs(expected).max()),

@@ -1,7 +1,6 @@
 """Bordered banded solver against a dense oracle, plus its failure modes."""
 
 import tracemalloc
-from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +32,11 @@ import oracles
 rng = np.random.default_rng(77010)
 
 
+def _solve(blocks):
+    # the solve of blocks under a system built from them
+    return solve_bordered(assemble_system(blocks), blocks=blocks)
+
+
 def test_solver_matches_dense_oracle():
     # the fold 0, N-1, 1, N-2, ... ends differently for odd and even N (the
     # last slot holds vertex (N-1)/2 or N/2), and at N = 3 every vertex
@@ -41,7 +45,7 @@ def test_solver_matches_dense_oracle():
     for trial in range(168):
         n = 3 + (trial // 4) % 7
         blocks = oracles.random_blocks(rng, n=n, flavor=flavors[trial % 4])
-        x = solve_bordered(assemble_system(blocks))
+        x = _solve(blocks)
         M, rhs = oracles.dense_from_blocks(blocks)
         expected = np.linalg.solve(M, rhs)
         scale = np.abs(expected).max()
@@ -86,11 +90,10 @@ def test_folded_core_is_a_band_of_width_six():
         assert info == 0
         g, _ = dgbtrs(lu, 6, 6, np.column_stack((rhs[rows], M[rows, m])), piv)
         system = assemble_system(blocks)
-        assert system.blocks is blocks
         assert np.array_equal(system.core.T, lu), n
         assert np.array_equal(system.piv, piv)
         assert np.array_equal(system.stack[:, 2], eta)
-        x = solve_bordered(system)
+        x = solve_bordered(system, blocks=blocks)
         assert np.array_equal(system.stack[:, :2], g)
         B = np.ascontiguousarray(M[m:][:, cols])  # row-major, as gathered, so the products round alike
         assert np.array_equal(x[m:], _multipliers(B @ system.stack, np.abs(B) @ np.abs(system.stack[:, 1:]), rhs[m:]))
@@ -104,7 +107,7 @@ def test_two_border_solve_at_large_n_keeps_memory_to_the_band():
     blocks = oracles.random_blocks(rng, n=n, flavor="both")
     tracemalloc.start()
     try:
-        x = solve_bordered(assemble_system(blocks))
+        x = _solve(blocks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -114,7 +117,7 @@ def test_two_border_solve_at_large_n_keeps_memory_to_the_band():
 
 def test_residual_norm_at_solution_and_away():
     blocks = oracles.random_blocks(rng, n=8, flavor="both")
-    x = solve_bordered(assemble_system(blocks))
+    x = _solve(blocks)
     assert oracles.residual_norm(blocks, x) < 1e-9
     y = x.copy()
     y[0] += 1.0
@@ -129,7 +132,7 @@ def test_unbordered_system_is_plain_core_solve():
     # Fortran-ordered band storage, which dgbtrs reads without a copy
     assert system.core.shape == (24, 19)
     assert system.core.T.flags.f_contiguous
-    x = solve_bordered(system)
+    x = solve_bordered(system, blocks=blocks)
     assert len(x) == 24
     assert oracles.residual_norm(blocks, x) < 1e-10
 
@@ -160,7 +163,7 @@ def test_relabelled_start_vertex_rolls_the_newton_direction(rows):
             A0=oracles.loop_shoelace(v),
         )
         it = NewtonIterate(v + np.roll(shift_x, s, axis=0), np.roll(kappa, s), 0.3, -0.2)
-        z = solve_bordered(assemble_system(assemble_newton_blocks(ctx, ReferenceGeometry(v), it, 1e-3)))
+        z = _solve(assemble_newton_blocks(ctx, ReferenceGeometry(v), it, 1e-3))
         # back to the labels of s = 0
         dX = np.roll(z[: 2 * n].reshape(n, 2), -s, axis=0)
         dk = np.roll(z[2 * n : 3 * n], -s)
@@ -185,7 +188,7 @@ def test_parallel_border_rows_raise_degeneracy():
         rhs=blocks.rhs,
     )
     with pytest.raises(EquilibriumDegeneracyError):
-        solve_bordered(assemble_system(blocks))
+        _solve(blocks)
 
 
 def test_parallel_border_columns_raise_degeneracy():
@@ -202,7 +205,7 @@ def test_parallel_border_columns_raise_degeneracy():
         rhs=base.rhs,
     )
     with pytest.raises(EquilibriumDegeneracyError):
-        solve_bordered(assemble_system(blocks))
+        _solve(blocks)
 
 
 def _scale_border(blocks, row: str, factor: float):
@@ -225,8 +228,8 @@ def test_scaled_border_row_keeps_solution_and_verdict(row, factor):
     for flavor in ("both", {"perimeter": "lam", "area": "eta"}[row]):
         for _ in range(20):
             blocks = oracles.random_blocks(rng, n=8, flavor=flavor)
-            reference = solve_bordered(assemble_system(blocks))
-            scaled = solve_bordered(assemble_system(_scale_border(blocks, row, factor)))
+            reference = _solve(blocks)
+            scaled = _solve(_scale_border(blocks, row, factor))
             assert np.abs(scaled - reference).max() <= 1e-9 * max(1.0, np.abs(reference).max())
 
 
@@ -234,7 +237,7 @@ def _core_solve_of_eta_column(blocks):
     # core^{-1} (a2 in the velocity rows), in block order, by the same solver
     rhs = np.concatenate((np.zeros(2 * len(blocks.a2)), blocks.a2))
     unbordered = replace(blocks, a2=None, rows=blocks.rows[:0], rhs=rhs)
-    return solve_bordered(assemble_system(unbordered))
+    return _solve(unbordered)
 
 
 def _with_area_row(blocks, c):
@@ -256,69 +259,61 @@ def test_lone_area_border_verdict(factor):
         annihilating = v - (v @ y) / (y @ y) * y
         for c in (np.zeros(16), annihilating):
             with pytest.raises(EquilibriumDegeneracyError):
-                solve_bordered(assemble_system(_scale_border(_with_area_row(blocks, c), "area", factor)))
-        x = solve_bordered(assemble_system(_scale_border(_with_area_row(blocks, v), "area", factor)))
+                _solve(_scale_border(_with_area_row(blocks, c), "area", factor))
+        x = _solve(_scale_border(_with_area_row(blocks, v), "area", factor))
         assert oracles.residual_norm(_with_area_row(blocks, v), x) <= 1e-9 * max(1.0, np.abs(x).max())
 
 
-def _overwrite_inputs(blocks, other):
-    # write other's a1, border rows and rhs into blocks in place, as a later
-    # Newton iteration does
-    if blocks.a1 is not None:
-        blocks.a1[:] = other.a1
-    blocks.rows[:] = other.rows
-    blocks.rhs[:] = other.rhs
+def _later_inputs(blocks, other):
+    # the blocks of a later Newton iteration: other's a1, border rows and
+    # rhs on the core and eta column of blocks
+    return replace(blocks, a1=other.a1, rows=other.rows, rhs=other.rhs)
 
 
 @pytest.mark.parametrize("flavor", ["none", "lam", "eta", "both"])
 def test_stored_factor_gives_bitwise_the_fresh_solve(flavor):
-    # every solve of a system gathers its inputs from the blocks afresh and
-    # goes through the stored factor: a second solve, and a solve after the
-    # inputs were overwritten and then written back, have the same bits as
-    # a fresh one, and a solve in between is that of the other inputs
+    # every solve of a system gathers its inputs from the blocks it is given
+    # and goes through the stored factor: a second solve, and a solve of the
+    # first blocks after one of later blocks, have the same bits as a fresh
+    # one, and the solve in between is a fresh one of the later blocks
     for n in (3, 8, 50):
         blocks = oracles.random_blocks(rng, n=n, flavor=flavor)
-        saved = deepcopy(blocks)
         system = assemble_system(blocks)
-        fresh = solve_bordered(system)
-        assert np.array_equal(solve_bordered(system), fresh)
-        other = oracles.random_blocks(rng, n=n, flavor=flavor)
-        _overwrite_inputs(blocks, other)
-        expected = solve_bordered(assemble_system(blocks))
-        assert np.array_equal(solve_bordered(system), expected)
-        _overwrite_inputs(blocks, saved)
-        assert np.array_equal(solve_bordered(system), fresh)
+        fresh = solve_bordered(system, blocks=blocks)
+        assert np.array_equal(solve_bordered(system, blocks=blocks), fresh)
+        later = _later_inputs(blocks, oracles.random_blocks(rng, n=n, flavor=flavor))
+        assert np.array_equal(solve_bordered(system, blocks=later), _solve(later))
+        assert np.array_equal(solve_bordered(system, blocks=blocks), fresh)
 
 
 @pytest.mark.parametrize("flavor", ["lam", "eta", "both"])
 def test_stack_holds_the_border_columns_or_their_core_solves(flavor):
     # after a solve, stack[:, 1:] holds the core solves of the border
-    # columns; a later iteration writes a new a1 into the blocks, which the
-    # next solve solves, and the eta column's solve stays
+    # columns; a later iteration's blocks bring a new a1, which their solve
+    # solves, and the eta column's solve stays
     for n in range(3, 10):
         m = 3 * n
         rows, cols = _folded_permutations(n)
         blocks = oracles.random_blocks(rng, n=n, flavor=flavor)
         system = assemble_system(blocks)
-        solve_bordered(system)
+        solve_bordered(system, blocks=blocks)
         M, _ = oracles.dense_from_blocks(blocks)
         expected = np.linalg.solve(M[np.ix_(rows, cols)], M[rows, m:])
         assert np.abs(system.stack[:, 1:] - expected).max() <= 1e-12 * np.abs(expected).max()
         solves = system.stack[:, 1:].copy()
-        other = oracles.random_blocks(rng, n=n, flavor=flavor)
+        later = _later_inputs(blocks, oracles.random_blocks(rng, n=n, flavor=flavor))
         piv = system.piv
-        _overwrite_inputs(blocks, other)
-        solve_bordered(system)
+        solve_bordered(system, blocks=later)
         assert system.piv is piv
-        if blocks.a1 is None:
+        if later.a1 is None:
             # an AP iterate: only the border rows and the rhs change
             assert np.array_equal(system.stack[:, 1:], solves)
         else:
             # with the perimeter multiplier, a1 changes too; the core does not
-            M, _ = oracles.dense_from_blocks(blocks)
+            M, _ = oracles.dense_from_blocks(later)
             expected = np.linalg.solve(M[np.ix_(rows, cols)], M[rows, m:])
             assert np.abs(system.stack[:, 1:] - expected).max() <= 1e-12 * np.abs(expected).max()
-            if blocks.a2 is not None:
+            if later.a2 is not None:
                 assert np.array_equal(system.stack[:, 2], solves[:, 1])  # the eta column's solve, bitwise
 
 
@@ -334,36 +329,42 @@ def test_reused_factor_serves_a_later_area_preserving_iterate():
     later = NewtonIterate(v + 1e-3 * rng.standard_normal((n, 2)), first.kappa + 0.1 * rng.standard_normal(n), 0.0, 0.3)
     blocks = assemble_newton_blocks(ctx, ref, first, 1e-3)
     system = assemble_system(blocks)
-    solve_bordered(system)
-    assemble_newton_blocks(ctx, ref, later, 1e-3, blocks)
-    fresh = assemble_system(assemble_newton_blocks(ctx, ref, later, 1e-3))
-    assert np.array_equal(solve_bordered(system), solve_bordered(fresh))
+    solve_bordered(system, blocks=blocks)
+    later_blocks = assemble_newton_blocks(ctx, ref, later, 1e-3, blocks)
+    fresh = assemble_newton_blocks(ctx, ref, later, 1e-3)
+    assert np.array_equal(solve_bordered(system, blocks=later_blocks), _solve(fresh))
 
 
-def _check_blocks_written_over_an_earlier_iterate(ctx, ref, first, later, tau):
-    # a later iterate of the same run writes a1, the border rows and the rhs
-    # into the earlier blocks, and keeps the core of the run's start: the
-    # blocks, and the solve of the run's system without a new assembly, are
-    # bitwise fresh ones at the later iterate with the start's Q
+def _same_bits(got, value):
+    return (got is None and value is None) or np.array_equal(got, value)
+
+
+def _check_blocks_built_from_an_earlier_iterate(ctx, ref, first, later, tau):
+    # a later iterate of the same run gets new a1, border rows and rhs, and
+    # shares the core, the eta column and the iterate-free terms of the
+    # run's start with the earlier blocks, which keep their bits.  The
+    # blocks, and their solve under the run's system without a new
+    # assembly, are bitwise fresh ones at the later iterate with the start's Q
     earlier = assemble_newton_blocks(ctx, ref, first, tau)
     first_Q = earlier.Q.copy()
+    saved = [None if a is None else a.copy() for a in (earlier.a1, earlier.rows, earlier.rhs)]
     system = assemble_system(earlier)
-    solve_bordered(system)
+    solve_bordered(system, blocks=earlier)
     piv = system.piv
     blocks = assemble_newton_blocks(ctx, ref, later, tau, earlier)
     fresh_blocks = replace(assemble_newton_blocks(ctx, ref, later, tau), Q=first_Q)
-    assert blocks is earlier
     for name in ("P", "Q", "R", "a1", "a2", "rows", "rhs"):
-        got, value = getattr(blocks, name), getattr(fresh_blocks, name)
-        assert (got is None and value is None) or np.array_equal(got, value), name
+        assert _same_bits(getattr(blocks, name), getattr(fresh_blocks, name)), name
+    assert all(_same_bits(a, b) for a, b in zip((earlier.a1, earlier.rows, earlier.rhs), saved))
+    assert all(getattr(blocks, name) is getattr(earlier, name) for name in ("P", "Q", "R", "a2", "work"))
     if first.lam != later.lam:
         # lam_eff M of the later iterate is not on the held diagonal
         assert not np.array_equal(assemble_newton_blocks(ctx, ref, later, tau).Q, first_Q)
     fresh = assemble_system(fresh_blocks)
-    assert np.array_equal(solve_bordered(system), solve_bordered(fresh))
+    assert np.array_equal(solve_bordered(system, blocks=blocks), solve_bordered(fresh, blocks=fresh_blocks))
     assert np.array_equal(system.stack, fresh.stack)
     assert np.array_equal(system.core.T, fresh.core.T)
-    assert system.blocks is blocks and system.piv is piv
+    assert system.piv is piv
     # the velocity rows sum their terms in another order than the loops:
     # the whole residual agrees with the loop oracle to 1e-13 of its terms
     value, size = oracles.template_residual(ctx, ref.vertices, later, tau)
@@ -378,7 +379,7 @@ def test_blocks_built_from_an_earlier_iterate_are_bitwise_the_fresh_ones(use_are
     ctx = SchemeContext(delta0=1.5, xhist=-1.5 * v, anchor=v, use_area=use_area, A0=oracles.loop_shoelace(v))
     first = NewtonIterate(v, initial_curvature(v), 0.1, 0.0)
     later = NewtonIterate(v + 1e-3 * rng.standard_normal((n, 2)), first.kappa + 0.1 * rng.standard_normal(n), -0.4, 0.3 * use_area)
-    _check_blocks_written_over_an_earlier_iterate(ctx, ReferenceGeometry(v), first, later, 1e-3)
+    _check_blocks_built_from_an_earlier_iterate(ctx, ReferenceGeometry(v), first, later, 1e-3)
 
 
 @pytest.mark.parametrize("scheme", ["sp-bdf2", "pd-bdf2", "ap-bdf2", "sp-cn"])
@@ -398,14 +399,15 @@ def test_blocks_of_captured_iterates_are_bitwise_the_fresh_ones(scheme, monkeypa
     assert result.ok, result.failure
     ctx, ref, tau, iterates = runs[-1]
     assert len(iterates) >= 2 and (ctx.averaged is not None) == (scheme == "sp-cn")
-    _check_blocks_written_over_an_earlier_iterate(ctx, ref, iterates[0], iterates[1], tau)
+    _check_blocks_built_from_an_earlier_iterate(ctx, ref, iterates[0], iterates[1], tau)
 
 
 def test_newton_run_at_large_n_keeps_memory_to_its_buffers():
-    # a Newton run allocates its blocks, its one band and its solve stack
-    # once: six SP iterations at N = 8192 peak at 10.6 MB.  One band is
-    # 19 x 3N doubles (3.7 MB), and 12.5 MB leaves no room for a second,
-    # such as a copy of the band to factor (14.5 MB)
+    # a Newton run allocates its fixed blocks, its one band and its solve
+    # stack once, and each iteration its own a1, border rows, rhs and the
+    # temporaries that build them: six SP iterations at N = 8192 peak at
+    # 10.0 MB.  One band is 19 x 3N doubles (3.7 MB), and 12.5 MB leaves no
+    # room for a second, such as a copy of the band to factor (14.5 MB)
     n = 8192
     theta = 2.0 * np.pi * np.arange(n) / n
     v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
@@ -493,14 +495,14 @@ def test_non_finite_border_row_is_no_degeneracy_verdict(flavor):
     # an SP run to its AP partner
     blocks = oracles.random_blocks(rng, n=8, flavor=flavor)
     blocks.rows[0, 3] = np.nan
-    assert not np.isfinite(solve_bordered(assemble_system(blocks))).all()
+    assert not np.isfinite(_solve(blocks)).all()
 
 
 def test_scaled_border_column_rescales_only_its_multiplier():
     # rescaling a multiplier column rescales that multiplier and nothing else
     blocks = oracles.random_blocks(rng, n=8, flavor="both")
-    reference = solve_bordered(assemble_system(blocks))
-    scaled = solve_bordered(assemble_system(replace(blocks, a1=1e14 * blocks.a1)))
+    reference = _solve(blocks)
+    scaled = _solve(replace(blocks, a1=1e14 * blocks.a1))
     assert np.abs(scaled[:-2] - reference[:-2]).max() <= 1e-9 * max(1.0, np.abs(reference).max())
     assert scaled[-2] * 1e14 == pytest.approx(reference[-2], rel=1e-9)
     assert scaled[-1] == pytest.approx(reference[-1], rel=1e-9)
@@ -514,7 +516,7 @@ def test_scaled_parallel_borders_still_raise_degeneracy():
     for blocks in (parallel_rows, parallel_cols):
         for factor in (1e-14, 1.0, 1e14):
             with pytest.raises(EquilibriumDegeneracyError):
-                solve_bordered(assemble_system(_scale_border(blocks, "perimeter", factor)))
+                _solve(_scale_border(blocks, "perimeter", factor))
 
 
 def test_singular_core_raises():

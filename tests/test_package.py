@@ -1,5 +1,6 @@
 """The package's public surface: every exported name exists, every
-imported name is used, and the CLI loads without the sparse-matrix module."""
+imported name is used, the test oracles take from the package only an
+allow-list, and the CLI loads without the sparse-matrix module."""
 
 import ast
 import importlib
@@ -34,6 +35,29 @@ def test_every_imported_name_is_used(name):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(module.__all__)) == []
+
+
+# what the test oracles may take from the package: the blocks container, and
+# the stencil with the edge lengths it is built from (see stiffness_matrix)
+ORACLE_IMPORTS = {
+    "curveflow.femcore.NewtonBlocks",
+    "curveflow.femcore.stiffness_stencil",
+    "curveflow.geometry.edge_lengths",
+}
+
+
+def test_oracles_import_from_the_package_only_an_allow_list():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{a.name}" for a in node.names)
+    from_package = {name for name in imported if name.split(".")[0] == "curveflow"}
+    assert sorted(from_package - ORACLE_IMPORTS) == []
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

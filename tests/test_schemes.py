@@ -603,10 +603,10 @@ def test_every_solve_runs_inside_newton_outer(monkeypatch):
     counts = {"solves": 0, "outside": 0, "startup": 0, "newton_depth": 0}
     solve, newton, start = curveflow.schemes.solve_bordered, curveflow.schemes.newton_outer, curveflow.schemes.startup
 
-    def counting_solve(system):
+    def counting_solve(system, *, blocks):
         counts["solves"] += 1
         counts["outside"] += counts["newton_depth"] == 0
-        return solve(system)
+        return solve(system, blocks=blocks)
 
     def counting_newton(*args, **kwargs):
         counts["newton_depth"] += 1
@@ -661,9 +661,9 @@ def test_core_factorizations_per_newton_run(monkeypatch, scheme):
         assemblies.append(blocks.a2 is not None)
         return assemble(blocks)
 
-    def recorded_solve(system):
-        solves.append(system.blocks.a1 is not None)
-        return solve(system)
+    def recorded_solve(system, *, blocks):
+        solves.append(blocks.a1 is not None)
+        return solve(system, blocks=blocks)
 
     monkeypatch.setattr(curveflow.linalg, "dgbtrf", counted("factor", factor))
     monkeypatch.setattr(curveflow.linalg, "dgbtrs", counted("banded", banded_solve))
@@ -693,7 +693,7 @@ def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
         step[: 2 * n] = 1e-14
         step[index:] = np.inf
         step[index] = np.nan
-        monkeypatch.setattr(curveflow.schemes, "solve_bordered", lambda system: step)
+        monkeypatch.setattr(curveflow.schemes, "solve_bordered", lambda system, *, blocks: step)
         with pytest.raises(NewtonDivergenceError, match=f"non-finite {name} update at Newton iteration 1") as info:
             newton_outer(lambda it, previous: blocks, start, tol=1e-10, max_newton=5)
         assert info.value.last_norm == math.inf
@@ -707,7 +707,7 @@ def _newton_on_update_norms(monkeypatch, norms, tol, lam_update=0.0):
     blocks = oracles.random_blocks(rng, n=n, flavor="both")
     updates = iter(norms)
 
-    def solve(system):
+    def solve(system, *, blocks):
         z = np.zeros(3 * n + 2)
         z[0] = next(updates)
         z[3 * n] = lam_update
