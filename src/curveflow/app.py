@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import read_snapshot, write_snapshot
 from .linalg import SolverError
 from .metrics import convergence_rows, manifold_distance, write_diagnostics_csv, write_eoc_csv
-from .schemes import SchemeConfig, SchemeError, run
+from .schemes import SPECS, SchemeConfig, SchemeError, run
 
 __all__ = [
     "ConfigError",
@@ -93,7 +93,7 @@ def parse_config_file(path: str) -> Dict[str, Tuple[str, int]]:
 
 _PATH_RULE = re.compile(
     r"^\s*(?:tau\s*=\s*)?(?P<coef>[^h*\s]+)?\s*\*?\s*h\s*"
-    r"(?:\^\s*[({\[]?\s*(?P<exp>[0-9]+(?:\s*/\s*[0-9]+)?|[0-9]*\.[0-9]+)\s*[)}\]]?)?\s*$"
+    r"(?:\^\s*(?P<open>\()?\s*(?P<exp>[0-9]+(?:\s*/\s*[0-9]+)?|[0-9]*\.[0-9]+)\s*(?(open)\)))?\s*$"
 )
 
 
@@ -180,7 +180,7 @@ def _config_echo(config: SchemeConfig) -> Dict[str, object]:
         "tol": config.tol,
         "gamma": config.gamma_value,
         "max_newton": config.max_newton,
-        "bdf_order": config.bdf_order,
+        "bdf_order": SPECS[config.scheme].order,
         "shape": config.shape,
     }
     if config.shape == "ellipse":
@@ -190,12 +190,17 @@ def _config_echo(config: SchemeConfig) -> Dict[str, object]:
     return echo
 
 
-def _write_manifest(out_dir: str, payload: Dict[str, object]) -> str:
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _finish(out_dir: str, manifest: Dict[str, object], failure: Optional[str]) -> int:
+    # records a failure in the manifest, writes manifest.json, returns the exit code
+    if failure is not None:
+        manifest["failure"] = failure
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    if failure is not None:
+        print(f"numerical failure: {failure}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cli_simulate(config_path: str) -> int:
@@ -230,13 +235,8 @@ def cli_simulate(config_path: str) -> int:
         "forced_switch": result.forced_switch,
         "duration_seconds": time.perf_counter() - started,
     }
-    if result.failure is not None:
-        manifest["failure"] = f"{type(result.failure).__name__}: {result.failure}"
-    _write_manifest(out_dir, manifest)
-    if result.failure is not None:
-        print(f"numerical failure: {manifest['failure']}", file=sys.stderr)
-        return 2
-    return 0
+    failure = None if result.failure is None else f"{type(result.failure).__name__}: {result.failure}"
+    return _finish(out_dir, manifest, failure)
 
 
 def _converge_level(config: SchemeConfig) -> Dict[str, object]:
@@ -248,18 +248,9 @@ def _converge_level(config: SchemeConfig) -> Dict[str, object]:
 
 
 def _pool_size(levels: int) -> int:
-    # CURVEFLOW_THREADS if set, else the usable CPUs; never more than the levels
-    raw = os.environ.get("CURVEFLOW_THREADS")
-    if raw is None:
-        cap = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ConfigError(f"CURVEFLOW_THREADS must be a positive integer, got '{raw}'")
-    return min(cap, levels)
+    # the usable CPUs, never more than the levels
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, levels)
 
 
 def cli_converge(config_path: str) -> int:
@@ -267,9 +258,9 @@ def cli_converge(config_path: str) -> int:
     errors between consecutive terminal curves, orders between consecutive
     error rows; writes eoc.csv and manifest.json.
 
-    The levels run in a process pool of CURVEFLOW_THREADS workers (default:
-    the usable CPUs, at most one per level; 1 runs them in this process).
-    The pool gets the smallest tau, the finest and slowest level, first;
+    The levels run in a process pool of one worker per usable CPU, at most
+    one per level; with one usable CPU they run in this process.  The pool
+    gets the smallest tau, the finest and slowest level, first;
     outcomes are read back in level order, so the outputs and the failure
     message do not depend on the pool size."""
     started = time.perf_counter()
@@ -322,13 +313,7 @@ def cli_converge(config_path: str) -> int:
         "files": ["eoc.csv", "manifest.json"],
         "duration_seconds": time.perf_counter() - started,
     }
-    if failure is not None:
-        manifest["failure"] = failure
-    _write_manifest(out_dir, manifest)
-    if failure is not None:
-        print(f"numerical failure: {failure}", file=sys.stderr)
-        return 2
-    return 0
+    return _finish(out_dir, manifest, failure)
 
 
 def cli_distance(file_a: str, file_b: str) -> int:

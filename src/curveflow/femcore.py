@@ -31,10 +31,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import _as_vertices, _forward_difference, _nonzero_edge_lengths, _shoelace, edge_lengths, edge_vectors
+from .geometry import _as_vertices, _forward_difference, _nonzero_edge_lengths, _shoelace, edge_vectors
 
 __all__ = [
-    "lumped_masses",
     "normal_weights",
     "stiffness_stencil",
     "initial_curvature",
@@ -44,11 +43,6 @@ __all__ = [
     "NewtonBlocks",
     "assemble_newton_blocks",
 ]
-
-
-def lumped_masses(curve) -> np.ndarray:
-    """Vertex masses m_k = (|h_{k-1}| + |h_k|) / 2 of the lumped inner product."""
-    return _sum_with_previous(edge_lengths(curve), 0.5)
 
 
 def _sum_with_previous(a: np.ndarray, scale: float) -> np.ndarray:
@@ -97,11 +91,11 @@ def initial_curvature(curve) -> np.ndarray:
 
     The overdetermined system kappa_k omega_k = (S X)_k (two equations per
     vertex, one unknown) decouples vertex by vertex; the normal equations give
-    kappa_k = omega_k . (S X)_k / |omega_k|^2.
+    kappa_k = omega_k . (S X)_k / |omega_k|^2.  A zero-length edge raises
+    the ValueError of ReferenceGeometry, which names the edge.
     """
-    vertices = _as_vertices(curve)
-    omega = normal_weights(vertices)
-    st = stiffness_stencil(1.0 / edge_lengths(vertices))
+    ref = ReferenceGeometry(curve)
+    vertices, omega, st = ref.vertices, ref.omega, ref.stencil
     # (S X)_k summed from 0 over row k's columns in ascending order (the
     # order of a sparse product), which keeps the curvature of every stored
     # curve bitwise the same; the wrap rows 0 and N-1 need their own order
@@ -110,7 +104,7 @@ def initial_curvature(curve) -> np.ndarray:
     v[0] = 0.0 + st[0, 1] * vertices[0] + st[0, 2] * vertices[1] + st[0, 0] * vertices[-1]
     v[-1] = 0.0 + st[-1, 2] * vertices[0] + st[-1, 0] * vertices[-2] + st[-1, 1] * vertices[-1]
     wsq = (omega * omega).sum(axis=1)
-    floor = (1e-13 * lumped_masses(vertices)) ** 2
+    floor = (1e-13 * ref.mass) ** 2
     if (wsq <= floor).any():
         bad = int(np.flatnonzero(wsq <= floor)[0])
         raise ValueError(f"degenerate normal weight at vertex {bad}")

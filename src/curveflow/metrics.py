@@ -365,13 +365,6 @@ def polygon_intersection_area(A, B) -> float:
     Q = _validated_vertices(B)
     areaP = _shoelace(P)
     areaQ = _shoelace(Q)
-    if (
-        P[:, 0].max() < Q[:, 0].min()
-        or Q[:, 0].max() < P[:, 0].min()
-        or P[:, 1].max() < Q[:, 1].min()
-        or Q[:, 1].max() < P[:, 1].min()
-    ):
-        return 0.0
     P1 = np.roll(P, -1, axis=0)
     Q1 = np.roll(Q, -1, axis=0)
     cutsP, cutsQ, overlapsP, overlapsQ = _collect_params(P, Q)

@@ -231,14 +231,6 @@ class SchemeConfig:
     def gamma_value(self) -> float:
         return 50.0 * self.tau if self.gamma is None else self.gamma
 
-    @property
-    def kind(self) -> str:
-        return SPECS[self.scheme].kind
-
-    @property
-    def bdf_order(self) -> int:
-        return SPECS[self.scheme].order
-
     def make_initial_curve(self) -> PolygonalCurve:
         if self.initial_curve is not None:
             return self.initial_curve
@@ -409,7 +401,7 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
 
 def _initial_state(config: SchemeConfig) -> SchemeState:
     curve0 = config.make_initial_curve()
-    entry0 = _level(curve0, initial_curvature(curve0), 0.0, 0.0, 0, config.kind)
+    entry0 = _level(curve0, initial_curvature(curve0), 0.0, 0.0, 0, SPECS[config.scheme].kind)
     return SchemeState(
         history=deque([entry0], maxlen=5),
         step_index=0,
@@ -421,14 +413,14 @@ def _initial_state(config: SchemeConfig) -> SchemeState:
 
 def _substepped_startup(config: SchemeConfig, spec: SchemeSpec) -> SchemeState:
     """History for an order-k AP run: one `run` of the order (k-1) scheme
-    over [0, (k-1) tau] at substep sigma = tau / n_sub, n_sub =
+    over [0, min(k-1, n_steps) tau] at substep sigma = tau / n_sub, n_sub =
     ceil(tau^(-1/(k-1))), so the startup error sigma^(k-1) <= tau^k.  Its
-    snapshots at 0, tau, ..., (k-1) tau become the history levels, with the
+    snapshots at 0, tau, ... become the history levels, with the
     multipliers and mode of their rows; a level's newton_iters sums the
     rows of its tau interval.  A failed sub-run raises its failure."""
     k, tau = spec.order, config.tau
     n_sub = max(1, math.ceil(tau ** (-1.0 / (k - 1)) - 1e-12))
-    sub_cfg = replace(config, scheme=spec.lower, tau=tau / n_sub, T=(k - 1) * tau, gamma=0.0)
+    sub_cfg = replace(config, scheme=spec.lower, tau=tau / n_sub, T=min(k - 1, config.n_steps) * tau, gamma=0.0)
     sub = run(sub_cfg, [j * tau for j in range(k)])
     if sub.failure is not None:
         raise sub.failure
@@ -440,7 +432,7 @@ def _substepped_startup(config: SchemeConfig, spec: SchemeSpec) -> SchemeState:
         levels.append(_level(snap.curve, snap.kappa, row.lam, row.eta, iters, row.mode))
     return SchemeState(
         history=deque(levels, maxlen=5),
-        step_index=k - 1,
+        step_index=len(levels) - 1,
         tau=tau,
         A0=levels[0].A,
         L0=levels[0].L,

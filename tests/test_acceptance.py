@@ -22,7 +22,6 @@ from curveflow.femcore import (
     ReferenceGeometry,
     SchemeContext,
     assemble_newton_blocks,
-    lumped_masses,
 )
 from curveflow.geometry import PolygonalCurve, perimeter, signed_area
 from curveflow.linalg import assemble_system, solve_bordered
@@ -298,7 +297,7 @@ def test_09_property_battery(ellipse_runs):
 
     # lumped-product Cauchy-Schwarz on 1000 random nodal fields
     curve = wiggly_curve(rng, 33)
-    mass = lumped_masses(curve)
+    mass = ReferenceGeometry(curve).mass
     cs_ok = True
     for _ in range(1000):
         u = rng.standard_normal((33, 2))

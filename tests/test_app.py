@@ -24,6 +24,15 @@ def write_config(path, text: str) -> str:
     return str(path)
 
 
+def usable_cpus(monkeypatch, cpus) -> None:
+    # the converge pool has one worker per usable CPU; None undoes the
+    # test's patches, which gives back the host's usable CPUs
+    if cpus is None:
+        monkeypatch.undo()
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def unit_square_curve(x0: float = 0.0) -> PolygonalCurve:
     return PolygonalCurve(
         np.array([[x0, 0.0], [x0 + 1.0, 0.0], [x0 + 1.0, 1.0], [x0, 1.0]])
@@ -110,6 +119,12 @@ def test_path_rule_rejects_garbage():
     _, _, resolve = parse_path_rule("h")
     with pytest.raises(ConfigError, match="N=2 < 3"):
         resolve(0.5)
+
+
+@pytest.mark.parametrize("text", ["h^(2/3]", "h^{2/3)", "h^(2/3", "h^2/3)", "h^{2/3}", "h^[2]"])
+def test_path_rule_rejects_brackets_other_than_one_balanced_pair(text):
+    with pytest.raises(ConfigError, match="invalid path rule"):
+        parse_path_rule(text)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +354,7 @@ def test_converge_refinement_study_and_thread_pool_agree(tmp_path, monkeypatch):
         """
     out_serial = tmp_path / "serial"
     cfg_serial = write_config(tmp_path / "serial.cfg", body.format(out=out_serial))
-    monkeypatch.setenv("CURVEFLOW_THREADS", "1")
+    usable_cpus(monkeypatch, 1)
     assert main(["converge", "--config", cfg_serial]) == 0
 
     rows = (out_serial / "eoc.csv").read_text(encoding="ascii").splitlines()
@@ -360,15 +375,12 @@ def test_converge_refinement_study_and_thread_pool_agree(tmp_path, monkeypatch):
         {"tau": 1.0 / 4096.0, "N": 64},
     ]
 
-    for threads in ("2", None):  # None: the default pool, one worker per usable CPU
-        out_pool = tmp_path / f"pool-{threads}"
-        cfg_pool = write_config(tmp_path / f"pool-{threads}.cfg", body.format(out=out_pool))
-        if threads is None:
-            monkeypatch.delenv("CURVEFLOW_THREADS")
-        else:
-            monkeypatch.setenv("CURVEFLOW_THREADS", threads)
+    for cpus in (2, None):  # None: the host's usable CPUs
+        out_pool = tmp_path / f"pool-{cpus}"
+        cfg_pool = write_config(tmp_path / f"pool-{cpus}.cfg", body.format(out=out_pool))
+        usable_cpus(monkeypatch, cpus)
         assert main(["converge", "--config", cfg_pool]) == 0
-        assert (out_pool / "eoc.csv").read_bytes() == (out_serial / "eoc.csv").read_bytes(), threads
+        assert (out_pool / "eoc.csv").read_bytes() == (out_serial / "eoc.csv").read_bytes(), cpus
 
 
 def test_converge_default_pool_uses_usable_cpus_and_starts_finest_level(tmp_path, monkeypatch):
@@ -380,7 +392,7 @@ def test_converge_default_pool_uses_usable_cpus_and_starts_finest_level(tmp_path
         out = {out}
         """
     out_serial = tmp_path / "serial"
-    monkeypatch.setenv("CURVEFLOW_THREADS", "1")
+    usable_cpus(monkeypatch, 1)
     assert main(["converge", "--config", write_config(tmp_path / "serial.cfg", body.format(out=out_serial))]) == 0
 
     executors = []
@@ -404,9 +416,8 @@ def test_converge_default_pool_uses_usable_cpus_and_starts_finest_level(tmp_path
             future.set_result(fn(config))
             return future
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(curveflow.app, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.delenv("CURVEFLOW_THREADS")
     out_pool = tmp_path / "pool"
     assert main(["converge", "--config", write_config(tmp_path / "pool.cfg", body.format(out=out_pool))]) == 0
 
@@ -431,24 +442,6 @@ def test_converge_ap_bdf4_on_ellipse_completes(tmp_path):
     rows = (out / "eoc.csv").read_text(encoding="ascii").splitlines()
     assert len(rows) == 3
     assert float(rows[2].split(",")[2]) < float(rows[1].split(",")[2])
-
-
-def test_converge_rejects_bad_thread_cap(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "study"
-    cfg = write_config(
-        tmp_path / "study.cfg",
-        f"""\
-        scheme = sp-euler
-        T = 0.02
-        taus = 0.005 0.0025
-        path = 0.05h
-        out = {out}
-        """,
-    )
-    for raw in ("many", "0", "-2"):
-        monkeypatch.setenv("CURVEFLOW_THREADS", raw)
-        assert main(["converge", "--config", cfg]) == 1, raw
-        assert "CURVEFLOW_THREADS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -492,10 +485,10 @@ def test_converge_rejects_a_tau_its_path_rule_cannot_resolve(tmp_path, taus, nam
 
 def test_converge_failure_exits_two(tmp_path, monkeypatch, capsys):
     # both levels fail; the pool starts level 1 first, yet level 0 is named
-    for threads in (None, "1"):
-        out = tmp_path / f"study-{threads}"
+    for cpus in (2, 1):
+        out = tmp_path / f"study-{cpus}"
         cfg = write_config(
-            tmp_path / f"study-{threads}.cfg",
+            tmp_path / f"study-{cpus}.cfg",
             f"""\
             scheme = sp-euler
             T = 0.02
@@ -505,19 +498,16 @@ def test_converge_failure_exits_two(tmp_path, monkeypatch, capsys):
             out = {out}
             """,
         )
-        if threads is None:
-            monkeypatch.delenv("CURVEFLOW_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("CURVEFLOW_THREADS", threads)
-        assert main(["converge", "--config", cfg]) == 2, threads
+        usable_cpus(monkeypatch, cpus)
+        assert main(["converge", "--config", cfg]) == 2, cpus
         assert "level 0" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["failure"].startswith("level 0 (tau=0.005, N=10)"), threads
+        assert manifest["failure"].startswith("level 0 (tau=0.005, N=10)"), cpus
         assert (out / "eoc.csv").read_text(encoding="ascii") == "tau,h,error,order\n"
 
 
 def test_converge_leaves_no_child_process(tmp_path, monkeypatch):
-    monkeypatch.setenv("CURVEFLOW_THREADS", "2")
+    usable_cpus(monkeypatch, 2)
     assert multiprocessing.active_children() == []
     for max_newton, code in ((50, 0), (1, 2)):
         cfg = write_config(

@@ -14,7 +14,6 @@ from curveflow.femcore import (
     SchemeContext,
     assemble_newton_blocks,
     initial_curvature,
-    lumped_masses,
     normal_weights,
     stiffness_stencil,
 )
@@ -33,7 +32,7 @@ def wiggly(n: int = 13) -> np.ndarray:
 
 def test_lumped_masses_match_loops():
     v = wiggly()
-    assert np.allclose(lumped_masses(v), oracles.loop_masses(v), rtol=1e-14)
+    assert np.allclose(ReferenceGeometry(v).mass, oracles.loop_masses(v), rtol=1e-14)
 
 
 def test_normal_weights_match_loops():
@@ -78,7 +77,7 @@ def test_lumped_inner_is_composite_trapezoid():
     for j in range(n):
         ell = math.dist(v[j], v[(j + 1) % n])
         expected += 0.5 * ell * (u[j] * w[j] + u[(j + 1) % n] * w[(j + 1) % n])
-    assert float(lumped_masses(v) @ (u * w)) == pytest.approx(expected, rel=1e-13)
+    assert float(ReferenceGeometry(v).mass @ (u * w)) == pytest.approx(expected, rel=1e-13)
 
 
 def test_lumped_inner_cauchy_schwarz():
@@ -86,7 +85,7 @@ def test_lumped_inner_cauchy_schwarz():
     for _ in range(200):
         u = rng.standard_normal(11)
         w = rng.standard_normal(11)
-        mass = lumped_masses(v)
+        mass = ReferenceGeometry(v).mass
         lhs = float(mass @ (u * w)) ** 2
         rhs = float(mass @ (u * u)) * float(mass @ (w * w))
         assert lhs <= rhs * (1.0 + 1e-12)
@@ -116,6 +115,13 @@ def test_discrete_curvature_degenerate_spike():
         initial_curvature(spike)
 
 
+def test_initial_curvature_names_a_zero_length_edge():
+    # vertices 1 and 2 coincide
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="zero-length edge at index 1"):
+        initial_curvature(v)
+
+
 def _star(n: int, seed: int) -> np.ndarray:
     # a random star-shaped polygon with unequal angular steps
     gen = np.random.default_rng(seed)
@@ -142,7 +148,7 @@ def test_reference_geometry_consistency():
     v = wiggly()
     ref = ReferenceGeometry(v)
     assert ref.n == len(v)
-    assert np.array_equal(ref.mass, lumped_masses(v))
+    assert np.array_equal(ref.mass, 0.5 * (ref.lengths + np.roll(ref.lengths, 1)))
     assert np.array_equal(ref.omega, normal_weights(v))
     assert np.array_equal(ref.weights, 1.0 / ref.lengths)
     assert np.array_equal(ref.stencil, stiffness_stencil(ref.weights))
@@ -161,7 +167,7 @@ def test_slice_arithmetic_is_bitwise_the_roll_formula():
         x, y = v[:, 0], v[:, 1]
         assert signed_area(v) == 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
         ell = np.hypot(h[:, 0], h[:, 1])
-        assert np.array_equal(lumped_masses(v), 0.5 * (ell + np.roll(ell, 1)))
+        assert np.array_equal(ReferenceGeometry(v).mass, 0.5 * (ell + np.roll(ell, 1)))
         ln = np.column_stack((h[:, 1], -h[:, 0]))
         assert np.array_equal(normal_weights(v), 0.5 * (ln + np.roll(ln, 1, axis=0)))
         u = h / ell[:, None]

@@ -9,6 +9,7 @@ test is skipped with the reason.
 
 import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_writers_reproduce_their_golden_digests(tmp_path, monkeypatch):
     write_snapshot(text, last.curve, config.T, last.kappa)
     cfg = tmp_path / "study.cfg"
     cfg.write_text(f"scheme = ap-bdf3\nT = 0.02\ntaus = 1/100 1/200 1/400\npath = 0.05h^(2/3)\nout = {tmp_path / 'out'}\n")
-    monkeypatch.setenv("CURVEFLOW_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert main(["converge", "--config", str(cfg)]) == 0
     got = (_digest(text.getvalue().encode()), _digest((tmp_path / "out" / "eoc.csv").read_bytes()))
     assert got == (SNAPSHOT_GOLDEN, EOC_GOLDEN)

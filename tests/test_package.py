@@ -1,6 +1,7 @@
 """The package's public surface: every exported name exists, every
-imported name is used, the test oracles take from the package only an
-allow-list, and the CLI loads without the sparse-matrix module."""
+imported name is used, no module reads the environment, the test oracles
+take from the package only an allow-list, and the CLI loads without the
+sparse-matrix module."""
 
 import ast
 import importlib
@@ -21,12 +22,16 @@ def test_every_exported_name_resolves(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
+def _module_tree(module) -> ast.Module:
+    with open(module.__file__, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_imported_name_is_used(name):
     # a name counts as used when the module reads it or lists it in __all__
     module = importlib.import_module(f"curveflow.{name}")
-    with open(module.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _module_tree(module)
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -35,6 +40,21 @@ def test_every_imported_name_is_used(name):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(module.__all__)) == []
+
+
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reads_the_environment(name):
+    # a run is set by its config file and arguments alone: no environment knobs
+    reads = []
+    for node in ast.walk(_module_tree(importlib.import_module(f"curveflow.{name}"))):
+        if isinstance(node, ast.Attribute) and node.attr in ENV_READS:
+            reads.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads.extend((node.lineno, a.name) for a in node.names if a.name in ENV_READS)
+    assert reads == []
 
 
 # what the test oracles may take from the package: the blocks container, and

@@ -71,9 +71,9 @@ def test_bdf_coefficients_order_range():
 
 
 def test_scheme_kind():
-    assert SchemeConfig(scheme="sp-euler", N=8, tau=0.01, T=0.01).kind == "SP"
-    assert SchemeConfig(scheme="pd-bdf2", N=8, tau=0.01, T=0.01).kind == "PD"
-    assert SchemeConfig(scheme="ap-bdf4", N=8, tau=0.01, T=0.01).kind == "AP"
+    assert SPECS["sp-euler"].kind == "SP"
+    assert SPECS["pd-bdf2"].kind == "PD"
+    assert SPECS["ap-bdf4"].kind == "AP"
     # the PD Euler step starts and predicts pd-bdf2 but is no scheme of its own
     with pytest.raises(ValueError) as info:
         SchemeConfig(scheme="pd-euler", N=8, tau=0.01, T=0.01)
@@ -117,8 +117,8 @@ def test_config_validation():
 def test_config_derived_values():
     cfg = SchemeConfig(scheme="ap-bdf3", N=27, tau=0.02, T=0.1)
     assert cfg.n_steps == 5
-    assert cfg.kind == "AP"
-    assert cfg.bdf_order == 3
+    assert SPECS[cfg.scheme].kind == "AP"
+    assert SPECS[cfg.scheme].order == 3
     assert cfg.gamma_value == pytest.approx(50 * 0.02)
     assert SchemeConfig(scheme="sp-cn", N=8, tau=0.01, T=0.02, gamma=0.0).gamma_value == 0.0
 
@@ -507,6 +507,21 @@ def test_substepped_startup_rows_count_their_substeps(scheme, n_sub):
     expected = [sum(sub_iters[(j - 1) * n_sub + 1 : j * n_sub + 1]) for j in range(1, k)]
     assert [row.newton_iters for row in rows[1:k]] == expected
     assert [row.mode for row in rows[1:k]] == ["AP"] * (k - 1)
+
+
+@pytest.mark.parametrize("scheme, n_steps", [("ap-bdf3", 1), ("ap-bdf4", 1), ("ap-bdf4", 2)])
+def test_run_shorter_than_its_startup_ends_at_T(scheme, n_steps):
+    # the substepped startup stops at T, with the levels of a longer run
+    tau = 0.01
+    cfg = SchemeConfig(scheme=scheme, N=16, tau=tau, T=n_steps * tau, gamma=0.0)
+    result = run(cfg, [cfg.T])
+    assert result.ok, result.failure
+    assert [row.t for row in result.series.rows] == [m * tau for m in range(n_steps + 1)]
+    assert result.state.step_index == n_steps
+    longer = run(replace(cfg, T=5 * tau), [cfg.T])
+    assert result.series.rows == longer.series.rows[: n_steps + 1]
+    assert [snap.t for snap in result.snapshots] == [snap.t for snap in longer.snapshots] == [cfg.T]
+    assert np.array_equal(result.state.history[-1].curve.vertices, longer.snapshots[0].curve.vertices)
 
 
 # ---------------------------------------------------------------------------
