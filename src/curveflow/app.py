@@ -93,7 +93,7 @@ def parse_config_file(path: str) -> Dict[str, Tuple[str, int]]:
 
 _PATH_RULE = re.compile(
     r"^\s*(?:tau\s*=\s*)?(?P<coef>[^h*\s]+)?\s*\*?\s*h\s*"
-    r"(?:\^\s*(?P<open>\()?\s*(?P<exp>[0-9]+(?:\s*/\s*[0-9]+)?|[0-9]*\.[0-9]+)\s*(?(open)\)))?\s*$"
+    r"(?:\^\s*(?P<open>\()?\s*(?P<exp>[0-9]+(?(open)(?:\s*/\s*[0-9]+)?)|[0-9]*\.[0-9]+)\s*(?(open)\)))?\s*$"
 )
 
 
@@ -103,7 +103,7 @@ def parse_path_rule(text: str):
     N = round((c / tau)^(1/e)) and h = 1/N."""
     m = _PATH_RULE.match(text)
     if not m:
-        raise ConfigError(f"invalid path rule '{text}' (expected forms: c*h, h^2, c*h^(2/3))")
+        raise ConfigError(f"invalid path rule '{text}' (expected forms: c*h, h^2, c*h^(2/3); a fraction needs brackets)")
     coef = 1.0 if m.group("coef") in (None, "") else _number(m.group("coef"), "path rule coefficient")
     exp_text = m.group("exp")
     exponent = 1.0 if exp_text is None else _number(exp_text, "path rule exponent")

@@ -32,12 +32,14 @@ closed-form singular values for the degeneracy verdict.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .femcore import NewtonBlocks
 
@@ -49,6 +51,26 @@ __all__ = [
     "assemble_system",
     "solve_bordered",
 ]
+
+
+def _band_lu_routines():
+    """dgbtrf and dgbtrs from scipy's f2py LAPACK extension _flapack, loaded
+    on its own: importing scipy.linalg.lapack runs scipy.linalg's package
+    init, which imports numpy.f2py and more, about half of the CLI's cold
+    start.  find_spec("scipy") locates scipy without importing it."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("curveflow.linalg needs scipy, which was not found")
+    dirs = [os.path.join(path, "linalg") for path in scipy.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack was not found in {dirs}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dgbtrf, module.dgbtrs
+
+
+dgbtrf, dgbtrs = _band_lu_routines()
 
 
 class SolverError(Exception):

@@ -121,9 +121,10 @@ def test_path_rule_rejects_garbage():
         resolve(0.5)
 
 
-@pytest.mark.parametrize("text", ["h^(2/3]", "h^{2/3)", "h^(2/3", "h^2/3)", "h^{2/3}", "h^[2]"])
+@pytest.mark.parametrize("text", ["h^(2/3]", "h^{2/3)", "h^(2/3", "h^2/3)", "h^{2/3}", "h^[2]", "h^2/3", "0.05h^2/3"])
 def test_path_rule_rejects_brackets_other_than_one_balanced_pair(text):
-    with pytest.raises(ConfigError, match="invalid path rule"):
+    # an unbracketed fraction would read c*h^(2/3) where precedence reads (c/3)*h^2
+    with pytest.raises(ConfigError, match=r"invalid path rule .*c\*h\^\(2/3\); a fraction needs brackets"):
         parse_path_rule(text)
 
 

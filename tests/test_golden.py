@@ -4,7 +4,10 @@ scheme, a snapshot file and a convergence study's eoc.csv, pinned by digest.
 A change that is meant to keep the solver's outputs bitwise must leave every
 digest here unchanged.  Rounding differs across numpy, scipy and BLAS builds,
 so the digests only hold for the versions they were taken with; elsewhere the
-test is skipped with the reason.
+test is skipped with the reason.  The band LU is scipy's: curveflow.linalg
+loads dgbtrf and dgbtrs from scipy's _flapack extension, with the OpenBLAS
+bundled in scipy, without importing scipy.linalg, so the scipy version still
+pins the LAPACK the digests were taken with.
 """
 
 import hashlib

@@ -1,5 +1,10 @@
 """Bordered banded solver against a dense oracle, plus its failure modes."""
 
+import importlib.machinery
+import importlib.util
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+import curveflow.linalg
 import curveflow.schemes
 
 from curveflow.femcore import (
@@ -97,6 +103,44 @@ def test_folded_core_is_a_band_of_width_six():
         assert np.array_equal(system.stack[:, :2], g)
         B = np.ascontiguousarray(M[m:][:, cols])  # row-major, as gathered, so the products round alike
         assert np.array_equal(x[m:], _multipliers(B @ system.stack, np.abs(B) @ np.abs(system.stack[:, 1:]), rhs[m:]))
+
+
+# curveflow.linalg loads scipy's _flapack extension on its own, and a later
+# import of scipy.linalg initialises a second copy of it
+LAPACK_TWICE = """\
+import sys
+import curveflow.linalg
+import scipy.linalg
+sys.path.insert(0, sys.argv[1])
+import test_linalg
+assert curveflow.linalg.dgbtrf is not scipy.linalg.lapack.dgbtrf
+assert sys.modules["_flapack"] is not sys.modules["scipy.linalg._flapack"]
+test_linalg.test_folded_core_is_a_band_of_width_six()
+"""
+
+
+def test_band_lu_agrees_with_scipy_linalg_loaded_after_it():
+    # a fresh interpreter, so that curveflow loads the extension first; the
+    # band test then checks LU, pivots and solves for array_equal with those
+    # of scipy.linalg.lapack
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curveflow.linalg.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAPACK_TWICE, tests],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("missing", ["scipy", "_flapack"])
+def test_band_lu_loader_names_what_it_did_not_find(monkeypatch, missing):
+    finder = importlib.util if missing == "scipy" else importlib.machinery.PathFinder
+    monkeypatch.setattr(finder, "find_spec", lambda *args, **kwargs: None)
+    with pytest.raises(ImportError, match=missing):
+        curveflow.linalg._band_lu_routines()
 
 
 def test_two_border_solve_at_large_n_keeps_memory_to_the_band():

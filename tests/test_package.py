@@ -1,7 +1,7 @@
 """The package's public surface: every exported name exists, every
 imported name is used, no module reads the environment, the test oracles
-take from the package only an allow-list, and the CLI loads without the
-sparse-matrix module."""
+take from the package only an allow-list, and a CLI run imports neither
+scipy nor numpy.f2py."""
 
 import ast
 import importlib
@@ -80,15 +80,35 @@ def test_oracles_import_from_the_package_only_an_allow_list():
     assert sorted(from_package - ORACLE_IMPORTS) == []
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # a fresh interpreter, since this test process has loaded scipy.sparse
+# what a CLI run has no use for: curveflow.linalg loads LAPACK's band LU from
+# scipy's _flapack extension on its own, since scipy.linalg's package init
+# imports numpy.f2py and more
+CLI_UNUSED = ("scipy", "scipy.sparse", "scipy.linalg", "numpy.f2py")
+
+CLI_RUN = """\
+import contextlib, io, os, sys
+import curveflow.app
+out = sys.argv[1]
+cfg = os.path.join(out, "tiny.cfg")
+with open(cfg, "w", encoding="ascii") as fh:
+    fh.write(f"scheme = sp-bdf2\\nN = 16\\ntau = 1/100\\nT = 0.03\\nsnapshots = 0 0.03\\nout = {out}\\n")
+snapshots = [os.path.join(out, f"snapshot_0{i}.txt") for i in (0, 1)]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [curveflow.app.main(["simulate", "--config", cfg]), curveflow.app.main(["distance", *snapshots])]
+print(codes, [name for name in sys.argv[2:] if name in sys.modules])
+"""
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # a fresh interpreter, since this test process has loaded scipy; it
+    # imports the CLI, runs a tiny simulate and a distance on its snapshots
     src = os.path.dirname(os.path.dirname(os.path.abspath(curveflow.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, curveflow.app; print('scipy.sparse' in sys.modules)"],
+        [sys.executable, "-c", CLI_RUN, str(tmp_path), *CLI_UNUSED],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[0, 0] []"
