@@ -12,11 +12,11 @@ weights ``omega`` and the periodic tridiagonal stiffness ``S``, the residual
 rows are, in this order,
 
 * curvature row (two per vertex, interleaved),
-* velocity row (one per vertex, scaled by ``tau * alpha / delta0`` so that the
+* velocity row (one per vertex, scaled by ``tau / delta0`` so that the
   position block of its Jacobian equals the transpose of the curvature
   equation's kappa block),
-* optionally a perimeter row and an area row, whose gradients are evaluated
-  exactly on the current iterate's polygon.
+* optionally a perimeter row and an area row, taken on the step's end level
+  (see SchemeContext), with gradients evaluated exactly on its polygon.
 
 The unknowns are ordered alike: positions (interleaved), curvatures, then the
 multipliers present.
@@ -147,54 +147,47 @@ class SchemeContext:
 
     The equations solved for (X, kappa, lam, eta) are
 
-      curvature: kappa_eff omega_ref - S_ref X_eff = 0             (per component)
+      curvature: kappa omega_ref - S_ref X = 0                     (per component)
       velocity:  omega_ref . (delta0 X + xhist) / tau
-                 + S_ref kappa_eff - lam_eff m kappa_eff - eta_eff m = 0
-      perimeter: (dL0 (L(X) - L(Y)) + (dL0 L(Y) + Lhist)) / tau
-                 + kappa_eff^T S_ref kappa_eff = 0
-      area:      (A(Y) - A0) + 1/2 sum_k [d_k x X_{k+1} + Y_k x d_{k+1}] = 0
+                 + S_ref kappa - lam m kappa - eta m = 0
+      perimeter: (dL0 (L(Z) - L(Y)) + (dL0 L(Y) + Lhist)) / tau
+                 + kappa^T S_ref kappa = 0
+      area:      (A(Y) - A0) + 1/2 sum_k [d_k x Z_{k+1} + Y_k x d_{k+1}] = 0
 
-    with the effective unknowns (X_eff, kappa_eff, lam_eff, eta_eff) equal to
-    the iterate's own values, or, for an averaged (Crank-Nicolson) scheme,
-    which sets ``averaged`` to the previous level, to the iterate's mean with
-    that level: kappa_eff = 1/2 kappa + 1/2 kappa_prev and likewise for the
-    others.  ``alpha`` is the iterate's weight in the effective unknowns.
     Multistep schemes put the history combination into xhist and Lhist.  Rows
     3 and 4 are present only when the corresponding multiplier is an unknown.
-    Y is the anchor, the (N, 2) vertices of the newest accepted level, d =
-    X - Y, and L(X) - L(Y) = sum_j (h_j - g_j).(h_j + g_j) / (|h_j| + |g_j|)
-    over the edges h of X, g of Y and h - g of d.
+    Y is the anchor, the (N, 2) vertices of the newest accepted level.  The
+    laws hold on the end level Z = end_level(Y, X) = Y + end (X - Y): X itself
+    for end = 1, and for Crank-Nicolson, which solves for its midpoint level,
+    end = 2.  d = Z - Y, and L(Z) - L(Y) = sum_j (h_j - g_j).(h_j + g_j) /
+    (|h_j| + |g_j|) over the edges h of Z, g of Y and h - g of d.
     """
 
     delta0: float
     xhist: np.ndarray
     anchor: np.ndarray
-    averaged: Optional[NewtonIterate] = None
+    end: float = 1.0
     use_perimeter: bool = True
     dL0: float = 1.0
     Lhist: float = 0.0
     use_area: bool = True
     A0: float = 0.0
 
-    @property
-    def alpha(self) -> float:
-        return 1.0 if self.averaged is None else 0.5
-
-
-# the area row at vertex k is ((h_k + h_{k-1})_y, -(h_k + h_{k-1})_x) / 2
-_AREA_ROW_SCALE = np.array([0.5, -0.5])
+    def end_level(self, start: np.ndarray, iterate: np.ndarray) -> np.ndarray:
+        """start + end (iterate - start), the level a step reaches whose unknowns sit 1 / end of the way."""
+        return start + self.end * (iterate - start)
 
 
 class _RunTerms:
     """The residual terms of one Newton run (same ctx, ref and tau) that do
     not depend on the iterate: the anchor Y with its Y_{k+1}, g and |g|, the
-    laws' constant parts, the velocity rows' history term and mass factor,
-    and half the averaged level."""
+    laws' constant parts and the area row's scale, and the velocity rows'
+    history term and mass factor."""
 
     def __init__(self, ctx: SchemeContext, ref: ReferenceGeometry, tau: float) -> None:
-        self.s_flux = tau * ctx.alpha / ctx.delta0
+        self.s_flux = tau / ctx.delta0
         # the velocity rows' history term and mass factor
-        self.hist = ctx.alpha / ctx.delta0 * (ctx.xhist * ref.omega).sum(axis=1)
+        self.hist = 1.0 / ctx.delta0 * (ctx.xhist * ref.omega).sum(axis=1)
         self.flux_mass = self.s_flux * ref.mass
         Y = self.Y = ctx.anchor
         self.Yn = np.concatenate((Y[1:], Y[:1]))  # Y_{k+1}
@@ -203,8 +196,8 @@ class _RunTerms:
         # the perimeter law's dL0 L(Y) + Lhist and the area law's A(Y) - A0
         self.law = ctx.dL0 * float(self.glen.sum()) + ctx.Lhist
         self.area = _shoelace(Y) - ctx.A0
-        # half the averaged level, the constant half of the effective unknowns
-        self.half = None if ctx.averaged is None else NewtonIterate(*(0.5 * u for u in ctx.averaged))
+        # the area row at vertex k is end ((h_k + h_{k-1})_y, -(h_k + h_{k-1})_x) / 2
+        self.area_scale = ctx.end * np.array([0.5, -0.5])
 
 
 @dataclass
@@ -224,11 +217,11 @@ class NewtonBlocks:
     live in the velocity rows.  rows (nb, 3N) holds the border rows, the
     linearized perimeter law and then the area law, over the positions
     (interleaved) and the curvatures; their gradients are evaluated exactly
-    on the iterate's polygon, and the area law has no curvature part.  rhs
+    on the end level's polygon, and the area law has no curvature part.  rhs
     (3N + nb) is the negated residual, the right-hand side of the Newton
     direction solve, in the equation order of the module docstring.  An
     absent multiplier leaves its column None and has no row.  Q's only
-    iterate term, -lam_eff M on its diagonal, is taken at the run's start.
+    iterate term, -lam M on its diagonal, is taken at the run's start.
 
     Each iteration of a Newton run has blocks of its own, and nothing
     writes into them once they are built.  The arrays that are fixed through
@@ -261,69 +254,64 @@ def assemble_newton_blocks(
 
     Every call returns new blocks with new a1, border rows and rhs.  Without
     ``previous`` the call also builds the blocks that are fixed through the
-    run (P, Q, R and a2, with -lam_eff M of this iterate on Q's diagonal)
+    run (P, Q, R and a2, with -lam M of this iterate on Q's diagonal)
     and the run's iterate-free residual terms.  ``previous`` is the result
     of an earlier iteration of the same Newton run (same ctx, ref and tau):
     the new blocks share those fixed arrays and terms with it, and
     ``previous`` itself is left as it was.  So Q keeps the run start's
-    lam_eff (the simplified Newton method), and every other array has the
+    lam (the simplified Newton method), and every other array has the
     bits of a fresh call at this iterate."""
     n = ref.n
-    s_core = tau * ctx.alpha / ctx.delta0 * ctx.alpha
     terms = _RunTerms(ctx, ref, tau) if previous is None else previous.work
-    X = it.X
-    # the iterate's next vertices X_{k+1} and edges h
+    X, kap, lam, eta = it
+    # the iterate's next vertices X_{k+1}, edges h and edge fluxes
     Xn = np.concatenate((X[1:], X[:1]))
     h = Xn - X
-    # the effective unknowns and the edge fluxes of X_eff
-    if terms.half is None:
-        kap, lam, eta = it.kappa, it.lam, it.eta
-        flux = h * ref.weights[:, None]
-    else:
-        kap = it.kappa * 0.5
-        kap += terms.half.kappa
-        lam, eta = 0.5 * it.lam + terms.half.lam, 0.5 * it.eta + terms.half.eta
-        Xe = X * 0.5
-        Xe += terms.half.X
-        flux = _forward_difference(Xe)
-        flux *= ref.weights[:, None]
+    flux = h * ref.weights[:, None]
     if previous is None:
-        P = ctx.alpha * ref.omega
-        R = (-ctx.alpha) * ref.stencil
-        # Q's diagonal takes -lam_eff M at the run's start iterate and keeps
-        # it (the simplified Newton method); the borders follow the iterate
-        Q = s_core * ref.stencil
-        Q[:, 1] = (ref.stencil[:, 1] - ref.mass * lam) * s_core
-        a2 = (-s_core) * ref.mass if ctx.use_area else None
+        P = ref.omega
+        R = -ref.stencil
+        # Q's diagonal takes -lam M at the run's start iterate and keeps it
+        # (the simplified Newton method); the borders follow the iterate
+        Q = terms.s_flux * ref.stencil
+        Q[:, 1] = (ref.stencil[:, 1] - ref.mass * lam) * terms.s_flux
+        a2 = -terms.flux_mass if ctx.use_area else None
     else:
         P, Q, R, a2 = previous.P, previous.Q, previous.R, previous.a2
     nb = ctx.use_perimeter + ctx.use_area
     rhs = np.empty(3 * n + nb)
     rows = np.zeros((nb, 3 * n))
-    # negated curvature rows: S_ref X_eff - kappa_eff omega_ref
+    # negated curvature rows: S_ref X - kappa omega_ref
     curvature_rhs = _previous_minus(flux, rhs[: 2 * n].reshape(n, 2))
     curvature_rhs -= kap[:, None] * ref.omega
     kappa_flux = _forward_difference(kap)
     kappa_flux *= ref.weights
     Skap = _previous_minus(kappa_flux, np.empty(n))
 
+    # the laws hold on the end level Z, with its next vertices Zn and its
+    # edges h; for end = 1, Z is the iterate
+    Z, Zn = X, Xn
+    if ctx.end != 1.0:
+        Z = ctx.end_level(terms.Y, X)
+        Zn = np.concatenate((Z[1:], Z[:1]))
+        h = Zn - Z
     a1 = None
     if ctx.use_perimeter:
         a1 = ref.mass * kap
-        a1 *= -s_core
+        a1 *= -terms.s_flux
         hlen = np.hypot(h[:, 0], h[:, 1])
         grad = _previous_minus(h / hlen[:, None], rows[0, : 2 * n].reshape(n, 2))
-        grad *= ctx.dL0 / tau
-        np.multiply(Skap, 2.0 * ctx.alpha, out=rows[0, 2 * n :])
+        grad *= ctx.end * ctx.dL0 / tau
+        np.multiply(Skap, 2.0, out=rows[0, 2 * n :])
     if ctx.use_area:
         # h_k + h_{k-1} with its components swapped, then scaled
         area_row = rows[-1, : 2 * n].reshape(n, 2)
         np.add(h[1:, ::-1], h[:-1, ::-1], out=area_row[1:])
         np.add(h[:1, ::-1], h[-1:, ::-1], out=area_row[:1])
-        area_row *= _AREA_ROW_SCALE
+        area_row *= terms.area_scale
 
-    # negated velocity rows: (lam_eff kappa_eff + eta_eff) s_flux m
-    # - s_flux S_ref kappa_eff - s_time (xhist . omega) - P . X
+    # negated velocity rows: (lam kappa + eta) s_flux m - s_flux S_ref kappa
+    # - (xhist . omega) / delta0 - P . X
     velocity_rhs = np.multiply(kap, lam, out=rhs[2 * n : 3 * n])
     velocity_rhs += eta
     velocity_rhs *= terms.flux_mass
@@ -333,9 +321,9 @@ def assemble_newton_blocks(
     velocity_rhs -= PX[:, 0]
     velocity_rhs -= PX[:, 1]
 
-    # the laws, as increments from the anchor: d = X - Y and its edges
-    d = X - terms.Y
-    dn = Xn - terms.Yn
+    # the laws, as increments from the anchor: d = Z - Y and its edges
+    d = Z - terms.Y
+    dn = Zn - terms.Yn
     if ctx.use_perimeter:
         t = h + terms.g
         t *= dn - d
@@ -344,8 +332,8 @@ def assemble_newton_blocks(
         dL = float(per_edge.sum())
         rhs[3 * n] = -((ctx.dL0 * dL + terms.law) / tau + float(kap @ Skap))
     if ctx.use_area:
-        # cross = d_k x X_{k+1} + Y_k x d_{k+1}
-        c = d * Xn[:, ::-1]
+        # cross = d_k x Z_{k+1} + Y_k x d_{k+1}
+        c = d * Zn[:, ::-1]
         e = terms.Y * dn[:, ::-1]
         cross = c[:, 0] - c[:, 1]
         cross += e[:, 0]

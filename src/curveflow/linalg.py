@@ -6,7 +6,7 @@ The systems have a 3N x 3N core
     [ R  P^T]   rows: curvature (2N, interleaved), velocity (N)
     [ P  Q  ]   cols: position (2N, interleaved), curvature (N)
 
-bordered by up to two dense columns (the multipliers) and the matching dense
+bordered by one or two dense columns (the multipliers) and the matching dense
 rows (the linearized conservation laws).  Every block of the core couples a
 vertex only to itself and its two neighbours, vertex 0 and vertex N-1
 included.  The solver orders the vertices folded, 0, N-1, 1, N-2, ...:
@@ -21,7 +21,7 @@ geometric degeneracy of an equilibrium (constant curvature makes the two
 border columns parallel).
 
 A Newton run builds one `BorderedSystem`, in its first iteration: the
-factored core, which is fixed through the run (Q's diagonal holds lam_eff M
+factored core, which is fixed through the run (Q's diagonal holds lam M
 of the run's start, see NewtonBlocks), and the solve of the eta column,
 which is fixed too.  Each iteration passes its own `NewtonBlocks` to the
 solve, which gathers their rhs, border rows and lam column into folded
@@ -153,8 +153,8 @@ class BorderedSystem:
     """The factored core of one Newton run.  In folded order the equations
     of a slot's vertex are (curvature x, curvature y, velocity), then
     perimeter?, area?; its unknowns are (x_k, y_k, kappa_k), then lam?,
-    eta?.  nb in {0, 1, 2} counts the borders present, lam before eta in
-    both the columns and the rows.
+    eta?.  nb in {1, 2} counts the borders present, lam before eta in both
+    the columns and the rows.
 
     ``core`` (3N, 2 KL + KU + 1), the band LU in folded order with one row
     per unknown (the transpose of dgbtrf's Fortran-ordered band), its pivots
@@ -240,9 +240,6 @@ def solve_bordered(system: BorderedSystem, *, blocks: NewtonBlocks) -> np.ndarra
         np.take(blocks.a1, fold.vertex, out=z[2::3, 1])
     _band_solve(system, z[:, : 1 + (blocks.a1 is not None)])
     out = np.empty(m + system.nb)
-    if system.nb == 0:
-        np.take(z[:, 0], fold.inverse, out=out)
-        return out
     B = np.take(blocks.rows, fold.gather, axis=1)
     mu = _multipliers(B @ z, np.abs(B) @ np.abs(z[:, 1:]), blocks.rhs[m:])
     # g - Y mu, with g the core solve of the rhs and Y those of the columns

@@ -80,8 +80,8 @@ class SchemeSpec:
     * ``kind``: SP, PD or AP; fixes which constraint rows (perimeter, area)
       and multipliers the step carries.
     * ``order``: BDF order of the time rule, which is also the number of
-      history levels a step needs; ``cn`` instead averages every unknown
-      with the previous level (Crank-Nicolson, one level).
+      history levels a step needs; ``cn`` makes it the Crank-Nicolson step
+      (one level), which solves for its midpoint level (see `step`).
     * ``lower``: the same family one order lower (for SP and PD the Euler
       step, for AP-k the AP-(k-1) step), or None for an Euler step.  It fixes
       the reference polygon (see `step`), the step taken from a state with
@@ -261,7 +261,7 @@ def newton_outer(
       estimates the size of the next update, so the solve that would only
       show it below tol is skipped (Deuflhard, Newton Methods for Nonlinear
       Problems, 2004, ch. 2).  That needs Newton's quadratic contraction:
-      once lam moves, the held lam_eff M (below) makes it linear, and an
+      once lam moves, the held lam M (below) makes it linear, and an
       early theta_k can understate the later ones.
 
     Returns (iterate, iterations).  A non-finite update component raises
@@ -272,7 +272,7 @@ def newton_outer(
     iteration builds the run's system from its blocks; each later one has
     the model build its blocks from ``previous`` (by passing it on to
     assemble_newton_blocks), sharing the core blocks, and hands them to the
-    system's solve.  The core, with lam_eff M of the start iterate on Q's
+    system's solve.  The core, with lam M of the start iterate on Q's
     diagonal, is factored once, when the system is built: a simplified
     Newton method with an exact residual.  Each iteration then makes one
     banded solve, of its rhs and lam column, under that factor.
@@ -354,48 +354,46 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
     two-level run starts, and how the AP partner starts after a forced
     switch.  The BDF coefficients of ``order`` combine the stored curves in
     the velocity law and the stored perimeters in the perimeter law (the
-    variant's perimeter law uses the one-step difference); Crank-Nicolson
-    averages every unknown with the previous level.  The reference polygon
-    is the newest curve for an Euler step (no ``lower``), and otherwise the
-    curve of one step of ``lower`` (at tau / 2 for Crank-Nicolson), solved
-    to the same tolerance; that step's Newton iterations are not counted in
-    the new level's ``newton_iters``.  Newton starts at the reference
-    step's root when that step is at the full tau, and at the newest level
-    otherwise, and makes one Newton run (see newton_outer).  Returns the
-    state with the new level appended.
+    variant's perimeter law uses the one-step difference).  Crank-Nicolson
+    solves for its midpoint level: an Euler step at tau / 2 whose laws hold
+    on the end level (see SchemeContext), which it stores with the midpoint
+    multipliers.  The reference polygon is the newest curve for an Euler
+    step (no ``lower``), and otherwise the curve of one step of ``lower`` at
+    the same tau (tau / 2 for Crank-Nicolson), solved to the same
+    tolerance; that step's Newton iterations are not counted in the new
+    level's ``newton_iters``.  Newton starts at the reference step's root,
+    or at the newest level for an Euler step, and makes one Newton run (see
+    newton_outer).  Returns the state with the new level appended.
     """
     spec = SPECS[scheme or config.scheme]
     while spec.order > len(state.history):
         spec = SPECS[spec.lower]
     last = state.history[-1]
+    end = 2.0 if spec.cn else 1.0
+    tau = state.tau / end
     delta = [float(c) for c in bdf_coefficients(spec.order)]
     dL = [float(c) for c in bdf_coefficients(1)] if spec.one_step_perimeter else delta
     ctx = SchemeContext(
         delta0=delta[0],
         xhist=_history_sum(delta, state.history, lambda e: e.curve.vertices),
         anchor=last.curve.vertices,
-        averaged=NewtonIterate(last.curve.vertices, last.kappa, last.lam, last.eta) if spec.cn else None,
+        end=end,
         use_perimeter=spec.kind != "AP",
-        dL0=dL[0],
-        Lhist=_history_sum(dL, state.history, lambda e: e.L),
+        dL0=dL[0] / end,
+        Lhist=_history_sum(dL, state.history, lambda e: e.L) / end,
         use_area=spec.kind != "PD",
         A0=state.A0,
     )
-    start_level = last
-    if spec.lower is None:
-        ref_curve = last.curve
-    else:
-        ref_state = replace(state, tau=0.5 * state.tau) if spec.cn else state
-        ref_level = step(ref_state, config, spec.lower).history[-1]
-        ref_curve = ref_level.curve
-        if not spec.cn:
-            start_level = ref_level
-    ref = ReferenceGeometry(ref_curve)
+    start = last if spec.lower is None else step(replace(state, tau=tau), config, spec.lower).history[-1]
+    ref = ReferenceGeometry(start.curve)
 
     def model(it: NewtonIterate, previous: Optional[NewtonBlocks]) -> NewtonBlocks:
-        return assemble_newton_blocks(ctx, ref, it, state.tau, previous)
+        return assemble_newton_blocks(ctx, ref, it, tau, previous)
 
-    it, iters = newton_outer(model, _start_iterate(start_level, ctx), config.tol, config.max_newton)
+    it, iters = newton_outer(model, _start_iterate(start, ctx), config.tol, config.max_newton)
+    if spec.cn:
+        # the end level, by the expression of the laws' Z, with the midpoint multipliers
+        it = it._replace(X=ctx.end_level(ctx.anchor, it.X), kappa=ctx.end_level(last.kappa, it.kappa))
     return _accept(state, it, iters, spec.kind)
 
 

@@ -296,8 +296,13 @@ def oracle_euler_step(Vm: np.ndarray, tau: float, flavor: str, A0: Optional[floa
 
 
 def oracle_cn_step(Vm: np.ndarray, kappam: np.ndarray, lamm: float, etam: float, tau: float, A0: float):
-    """One Crank-Nicolson step: unknowns enter every equation averaged with
-    the previous level; reference geometry is a half-step Euler predictor."""
+    """One Crank-Nicolson step, solved for the end level: the unknowns enter
+    every equation averaged with the previous level, and the laws hold on
+    the end level; reference geometry is a half-step Euler predictor.
+    Returns the end level's curve, curvature and multipliers.  The scheme
+    solves for the midpoint level instead and stores the end level's curve
+    and curvature with the midpoint multipliers 1/2 (lam_end + lam_prev) and
+    1/2 (eta_end + eta_prev), the ones that act in the velocity rows."""
     n = len(Vm)
     ref = oracle_euler_step(Vm, 0.5 * tau, "sp", A0=A0)["X"]
     m, om = loop_masses(ref), loop_omegas(ref)
@@ -401,24 +406,28 @@ def oracle_ap_step(levels, tau: float, k: int, A0: float):
     return _unpack(_solve(resid, z0), n, False, True)
 
 
+def _end_level(ctx, X: np.ndarray) -> np.ndarray:
+    # the level the laws hold on: Y + end (X - Y), vertex by vertex, with
+    # the anchor Y; a Crank-Nicolson step solves for its midpoint level X
+    # (end = 2), so its laws act on the level twice as far from Y
+    Y = ctx.anchor
+    return np.array([[Y[k, c] + ctx.end * (X[k, c] - Y[k, c]) for c in range(2)] for k in range(len(X))])
+
+
 def template_residual(ctx, Vref: np.ndarray, it, tau: float):
     """The residual of femcore's step template (the SchemeContext equations,
-    velocity rows scaled by tau * alpha / delta0) at the iterate, by loops
-    over the vertices, in the order curvature rows (interleaved), velocity
-    rows, perimeter law?, area law?.  The perimeter law uses the perimeter of
-    X itself, not its increment from the anchor.  Returns (value, size):
-    size is the sum of the absolute values of each row's terms, the scale at
-    which rounding enters."""
+    velocity rows scaled by tau / delta0) at the iterate, by loops over the
+    vertices, in the order curvature rows (interleaved), velocity rows,
+    perimeter law?, area law?.  The curvature and velocity rows take the
+    iterate itself, the laws its end level Z (see _end_level).  The
+    perimeter law uses the perimeter of Z itself, not its increment from
+    the anchor.  Returns (value, size): size is the sum of the absolute
+    values of each row's terms, the scale at which rounding enters."""
     n = len(Vref)
     m, om = loop_masses(Vref), loop_omegas(Vref)
     w = [1.0 / math.dist(Vref[k], Vref[(k + 1) % n]) for k in range(n)]
-    alpha = 1.0 if ctx.averaged is None else 0.5
     X, kap, lam, eta = it
-    if ctx.averaged is None:
-        Xe, ke, le, ee = X, kap, lam, eta
-    else:
-        Xp, kp, lp, ep = ctx.averaged
-        Xe, ke, le, ee = 0.5 * X + 0.5 * Xp, 0.5 * kap + 0.5 * kp, 0.5 * lam + 0.5 * lp, 0.5 * eta + 0.5 * ep
+    Z = _end_level(ctx, X)
 
     def stiffness_terms(u, k):
         # the four terms of (S u)_k
@@ -427,20 +436,20 @@ def template_residual(ctx, Vref: np.ndarray, it, tau: float):
     rows = []
     for k in range(n):
         for c in range(2):
-            rows.append([ke[k] * om[k, c]] + [-t[c] for t in stiffness_terms(Xe, k)])
-    s_time, s_flux = alpha / ctx.delta0, tau * alpha / ctx.delta0
+            rows.append([kap[k] * om[k, c]] + [-t[c] for t in stiffness_terms(X, k)])
+    s_time, s_flux = 1.0 / ctx.delta0, tau / ctx.delta0
     for k in range(n):
         terms = [s_time * om[k, c] * ctx.delta0 * X[k, c] for c in range(2)]
         terms += [s_time * om[k, c] * ctx.xhist[k, c] for c in range(2)]
-        terms += [s_flux * t for t in stiffness_terms(ke, k)]
-        terms += [-s_flux * le * m[k] * ke[k], -s_flux * ee * m[k]]
+        terms += [s_flux * t for t in stiffness_terms(kap, k)]
+        terms += [-s_flux * lam * m[k] * kap[k], -s_flux * eta * m[k]]
         rows.append(terms)
     if ctx.use_perimeter:
-        terms = [ctx.dL0 * loop_perimeter(X) / tau, ctx.Lhist / tau]
-        rows.append(terms + [ke[k] * t for k in range(n) for t in stiffness_terms(ke, k)])
+        terms = [ctx.dL0 * loop_perimeter(Z) / tau, ctx.Lhist / tau]
+        rows.append(terms + [kap[k] * t for k in range(n) for t in stiffness_terms(kap, k)])
     if ctx.use_area:
-        cross = [0.5 * X[k, 0] * X[(k + 1) % n, 1] for k in range(n)]
-        cross += [-0.5 * X[(k + 1) % n, 0] * X[k, 1] for k in range(n)]
+        cross = [0.5 * Z[k, 0] * Z[(k + 1) % n, 1] for k in range(n)]
+        cross += [-0.5 * Z[(k + 1) % n, 0] * Z[k, 1] for k in range(n)]
         rows.append(cross + [-ctx.A0])
     value = np.array([math.fsum(terms) for terms in rows])
     size = np.array([math.fsum(abs(t) for t in terms) for terms in rows])
@@ -453,34 +462,33 @@ def template_jacobian_row_norms(ctx, Vref: np.ndarray, it, tau: float) -> np.nda
     row order: |J_i . d| <= norms[i] |d|_inf for every direction d.  Each
     row's derivatives are written out from the template's equations, and
     terms that fall on the same unknown are bounded by the triangle
-    inequality."""
+    inequality.  The laws' position gradients are taken at the end level Z
+    and carry the chain factor end = dZ / dX."""
     n = len(Vref)
     m, om = loop_masses(Vref), loop_omegas(Vref)
     w = [1.0 / math.dist(Vref[k], Vref[(k + 1) % n]) for k in range(n)]
-    alpha = 1.0 if ctx.averaged is None else 0.5
-    X, kap, lam = it.X, it.kappa, it.lam
-    if ctx.averaged is not None:
-        kap, lam = 0.5 * kap + 0.5 * ctx.averaged.kappa, 0.5 * lam + 0.5 * ctx.averaged.lam
-    s_flux = tau * alpha / ctx.delta0
+    kap, lam = it.kappa, it.lam
+    Z = _end_level(ctx, it.X)
+    s_flux = tau / ctx.delta0
     norms = []
     for k in range(n):
-        # kappa_eff omega - S X_eff, on kappa_k and on X_{k-1}, X_k, X_{k+1}
+        # kappa omega - S X, on kappa_k and on X_{k-1}, X_k, X_{k+1}
         for c in range(2):
-            norms.append(alpha * (abs(om[k, c]) + 2.0 * (w[k - 1] + w[k])))
+            norms.append(abs(om[k, c]) + 2.0 * (w[k - 1] + w[k]))
     for k in range(n):
         # on X_k (weight omega_k), on kappa_{k-1}, kappa_k, kappa_{k+1}
-        # (stiffness and lam_eff m_k), on lam (m_k kappa_eff) and on eta (m_k)
-        row = alpha * (abs(om[k, 0]) + abs(om[k, 1])) + alpha * s_flux * (2.0 * (w[k - 1] + w[k]) + abs(lam) * m[k])
-        row += alpha * s_flux * m[k] * (abs(kap[k]) * ctx.use_perimeter + ctx.use_area)
+        # (stiffness and lam m_k), on lam (m_k kappa) and on eta (m_k)
+        row = abs(om[k, 0]) + abs(om[k, 1]) + s_flux * (2.0 * (w[k - 1] + w[k]) + abs(lam) * m[k])
+        row += s_flux * m[k] * (abs(kap[k]) * ctx.use_perimeter + ctx.use_area)
         norms.append(row)
     if ctx.use_perimeter:
-        # dL0 L(X) / tau: each edge's unit tangent on its two ends; and the
-        # gradient 2 alpha S kappa_eff of kappa_eff^T S kappa_eff
-        tangents = sum(2.0 * (abs(a) + abs(b)) / math.hypot(a, b) for a, b in np.roll(X, -1, axis=0) - X)
-        norms.append(ctx.dL0 * tangents / tau + 2.0 * alpha * float(np.abs(loop_stiffness_apply(Vref, kap)).sum()))
+        # dL0 L(Z) / tau: each edge's unit tangent on its two ends; and the
+        # gradient 2 S kappa of kappa^T S kappa
+        tangents = sum(2.0 * (abs(a) + abs(b)) / math.hypot(a, b) for a, b in np.roll(Z, -1, axis=0) - Z)
+        norms.append(ctx.end * ctx.dL0 * tangents / tau + 2.0 * float(np.abs(loop_stiffness_apply(Vref, kap)).sum()))
     if ctx.use_area:
-        # the shoelace gradient at X_k is ((X_{k+1} - X_{k-1})_y, (X_{k-1} - X_{k+1})_x) / 2
-        norms.append(0.5 * float(np.abs(np.roll(X, -1, axis=0) - np.roll(X, 1, axis=0)).sum()))
+        # the shoelace gradient at Z_k is ((Z_{k+1} - Z_{k-1})_y, (Z_{k-1} - Z_{k+1})_x) / 2
+        norms.append(ctx.end * 0.5 * float(np.abs(np.roll(Z, -1, axis=0) - np.roll(Z, 1, axis=0)).sum()))
     return np.array(norms)
 
 
@@ -546,7 +554,9 @@ def random_blocks(rng: np.random.Generator, n: int = 8, flavor: str = "both") ->
     structural nonzero of the core (the entries Q[0, 0], R[0, 0], Q[-1, 2]
     and R[-1, 2] that close the curve included) and of the border rows (the
     area row has no curvature part); flavor picks which borders exist
-    ('none', 'lam', 'eta', 'both')."""
+    ('lam', 'eta', 'both')."""
+    if flavor not in ("lam", "eta", "both"):
+        raise ValueError(f"unknown border flavor {flavor!r}")
     with_lam = flavor in ("lam", "both")
     with_eta = flavor in ("eta", "both")
     P = rng.standard_normal((n, 2))

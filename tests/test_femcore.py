@@ -197,17 +197,9 @@ def context_cases(vm, tau):
     n = len(vm)
     Lm = oracles.loop_perimeter(vm)
     A0 = oracles.loop_shoelace(vm)
-    kap_prev = initial_curvature(vm)
     euler = SchemeContext(delta0=1.0, xhist=-vm, anchor=vm, A0=A0)
-    averaged = SchemeContext(
-        delta0=1.0,
-        xhist=-vm,
-        anchor=vm,
-        averaged=NewtonIterate(vm, kap_prev, 0.1, -0.04),
-        dL0=1.0,
-        Lhist=-Lm,
-        A0=A0,
-    )
+    # Crank-Nicolson's midpoint step: Euler rows, laws on the end level
+    midpoint = SchemeContext(delta0=1.0, xhist=-vm, anchor=vm, end=2.0, dL0=0.5, Lhist=-0.5 * Lm, A0=A0)
     two_step = SchemeContext(
         delta0=1.5,
         xhist=-2.0 * vm + 0.5 * (vm + 0.01),
@@ -219,7 +211,7 @@ def context_cases(vm, tau):
     area_only = SchemeContext(
         delta0=1.5, xhist=-2.0 * vm + 0.5 * (vm + 0.01), anchor=vm, use_perimeter=False, A0=A0
     )
-    return [euler, averaged, two_step, area_only]
+    return [euler, midpoint, two_step, area_only]
 
 
 def residual(ctx, ref, it, tau):
@@ -279,7 +271,7 @@ def test_newton_blocks_are_exact_jacobian():
 
 
 def test_velocity_row_scaling_makes_core_self_adjoint():
-    # the tau * alpha / delta0 scaling of the velocity rows is chosen so that
+    # the tau / delta0 scaling of the velocity rows is chosen so that
     # the Jacobian's velocity/position block is the transpose of the
     # curvature/kappa block; check it on a finite-difference Jacobian, which
     # knows nothing about how the blocks are assembled

@@ -33,7 +33,7 @@ VERSIONS = ("2.4.6", "1.17.1")
 # ap-bdf2 at its startup step.
 GOLDEN = {
     ("sp-euler", "ellipse"): ("5b840ffd9d891d2e", "0a8f56f5af734475"),
-    ("sp-cn", "ellipse"): ("8b6d94a4404a338e", "0ca33680291c9a20"),
+    ("sp-cn", "ellipse"): ("110c91570ab8c1da", "971490b3b2d892e0"),
     ("sp-bdf2", "ellipse"): ("19f89de65f67b1ef", "a8a7cad0f799eacf"),
     ("sp-bdf2-variant", "ellipse"): ("7caa26ddeaf5c429", "b7f79e4257968633"),
     ("pd-bdf2", "ellipse"): ("4693f3eeb70e53e9", "4085981c79308296"),
@@ -42,7 +42,7 @@ GOLDEN = {
     ("ap-bdf3", "ellipse"): ("c709c5ec9093a023", "79cd295cbf3813ab"),
     ("ap-bdf4", "ellipse"): ("0fddc083aa052ba5", "8ccfa8f8b384315b"),
     ("sp-euler", "mikula"): ("51006b05203aa818", "b88b4873b99bc56d"),
-    ("sp-cn", "mikula"): ("c39f05a671017efa", "69f70646273c5ef8"),
+    ("sp-cn", "mikula"): ("04285c14d40421f2", "18ccf63a9b37338a"),
     ("sp-bdf2", "mikula"): ("3ff10d123466a1fb", "8c56edc193c4a822"),
     ("sp-bdf2-variant", "mikula"): ("7fbce57bd944ae13", "7b332b592a962c27"),
     ("pd-bdf2", "mikula"): ("2bc66be704bec09c", "88514bb7e4957a4c"),

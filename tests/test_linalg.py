@@ -47,10 +47,10 @@ def test_solver_matches_dense_oracle():
     # the fold 0, N-1, 1, N-2, ... ends differently for odd and even N (the
     # last slot holds vertex (N-1)/2 or N/2), and at N = 3 every vertex
     # neighbours every other
-    flavors = ["none", "lam", "eta", "both"]
+    flavors = ["lam", "eta", "both"]
     for trial in range(168):
-        n = 3 + (trial // 4) % 7
-        blocks = oracles.random_blocks(rng, n=n, flavor=flavors[trial % 4])
+        n = 3 + (trial // 3) % 7
+        blocks = oracles.random_blocks(rng, n=n, flavor=flavors[trial % 3])
         x = _solve(blocks)
         M, rhs = oracles.dense_from_blocks(blocks)
         expected = np.linalg.solve(M, rhs)
@@ -168,16 +168,16 @@ def test_residual_norm_at_solution_and_away():
     assert oracles.residual_norm(blocks, y) > 1e-3
 
 
-def test_unbordered_system_is_plain_core_solve():
-    blocks = oracles.random_blocks(rng, n=8, flavor="none")
+def test_one_border_system_keeps_its_band_in_lapack_layout():
+    blocks = oracles.random_blocks(rng, n=8, flavor="eta")
     system = assemble_system(blocks)
-    assert system.nb == 0
+    assert system.nb == 1
     # the factored band, one row per unknown; its transpose is LAPACK's
     # Fortran-ordered band storage, which dgbtrs reads without a copy
     assert system.core.shape == (24, 19)
     assert system.core.T.flags.f_contiguous
     x = solve_bordered(system, blocks=blocks)
-    assert len(x) == 24
+    assert len(x) == 25
     assert oracles.residual_norm(blocks, x) < 1e-10
 
 
@@ -278,10 +278,10 @@ def test_scaled_border_row_keeps_solution_and_verdict(row, factor):
 
 
 def _core_solve_of_eta_column(blocks):
-    # core^{-1} (a2 in the velocity rows), in block order, by the same solver
-    rhs = np.concatenate((np.zeros(2 * len(blocks.a2)), blocks.a2))
-    unbordered = replace(blocks, a2=None, rows=blocks.rows[:0], rhs=rhs)
-    return _solve(unbordered)
+    # core^{-1} (a2 in the velocity rows), in block order, by the dense oracle
+    M, _ = oracles.dense_from_blocks(blocks)
+    m = 3 * len(blocks.a2)
+    return np.linalg.solve(M[:m, :m], M[:m, m])
 
 
 def _with_area_row(blocks, c):
@@ -314,13 +314,13 @@ def _later_inputs(blocks, other):
     return replace(blocks, a1=other.a1, rows=other.rows, rhs=other.rhs)
 
 
-@pytest.mark.parametrize("flavor", ["none", "lam", "eta", "both"])
+@pytest.mark.parametrize("flavor", ["lam", "eta", "both"])
 def test_stored_factor_gives_bitwise_the_fresh_solve(flavor):
     # every solve of a system gathers its inputs from the blocks it is given
     # and goes through the stored factor: a second solve, and a solve of the
     # first blocks after one of later blocks, have the same bits as a fresh
     # one, and the solve in between is a fresh one of the later blocks
-    for n in (3, 8, 50):
+    for n in (3, 4, 8, 50):
         blocks = oracles.random_blocks(rng, n=n, flavor=flavor)
         system = assemble_system(blocks)
         fresh = solve_bordered(system, blocks=blocks)
@@ -402,7 +402,7 @@ def _check_blocks_built_from_an_earlier_iterate(ctx, ref, first, later, tau):
     assert all(_same_bits(a, b) for a, b in zip((earlier.a1, earlier.rows, earlier.rhs), saved))
     assert all(getattr(blocks, name) is getattr(earlier, name) for name in ("P", "Q", "R", "a2", "work"))
     if first.lam != later.lam:
-        # lam_eff M of the later iterate is not on the held diagonal
+        # lam M of the later iterate is not on the held diagonal
         assert not np.array_equal(assemble_newton_blocks(ctx, ref, later, tau).Q, first_Q)
     fresh = assemble_system(fresh_blocks)
     assert np.array_equal(solve_bordered(system, blocks=blocks), solve_bordered(fresh, blocks=fresh_blocks))
@@ -429,7 +429,7 @@ def test_blocks_built_from_an_earlier_iterate_are_bitwise_the_fresh_ones(use_are
 @pytest.mark.parametrize("scheme", ["sp-bdf2", "pd-bdf2", "ap-bdf2", "sp-cn"])
 def test_blocks_of_captured_iterates_are_bitwise_the_fresh_ones(scheme, monkeypatch):
     # the first two iterates of the last Newton run of a short run of each
-    # family: SP, PD, AP, and SP with Crank-Nicolson averaging
+    # family: SP, PD, AP, and SP with Crank-Nicolson's midpoint step
     runs = []
 
     def capture(ctx, ref, it, tau, previous=None):
@@ -442,7 +442,7 @@ def test_blocks_of_captured_iterates_are_bitwise_the_fresh_ones(scheme, monkeypa
     result = run(SchemeConfig(scheme=scheme, N=24, tau=1e-3, T=3e-3, gamma=0.0, shape="mikula"))
     assert result.ok, result.failure
     ctx, ref, tau, iterates = runs[-1]
-    assert len(iterates) >= 2 and (ctx.averaged is not None) == (scheme == "sp-cn")
+    assert len(iterates) >= 2 and (ctx.end == 2.0) == (scheme == "sp-cn")
     _check_blocks_built_from_an_earlier_iterate(ctx, ref, iterates[0], iterates[1], tau)
 
 
@@ -564,13 +564,13 @@ def test_scaled_parallel_borders_still_raise_degeneracy():
 
 
 def test_singular_core_raises():
-    base = oracles.random_blocks(rng, n=8, flavor="none")
+    base = oracles.random_blocks(rng, n=8, flavor="eta")
     blocks = NewtonBlocks(
         P=base.P,
         Q=base.Q,
         R=np.zeros((8, 3)),
         a1=None,
-        a2=None,
+        a2=base.a2,
         rows=base.rows,
         rhs=base.rhs,
     )
@@ -585,6 +585,6 @@ def test_solver_errors_share_base_class():
 
 
 def test_dense_fallback_size_guard():
-    blocks = oracles.random_blocks(rng, n=65, flavor="none")
+    blocks = oracles.random_blocks(rng, n=65, flavor="both")
     with pytest.raises(ValueError):
         oracles.solve_bordered_dense(blocks)

@@ -171,7 +171,9 @@ def test_crank_nicolson_step_matches_oracle():
     kappa0 = state.history[-1].kappa
     state = step(state, cfg)
     sol = oracles.oracle_cn_step(v0, kappa0, 0.0, 0.0, TAU, oracles.loop_shoelace(v0))
-    assert_same_root(state.history[-1], sol)
+    # the scheme stores the midpoint multipliers, the means of the oracle's
+    # end values with level 0's zeros
+    assert_same_root(state.history[-1], dict(sol, lam=0.5 * (sol["lam"] + 0.0), eta=0.5 * (sol["eta"] + 0.0)))
 
 
 def test_bdf2_steps_match_oracle():
@@ -345,6 +347,20 @@ def test_sp_cn_on_mikula_runs_without_a_forced_switch():
     assert not result.forced_switch
     assert len(result.series.rows) == cfg.n_steps + 1
     assert all(abs(r.dA) < 1e-9 for r in result.series.rows)
+
+
+def test_sp_cn_multipliers_keep_their_sign_on_mikula():
+    # the stored multipliers are the midpoint values, which act in the step;
+    # end values, averaged with level 0's zeros, alternate in sign from step
+    # to step (lam 5.02, -3.24, 3.80, -3.28, 3.47) and never damp
+    cfg = SchemeConfig(scheme="sp-cn", N=64, tau=1e-3, T=5e-3, shape="mikula", gamma=0.0)
+    result = run(cfg)
+    assert result.ok, result.failure
+    rows = result.series.rows[1:]
+    assert len(rows) == 5
+    for name in ("lam", "eta"):
+        signs = {np.sign(getattr(r, name)) for r in rows}
+        assert len(signs) == 1 and 0.0 not in signs, (name, [getattr(r, name) for r in rows])
 
 
 def test_ap_bdf4_on_mikula_completes():
@@ -651,7 +667,7 @@ def test_every_solve_runs_inside_newton_outer(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["ap-bdf3", "sp-bdf2", "pd-bdf2"])
 def test_core_factorizations_per_newton_run(monkeypatch, scheme):
-    # the core, with lam_eff M of the start iterate on Q's diagonal, is fixed
+    # the core, with lam M of the start iterate on Q's diagonal, is fixed
     # through a Newton run: every family builds one system per run, factored
     # once.  Each bordered solve makes one banded solve, of the rhs and the
     # lam column when there is one; the eta column is fixed through the run
@@ -750,7 +766,7 @@ def test_newton_stops_on_the_contraction_estimate(monkeypatch, norms, stop):
 
 
 def test_newton_takes_no_contraction_exit_once_lam_moves(monkeypatch):
-    # the core holds lam_eff M of the start, so once lam has moved the
+    # the core holds lam M of the start, so once lam has moved the
     # contraction is linear and theta_k no longer bounds the next update
     assert _newton_on_update_norms(monkeypatch, [1e-2, 1e-6, 1e-12], tol=1e-9, lam_update=1e-13) == 3
 
@@ -766,8 +782,9 @@ def test_newton_without_contraction_runs_to_tol(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["sp-bdf2", "pd-bdf2", "ap-bdf3", "sp-euler", "sp-cn"])
 def test_corrector_start(monkeypatch, scheme):
-    # a corrector whose reference is one step of the lower scheme at the full
-    # tau starts at that step's root; the others start at the newest level
+    # a corrector whose reference is one step of the lower scheme starts at
+    # that step's root (for sp-cn, the Euler step at tau / 2, near its
+    # midpoint unknowns); an Euler step starts at the newest level
     cfg = SchemeConfig(scheme=scheme, N=24, tau=0.01, T=0.05, gamma=0.0)
     state = step(startup(cfg), cfg)  # a BDF2 scheme's second level
     calls = []
@@ -783,7 +800,7 @@ def test_corrector_start(monkeypatch, scheme):
     start = calls[-1][0]
     last = state.history[-1]
     kind = SPECS[scheme].kind
-    if SPECS[scheme].lower is not None and not SPECS[scheme].cn:
+    if SPECS[scheme].lower is not None:
         expected = calls[-2][1]  # the reference step's root
         assert not np.array_equal(start.X, last.curve.vertices)
     else:
