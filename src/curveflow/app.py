@@ -9,6 +9,7 @@ input error, 2 numerical failure (partial outputs are still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -19,10 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import read_snapshot, write_snapshot
+from .geometry import _write_text, read_snapshot, write_snapshot
 from .linalg import SolverError
 from .metrics import convergence_rows, manifold_distance, write_diagnostics_csv, write_eoc_csv
-from .schemes import SPECS, SchemeConfig, SchemeError, run
+from .schemes import SHAPES, SPECS, SchemeConfig, SchemeError, run
 
 __all__ = [
     "ConfigError",
@@ -53,13 +54,6 @@ def _number(text: str, where: str) -> float:
     if not np.isfinite(value):
         raise ConfigError(f"{where}: non-finite number '{text}'")
     return value
-
-
-def _integer(text: str, where: str) -> int:
-    value = _number(text, where)
-    if value != int(value):
-        raise ConfigError(f"{where}: expected an integer, got '{text}'")
-    return int(value)
 
 
 def _number_list(text: str, where: str) -> List[float]:
@@ -124,47 +118,25 @@ def parse_path_rule(text: str):
     return coef, exponent, resolve
 
 
-# config keys are SchemeConfig field names
-_SCHEME_FIELDS = {
-    "scheme": str,
-    "shape": str,
-    "a": "number",
-    "b": "number",
-    "width": "number",
-    "height": "number",
-    "N": "integer",
-    "tau": "number",
-    "T": "number",
-    "tol": "number",
-    "gamma": "number",
-    "max_newton": "integer",
-}
+# config keys are SchemeConfig's fields; a config file names its start shape
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(SchemeConfig) if f.name != "initial_curve"}
 
 
-def _scheme_kwargs(entries: Dict[str, Tuple[str, int]], path: str, skip=()) -> Dict[str, object]:
+def _build_scheme_config(entries, path: str, skip=(), **overrides) -> SchemeConfig:
+    # str fields pass through as text, the others as numbers; SchemeConfig
+    # checks every value, that N and max_newton are integers included
     kwargs: Dict[str, object] = {}
     for key, (value, lineno) in entries.items():
         if key in skip:
             continue
-        if key not in _SCHEME_FIELDS:
+        if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-        kind = _SCHEME_FIELDS[key]
-        where = f"{path}:{lineno}: {key}"
-        if kind is str:
-            kwargs[key] = value
-        elif kind == "integer":
-            kwargs[key] = _integer(value, where)
-        else:
-            kwargs[key] = _number(value, where)
-    return kwargs
-
-
-def _build_scheme_config(entries, path: str, skip=(), **overrides) -> SchemeConfig:
-    kwargs = _scheme_kwargs(entries, path, skip=skip)
+        text = _CONFIG_FIELDS[key].type in (str, "str")
+        kwargs[key] = value if text else _number(value, f"{path}:{lineno}: {key}")
     kwargs.update(overrides)
-    for required in ("scheme", "N", "tau", "T"):
-        if required not in kwargs:
-            raise ConfigError(f"{path}: missing required key '{required}'")
+    for field in _CONFIG_FIELDS.values():
+        if field.default is dataclasses.MISSING and field.name not in kwargs:
+            raise ConfigError(f"{path}: missing required key '{field.name}'")
     try:
         return SchemeConfig(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -172,21 +144,11 @@ def _build_scheme_config(entries, path: str, skip=(), **overrides) -> SchemeConf
 
 
 def _config_echo(config: SchemeConfig) -> Dict[str, object]:
-    echo: Dict[str, object] = {
-        "scheme": config.scheme,
-        "N": config.N,
-        "tau": config.tau,
-        "T": config.T,
-        "tol": config.tol,
-        "gamma": config.gamma_value,
-        "max_newton": config.max_newton,
-        "bdf_order": SPECS[config.scheme].order,
-        "shape": config.shape,
-    }
-    if config.shape == "ellipse":
-        echo.update(a=config.a, b=config.b)
-    elif config.shape == "rectangle":
-        echo.update(width=config.width, height=config.height)
+    # gamma resolved, and the parameters of the run's shape only
+    _, params = SHAPES[config.shape]
+    names = ("scheme", "N", "tau", "T", "tol", "max_newton", "shape", *params)
+    echo = {name: getattr(config, name) for name in names}
+    echo.update(gamma=config.gamma_value, bdf_order=SPECS[config.scheme].order)
     return echo
 
 
@@ -194,9 +156,7 @@ def _finish(out_dir: str, manifest: Dict[str, object], failure: Optional[str]) -
     # records a failure in the manifest, writes manifest.json, returns the exit code
     if failure is not None:
         manifest["failure"] = failure
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     if failure is not None:
         print(f"numerical failure: {failure}", file=sys.stderr)
         return 2

@@ -55,6 +55,7 @@ from .metrics import DiagnosticsRow, DiagnosticsSeries
 
 __all__ = [
     "SCHEMES",
+    "SHAPES",
     "SPECS",
     "SchemeSpec",
     "SchemeError",
@@ -115,7 +116,12 @@ SPECS = {
 # pd-euler only starts and predicts pd-bdf2; it is not offered as a scheme
 SCHEMES = tuple(name for name in SPECS if name != "pd-euler")
 
-_SHAPES = ("ellipse", "mikula", "rectangle")
+# each start shape's generator and the SchemeConfig fields it takes before N
+SHAPES = {
+    "ellipse": (generate_ellipse, ("a", "b")),
+    "mikula": (generate_mikula, ()),
+    "rectangle": (generate_rectangle, ("width", "height")),
+}
 
 
 class SchemeError(Exception):
@@ -181,8 +187,9 @@ class SchemeConfig:
     """Validated parameters of one simulation run.
 
     gamma = None selects the default modification threshold 50 * tau;
-    gamma = 0 disables mode switching entirely.  ``initial_curve`` overrides
-    the named generator shape.
+    gamma = 0 disables mode switching entirely.  ``shape`` names a row of
+    SHAPES, whose generator reads the fields that row lists (a, b or width,
+    height) and N; ``initial_curve`` overrides the named generator shape.
     """
 
     scheme: str
@@ -202,9 +209,9 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme '{self.scheme}' (expected one of {', '.join(SCHEMES)})")
-        if self.initial_curve is None and self.shape not in _SHAPES:
-            raise ValueError(f"unknown shape '{self.shape}' (expected one of {', '.join(_SHAPES)})")
-        if int(self.N) != self.N or self.N < 3:
+        if self.initial_curve is None and self.shape not in SHAPES:
+            raise ValueError(f"unknown shape '{self.shape}' (expected one of {', '.join(SHAPES)})")
+        if not math.isfinite(self.N) or int(self.N) != self.N or self.N < 3:
             raise ValueError(f"N must be an integer >= 3, got {self.N}")
         for name in ("tau", "T", "tol"):
             v = getattr(self, name)
@@ -215,7 +222,7 @@ class SchemeConfig:
             raise ValueError(f"T/tau must be a positive integer, got {ratio}")
         if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if int(self.max_newton) != self.max_newton or self.max_newton < 1:
+        if not math.isfinite(self.max_newton) or int(self.max_newton) != self.max_newton or self.max_newton < 1:
             raise ValueError(f"max_newton must be a positive integer, got {self.max_newton}")
         # an integral float such as 50.0 is accepted, and stored as an int
         for name in ("N", "max_newton"):
@@ -234,11 +241,8 @@ class SchemeConfig:
     def make_initial_curve(self) -> PolygonalCurve:
         if self.initial_curve is not None:
             return self.initial_curve
-        if self.shape == "ellipse":
-            return generate_ellipse(self.a, self.b, self.N)
-        if self.shape == "mikula":
-            return generate_mikula(self.N)
-        return generate_rectangle(self.width, self.height, self.N)
+        generate, params = SHAPES[self.shape]
+        return generate(*(getattr(self, name) for name in params), self.N)
 
 
 def newton_outer(

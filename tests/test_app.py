@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -181,15 +182,7 @@ def test_simulate_writes_outputs_and_matches_library_run(tmp_path):
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
-    assert manifest["config"]["scheme"] == "sp-euler"
-    assert manifest["config"]["N"] == 24
-    assert manifest["config"]["tau"] == 1.0 / 128.0
-    assert manifest["config"]["T"] == 1.0 / 16.0
-    assert manifest["config"]["gamma"] == 0.0
-    assert manifest["config"]["shape"] == "ellipse"
-    assert manifest["config"]["a"] == 2.0
-    assert manifest["config"]["b"] == 1.0
-    assert "bdf_order" in manifest["config"]
+    assert manifest["config"] == ECHOES["ellipse-simulate"][2]
     assert manifest["snapshot_times"] == [0.0, 0.03125, 0.0625]
     assert manifest["files"] == names[:1] + names[2:] + ["manifest.json"]
     assert manifest["switch_time"] is None
@@ -524,6 +517,97 @@ def test_converge_leaves_no_child_process(tmp_path, monkeypatch):
         )
         assert main(["converge", "--config", cfg]) == code
         assert multiprocessing.active_children() == [], code
+
+
+# ---------------------------------------------------------------------------
+# config keys and the manifest's config echo
+
+# (command, config body, the manifest's "config" object); the echoes are
+# literal dicts, so they cannot follow a change in the code that builds them
+ECHOES = {
+    "ellipse-simulate": (
+        "simulate",
+        SIMULATE_TEMPLATE,
+        {
+            "N": 24, "T": 0.0625, "a": 2.0, "b": 1.0, "bdf_order": 1, "gamma": 0.0, "max_newton": 100,
+            "scheme": "sp-euler", "shape": "ellipse", "tau": 0.0078125, "tol": 1e-10,
+        },
+    ),
+    "mikula-tol-max-newton": (
+        "simulate",
+        "scheme = sp-bdf2\nshape = mikula\nN = 32\ntau = 1/1000\nT = 4/1000\ntol = 1e-9\nmax_newton = 40\nout = {out}\n",
+        {
+            "N": 32, "T": 0.004, "bdf_order": 2, "gamma": 0.05, "max_newton": 40,
+            "scheme": "sp-bdf2", "shape": "mikula", "tau": 0.001, "tol": 1e-09,
+        },
+    ),
+    "rectangle-width-height": (
+        "simulate",
+        "scheme = ap-bdf2\nshape = rectangle\nwidth = 3\nheight = 1.5\nN = 24\ntau = 1/200\nT = 1/50\nout = {out}\n",
+        {
+            "N": 24, "T": 0.02, "bdf_order": 2, "gamma": 0.25, "height": 1.5, "max_newton": 100,
+            "scheme": "ap-bdf2", "shape": "rectangle", "tau": 0.005, "tol": 1e-10, "width": 3.0,
+        },
+    ),
+    "rectangle-converge": (
+        "converge",
+        "scheme = ap-bdf2\nshape = rectangle\nT = 1/50\ntaus = 1/100 1/200\npath = 0.2h\nout = {out}\n",
+        {
+            "N": 20, "T": 0.02, "bdf_order": 2, "gamma": 0.0, "height": 1.0, "max_newton": 100,
+            "scheme": "ap-bdf2", "shape": "rectangle", "tau": 0.01, "tol": 1e-10, "width": 4.0,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ECHOES))
+def test_manifest_echoes_the_run_config_and_its_shape_parameters(tmp_path, monkeypatch, case):
+    # a converge echo is level 0's config, with switching disabled
+    usable_cpus(monkeypatch, 1)
+    command, body, echo = ECHOES[case]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", body.format(out=out))
+    assert main([command, "--config", cfg]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"] == echo
+
+
+def test_every_config_key_reaches_scheme_config(tmp_path, monkeypatch):
+    values = {
+        "scheme": "ap-bdf3", "shape": "rectangle", "a": 3.0, "b": 0.5, "width": 2.0, "height": 1.5,
+        "N": 40, "tau": 0.01, "T": 0.05, "tol": 1e-8, "gamma": 0.5, "max_newton": 7,
+    }
+    defaults = SchemeConfig(scheme="sp-euler", N=3, tau=1.0, T=1.0)
+    keys = {f.name for f in dataclasses.fields(SchemeConfig)} - {"initial_curve"}
+    assert set(values) == keys
+    assert all(getattr(defaults, key) != value for key, value in values.items())
+
+    seen = []
+
+    def capture(config, snapshot_times=()):
+        seen.append(config)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(curveflow.app, "run", capture)
+    body = "".join(f"{key} = {value}\n" for key, value in values.items())
+    cfg = write_config(tmp_path / "run.cfg", body)
+    assert main(["simulate", "--config", cfg]) == 1
+    assert seen == [SchemeConfig(**values)]
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("initial_curve", "1", "unknown key 'initial_curve'"),
+        ("N", "8.5", "N must be an integer"),
+        ("max_newton", "2.5", "max_newton must be a positive integer"),
+    ],
+)
+def test_config_key_errors_name_the_key(tmp_path, capsys, key, value, named):
+    entries = {"scheme": "sp-euler", "N": "8", "tau": "0.1", "T": "0.2", key: value, "out": tmp_path / "out"}
+    cfg = write_config(tmp_path / "run.cfg", "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    assert main(["simulate", "--config", cfg]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,10 @@ def test_config_validation():
         SchemeConfig(**{**good, "gamma": -1.0})
     with pytest.raises(ValueError):
         SchemeConfig(**{**good, "max_newton": 0})
+    # a non-integral N or max_newton, inf and nan included, is a ValueError that names it
+    for name, value in (("N", math.inf), ("N", math.nan), ("max_newton", math.inf), ("max_newton", 2.5)):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SchemeConfig(**{**good, name: value})
     with pytest.raises(ValueError, match="T/tau must be a positive integer, got inf"):
         SchemeConfig(**{**good, "scheme": "sp-bdf2", "tau": 1e-320, "T": 0.8})  # T / tau overflows
     # integral floats are accepted, and stored as the integers they are
