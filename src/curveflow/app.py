@@ -69,7 +69,7 @@ def parse_config_file(path: str) -> Dict[str, Tuple[str, int]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -122,15 +122,16 @@ def parse_path_rule(text: str):
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(SchemeConfig) if f.name != "initial_curve"}
 
 
-def _build_scheme_config(entries, path: str, skip=(), **overrides) -> SchemeConfig:
+def _build_scheme_config(entries, path: str, **overrides) -> SchemeConfig:
     # str fields pass through as text, the others as numbers; SchemeConfig
-    # checks every value, that N and max_newton are integers included
+    # checks every value, that N and max_newton are integers included.  A
+    # key the caller sets (a study's N, tau and gamma) may not be in the file
     kwargs: Dict[str, object] = {}
     for key, (value, lineno) in entries.items():
-        if key in skip:
-            continue
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in overrides:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' is set by the study, not by its config file")
         text = _CONFIG_FIELDS[key].type in (str, "str")
         kwargs[key] = value if text else _number(value, f"{path}:{lineno}: {key}")
     kwargs.update(overrides)
@@ -238,10 +239,7 @@ def cli_converge(config_path: str) -> int:
     _, _, resolve = parse_path_rule(path_value)
 
     # accuracy studies run the pure schemes: mode switching disabled
-    configs = [
-        _build_scheme_config(entries, config_path, skip=("N", "tau", "gamma"), N=resolve(tau), tau=tau, gamma=0.0)
-        for tau in taus
-    ]
+    configs = [_build_scheme_config(entries, config_path, N=resolve(tau), tau=tau, gamma=0.0) for tau in taus]
     workers = _pool_size(len(configs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -413,47 +413,34 @@ def _initial_state(config: SchemeConfig) -> SchemeState:
     )
 
 
-def _substepped_startup(config: SchemeConfig, spec: SchemeSpec) -> SchemeState:
-    """History for an order-k AP run: one `run` of the order (k-1) scheme
-    over [0, min(k-1, n_steps) tau] at substep sigma = tau / n_sub, n_sub =
-    ceil(tau^(-1/(k-1))), so the startup error sigma^(k-1) <= tau^k.  Its
-    snapshots at 0, tau, ... become the history levels, with the
-    multipliers and mode of their rows; a level's newton_iters sums the
-    rows of its tau interval.  A failed sub-run raises its failure."""
-    k, tau = spec.order, config.tau
-    n_sub = max(1, math.ceil(tau ** (-1.0 / (k - 1)) - 1e-12))
-    sub_cfg = replace(config, scheme=spec.lower, tau=tau / n_sub, T=min(k - 1, config.n_steps) * tau, gamma=0.0)
-    sub = run(sub_cfg, [j * tau for j in range(k)])
-    if sub.failure is not None:
-        raise sub.failure
-    levels = []
-    for j, snap in enumerate(sub.snapshots):
-        m = j * n_sub  # the row of level j, which ends its tau interval
-        row = sub.series.rows[m]
-        iters = sum(r.newton_iters for r in sub.series.rows[max(0, m - n_sub + 1) : m + 1])
-        levels.append(_level(snap.curve, snap.kappa, row.lam, row.eta, iters, row.mode))
-    return SchemeState(
-        history=deque(levels, maxlen=5),
-        step_index=len(levels) - 1,
-        tau=tau,
-        A0=levels[0].A,
-        L0=levels[0].L,
-    )
-
-
 def startup(config: SchemeConfig) -> SchemeState:
     """Initial SchemeState of a run.
 
     Level 0 uses the generated curve with least-squares curvature and zero
     multipliers; it is the whole start of a one- or two-level scheme, whose
-    first `step` is that of its lower-order relative.  Order 3 and 4 AP
-    schemes fill their history by substepping with the next-lower order (see
-    _substepped_startup).
+    first `step` is that of its lower-order relative.  An order-k AP scheme
+    with k > 2 fills its history by stepping the order (k-1) scheme over
+    [0, min(k-1, n_steps) tau] at substep sigma = tau / n_sub, n_sub =
+    ceil(tau^(-1/(k-1))), so the startup error sigma^(k-1) <= tau^k.  Every
+    n_sub-th substep level becomes a history level, whose newton_iters sums
+    the substeps of its tau interval.  A failed substep raises its failure.
     """
     spec = SPECS[config.scheme]
-    if spec.order > 2:
-        return _substepped_startup(config, spec)
-    return _initial_state(config)
+    if spec.order <= 2:
+        return _initial_state(config)
+    k, tau = spec.order, config.tau
+    n_sub = max(1, math.ceil(tau ** (-1.0 / (k - 1)) - 1e-12))
+    sub_cfg = replace(config, scheme=spec.lower, tau=tau / n_sub, T=min(k - 1, config.n_steps) * tau, gamma=0.0)
+    sub = startup(sub_cfg)
+    substeps = list(sub.history)
+    while sub.step_index < sub_cfg.n_steps:
+        sub = step(sub, sub_cfg)
+        substeps.append(sub.history[-1])
+    levels = [
+        substeps[m]._replace(newton_iters=sum(e.newton_iters for e in substeps[max(0, m - n_sub + 1) : m + 1]))
+        for m in range(0, len(substeps), n_sub)
+    ]
+    return replace(sub, history=deque(levels, maxlen=5), step_index=len(levels) - 1, tau=tau)
 
 
 class Snapshot(NamedTuple):

@@ -34,6 +34,18 @@ def usable_cpus(monkeypatch, cpus) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
+def cli_in_fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter, so that an uncaught exception shows as a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curveflow.app.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "curveflow.app", *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def unit_square_curve(x0: float = 0.0) -> PolygonalCurve:
     return PolygonalCurve(
         np.array([[x0, 0.0], [x0 + 1.0, 0.0], [x0 + 1.0, 1.0], [x0, 1.0]])
@@ -78,6 +90,16 @@ def test_parse_config_rejects_bare_line(tmp_path):
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read config"):
         parse_config_file("/nonexistent/run.cfg")
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    # a Latin-1 comment: exit 1 with a message, not a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("# caf\u00e9\nscheme = sp-euler\nN = 8\ntau = 0.1\nT = 0.2\n".encode("latin-1"))
+    proc = cli_in_fresh_interpreter("simulate", "--config", str(cfg))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot read config '{cfg}'"), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -458,22 +480,26 @@ def test_converge_rejects_incomplete_studies(tmp_path, body):
     ids=["negative", "zero", "N-overflows"],
 )
 def test_converge_rejects_a_tau_its_path_rule_cannot_resolve(tmp_path, taus, named):
-    # a fresh interpreter, so that an uncaught exception shows as a traceback
     cfg = write_config(
         tmp_path / "study.cfg",
         f"scheme = ap-bdf3\nT = 0.02\ntaus = {taus}\npath = 0.05h^(2/3)\nout = {tmp_path / 'out'}\n",
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(curveflow.app.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "curveflow.app", "converge", "--config", cfg],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = cli_in_fresh_interpreter("converge", "--config", cfg)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:") and named in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("N", "5"), ("tau", "7"), ("gamma", "0.3")])
+def test_converge_rejects_a_key_the_study_sets(tmp_path, capsys, key, value):
+    # N comes from the path rule, tau from taus, and gamma is 0 in a study
+    cfg = write_config(
+        tmp_path / "study.cfg",
+        f"scheme = sp-euler\nT = 0.02\ntaus = 0.005 0.0025\npath = 0.05h\n{key} = {value}\nout = {tmp_path / 'out'}\n",
+    )
+    assert main(["converge", "--config", cfg]) == 1
+    assert f"study.cfg:5: key '{key}' is set by the study" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

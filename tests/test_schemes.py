@@ -517,16 +517,26 @@ def test_step_from_too_few_levels_is_the_lower_schemes_step(scheme, lower):
 def test_substepped_startup_rows_count_their_substeps(scheme, n_sub):
     # n_sub = ceil(tau^(-1/(k-1))) at tau = 0.01; row j of the run reports
     # the Newton iterations of the substeps that fill (j-1) tau .. j tau, as
-    # a run of the lower scheme at tau / n_sub reports them
+    # a run of the lower scheme at tau / n_sub reports them; the startup's
+    # levels are that run's levels at 0, tau, ..., (k-1) tau, bit for bit
     k, tau = SPECS[scheme].order, 0.01
-    rows = run(SchemeConfig(scheme=scheme, N=16, tau=tau, T=5 * tau, gamma=0.0)).series.rows
-    sub = run(SchemeConfig(scheme=SPECS[scheme].lower, N=16, tau=tau / n_sub, T=(k - 1) * tau, gamma=0.0))
+    cfg = SchemeConfig(scheme=scheme, N=16, tau=tau, T=5 * tau, gamma=0.0)
+    rows = run(cfg).series.rows
+    sub_cfg = SchemeConfig(scheme=SPECS[scheme].lower, N=16, tau=tau / n_sub, T=(k - 1) * tau, gamma=0.0)
+    sub = run(sub_cfg, [j * tau for j in range(k)])
     assert sub.ok, sub.failure
     sub_iters = [row.newton_iters for row in sub.series.rows]
     assert len(sub_iters) == (k - 1) * n_sub + 1
     expected = [sum(sub_iters[(j - 1) * n_sub + 1 : j * n_sub + 1]) for j in range(1, k)]
     assert [row.newton_iters for row in rows[1:k]] == expected
     assert [row.mode for row in rows[1:k]] == ["AP"] * (k - 1)
+    history = list(startup(cfg).history)
+    assert len(history) == len(sub.snapshots) == k
+    for j, (level, snap) in enumerate(zip(history, sub.snapshots)):
+        row = sub.series.rows[j * n_sub]
+        assert np.array_equal(level.curve.vertices, snap.curve.vertices)
+        assert np.array_equal(level.kappa, snap.kappa)
+        assert (level.lam, level.eta, level.mode) == (row.lam, row.eta, row.mode)
 
 
 @pytest.mark.parametrize("scheme, n_steps", [("ap-bdf3", 1), ("ap-bdf4", 1), ("ap-bdf4", 2)])
