@@ -27,7 +27,7 @@ multipliers present.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "NewtonIterate",
     "NewtonBlocks",
     "assemble_newton_blocks",
+    "area_law_coefficients",
 ]
 
 
@@ -181,10 +182,11 @@ class SchemeContext:
 class _RunTerms:
     """The residual terms of one Newton run (same ctx, ref and tau) that do
     not depend on the iterate: the anchor Y with its Y_{k+1}, g and |g|, the
-    laws' constant parts and the area row's scale, and the velocity rows'
-    history term and mass factor."""
+    end level's factor, the laws' constant parts and the area row's scale,
+    and the velocity rows' history term and mass factor."""
 
     def __init__(self, ctx: SchemeContext, ref: ReferenceGeometry, tau: float) -> None:
+        self.end = ctx.end
         self.s_flux = tau / ctx.delta0
         # the velocity rows' history term and mass factor
         self.hist = 1.0 / ctx.delta0 * (ctx.xhist * ref.omega).sum(axis=1)
@@ -332,11 +334,35 @@ def assemble_newton_blocks(
         dL = float(per_edge.sum())
         rhs[3 * n] = -((ctx.dL0 * dL + terms.law) / tau + float(kap @ Skap))
     if ctx.use_area:
-        # cross = d_k x Z_{k+1} + Y_k x d_{k+1}
-        c = d * Zn[:, ::-1]
-        e = terms.Y * dn[:, ::-1]
-        cross = c[:, 0] - c[:, 1]
-        cross += e[:, 0]
-        cross -= e[:, 1]
-        rhs[-1] = -(terms.area + 0.5 * float(cross.sum()))
+        rhs[-1] = -_area_residual(terms, d, dn, Zn)
     return NewtonBlocks(P, Q, R, a1, a2, rows, rhs, terms)
+
+
+def _area_residual(terms: _RunTerms, d: np.ndarray, dn: np.ndarray, Zn: np.ndarray) -> float:
+    # the area law (A(Y) - A0) + 1/2 sum_k [d_k x Z_{k+1} + Y_k x d_{k+1}]
+    # on the end level Z = Y + d, with Z_{k+1} and d_{k+1}
+    c = d * Zn[:, ::-1]
+    e = terms.Y * dn[:, ::-1]
+    cross = c[:, 0] - c[:, 1]
+    cross += e[:, 0]
+    cross -= e[:, 1]
+    return terms.area + 0.5 * float(cross.sum())
+
+
+def area_law_coefficients(blocks: NewtonBlocks, X: np.ndarray, v: np.ndarray) -> Tuple[float, float, float]:
+    """(c0, c1, c2) of the area law of the run of ``blocks`` on the line of
+    iterates X - s v: its residual there is exactly c0 + c1 s + c2 s^2, as
+    the shoelace area is quadratic.  With the end level Z of X and w = end v
+    (Z moves by -s w), c0 is the residual at X, in the increment form of
+    the area row; c1 = -grad A(Z) . w, where grad A(Z)_k is
+    ((Z_{k+1} - Z_{k-1})_y, -(Z_{k+1} - Z_{k-1})_x) / 2; and c2 is the
+    shoelace area of w."""
+    terms = blocks.work
+    Z, w = X, v
+    if terms.end != 1.0:
+        Z, w = terms.Y + terms.end * (X - terms.Y), terms.end * v
+    Zn = np.concatenate((Z[1:], Z[:1]))
+    c0 = _area_residual(terms, Z - terms.Y, Zn - terms.Yn, Zn)
+    t = Zn - np.concatenate((Z[-1:], Z[:-1]))  # Z_{k+1} - Z_{k-1}
+    c1 = -0.5 * (float(np.dot(w[:, 0], t[:, 1])) - float(np.dot(w[:, 1], t[:, 0])))
+    return c0, c1, _shoelace(w)

@@ -23,9 +23,10 @@ border columns parallel).
 A Newton run builds one `BorderedSystem`, in its first iteration: the
 factored core, which is fixed through the run (Q's diagonal holds lam M
 of the run's start, see NewtonBlocks), and the solve of the eta column,
-which is fixed too.  Each iteration passes its own `NewtonBlocks` to the
-solve, which gathers their rhs, border rows and lam column into folded
-order and makes one banded solve, of the rhs and the lam column together.
+which is fixed too (an AP run also moves along it, see eta_core_solve).
+Each iteration passes its own `NewtonBlocks` to the solve, which gathers
+their rhs, border rows and lam column into folded order and makes one
+banded solve, of the rhs and the lam column together.
 The multipliers come from a 1 x 1 or 2 x 2 Schur step in Python floats, with
 closed-form singular values for the degeneracy verdict.
 """
@@ -50,6 +51,7 @@ __all__ = [
     "BorderedSystem",
     "assemble_system",
     "solve_bordered",
+    "eta_core_solve",
 ]
 
 
@@ -194,6 +196,13 @@ def assemble_system(blocks: NewtonBlocks) -> BorderedSystem:
         np.take(blocks.a2, fold.vertex, out=system.stack[2::3, nb])
         _band_solve(system, system.stack[:, nb:])
     return system
+
+
+def eta_core_solve(system: BorderedSystem) -> np.ndarray:
+    """The core solve of the eta column that the assembly took, in block
+    order: positions (interleaved), then curvatures.  Only for a system
+    whose blocks carry an eta column."""
+    return system.stack[:, -1][_fold(system.core.shape[0] // 3).inverse]
 
 
 def _band_solve(system: BorderedSystem, cols: np.ndarray) -> None:

@@ -37,6 +37,7 @@ from .femcore import (
     NewtonIterate,
     ReferenceGeometry,
     SchemeContext,
+    area_law_coefficients,
     assemble_newton_blocks,
     initial_curvature,
 )
@@ -50,7 +51,7 @@ from .geometry import (
     perimeter,
     signed_area,
 )
-from .linalg import EquilibriumDegeneracyError, SolverError, assemble_system, solve_bordered
+from .linalg import EquilibriumDegeneracyError, SolverError, assemble_system, eta_core_solve, solve_bordered
 from .metrics import DiagnosticsRow, DiagnosticsSeries
 
 __all__ = [
@@ -129,7 +130,9 @@ class SchemeError(Exception):
 
 
 class NewtonDivergenceError(SchemeError):
-    """Newton iteration exhausted max_newton without meeting the tolerance."""
+    """A Newton run found no root: it exhausted max_newton without meeting
+    the tolerance, took a non-finite update, or (AP) met an area law with
+    no real root on its eta line."""
 
     def __init__(self, message: str, last_norm: float) -> None:
         super().__init__(message)
@@ -253,9 +256,22 @@ def newton_outer(
 ) -> Tuple[NewtonIterate, int]:
     """Newton iteration on the blocks supplied by ``model``.
 
-    Applies full updates Delta_k and stops after the first update k that
-    meets either exit, with the norm |Delta| = max(|dX|_inf, |dkappa|_inf,
-    |dlam|, |deta|):
+    A run whose blocks carry no lam column (AP) ends after its first
+    iteration, whatever tol and max_newton are.  Its rows other than the
+    area law are linear in (X, kappa, eta), with the exact Jacobian (lam is
+    0), so the first update meets them, and so does every point of the line
+    (X, kappa) - s y, eta + s, with y the eta column's core solve.  On that
+    line the area law's residual is exactly c0 + c1 s + c2 s^2 (see
+    area_law_coefficients), and the run returns its root nearest 0,
+    s = c0 / q with q = -(c1 + sign(c1) sqrt(c1^2 - 4 c0 c2)) / 2, in place
+    of a Newton iteration on that reduced scalar equation (Deuflhard, Newton
+    Methods for Nonlinear Problems, 2004, ch. 2).  A negative or NaN
+    discriminant, or a law constant and nonzero on the line, raises
+    NewtonDivergenceError naming the area law.
+
+    Otherwise (SP, PD) it applies full updates Delta_k and stops after the
+    first update k that meets either exit, with the norm |Delta| =
+    max(|dX|_inf, |dkappa|_inf, |dlam|, |deta|):
 
     * |Delta_k| <= tol (even a start that is already a root costs one
       linear solve);
@@ -263,10 +279,9 @@ def newton_outer(
       satisfies theta_k < 1/2 and theta_k |Delta_k| <= tol, while lam still
       equals the start's.  For a contracting iteration theta_k |Delta_k|
       estimates the size of the next update, so the solve that would only
-      show it below tol is skipped (Deuflhard, Newton Methods for Nonlinear
-      Problems, 2004, ch. 2).  That needs Newton's quadratic contraction:
-      once lam moves, the held lam M (below) makes it linear, and an
-      early theta_k can understate the later ones.
+      show it below tol is skipped (Deuflhard, ch. 2).  That needs Newton's
+      quadratic contraction: once lam moves, the held lam M (below) makes
+      it linear, and an early theta_k can understate the later ones.
 
     Returns (iterate, iterations).  A non-finite update component raises
     NewtonDivergenceError at once, with last_norm = inf.
@@ -302,6 +317,20 @@ def newton_outer(
         dlam = float(z[3 * n]) if blocks.a1 is not None else 0.0
         deta = float(z[-1]) if blocks.a2 is not None else 0.0
         it = NewtonIterate(it.X + z[: 2 * n].reshape(n, 2), it.kappa + z[2 * n : 3 * n], it.lam + dlam, it.eta + deta)
+        if blocks.a1 is None:
+            # AP: the linear rows hold on the line (X, kappa) - s y, eta + s,
+            # with y the eta column's core solve; the area law's root nearest 0
+            y = eta_core_solve(system)
+            yX = y[: 2 * n].reshape(n, 2)
+            c0, c1, c2 = area_law_coefficients(blocks, it.X, yX)
+            disc = c1 * c1 - 4.0 * c0 * c2
+            q = -0.5 * (c1 + math.copysign(math.sqrt(max(disc, 0.0)), c1))
+            # a NaN discriminant fails the test too; q = 0 leaves r = c0 constant
+            if not disc >= 0.0 or (q == 0.0 and c0 != 0.0):
+                message = f"the area law has no real root on the eta line (discriminant {disc:.3e})"
+                raise NewtonDivergenceError(message, last_norm=norm)
+            s = c0 / q if q != 0.0 else 0.0
+            return NewtonIterate(it.X - s * yX, it.kappa - s * y[2 * n :], it.lam, it.eta + s), iteration
         if norm <= tol:
             return it, iteration
         theta = norm / previous_norm  # 0 in the first iteration, which has no estimate

@@ -37,26 +37,26 @@ GOLDEN = {
     ("sp-bdf2", "ellipse"): ("19f89de65f67b1ef", "a8a7cad0f799eacf"),
     ("sp-bdf2-variant", "ellipse"): ("7caa26ddeaf5c429", "b7f79e4257968633"),
     ("pd-bdf2", "ellipse"): ("4693f3eeb70e53e9", "4085981c79308296"),
-    ("ap-bdf1", "ellipse"): ("19b4f72126453390", "d457eddd660d822f"),
-    ("ap-bdf2", "ellipse"): ("3afd4b3847e01dae", "dd4c8f85325e4da3"),
-    ("ap-bdf3", "ellipse"): ("c709c5ec9093a023", "79cd295cbf3813ab"),
-    ("ap-bdf4", "ellipse"): ("0fddc083aa052ba5", "8ccfa8f8b384315b"),
+    ("ap-bdf1", "ellipse"): ("0f39a40f0f7e4850", "5b429eefe879bc05"),
+    ("ap-bdf2", "ellipse"): ("28b049a9aaffe1d6", "eb0fdd304bdc7bca"),
+    ("ap-bdf3", "ellipse"): ("acb5ef2e33606f87", "686ea070692385cd"),
+    ("ap-bdf4", "ellipse"): ("c31b18f8510253c5", "5322fb5055ff7990"),
     ("sp-euler", "mikula"): ("51006b05203aa818", "b88b4873b99bc56d"),
     ("sp-cn", "mikula"): ("04285c14d40421f2", "18ccf63a9b37338a"),
     ("sp-bdf2", "mikula"): ("3ff10d123466a1fb", "8c56edc193c4a822"),
     ("sp-bdf2-variant", "mikula"): ("7fbce57bd944ae13", "7b332b592a962c27"),
     ("pd-bdf2", "mikula"): ("2bc66be704bec09c", "88514bb7e4957a4c"),
-    ("ap-bdf1", "mikula"): ("0695bc50e3512f3b", "878b96fc16559bc6"),
-    ("ap-bdf2", "mikula"): ("dddd0ca730c4f85b", "8f335c625ac5fadd"),
-    ("ap-bdf3", "mikula"): ("b6dfe65642234056", "bc82151d8ae66d41"),
-    ("ap-bdf4", "mikula"): ("21dd7228cb45bd86", "7211fac462423e62"),
-    ("sp-bdf2", "circle"): ("d53a744434c7d601", "acf4352a28a92d8a"),
+    ("ap-bdf1", "mikula"): ("d8c886b92aadb28c", "74f32ff48554d455"),
+    ("ap-bdf2", "mikula"): ("86f29986d9e35dcc", "036cac0cb9cb3ed8"),
+    ("ap-bdf3", "mikula"): ("109e0daf45b62c1b", "55237adf975062be"),
+    ("ap-bdf4", "mikula"): ("de6e0bb7d6b44682", "8dc6e92c1252b2b0"),
+    ("sp-bdf2", "circle"): ("26924c1b28f0b392", "6f694d75bf8bdcc0"),
 }
 
 # the circle run's final level through write_snapshot, and the eoc.csv of an
 # ap-bdf3 study: tau = 1/100, 1/200, 1/400 on the path 0.05 h^(2/3) to T = 0.02
-SNAPSHOT_GOLDEN = "116cb003d0f2fb06"
-EOC_GOLDEN = "453769f4bae782ad"
+SNAPSHOT_GOLDEN = "49e66c660a15c66f"
+EOC_GOLDEN = "5a7e9b51fca1d581"
 
 pinned = pytest.mark.skipif(
     (np.__version__, scipy.__version__) != VERSIONS,

@@ -426,10 +426,8 @@ def test_blocks_built_from_an_earlier_iterate_are_bitwise_the_fresh_ones(use_are
     _check_blocks_built_from_an_earlier_iterate(ctx, ReferenceGeometry(v), first, later, 1e-3)
 
 
-@pytest.mark.parametrize("scheme", ["sp-bdf2", "pd-bdf2", "ap-bdf2", "sp-cn"])
-def test_blocks_of_captured_iterates_are_bitwise_the_fresh_ones(scheme, monkeypatch):
-    # the first two iterates of the last Newton run of a short run of each
-    # family: SP, PD, AP, and SP with Crank-Nicolson's midpoint step
+def _captured_runs(scheme, monkeypatch):
+    # (ctx, ref, tau, iterates) of every Newton run of a short run on mikula
     runs = []
 
     def capture(ctx, ref, it, tau, previous=None):
@@ -441,9 +439,24 @@ def test_blocks_of_captured_iterates_are_bitwise_the_fresh_ones(scheme, monkeypa
     monkeypatch.setattr(curveflow.schemes, "assemble_newton_blocks", capture)
     result = run(SchemeConfig(scheme=scheme, N=24, tau=1e-3, T=3e-3, gamma=0.0, shape="mikula"))
     assert result.ok, result.failure
-    ctx, ref, tau, iterates = runs[-1]
+    return runs
+
+
+@pytest.mark.parametrize("scheme", ["sp-bdf2", "pd-bdf2", "sp-cn"])
+def test_blocks_of_captured_iterates_are_bitwise_the_fresh_ones(scheme, monkeypatch):
+    # the first two iterates of the last Newton run of a short run of each
+    # family that iterates: SP, PD, and SP with Crank-Nicolson's midpoint step
+    ctx, ref, tau, iterates = _captured_runs(scheme, monkeypatch)[-1]
     assert len(iterates) >= 2 and (ctx.end == 2.0) == (scheme == "sp-cn")
     _check_blocks_built_from_an_earlier_iterate(ctx, ref, iterates[0], iterates[1], tau)
+
+
+def test_ap_newton_runs_assemble_once(monkeypatch):
+    # an AP run meets its area law in closed form after its first solve, so
+    # it has no second iterate to build blocks from the first one's
+    runs = _captured_runs("ap-bdf2", monkeypatch)
+    assert len(runs) == 5  # three correctors, the first an ap-bdf1 step, and two ap-bdf1 references
+    assert all(len(iterates) == 1 for *_, iterates in runs)
 
 
 def test_newton_run_at_large_n_keeps_memory_to_its_buffers():

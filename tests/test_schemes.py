@@ -9,11 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curveflow.femcore import initial_curvature
+from curveflow.femcore import NewtonIterate, ReferenceGeometry, SchemeContext, assemble_newton_blocks, initial_curvature
 from curveflow.geometry import PolygonalCurve, generate_ellipse, generate_mikula
 import curveflow.linalg
 import curveflow.schemes
-from curveflow.femcore import NewtonIterate
 from curveflow.linalg import EquilibriumDegeneracyError
 from curveflow.schemes import (
     SCHEMES,
@@ -377,6 +376,58 @@ def test_ap_bdf4_on_mikula_completes():
     assert all(abs(r.dA) < 1e-9 for r in result.series.rows)
 
 
+@pytest.mark.parametrize("scheme, N, tau, T", [("ap-bdf1", 8, 1e-10, 1e-9), ("ap-bdf4", 64, 1e-5, 4e-5)])
+def test_ap_runs_at_a_small_step_complete(scheme, N, tau, T):
+    # eta enters the velocity rows through tau m, so its round-off is of
+    # order eps / tau; an update norm that took |d eta| in kept these runs
+    # (ap-bdf4 in its startup, at sigma = tau / 47) above tol for good.  An
+    # AP Newton run meets its area law in closed form instead
+    cfg = SchemeConfig(scheme=scheme, N=N, tau=tau, T=T, gamma=0.0)
+    result = run(cfg)
+    assert result.ok, result.failure
+    assert len(result.series.rows) == cfg.n_steps + 1
+    assert all(abs(r.dA) <= 1e-14 for r in result.series.rows)
+
+
+@pytest.mark.parametrize("end", [1.0, 2.0])
+def test_ap_newton_run_meets_the_area_law_in_one_solve(end):
+    # random AP systems: one Newton iteration and one bordered solve give a
+    # root whose end level Y + end (X - Y) has the loop oracle's area A0,
+    # and whose other rows hold to the rounding of their terms
+    for _ in range(10):
+        n = int(rng.integers(5, 40))
+        theta = 2.0 * np.pi * (np.arange(n) + 0.3 * rng.random(n)) / n
+        Y = (1.0 + 0.3 * rng.random(n))[:, None] * np.column_stack((np.cos(theta), np.sin(theta)))
+        delta0 = float(rng.uniform(1.0, 2.0))
+        A0 = oracles.loop_shoelace(Y) * (1.0 + 0.01 * rng.standard_normal())
+        ctx = SchemeContext(delta0=delta0, xhist=-delta0 * Y, anchor=Y, end=end, use_perimeter=False, A0=A0)
+        ref, tau = ReferenceGeometry(Y), float(10.0 ** rng.uniform(-5, -1))
+        start = NewtonIterate(Y.copy(), initial_curvature(Y), 0.0, float(rng.standard_normal()))
+        calls = []
+
+        def model(it, previous):
+            calls.append(previous)
+            return assemble_newton_blocks(ctx, ref, it, tau, previous)
+
+        it, iterations = newton_outer(model, start, tol=1e-10, max_newton=5)
+        assert iterations == 1 and calls == [None]
+        assert abs(oracles.loop_shoelace(Y + end * (it.X - Y)) - A0) <= 1e-13 * abs(A0)
+        value, size = oracles.template_residual(ctx, Y, it, tau)
+        assert np.all(np.abs(value[:-1]) <= 1e-13 * size[:-1])
+
+
+def test_ap_newton_run_without_a_real_root_names_the_area_law():
+    # a negative target area: on the eta line the curve grows or shrinks
+    # about its centre, its area is a convex quadratic whose least value is
+    # about 0, and no iterate of the line meets the law
+    v = generate_ellipse(2.0, 1.0, 16).vertices
+    ctx = SchemeContext(delta0=1.0, xhist=-v, anchor=v, use_perimeter=False, A0=-oracles.loop_shoelace(v))
+    ref = ReferenceGeometry(v)
+    start = NewtonIterate(v.copy(), initial_curvature(v), 0.0, 0.0)
+    with pytest.raises(NewtonDivergenceError, match=r"area law has no real root .*\(discriminant -\d"):
+        newton_outer(lambda it, previous: assemble_newton_blocks(ctx, ref, it, 1e-3, previous), start, tol=1e-10, max_newton=5)
+
+
 @pytest.mark.parametrize("shape", ["ellipse", "mikula"])
 def test_every_newton_root_meets_the_template_to_tol(monkeypatch, shape):
     # every root a run accepts (corrector, reference step, startup substep)
@@ -427,8 +478,6 @@ _MODE_CASES = [
     (scheme, k, T)
     for scheme in ("sp-bdf2", "ap-bdf2", "ap-bdf3", "sp-cn", "sp-bdf2-variant", "pd-bdf2", "ap-bdf4", "sp-euler", "ap-bdf1")
     for k, T in ((2, 0.05), (3, 0.01))
-    # ap-bdf4's startup at tau = 5e-5 stalls: its eta updates stay near 1e-9
-    if (scheme, k) != ("ap-bdf4", 3)
 ]
 
 
@@ -717,7 +766,11 @@ def test_core_factorizations_per_newton_run(monkeypatch, scheme):
     monkeypatch.setattr(curveflow.schemes, "assemble_system", recorded)
     result = run(SchemeConfig(scheme=scheme, N=24, tau=0.01, T=0.05, gamma=0.0))
     assert result.ok, result.failure
-    assert len(solves) > counts["newton"] > 0
+    if SPECS[scheme].kind == "AP":
+        # an AP run meets its area law in closed form after one solve
+        assert len(solves) == counts["newton"] > 0
+    else:
+        assert len(solves) > counts["newton"] > 0
     assert counts["factor"] == counts["newton"] == len(assemblies)
     eta_runs = sum(assemblies)
     assert eta_runs == (counts["newton"] if scheme != "pd-bdf2" else 0)
@@ -838,11 +891,13 @@ def test_failure_is_captured_not_raised():
         assert result.failure.last_norm > 0
 
 
-def test_failed_startup_keeps_the_snapshot_of_its_row():
+def test_failed_startup_keeps_the_snapshot_of_its_row(monkeypatch):
     # a run that fails inside the startup keeps row 0, and with it the t=0
-    # snapshot, as a run that fails in its first step does
+    # snapshot, as a run that fails in its first step does.  The failure:
+    # an area law with no real root, r(s) = 1 + s^2, in its first Newton run
     T = 0.05
-    cfg = SchemeConfig(scheme="ap-bdf3", N=32, tau=0.01, T=T, shape="mikula", max_newton=1, gamma=0.0)
+    cfg = SchemeConfig(scheme="ap-bdf3", N=32, tau=0.01, T=T, shape="mikula", gamma=0.0)
+    monkeypatch.setattr(curveflow.schemes, "area_law_coefficients", lambda blocks, X, v: (1.0, 0.0, 1.0))
     result = run(cfg, snapshot_times=[0.0, T / 2, T])
     assert isinstance(result.failure, NewtonDivergenceError)
     assert len(result.series.rows) == 1
