@@ -270,18 +270,9 @@ def newton_outer(
     NewtonDivergenceError naming the area law.
 
     Otherwise (SP, PD) it applies full updates Delta_k and stops after the
-    first update k that meets either exit, with the norm |Delta| =
-    max(|dX|_inf, |dkappa|_inf, |dlam|, |deta|):
-
-    * |Delta_k| <= tol (even a start that is already a root costs one
-      linear solve);
-    * k >= 2 and the contraction estimate theta_k = |Delta_k| / |Delta_{k-1}|
-      satisfies theta_k < 1/2 and theta_k |Delta_k| <= tol, while lam still
-      equals the start's.  For a contracting iteration theta_k |Delta_k|
-      estimates the size of the next update, so the solve that would only
-      show it below tol is skipped (Deuflhard, ch. 2).  That needs Newton's
-      quadratic contraction: once lam moves, the held lam M (below) makes
-      it linear, and an early theta_k can understate the later ones.
+    first update k with |Delta_k| <= tol, in the norm |Delta| =
+    max(|dX|_inf, |dkappa|_inf, |dlam|, |deta|); even a start that is
+    already a root costs one linear solve.
 
     Returns (iterate, iterations).  A non-finite update component raises
     NewtonDivergenceError at once, with last_norm = inf.
@@ -304,7 +295,7 @@ def newton_outer(
         if system is None:
             system = assemble_system(blocks)
         z = solve_bordered(system, blocks=blocks)
-        previous_norm, norm = norm, float(np.abs(z).max())
+        norm = float(np.abs(z).max())
         n = blocks.P.shape[0]
         if not math.isfinite(norm):
             # the first non-finite component, in the order of the unknowns
@@ -333,41 +324,18 @@ def newton_outer(
             return NewtonIterate(it.X - s * yX, it.kappa - s * y[2 * n :], it.lam, it.eta + s), iteration
         if norm <= tol:
             return it, iteration
-        theta = norm / previous_norm  # 0 in the first iteration, which has no estimate
-        if iteration >= 2 and theta < 0.5 and theta * norm <= tol and it.lam == start.lam:
-            return it, iteration
     raise NewtonDivergenceError(
         f"Newton did not reach tol={tol} within {max_newton} iterations (last update {norm:.3e})",
         last_norm=norm,
     )
 
 
-def _start_iterate(level: HistoryEntry, ctx: SchemeContext) -> NewtonIterate:
-    # a time level, with multipliers that are not unknowns pinned to 0
-    return NewtonIterate(
-        np.array(level.curve.vertices),
-        np.array(level.kappa),
-        level.lam if ctx.use_perimeter else 0.0,
-        level.eta if ctx.use_area else 0.0,
-    )
-
-
-def _wrap_accepted(X: np.ndarray, step_index: int) -> PolygonalCurve:
-    if _shoelace(np.asarray(X, dtype=float)) <= 0.0:
+def _oriented_area(X: np.ndarray, step_index: int) -> float:
+    # the signed area of a root's curve, which must stay counterclockwise
+    area = _shoelace(X)
+    if area <= 0.0:
         raise SchemeError(f"orientation lost at step {step_index}")
-    return PolygonalCurve(X)
-
-
-def _level(curve: PolygonalCurve, kappa: np.ndarray, lam: float, eta: float, iters: int, mode: str) -> HistoryEntry:
-    # a time level, with the perimeter and signed area of its curve
-    return HistoryEntry(curve, kappa, lam, eta, perimeter(curve), signed_area(curve), iters, mode)
-
-
-def _accept(state: SchemeState, it: NewtonIterate, iters: int, mode: str) -> SchemeState:
-    curve = _wrap_accepted(it.X, state.step_index + 1)
-    history = deque(state.history, maxlen=state.history.maxlen)
-    history.append(_level(curve, np.array(it.kappa), it.lam, it.eta, iters, mode))
-    return replace(state, history=history, step_index=state.step_index + 1)
+    return area
 
 
 def _history_sum(coeffs: Sequence[float], levels: Sequence, value: Callable):
@@ -376,6 +344,45 @@ def _history_sum(coeffs: Sequence[float], levels: Sequence, value: Callable):
     for i in range(2, len(coeffs)):
         total = total + coeffs[i] * value(levels[-i])
     return total
+
+
+def _root(state: SchemeState, config: SchemeConfig, spec: SchemeSpec, tau: float) -> Tuple[NewtonIterate, int]:
+    # the Newton root and iterations of one step of spec onto a level tau
+    # after the newest of state (see step); a reference step's root is
+    # checked for orientation and serves the corrector, never stored
+    last = state.history[-1]
+    end = 2.0 if spec.cn else 1.0
+    tau /= end
+    delta = [float(c) for c in bdf_coefficients(spec.order)]
+    dL = [float(c) for c in bdf_coefficients(1)] if spec.one_step_perimeter else delta
+    ctx = SchemeContext(
+        delta0=delta[0],
+        xhist=_history_sum(delta, state.history, lambda e: e.curve.vertices),
+        anchor=last.curve.vertices,
+        end=end,
+        use_perimeter=spec.kind != "AP",
+        dL0=dL[0] / end,
+        Lhist=_history_sum(dL, state.history, lambda e: e.L) / end,
+        use_area=spec.kind != "PD",
+        A0=state.A0,
+    )
+    if spec.lower is None:
+        start = NewtonIterate(last.curve.vertices, last.kappa, last.lam, last.eta)
+    else:
+        start = _root(state, config, SPECS[spec.lower], tau)[0]
+        _oriented_area(start.X, state.step_index + 1)
+    ref = ReferenceGeometry(start.X)
+
+    def model(it: NewtonIterate, previous: Optional[NewtonBlocks]) -> NewtonBlocks:
+        return assemble_newton_blocks(ctx, ref, it, tau, previous)
+
+    # a multiplier that is not an unknown starts pinned to 0
+    start = start._replace(lam=start.lam if ctx.use_perimeter else 0.0, eta=start.eta if ctx.use_area else 0.0)
+    it, iters = newton_outer(model, start, config.tol, config.max_newton)
+    if spec.cn:
+        # the end level, by the expression of the laws' Z, with the midpoint multipliers
+        it = it._replace(X=ctx.end_level(ctx.anchor, it.X), kappa=ctx.end_level(last.kappa, it.kappa))
+    return it, iters
 
 
 def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None) -> SchemeState:
@@ -391,48 +398,31 @@ def step(state: SchemeState, config: SchemeConfig, scheme: Optional[str] = None)
     solves for its midpoint level: an Euler step at tau / 2 whose laws hold
     on the end level (see SchemeContext), which it stores with the midpoint
     multipliers.  The reference polygon is the newest curve for an Euler
-    step (no ``lower``), and otherwise the curve of one step of ``lower`` at
+    step (no ``lower``), and otherwise the root of one step of ``lower`` at
     the same tau (tau / 2 for Crank-Nicolson), solved to the same
-    tolerance; that step's Newton iterations are not counted in the new
-    level's ``newton_iters``.  Newton starts at the reference step's root,
-    or at the newest level for an Euler step, and makes one Newton run (see
-    newton_outer).  Returns the state with the new level appended.
+    tolerance; that root is never stored as a level, and its Newton
+    iterations are not counted in the new level's ``newton_iters``.  Newton
+    starts at the reference step's root, or at the newest level for an
+    Euler step, with a multiplier that is not an unknown pinned to 0, and
+    makes one Newton run (see newton_outer).  A root whose curve is not
+    counterclockwise, a reference step's included, raises SchemeError.
+    Returns the state with the new level appended.
     """
     spec = SPECS[scheme or config.scheme]
     while spec.order > len(state.history):
         spec = SPECS[spec.lower]
-    last = state.history[-1]
-    end = 2.0 if spec.cn else 1.0
-    tau = state.tau / end
-    delta = [float(c) for c in bdf_coefficients(spec.order)]
-    dL = [float(c) for c in bdf_coefficients(1)] if spec.one_step_perimeter else delta
-    ctx = SchemeContext(
-        delta0=delta[0],
-        xhist=_history_sum(delta, state.history, lambda e: e.curve.vertices),
-        anchor=last.curve.vertices,
-        end=end,
-        use_perimeter=spec.kind != "AP",
-        dL0=dL[0] / end,
-        Lhist=_history_sum(dL, state.history, lambda e: e.L) / end,
-        use_area=spec.kind != "PD",
-        A0=state.A0,
-    )
-    start = last if spec.lower is None else step(replace(state, tau=tau), config, spec.lower).history[-1]
-    ref = ReferenceGeometry(start.curve)
-
-    def model(it: NewtonIterate, previous: Optional[NewtonBlocks]) -> NewtonBlocks:
-        return assemble_newton_blocks(ctx, ref, it, tau, previous)
-
-    it, iters = newton_outer(model, _start_iterate(start, ctx), config.tol, config.max_newton)
-    if spec.cn:
-        # the end level, by the expression of the laws' Z, with the midpoint multipliers
-        it = it._replace(X=ctx.end_level(ctx.anchor, it.X), kappa=ctx.end_level(last.kappa, it.kappa))
-    return _accept(state, it, iters, spec.kind)
+    it, iters = _root(state, config, spec, state.tau)
+    area = _oriented_area(it.X, state.step_index + 1)
+    curve = PolygonalCurve(it.X)
+    history = deque(state.history, maxlen=state.history.maxlen)
+    history.append(HistoryEntry(curve, it.kappa, it.lam, it.eta, perimeter(curve), area, iters, spec.kind))
+    return replace(state, history=history, step_index=state.step_index + 1)
 
 
 def _initial_state(config: SchemeConfig) -> SchemeState:
     curve0 = config.make_initial_curve()
-    entry0 = _level(curve0, initial_curvature(curve0), 0.0, 0.0, 0, SPECS[config.scheme].kind)
+    kind = SPECS[config.scheme].kind
+    entry0 = HistoryEntry(curve0, initial_curvature(curve0), 0.0, 0.0, perimeter(curve0), signed_area(curve0), 0, kind)
     return SchemeState(
         history=deque([entry0], maxlen=5),
         step_index=0,

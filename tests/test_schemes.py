@@ -432,7 +432,7 @@ def test_ap_newton_run_without_a_real_root_names_the_area_law():
 def test_every_newton_root_meets_the_template_to_tol(monkeypatch, shape):
     # every root a run accepts (corrector, reference step, startup substep)
     # is measured by the loop oracle of the step template, not by the
-    # solver's blocks.  The exits leave the root within tol of the exact one
+    # solver's blocks.  The exit leaves the root within tol of the exact one
     # in every unknown (the next update, which measures that distance, is
     # below tol), and a residual row is its Jacobian row times that
     # distance: |F_i| <= tol |J_i|_1.  1e-13 of the row's term sum allows
@@ -797,9 +797,9 @@ def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
         assert info.value.last_norm == math.inf
 
 
-def _newton_on_update_norms(monkeypatch, norms, tol, lam_update=0.0):
-    # newton_outer on solves whose updates have the given norms, one a call,
-    # and move lam by lam_update; returns the iterations or raises
+def _newton_on_update_norms(monkeypatch, norms, tol):
+    # newton_outer on solves whose updates have the given norms, one a call;
+    # returns the iterations or raises
     # NewtonDivergenceError once the norms run out
     n = 6
     blocks = oracles.random_blocks(rng, n=n, flavor="both")
@@ -808,7 +808,6 @@ def _newton_on_update_norms(monkeypatch, norms, tol, lam_update=0.0):
     def solve(system, *, blocks):
         z = np.zeros(3 * n + 2)
         z[0] = next(updates)
-        z[3 * n] = lam_update
         return z
 
     monkeypatch.setattr(curveflow.schemes, "solve_bordered", solve)
@@ -821,25 +820,17 @@ def _newton_on_update_norms(monkeypatch, norms, tol, lam_update=0.0):
 @pytest.mark.parametrize(
     "norms, stop",
     [
-        ([1e-2, 1e-6], 2),  # theta = 1e-4, theta |Delta| = 1e-10 <= tol
-        ([1e-2, 1e-4, 1e-8], 3),  # theta |Delta| = 1e-6 misses tol at 2
-        ([1.5e-9, 1.2e-9, 0.9e-9], 3),  # theta = 0.8 >= 1/2: no estimate, plain exit
-        ([1e-8, 1e-12], 2),  # iteration 1 has no estimate, whatever its update
-        ([0.5e-9], 1),  # the plain exit also serves iteration 1
+        ([1.5e-9, 1.2e-9, 0.9e-9], 3),  # the first update with |Delta| <= tol
+        ([1e-8, 1e-12], 2),
+        ([0.5e-9], 1),  # the exit also serves iteration 1
     ],
 )
-def test_newton_stops_on_the_contraction_estimate(monkeypatch, norms, stop):
+def test_newton_stops_once_the_update_meets_tol(monkeypatch, norms, stop):
     assert _newton_on_update_norms(monkeypatch, norms, tol=1e-9) == stop
 
 
-def test_newton_takes_no_contraction_exit_once_lam_moves(monkeypatch):
-    # the core holds lam M of the start, so once lam has moved the
-    # contraction is linear and theta_k no longer bounds the next update
-    assert _newton_on_update_norms(monkeypatch, [1e-2, 1e-6, 1e-12], tol=1e-9, lam_update=1e-13) == 3
-
-
 def test_newton_without_contraction_runs_to_tol(monkeypatch):
-    # theta >= 1/2 at every update: only |Delta| <= tol ends the run
+    # updates that shrink by 0.6 each: only |Delta| <= tol ends the run
     norms = [1e-3 * 0.6**k for k in range(60)]
     stop = next(k for k, v in enumerate(norms, start=1) if v <= 1e-9)
     assert _newton_on_update_norms(monkeypatch, norms, tol=1e-9) == stop
@@ -879,6 +870,30 @@ def test_corrector_start(monkeypatch, scheme):
         assert start.lam == 0.0
     if kind == "PD":
         assert start.eta == 0.0
+
+
+@pytest.mark.parametrize("which", ["reference", "corrector"])
+def test_root_that_loses_orientation_fails_the_step(monkeypatch, which):
+    # a root whose curve runs clockwise fails its step, whether it is the
+    # reference step's root (the first Newton run of an sp-bdf2 step) or the
+    # corrector's (the second)
+    cfg = SchemeConfig(scheme="sp-bdf2", N=16, tau=0.01, T=0.05, gamma=0.0)
+    state = step(startup(cfg), cfg)
+    reversed_run = 1 if which == "reference" else 2
+    runs = []
+    newton = curveflow.schemes.newton_outer
+
+    def reversing(model, start, tol, max_newton):
+        it, iters = newton(model, start, tol, max_newton)
+        runs.append(it)
+        if len(runs) == reversed_run:
+            it = it._replace(X=it.X[::-1])
+        return it, iters
+
+    monkeypatch.setattr(curveflow.schemes, "newton_outer", reversing)
+    with pytest.raises(SchemeError, match="orientation lost at step 2"):
+        step(state, cfg)
+    assert len(runs) == reversed_run
 
 
 def test_failure_is_captured_not_raised():
