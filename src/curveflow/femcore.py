@@ -21,12 +21,14 @@ rows are, in this order,
 The unknowns are ordered alike: positions (interleaved), curvatures, then the
 multipliers present.
 
-``SchemeContext`` carries the per-scheme coefficients of the template.
+``SchemeContext`` carries the per-scheme coefficients of the template,
+``NewtonRun`` what is fixed through one Newton run on it (the held -lam M on
+Q's diagonal included), and ``assemble_newton_blocks`` the rest at an iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
     "ReferenceGeometry",
     "SchemeContext",
     "NewtonIterate",
+    "NewtonRun",
     "NewtonBlocks",
     "assemble_newton_blocks",
     "area_law_coefficients",
@@ -179,18 +182,26 @@ class SchemeContext:
         return start + self.end * (iterate - start)
 
 
-class _RunTerms:
-    """The residual terms of one Newton run (same ctx, ref and tau) that do
-    not depend on the iterate: the anchor Y with its Y_{k+1}, g and |g|, the
-    end level's factor, the laws' constant parts and the area row's scale,
-    and the velocity rows' history term and mass factor."""
+class NewtonRun:
+    """What is fixed through one Newton run of the step equations of ``ctx``
+    on the reference ``ref`` at step tau: the blocks every iteration
+    shares, P, R, the eta column a2 and Q with -lam M held on its diagonal
+    (the simplified Newton method; a scheme's run takes lam from its start),
+    and the residual terms that do not depend on the iterate: the anchor Y
+    with its Y_{k+1}, g and |g|, the laws' constant parts and the area row's
+    scale, and the velocity rows' history term and mass factor."""
 
-    def __init__(self, ctx: SchemeContext, ref: ReferenceGeometry, tau: float) -> None:
-        self.end = ctx.end
+    def __init__(self, ctx: SchemeContext, ref: ReferenceGeometry, tau: float, lam: float) -> None:
+        self.ctx, self.ref, self.tau = ctx, ref, tau
         self.s_flux = tau / ctx.delta0
         # the velocity rows' history term and mass factor
         self.hist = 1.0 / ctx.delta0 * (ctx.xhist * ref.omega).sum(axis=1)
         self.flux_mass = self.s_flux * ref.mass
+        self.P = ref.omega
+        self.R = -ref.stencil
+        self.Q = self.s_flux * ref.stencil
+        self.Q[:, 1] = (ref.stencil[:, 1] - ref.mass * lam) * self.s_flux
+        self.a2 = -self.flux_mass if ctx.use_area else None
         Y = self.Y = ctx.anchor
         self.Yn = np.concatenate((Y[1:], Y[:1]))  # Y_{k+1}
         self.g = edge_vectors(Y)
@@ -223,14 +234,9 @@ class NewtonBlocks:
     (3N + nb) is the negated residual, the right-hand side of the Newton
     direction solve, in the equation order of the module docstring.  An
     absent multiplier leaves its column None and has no row.  Q's only
-    iterate term, -lam M on its diagonal, is taken at the run's start.
-
-    Each iteration of a Newton run has blocks of its own, and nothing
-    writes into them once they are built.  The arrays that are fixed through
-    the run (P, Q, R, a2) and ``work``, the run's iterate-free residual
-    terms, are shared by all of them; a1, rows and rhs are each iteration's
-    own.  ``work`` is None for blocks built by hand, which cannot serve as
-    ``previous`` (see assemble_newton_blocks).
+    iterate term, -lam M on its diagonal, is held at the lam of the
+    NewtonRun the blocks are assembled on: P, Q, R and a2 are that run's
+    arrays, and a1, rows and rhs the iteration's own.
     """
 
     P: np.ndarray
@@ -240,46 +246,24 @@ class NewtonBlocks:
     a2: Optional[np.ndarray]
     rows: np.ndarray
     rhs: np.ndarray
-    work: Optional[_RunTerms] = field(default=None, repr=False, compare=False)
 
 
-def assemble_newton_blocks(
-    ctx: SchemeContext,
-    ref: ReferenceGeometry,
-    it: NewtonIterate,
-    tau: float,
-    previous: Optional[NewtonBlocks] = None,
-) -> NewtonBlocks:
-    """Jacobian blocks and negated residual of the step equations at the
-    iterate (the quadratic multiplier-times-curvature update product is the
-    only dropped term, as the Newton direction requires).
+def assemble_newton_blocks(run: NewtonRun, it: NewtonIterate) -> NewtonBlocks:
+    """Jacobian blocks and negated residual of the step equations of
+    ``run`` at the iterate (the quadratic multiplier-times-curvature update
+    product is the only dropped term, as the Newton direction requires).
 
-    Every call returns new blocks with new a1, border rows and rhs.  Without
-    ``previous`` the call also builds the blocks that are fixed through the
-    run (P, Q, R and a2, with -lam M of this iterate on Q's diagonal)
-    and the run's iterate-free residual terms.  ``previous`` is the result
-    of an earlier iteration of the same Newton run (same ctx, ref and tau):
-    the new blocks share those fixed arrays and terms with it, and
-    ``previous`` itself is left as it was.  So Q keeps the run start's
-    lam (the simplified Newton method), and every other array has the
-    bits of a fresh call at this iterate."""
+    Every call returns new blocks with new a1, border rows and rhs, beside
+    the run's P, Q, R and a2, and writes into nothing it shares.  So Q
+    holds the run's lam (the simplified Newton method), and every other
+    array has the bits of a call at this iterate on a run at its lam."""
+    ctx, ref, tau = run.ctx, run.ref, run.tau
     n = ref.n
-    terms = _RunTerms(ctx, ref, tau) if previous is None else previous.work
     X, kap, lam, eta = it
     # the iterate's next vertices X_{k+1}, edges h and edge fluxes
     Xn = np.concatenate((X[1:], X[:1]))
     h = Xn - X
     flux = h * ref.weights[:, None]
-    if previous is None:
-        P = ref.omega
-        R = -ref.stencil
-        # Q's diagonal takes -lam M at the run's start iterate and keeps it
-        # (the simplified Newton method); the borders follow the iterate
-        Q = terms.s_flux * ref.stencil
-        Q[:, 1] = (ref.stencil[:, 1] - ref.mass * lam) * terms.s_flux
-        a2 = -terms.flux_mass if ctx.use_area else None
-    else:
-        P, Q, R, a2 = previous.P, previous.Q, previous.R, previous.a2
     nb = ctx.use_perimeter + ctx.use_area
     rhs = np.empty(3 * n + nb)
     rows = np.zeros((nb, 3 * n))
@@ -294,13 +278,13 @@ def assemble_newton_blocks(
     # edges h; for end = 1, Z is the iterate
     Z, Zn = X, Xn
     if ctx.end != 1.0:
-        Z = ctx.end_level(terms.Y, X)
+        Z = ctx.end_level(run.Y, X)
         Zn = np.concatenate((Z[1:], Z[:1]))
         h = Zn - Z
     a1 = None
     if ctx.use_perimeter:
         a1 = ref.mass * kap
-        a1 *= -terms.s_flux
+        a1 *= -run.s_flux
         hlen = np.hypot(h[:, 0], h[:, 1])
         grad = _previous_minus(h / hlen[:, None], rows[0, : 2 * n].reshape(n, 2))
         grad *= ctx.end * ctx.dL0 / tau
@@ -310,59 +294,59 @@ def assemble_newton_blocks(
         area_row = rows[-1, : 2 * n].reshape(n, 2)
         np.add(h[1:, ::-1], h[:-1, ::-1], out=area_row[1:])
         np.add(h[:1, ::-1], h[-1:, ::-1], out=area_row[:1])
-        area_row *= terms.area_scale
+        area_row *= run.area_scale
 
     # negated velocity rows: (lam kappa + eta) s_flux m - s_flux S_ref kappa
     # - (xhist . omega) / delta0 - P . X
     velocity_rhs = np.multiply(kap, lam, out=rhs[2 * n : 3 * n])
     velocity_rhs += eta
-    velocity_rhs *= terms.flux_mass
-    velocity_rhs -= Skap * terms.s_flux
-    velocity_rhs -= terms.hist
-    PX = P * X
+    velocity_rhs *= run.flux_mass
+    velocity_rhs -= Skap * run.s_flux
+    velocity_rhs -= run.hist
+    PX = run.P * X
     velocity_rhs -= PX[:, 0]
     velocity_rhs -= PX[:, 1]
 
     # the laws, as increments from the anchor: d = Z - Y and its edges
-    d = Z - terms.Y
-    dn = Zn - terms.Yn
+    d = Z - run.Y
+    dn = Zn - run.Yn
     if ctx.use_perimeter:
-        t = h + terms.g
+        t = h + run.g
         t *= dn - d
         per_edge = t[:, 0] + t[:, 1]
-        per_edge /= hlen + terms.glen
+        per_edge /= hlen + run.glen
         dL = float(per_edge.sum())
-        rhs[3 * n] = -((ctx.dL0 * dL + terms.law) / tau + float(kap @ Skap))
+        rhs[3 * n] = -((ctx.dL0 * dL + run.law) / tau + float(kap @ Skap))
     if ctx.use_area:
-        rhs[-1] = -_area_residual(terms, d, dn, Zn)
-    return NewtonBlocks(P, Q, R, a1, a2, rows, rhs, terms)
+        rhs[-1] = -_area_residual(run, d, dn, Zn)
+    return NewtonBlocks(run.P, run.Q, run.R, a1, run.a2, rows, rhs)
 
 
-def _area_residual(terms: _RunTerms, d: np.ndarray, dn: np.ndarray, Zn: np.ndarray) -> float:
+def _area_residual(run: NewtonRun, d: np.ndarray, dn: np.ndarray, Zn: np.ndarray) -> float:
     # the area law (A(Y) - A0) + 1/2 sum_k [d_k x Z_{k+1} + Y_k x d_{k+1}]
     # on the end level Z = Y + d, with Z_{k+1} and d_{k+1}
     c = d * Zn[:, ::-1]
-    e = terms.Y * dn[:, ::-1]
+    e = run.Y * dn[:, ::-1]
     cross = c[:, 0] - c[:, 1]
     cross += e[:, 0]
     cross -= e[:, 1]
-    return terms.area + 0.5 * float(cross.sum())
+    return run.area + 0.5 * float(cross.sum())
 
 
-def area_law_coefficients(blocks: NewtonBlocks, X: np.ndarray, v: np.ndarray) -> Tuple[float, float, float]:
-    """(c0, c1, c2) of the area law of the run of ``blocks`` on the line of
+def area_law_coefficients(run: NewtonRun, X: np.ndarray, v: np.ndarray) -> Tuple[float, float, float]:
+    """(c0, c1, c2) of the area law of ``run`` on the line of
     iterates X - s v: its residual there is exactly c0 + c1 s + c2 s^2, as
     the shoelace area is quadratic.  With the end level Z of X and w = end v
     (Z moves by -s w), c0 is the residual at X, in the increment form of
     the area row; c1 = -grad A(Z) . w, where grad A(Z)_k is
     ((Z_{k+1} - Z_{k-1})_y, -(Z_{k+1} - Z_{k-1})_x) / 2; and c2 is the
     shoelace area of w."""
-    terms = blocks.work
+    end, Y = run.ctx.end, run.Y
     Z, w = X, v
-    if terms.end != 1.0:
-        Z, w = terms.Y + terms.end * (X - terms.Y), terms.end * v
+    if end != 1.0:
+        Z, w = Y + end * (X - Y), end * v
     Zn = np.concatenate((Z[1:], Z[:1]))
-    c0 = _area_residual(terms, Z - terms.Y, Zn - terms.Yn, Zn)
+    c0 = _area_residual(run, Z - Y, Zn - run.Yn, Zn)
     t = Zn - np.concatenate((Z[-1:], Z[:-1]))  # Z_{k+1} - Z_{k-1}
     c1 = -0.5 * (float(np.dot(w[:, 0], t[:, 1])) - float(np.dot(w[:, 1], t[:, 0])))
     return c0, c1, _shoelace(w)

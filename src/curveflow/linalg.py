@@ -21,8 +21,8 @@ geometric degeneracy of an equilibrium (constant curvature makes the two
 border columns parallel).
 
 A Newton run builds one `BorderedSystem`, in its first iteration: the
-factored core, which is fixed through the run (Q's diagonal holds lam M
-of the run's start, see NewtonBlocks), and the solve of the eta column,
+factored core, which is fixed through the run (Q's diagonal holds the lam M
+of its `femcore.NewtonRun`), and the solve of the eta column,
 which is fixed too (an AP run also moves along it, see eta_core_solve).
 Each iteration passes its own `NewtonBlocks` to the solve, which gathers
 their rhs, border rows and lam column into folded order and makes one
@@ -158,9 +158,11 @@ class BorderedSystem:
     eta?.  nb in {1, 2} counts the borders present, lam before eta in both
     the columns and the rows.
 
-    ``core`` (3N, 2 KL + KU + 1), the band LU in folded order with one row
-    per unknown (the transpose of dgbtrf's Fortran-ordered band), its pivots
-    ``piv`` and the eta column are fixed through the run.
+    ``core`` (3N, 2 KL + KU + 1) is the band LU of the run's core in folded
+    order, one row per unknown (the transpose of dgbtrf's Fortran-ordered
+    band); its Q holds the lam M of the run's NewtonRun on the diagonal.
+    The core, its pivots ``piv`` and the eta column are fixed through the
+    run.
     ``stack`` (3N, 1 + nb), Fortran order, holds the core solves [g, Y] of
     the rhs and the border columns: the eta column's is taken when the
     system is built, and each solve gathers the rhs and a1 of the blocks it

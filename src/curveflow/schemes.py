@@ -33,8 +33,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .femcore import (
-    NewtonBlocks,
     NewtonIterate,
+    NewtonRun,
     ReferenceGeometry,
     SchemeContext,
     area_law_coefficients,
@@ -248,13 +248,8 @@ class SchemeConfig:
         return generate(*(getattr(self, name) for name in params), self.N)
 
 
-def newton_outer(
-    model: Callable[[NewtonIterate, Optional[NewtonBlocks]], NewtonBlocks],
-    start: NewtonIterate,
-    tol: float,
-    max_newton: int,
-) -> Tuple[NewtonIterate, int]:
-    """Newton iteration on the blocks supplied by ``model``.
+def newton_outer(run: NewtonRun, start: NewtonIterate, tol: float, max_newton: int) -> Tuple[NewtonIterate, int]:
+    """Newton iteration on the step equations of ``run``.
 
     A run whose blocks carry no lam column (AP) ends after its first
     iteration, whatever tol and max_newton are.  Its rows other than the
@@ -277,21 +272,18 @@ def newton_outer(
     Returns (iterate, iterations).  A non-finite update component raises
     NewtonDivergenceError at once, with last_norm = inf.
 
-    ``model(it, previous)`` gives new blocks at ``it``; ``previous`` is the
-    blocks of the run's last iteration, or None in the first.  The first
-    iteration builds the run's system from its blocks; each later one has
-    the model build its blocks from ``previous`` (by passing it on to
-    assemble_newton_blocks), sharing the core blocks, and hands them to the
-    system's solve.  The core, with lam M of the start iterate on Q's
-    diagonal, is factored once, when the system is built: a simplified
-    Newton method with an exact residual.  Each iteration then makes one
-    banded solve, of its rhs and lam column, under that factor.
+    Each iteration assembles its blocks on ``run`` (assemble_newton_blocks),
+    and the first builds the run's system from them.  The core, with the
+    run's lam M on Q's diagonal, is factored once, when the system is
+    built: a simplified Newton method with an exact residual.  Each
+    iteration then makes one banded solve, of its rhs and lam column, under
+    that factor.
     """
     it = start
     norm = math.inf
-    blocks = system = None
+    system = None
     for iteration in range(1, max_newton + 1):
-        blocks = model(it, blocks)
+        blocks = assemble_newton_blocks(run, it)
         if system is None:
             system = assemble_system(blocks)
         z = solve_bordered(system, blocks=blocks)
@@ -313,7 +305,7 @@ def newton_outer(
             # with y the eta column's core solve; the area law's root nearest 0
             y = eta_core_solve(system)
             yX = y[: 2 * n].reshape(n, 2)
-            c0, c1, c2 = area_law_coefficients(blocks, it.X, yX)
+            c0, c1, c2 = area_law_coefficients(run, it.X, yX)
             disc = c1 * c1 - 4.0 * c0 * c2
             q = -0.5 * (c1 + math.copysign(math.sqrt(max(disc, 0.0)), c1))
             # a NaN discriminant fails the test too; q = 0 leaves r = c0 constant
@@ -371,14 +363,10 @@ def _root(state: SchemeState, config: SchemeConfig, spec: SchemeSpec, tau: float
     else:
         start = _root(state, config, SPECS[spec.lower], tau)[0]
         _oriented_area(start.X, state.step_index + 1)
-    ref = ReferenceGeometry(start.X)
-
-    def model(it: NewtonIterate, previous: Optional[NewtonBlocks]) -> NewtonBlocks:
-        return assemble_newton_blocks(ctx, ref, it, tau, previous)
-
     # a multiplier that is not an unknown starts pinned to 0
     start = start._replace(lam=start.lam if ctx.use_perimeter else 0.0, eta=start.eta if ctx.use_area else 0.0)
-    it, iters = newton_outer(model, start, config.tol, config.max_newton)
+    newton_run = NewtonRun(ctx, ReferenceGeometry(start.X), tau, start.lam)
+    it, iters = newton_outer(newton_run, start, config.tol, config.max_newton)
     if spec.cn:
         # the end level, by the expression of the laws' Z, with the midpoint multipliers
         it = it._replace(X=ctx.end_level(ctx.anchor, it.X), kappa=ctx.end_level(last.kappa, it.kappa))

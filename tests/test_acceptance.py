@@ -19,6 +19,7 @@ import pytest
 
 from curveflow.femcore import (
     NewtonIterate,
+    NewtonRun,
     ReferenceGeometry,
     SchemeContext,
     assemble_newton_blocks,
@@ -278,7 +279,8 @@ def test_09_property_battery(ellipse_runs):
         # dL0 / tau times the gradient of L, the area row the gradient of A
         v, tau, dL0 = curve.vertices, 1e-3, 1.5
         ctx = SchemeContext(delta0=1.0, xhist=np.zeros_like(v), anchor=v, dL0=dL0)
-        rows = assemble_newton_blocks(ctx, ReferenceGeometry(v), NewtonIterate(v, np.zeros(len(v)), 0.0, 0.0), tau).rows
+        it = NewtonIterate(v, np.zeros(len(v)), 0.0, 0.0)
+        rows = assemble_newton_blocks(NewtonRun(ctx, ReferenceGeometry(v), tau, it.lam), it).rows
         gradients = (rows[0, : 2 * len(v)] * (tau / dL0), rows[-1, : 2 * len(v)])
         for functional, gradient in zip((perimeter, signed_area), gradients):
             plus = functional(PolygonalCurve(v + eps * direction))

@@ -10,6 +10,7 @@ import pytest
 
 from curveflow.femcore import (
     NewtonIterate,
+    NewtonRun,
     ReferenceGeometry,
     SchemeContext,
     assemble_newton_blocks,
@@ -173,7 +174,8 @@ def test_slice_arithmetic_is_bitwise_the_roll_formula():
         u = h / ell[:, None]
         # the perimeter row of the Newton blocks at tau = dL0 = 1 is grad L
         ctx = SchemeContext(delta0=1.0, xhist=np.zeros_like(v), anchor=v)
-        blocks = assemble_newton_blocks(ctx, ReferenceGeometry(v), NewtonIterate(v, np.zeros(len(v)), 0.0, 0.0), 1.0)
+        it = NewtonIterate(v, np.zeros(len(v)), 0.0, 0.0)
+        blocks = assemble_newton_blocks(NewtonRun(ctx, ReferenceGeometry(v), 1.0, it.lam), it)
         assert np.array_equal(blocks.rows[0, : 2 * len(v)].reshape(-1, 2), np.roll(u, 1, axis=0) - u)
         w = 1.0 / ell
         stencil = stiffness_stencil(w)
@@ -217,7 +219,7 @@ def context_cases(vm, tau):
 def residual(ctx, ref, it, tau):
     # the residual of the step equations: curvature rows (interleaved),
     # velocity rows, then the laws present
-    return -assemble_newton_blocks(ctx, ref, it, tau).rhs
+    return -assemble_newton_blocks(NewtonRun(ctx, ref, tau, it.lam), it).rhs
 
 
 def unpack_for(ctx, z, n):
@@ -247,7 +249,9 @@ def test_newton_blocks_are_exact_jacobian():
                 0.3 * rng.standard_normal(nb),
             ]
         )
-        blocks = assemble_newton_blocks(ctx, ref, unpack_for(ctx, z0, n), tau)
+        # a run at the iterate's lam has the exact Jacobian
+        it = unpack_for(ctx, z0, n)
+        blocks = assemble_newton_blocks(NewtonRun(ctx, ref, tau, it.lam), it)
         J, rhs = oracles.dense_from_blocks(blocks)
         dim = 3 * n + nb
         # the dense rows list the velocity rows first, the residual lists

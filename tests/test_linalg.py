@@ -18,6 +18,7 @@ import curveflow.schemes
 from curveflow.femcore import (
     NewtonBlocks,
     NewtonIterate,
+    NewtonRun,
     ReferenceGeometry,
     SchemeContext,
     assemble_newton_blocks,
@@ -207,7 +208,7 @@ def test_relabelled_start_vertex_rolls_the_newton_direction(rows):
             A0=oracles.loop_shoelace(v),
         )
         it = NewtonIterate(v + np.roll(shift_x, s, axis=0), np.roll(kappa, s), 0.3, -0.2)
-        z = _solve(assemble_newton_blocks(ctx, ReferenceGeometry(v), it, 1e-3))
+        z = _solve(assemble_newton_blocks(NewtonRun(ctx, ReferenceGeometry(v), 1e-3, it.lam), it))
         # back to the labels of s = 0
         dX = np.roll(z[: 2 * n].reshape(n, 2), -s, axis=0)
         dk = np.roll(z[2 * n : 3 * n], -s)
@@ -361,49 +362,32 @@ def test_stack_holds_the_border_columns_or_their_core_solves(flavor):
                 assert np.array_equal(system.stack[:, 2], solves[:, 1])  # the eta column's solve, bitwise
 
 
-def test_reused_factor_serves_a_later_area_preserving_iterate():
-    # an AP Newton run keeps its first factor: at a new iterate only the area
-    # row and the rhs change, and the solve is bitwise a fresh one
-    n = 40
-    theta = 2.0 * np.pi * np.arange(n) / n
-    v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
-    ctx = SchemeContext(delta0=1.5, xhist=-1.5 * v, anchor=v, use_perimeter=False, A0=oracles.loop_shoelace(v))
-    ref = ReferenceGeometry(v)
-    first = NewtonIterate(v, initial_curvature(v), 0.0, 0.0)
-    later = NewtonIterate(v + 1e-3 * rng.standard_normal((n, 2)), first.kappa + 0.1 * rng.standard_normal(n), 0.0, 0.3)
-    blocks = assemble_newton_blocks(ctx, ref, first, 1e-3)
-    system = assemble_system(blocks)
-    solve_bordered(system, blocks=blocks)
-    later_blocks = assemble_newton_blocks(ctx, ref, later, 1e-3, blocks)
-    fresh = assemble_newton_blocks(ctx, ref, later, 1e-3)
-    assert np.array_equal(solve_bordered(system, blocks=later_blocks), _solve(fresh))
-
-
 def _same_bits(got, value):
     return (got is None and value is None) or np.array_equal(got, value)
 
 
 def _check_blocks_built_from_an_earlier_iterate(ctx, ref, first, later, tau):
-    # a later iterate of the same run gets new a1, border rows and rhs, and
-    # shares the core, the eta column and the iterate-free terms of the
-    # run's start with the earlier blocks, which keep their bits.  The
-    # blocks, and their solve under the run's system without a new
-    # assembly, are bitwise fresh ones at the later iterate with the start's Q
-    earlier = assemble_newton_blocks(ctx, ref, first, tau)
-    first_Q = earlier.Q.copy()
+    # a later iterate of a run that starts at ``first`` gets new a1, border
+    # rows and rhs, and shares the run's core blocks and eta column with the
+    # earlier blocks, which keep their bits.  The blocks, and their solve
+    # under the run's system without a new assembly, are bitwise those of a
+    # fresh run at the start's lam at the later iterate
+    newton_run = NewtonRun(ctx, ref, tau, first.lam)
+    earlier = assemble_newton_blocks(newton_run, first)
     saved = [None if a is None else a.copy() for a in (earlier.a1, earlier.rows, earlier.rhs)]
     system = assemble_system(earlier)
     solve_bordered(system, blocks=earlier)
     piv = system.piv
-    blocks = assemble_newton_blocks(ctx, ref, later, tau, earlier)
-    fresh_blocks = replace(assemble_newton_blocks(ctx, ref, later, tau), Q=first_Q)
+    blocks = assemble_newton_blocks(newton_run, later)
+    fresh_blocks = assemble_newton_blocks(NewtonRun(ctx, ref, tau, first.lam), later)
     for name in ("P", "Q", "R", "a1", "a2", "rows", "rhs"):
         assert _same_bits(getattr(blocks, name), getattr(fresh_blocks, name)), name
     assert all(_same_bits(a, b) for a, b in zip((earlier.a1, earlier.rows, earlier.rhs), saved))
-    assert all(getattr(blocks, name) is getattr(earlier, name) for name in ("P", "Q", "R", "a2", "work"))
+    for name in ("P", "Q", "R", "a2"):
+        assert getattr(blocks, name) is getattr(earlier, name) is getattr(newton_run, name), name
     if first.lam != later.lam:
         # lam M of the later iterate is not on the held diagonal
-        assert not np.array_equal(assemble_newton_blocks(ctx, ref, later, tau).Q, first_Q)
+        assert not np.array_equal(NewtonRun(ctx, ref, tau, later.lam).Q, newton_run.Q)
     fresh = assemble_system(fresh_blocks)
     assert np.array_equal(solve_bordered(system, blocks=blocks), solve_bordered(fresh, blocks=fresh_blocks))
     assert np.array_equal(system.stack, fresh.stack)
@@ -415,76 +399,89 @@ def _check_blocks_built_from_an_earlier_iterate(ctx, ref, first, later, tau):
     assert np.all(np.abs(-fresh_blocks.rhs - value) <= 1e-13 * size)
 
 
-@pytest.mark.parametrize("use_area", [True, False])
-def test_blocks_built_from_an_earlier_iterate_are_bitwise_the_fresh_ones(use_area):
+# SP (ids as when use_area was the only parameter), PD, and AP, whose lam
+# stays 0 and whose later iterate no scheme's run reaches: an AP run meets
+# its area law in closed form after its first solve
+@pytest.mark.parametrize(
+    "use_perimeter, use_area",
+    [pytest.param(True, True, id="True"), pytest.param(True, False, id="False"), pytest.param(False, True, id="ap")],
+)
+def test_blocks_built_from_an_earlier_iterate_are_bitwise_the_fresh_ones(use_perimeter, use_area):
     n = 40
     theta = 2.0 * np.pi * np.arange(n) / n
     v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
-    ctx = SchemeContext(delta0=1.5, xhist=-1.5 * v, anchor=v, use_area=use_area, A0=oracles.loop_shoelace(v))
-    first = NewtonIterate(v, initial_curvature(v), 0.1, 0.0)
-    later = NewtonIterate(v + 1e-3 * rng.standard_normal((n, 2)), first.kappa + 0.1 * rng.standard_normal(n), -0.4, 0.3 * use_area)
+    ctx = SchemeContext(
+        delta0=1.5, xhist=-1.5 * v, anchor=v, use_perimeter=use_perimeter, use_area=use_area, A0=oracles.loop_shoelace(v)
+    )
+    lam_first, lam_later = (0.1, -0.4) if use_perimeter else (0.0, 0.0)
+    first = NewtonIterate(v, initial_curvature(v), lam_first, 0.0)
+    X = v + 1e-3 * rng.standard_normal((n, 2))
+    later = NewtonIterate(X, first.kappa + 0.1 * rng.standard_normal(n), lam_later, 0.3 * use_area)
     _check_blocks_built_from_an_earlier_iterate(ctx, ReferenceGeometry(v), first, later, 1e-3)
 
 
 def _captured_runs(scheme, monkeypatch):
-    # (ctx, ref, tau, iterates) of every Newton run of a short run on mikula
-    runs = []
+    # (NewtonRun, iterates) of every Newton run of a short run on mikula,
+    # in the order the runs start
+    runs = {}
 
-    def capture(ctx, ref, it, tau, previous=None):
-        if previous is None:
-            runs.append((ctx, ref, tau, []))
-        runs[-1][3].append(NewtonIterate(it.X.copy(), it.kappa.copy(), it.lam, it.eta))
-        return assemble_newton_blocks(ctx, ref, it, tau, previous)
+    def capture(newton_run, it):
+        runs.setdefault(newton_run, []).append(NewtonIterate(it.X.copy(), it.kappa.copy(), it.lam, it.eta))
+        return assemble_newton_blocks(newton_run, it)
 
     monkeypatch.setattr(curveflow.schemes, "assemble_newton_blocks", capture)
     result = run(SchemeConfig(scheme=scheme, N=24, tau=1e-3, T=3e-3, gamma=0.0, shape="mikula"))
     assert result.ok, result.failure
-    return runs
+    return list(runs.items())
 
 
 @pytest.mark.parametrize("scheme", ["sp-bdf2", "pd-bdf2", "sp-cn"])
 def test_blocks_of_captured_iterates_are_bitwise_the_fresh_ones(scheme, monkeypatch):
     # the first two iterates of the last Newton run of a short run of each
     # family that iterates: SP, PD, and SP with Crank-Nicolson's midpoint step
-    ctx, ref, tau, iterates = _captured_runs(scheme, monkeypatch)[-1]
+    newton_run, iterates = _captured_runs(scheme, monkeypatch)[-1]
+    ctx = newton_run.ctx
     assert len(iterates) >= 2 and (ctx.end == 2.0) == (scheme == "sp-cn")
-    _check_blocks_built_from_an_earlier_iterate(ctx, ref, iterates[0], iterates[1], tau)
+    _check_blocks_built_from_an_earlier_iterate(ctx, newton_run.ref, iterates[0], iterates[1], newton_run.tau)
 
 
 def test_ap_newton_runs_assemble_once(monkeypatch):
     # an AP run meets its area law in closed form after its first solve, so
-    # it has no second iterate to build blocks from the first one's
+    # it has no second iterate to assemble
     runs = _captured_runs("ap-bdf2", monkeypatch)
     assert len(runs) == 5  # three correctors, the first an ap-bdf1 step, and two ap-bdf1 references
-    assert all(len(iterates) == 1 for *_, iterates in runs)
+    assert all(len(iterates) == 1 for _, iterates in runs)
 
 
-def test_newton_run_at_large_n_keeps_memory_to_its_buffers():
-    # a Newton run allocates its fixed blocks, its one band and its solve
+def test_newton_run_at_large_n_keeps_memory_to_its_buffers(monkeypatch):
+    # a Newton run allocates its NewtonRun, its one band and its solve
     # stack once, and each iteration its own a1, border rows, rhs and the
-    # temporaries that build them: six SP iterations at N = 8192 peak at
-    # 10.0 MB.  One band is 19 x 3N doubles (3.7 MB), and 12.5 MB leaves no
-    # room for a second, such as a copy of the band to factor (14.5 MB)
+    # temporaries that build them: the run and six SP iterations at N = 8192
+    # peak at 9.9 MB.  One band is 19 x 3N doubles (3.7 MB), and 12.5 MB
+    # leaves no room for a second, such as a copy of the band to factor
+    # (14.5 MB)
     n = 8192
     theta = 2.0 * np.pi * np.arange(n) / n
     v = np.column_stack((2.0 * np.cos(theta), np.sin(theta)))
     ctx = SchemeContext(delta0=1.0, xhist=-v, anchor=v, Lhist=-oracles.loop_perimeter(v), A0=oracles.loop_shoelace(v))
     ref = ReferenceGeometry(v)
     start = NewtonIterate(v.copy(), initial_curvature(v), 0.0, 0.0)
-    solves = []
+    runs = []
 
-    def model(it, previous):
-        solves.append(previous is None)
-        return assemble_newton_blocks(ctx, ref, it, 1e-3, previous)
+    def assemble(newton_run, it):
+        runs.append(newton_run)
+        return assemble_newton_blocks(newton_run, it)
 
+    monkeypatch.setattr(curveflow.schemes, "assemble_newton_blocks", assemble)
     tracemalloc.start()
     try:
+        newton_run = NewtonRun(ctx, ref, 1e-3, start.lam)
         with pytest.raises(NewtonDivergenceError):
-            newton_outer(model, start, tol=0.0, max_newton=6)
+            newton_outer(newton_run, start, tol=0.0, max_newton=6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert solves == [True] + [False] * 5
+    assert runs == [newton_run] * 6
     assert peak < 12.5e6
 
 

@@ -9,7 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curveflow.femcore import NewtonIterate, ReferenceGeometry, SchemeContext, assemble_newton_blocks, initial_curvature
+from curveflow.femcore import (
+    NewtonIterate,
+    NewtonRun,
+    ReferenceGeometry,
+    SchemeContext,
+    assemble_newton_blocks,
+    initial_curvature,
+)
 from curveflow.geometry import PolygonalCurve, generate_ellipse, generate_mikula
 import curveflow.linalg
 import curveflow.schemes
@@ -390,10 +397,17 @@ def test_ap_runs_at_a_small_step_complete(scheme, N, tau, T):
 
 
 @pytest.mark.parametrize("end", [1.0, 2.0])
-def test_ap_newton_run_meets_the_area_law_in_one_solve(end):
+def test_ap_newton_run_meets_the_area_law_in_one_solve(monkeypatch, end):
     # random AP systems: one Newton iteration and one bordered solve give a
     # root whose end level Y + end (X - Y) has the loop oracle's area A0,
     # and whose other rows hold to the rounding of their terms
+    calls = []
+
+    def assemble(newton_run, it):
+        calls.append(it)
+        return assemble_newton_blocks(newton_run, it)
+
+    monkeypatch.setattr(curveflow.schemes, "assemble_newton_blocks", assemble)
     for _ in range(10):
         n = int(rng.integers(5, 40))
         theta = 2.0 * np.pi * (np.arange(n) + 0.3 * rng.random(n)) / n
@@ -403,14 +417,9 @@ def test_ap_newton_run_meets_the_area_law_in_one_solve(end):
         ctx = SchemeContext(delta0=delta0, xhist=-delta0 * Y, anchor=Y, end=end, use_perimeter=False, A0=A0)
         ref, tau = ReferenceGeometry(Y), float(10.0 ** rng.uniform(-5, -1))
         start = NewtonIterate(Y.copy(), initial_curvature(Y), 0.0, float(rng.standard_normal()))
-        calls = []
-
-        def model(it, previous):
-            calls.append(previous)
-            return assemble_newton_blocks(ctx, ref, it, tau, previous)
-
-        it, iterations = newton_outer(model, start, tol=1e-10, max_newton=5)
-        assert iterations == 1 and calls == [None]
+        calls.clear()
+        it, iterations = newton_outer(NewtonRun(ctx, ref, tau, start.lam), start, tol=1e-10, max_newton=5)
+        assert iterations == 1 and len(calls) == 1
         assert abs(oracles.loop_shoelace(Y + end * (it.X - Y)) - A0) <= 1e-13 * abs(A0)
         value, size = oracles.template_residual(ctx, Y, it, tau)
         assert np.all(np.abs(value[:-1]) <= 1e-13 * size[:-1])
@@ -425,7 +434,7 @@ def test_ap_newton_run_without_a_real_root_names_the_area_law():
     ref = ReferenceGeometry(v)
     start = NewtonIterate(v.copy(), initial_curvature(v), 0.0, 0.0)
     with pytest.raises(NewtonDivergenceError, match=r"area law has no real root .*\(discriminant -\d"):
-        newton_outer(lambda it, previous: assemble_newton_blocks(ctx, ref, it, 1e-3, previous), start, tol=1e-10, max_newton=5)
+        newton_outer(NewtonRun(ctx, ref, 1e-3, start.lam), start, tol=1e-10, max_newton=5)
 
 
 @pytest.mark.parametrize("shape", ["ellipse", "mikula"])
@@ -437,20 +446,14 @@ def test_every_newton_root_meets_the_template_to_tol(monkeypatch, shape):
     # below tol), and a residual row is its Jacobian row times that
     # distance: |F_i| <= tol |J_i|_1.  1e-13 of the row's term sum allows
     # for the rounding of the terms at a floating-point root.
-    runs, roots = [], []
-    assemble, newton = curveflow.schemes.assemble_newton_blocks, curveflow.schemes.newton_outer
+    roots = []
+    newton = curveflow.schemes.newton_outer
 
-    def capture_run(ctx, ref, it, tau, previous=None):
-        if previous is None:
-            runs.append((ctx, ref.vertices, tau))
-        return assemble(ctx, ref, it, tau, previous)
-
-    def capture_root(*args, **kwargs):
-        it, iters = newton(*args, **kwargs)
-        roots.append((*runs[-1], it))
+    def capture_root(newton_run, *args):
+        it, iters = newton(newton_run, *args)
+        roots.append((newton_run.ctx, newton_run.ref.vertices, newton_run.tau, it))
         return it, iters
 
-    monkeypatch.setattr(curveflow.schemes, "assemble_newton_blocks", capture_run)
     monkeypatch.setattr(curveflow.schemes, "newton_outer", capture_root)
     for scheme in SCHEMES:
         cfg = SchemeConfig(scheme=scheme, N=16, tau=0.01, T=0.04, shape=shape, gamma=0.0)
@@ -791,9 +794,11 @@ def test_non_finite_update_is_divergence_not_convergence(monkeypatch):
         step[: 2 * n] = 1e-14
         step[index:] = np.inf
         step[index] = np.nan
+        monkeypatch.setattr(curveflow.schemes, "assemble_newton_blocks", lambda run, it: blocks)
         monkeypatch.setattr(curveflow.schemes, "solve_bordered", lambda system, *, blocks: step)
         with pytest.raises(NewtonDivergenceError, match=f"non-finite {name} update at Newton iteration 1") as info:
-            newton_outer(lambda it, previous: blocks, start, tol=1e-10, max_newton=5)
+            # the fixed blocks stand in for the assembly, so no run is read
+            newton_outer(None, start, tol=1e-10, max_newton=5)
         assert info.value.last_norm == math.inf
 
 
@@ -810,9 +815,11 @@ def _newton_on_update_norms(monkeypatch, norms, tol):
         z[0] = next(updates)
         return z
 
+    monkeypatch.setattr(curveflow.schemes, "assemble_newton_blocks", lambda run, it: blocks)
     monkeypatch.setattr(curveflow.schemes, "solve_bordered", solve)
     start = NewtonIterate(np.zeros((n, 2)), np.zeros(n), 0.0, 0.0)
-    it, iterations = newton_outer(lambda it, previous: blocks, start, tol=tol, max_newton=len(norms))
+    # the fixed blocks stand in for the assembly, so no run is read
+    it, iterations = newton_outer(None, start, tol=tol, max_newton=len(norms))
     assert it.X[0, 0] == pytest.approx(sum(norms[:iterations]))
     return iterations
 
@@ -912,7 +919,7 @@ def test_failed_startup_keeps_the_snapshot_of_its_row(monkeypatch):
     # an area law with no real root, r(s) = 1 + s^2, in its first Newton run
     T = 0.05
     cfg = SchemeConfig(scheme="ap-bdf3", N=32, tau=0.01, T=T, shape="mikula", gamma=0.0)
-    monkeypatch.setattr(curveflow.schemes, "area_law_coefficients", lambda blocks, X, v: (1.0, 0.0, 1.0))
+    monkeypatch.setattr(curveflow.schemes, "area_law_coefficients", lambda run, X, v: (1.0, 0.0, 1.0))
     result = run(cfg, snapshot_times=[0.0, T / 2, T])
     assert isinstance(result.failure, NewtonDivergenceError)
     assert len(result.series.rows) == 1
