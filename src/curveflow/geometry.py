@@ -11,6 +11,8 @@ sign system the discrete curvature of a convex curve is positive.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 __all__ = [
@@ -202,24 +204,27 @@ def generate_rectangle(width: float, height: float, N: int) -> PolygonalCurve:
     return PolygonalCurve(np.vstack(pieces))
 
 
+def _starts_inside(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray, side: str):
+    """Index arrays (i, j) of every pair with starts[j] in [lo[i], hi[i]]
+    ((lo[i], hi[i]] with side "right"), each pair once and in no particular
+    order: one sorted range of the starts per interval."""
+    order = np.argsort(starts)
+    first = np.searchsorted(starts[order], lo, side)
+    count = np.searchsorted(starts[order], hi, "right") - first
+    owner = np.repeat(np.arange(len(lo)), count)
+    offset = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+    return owner, order[np.repeat(first, count) + offset]
+
+
 def _overlapping(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray):
     """Index arrays (i, j) of every pair of closed intervals
     [lo_a[i], hi_a[i]] and [lo_b[j], hi_b[j]] that overlap, each pair once
-    and in no particular order.  Sort-and-sweep: two closed intervals overlap
-    exactly when b starts inside a, or a starts inside b strictly after b
-    starts, and each of these is one sorted range per interval.  O((n + m)
+    and in no particular order.  Two-sided sort-and-sweep: two closed
+    intervals overlap exactly when b starts inside a, or a starts inside b
+    strictly after b starts, one `_starts_inside` pass each.  O((n + m)
     log(n + m) + K) time and O(n + m + K) memory for K pairs."""
-
-    def starts_inside(lo, hi, starts, side):
-        order = np.argsort(starts)
-        first = np.searchsorted(starts[order], lo, side)
-        count = np.searchsorted(starts[order], hi, "right") - first
-        owner = np.repeat(np.arange(len(lo)), count)
-        offset = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
-        return owner, order[np.repeat(first, count) + offset]
-
-    i1, j1 = starts_inside(lo_a, hi_a, lo_b, "left")
-    j2, i2 = starts_inside(lo_b, hi_b, lo_a, "right")
+    i1, j1 = _starts_inside(lo_a, hi_a, lo_b, "left")
+    j2, i2 = _starts_inside(lo_b, hi_b, lo_a, "right")
     return np.concatenate((i1, i2)), np.concatenate((j1, j2))
 
 
@@ -233,60 +238,72 @@ def _box_pairs(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.nd
     return i[keep], j[keep]
 
 
+_FILTER = 3.33e-16  # relative error bound of the two-product orientation test
+
+
+def _orient_all(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """Signs of cross(b - a, c - a) over arrays: +1 left turn, -1 right
+    turn, 0 collinear.  The float filter decides every entry whose
+    determinant clears its error bound; the exact rational test runs only on
+    the entries the filter leaves open (Shewchuk, 1997)."""
+    detl = (bx - ax) * (cy - ay)
+    detr = (by - ay) * (cx - ax)
+    det = detl - detr
+    err = _FILTER * (np.abs(detl) + np.abs(detr))
+    o = (det > err).astype(int) - (det < -err)
+    for k in np.flatnonzero((o == 0) & (err != 0.0)):
+        x0, y0, x1, y1, x2, y2 = (Fraction(u[k]) for u in (ax, ay, bx, by, cx, cy))
+        exact = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        o[k] = (exact > 0) - (exact < 0)
+    return o
+
+
 def is_simple(curve) -> bool:
     """True if no two non-adjacent edges intersect and no vertex folds back
-    onto the previous edge.  Two edges that share a point have overlapping
-    closed bounding boxes, so the orientation and on-segment predicates run
-    only on the box-overlapping pairs that a sort-and-sweep lists (Shamos &
-    Hoey, FOCS 1976): O(N log N + K) time and O(N + K) memory, where K is the
-    number of edge pairs whose x-extents overlap, O(N) for smooth curves."""
+    onto the previous edge.  Every orientation is exact: the float filter
+    with a rational fallback that the distance path uses.  Two edges that
+    share a point have overlapping closed bounding boxes, and of two
+    overlapping boxes the one that starts later in x starts inside the other,
+    so one sort-and-sweep lists each candidate pair once (pairs with equal
+    x-starts twice); the predicates run only on the non-adjacent pairs whose
+    boxes also overlap in y (Shamos & Hoey, FOCS 1976).  O(N log N + K) time
+    and O(N + K) memory, where K, the number of edges whose x-start lies in
+    another edge's x-extent, is O(N) for smooth curves."""
     v = _as_vertices(curve)
     n = len(v)
     a = v
     b = np.roll(v, -1, axis=0)
-    e = b - a
-    e_next = np.roll(e, -1, axis=0)
-    cross_consec = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
-    dot_consec = (e * e_next).sum(axis=1)
-    if bool(((cross_consec == 0.0) & (dot_consec < 0.0)).any()):
+    c = np.roll(v, -2, axis=0)
+    opposed = ((b - a) * (c - b)).sum(axis=1) < 0.0
+    if bool((opposed & (_orient_all(*a.T, *b.T, *c.T) == 0)).any()):
         return False
 
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    i, j = _box_pairs(lo, hi, lo, hi)
-    # each unordered pair once, adjacent edges (which share a vertex) dropped;
-    # the predicates below are symmetric in (i, j)
-    keep = (i < j) & (j != i + 1) & ~((i == 0) & (j == n - 1))
+    i, j = _starts_inside(lo[:, 0], hi[:, 0], lo[:, 0], "left")
+    keep = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
+    i, j = i[keep], j[keep]
+    # drop i == j and the adjacent pairs, which share a vertex
+    gap = (j - i) % n
+    keep = (gap > 1) & (gap < n - 1)
     i, j = i[keep], j[keep]
 
     ax, ay = a[i, 0], a[i, 1]
     bx, by = b[i, 0], b[i, 1]
     cx, cy = a[j, 0], a[j, 1]
     dx, dy = b[j, 0], b[j, 1]
-    ex, ey = e[i, 0], e[i, 1]
-    fx, fy = e[j, 0], e[j, 1]
-    # d1: side of edge j's line that edge i's start point falls on, etc.
-    d1 = fx * (ay - cy) - fy * (ax - cx)
-    d2 = fx * (by - cy) - fy * (bx - cx)
-    d3 = ex * (cy - ay) - ey * (cx - ax)
-    d4 = ex * (dy - ay) - ey * (dx - ax)
-    proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
-        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
-    )
+    # o1: side of edge j's line that edge i's start point falls on, etc.
+    o1 = _orient_all(cx, cy, dx, dy, ax, ay)
+    o2 = _orient_all(cx, cy, dx, dy, bx, by)
+    o3 = _orient_all(ax, ay, bx, by, cx, cy)
+    o4 = _orient_all(ax, ay, bx, by, dx, dy)
+    proper = (o1 * o2 < 0) & (o3 * o4 < 0)
 
-    def _on_segment(px, py, sx0, sy0, sx1, sy1):
-        return (
-            (px >= np.minimum(sx0, sx1))
-            & (px <= np.maximum(sx0, sx1))
-            & (py >= np.minimum(sy0, sy1))
-            & (py <= np.maximum(sy0, sy1))
-        )
+    def within(p, k):
+        # inside edge k's closed box, which for a point on its line is on it
+        return ((lo[k] <= p) & (p <= hi[k])).all(axis=1)
 
-    touch = (
-        ((d1 == 0) & _on_segment(ax, ay, cx, cy, dx, dy))
-        | ((d2 == 0) & _on_segment(bx, by, cx, cy, dx, dy))
-        | ((d3 == 0) & _on_segment(cx, cy, ax, ay, bx, by))
-        | ((d4 == 0) & _on_segment(dx, dy, ax, ay, bx, by))
-    )
+    touch = ((o1 == 0) & within(a[i], j)) | ((o2 == 0) & within(b[i], j))
+    touch |= ((o3 == 0) & within(a[j], i)) | ((o4 == 0) & within(b[j], i))
     return not bool((proper | touch).any())
 
 

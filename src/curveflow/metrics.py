@@ -9,10 +9,11 @@ the boundary of the intersection region.  Candidate pairs come from a
 sort-and-sweep, never from all pairs: edge pairs whose bounding boxes
 overlap, and for the winding test of a sub-segment's sample point only the
 edges whose y-range holds it, so time and memory grow with N + M plus the
-number of candidates.  Sidedness decisions use a floating point orientation
-filter with an exact rational fallback, so coincident geometry (identical
-curves, shared edges, touching vertices) is classified deterministically
-rather than by perturbation.
+number of candidates.  Sidedness decisions, here and in the simplicity test
+that validates each curve, use the package's one orientation predicate,
+`geometry._orient_all`: a floating point filter with an exact rational
+fallback, so coincident geometry (identical curves, shared edges, touching
+vertices) is classified deterministically rather than by perturbation.
 
 The filter, the proper crossings and the sub-segments of every edge are
 array passes over all candidates at once.  Python loops run only where an
@@ -27,12 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import _as_vertices, _box_pairs, _nonzero_edge_lengths, _overlapping, _require_finite, _shoelace, _write_text, is_simple
+from .geometry import _as_vertices, _box_pairs, _nonzero_edge_lengths, _orient_all, _overlapping, _require_finite, _shoelace, _write_text, is_simple
 
 __all__ = [
     "DiagnosticsRow",
@@ -137,26 +137,6 @@ def write_eoc_csv(rows: Sequence[ConvergenceRow], path_or_file: Union[str, IO[st
 # exact polygon intersection
 
 
-_FILTER = 3.33e-16  # relative error bound of the two-product orientation test
-
-
-def _orient_all(ax, ay, bx, by, cx, cy) -> np.ndarray:
-    """Signs of cross(b - a, c - a) over arrays: +1 left turn, -1 right
-    turn, 0 collinear.  The float filter decides every entry whose
-    determinant clears its error bound; the exact rational test runs only on
-    the entries the filter leaves open."""
-    detl = (bx - ax) * (cy - ay)
-    detr = (by - ay) * (cx - ax)
-    det = detl - detr
-    err = _FILTER * (np.abs(detl) + np.abs(detr))
-    o = (det > err).astype(int) - (det < -err)
-    for k in np.flatnonzero((o == 0) & (err != 0.0)):
-        x0, y0, x1, y1, x2, y2 = (Fraction(u[k]) for u in (ax, ay, bx, by, cx, cy))
-        exact = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-        o[k] = (exact > 0) - (exact < 0)
-    return o
-
-
 def _classify_points(px: np.ndarray, py: np.ndarray, W: np.ndarray, W1: np.ndarray):
     """Winding-number test of points (px, py) against the closed polygon with
     edges W -> W1.  Returns boolean arrays (inside, on_boundary); inside is
@@ -178,8 +158,9 @@ def _classify_points(px: np.ndarray, py: np.ndarray, W: np.ndarray, W1: np.ndarr
     return wn != 0, np.bincount(s, weights=on, minlength=len(px)) > 0
 
 
-def _collect_params(P: np.ndarray, Q: np.ndarray):
-    """Split parameters of every edge of P and Q against the other polygon.
+def _collect_params(P: np.ndarray, P1: np.ndarray, Q: np.ndarray, Q1: np.ndarray):
+    """Split parameters of every edge P -> P1 and Q -> Q1 against the other
+    polygon.
 
     Returns, for P and then Q, the split parameters as flat arrays
     (edge, t) sorted by edge and then by t, and then for P and Q the
@@ -190,8 +171,6 @@ def _collect_params(P: np.ndarray, Q: np.ndarray):
     of all candidate pairs are array passes; only pairs with a zero
     orientation (collinear overlaps and endpoint touches) run in Python.
     """
-    P1 = np.roll(P, -1, axis=0)
-    Q1 = np.roll(Q, -1, axis=0)
     ii, jj = _box_pairs(np.minimum(P, P1), np.maximum(P, P1), np.minimum(Q, Q1), np.maximum(Q, Q1))
     p0x, p0y, p1x, p1y = P[ii, 0], P[ii, 1], P1[ii, 0], P1[ii, 1]
     q0x, q0y, q1x, q1y = Q[jj, 0], Q[jj, 1], Q1[jj, 0], Q1[jj, 1]
@@ -367,7 +346,7 @@ def polygon_intersection_area(A, B) -> float:
     areaQ = _shoelace(Q)
     P1 = np.roll(P, -1, axis=0)
     Q1 = np.roll(Q, -1, axis=0)
-    cutsP, cutsQ, overlapsP, overlapsQ = _collect_params(P, Q)
+    cutsP, cutsQ, overlapsP, overlapsQ = _collect_params(P, P1, Q, Q1)
     total = _boundary_pieces_area(P, P1, cutsP, overlapsP, Q, Q1, keep_shared=True)
     total += _boundary_pieces_area(Q, Q1, cutsQ, overlapsQ, P, P1, keep_shared=False)
     return float(min(max(total, 0.0), areaP, areaQ))

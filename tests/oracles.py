@@ -149,33 +149,52 @@ def mc_intersection_area(A: np.ndarray, B: np.ndarray, n_samples: int, seed: int
 #
 # The library lists candidate edge pairs by a sort-and-sweep and classifies
 # sample points in one batch; these are the all-pairs and one-point versions
-# it replaced, kept as references.  strict_inside decides every orientation
-# by its own float bound, and exactly in rationals where the bound leaves it
-# open, so agreement also checks the library's orientation filter.
+# it replaced, kept as references.  Both decide every orientation with
+# `_orientation`: by its own float bound, and exactly in rationals where the
+# bound leaves it open, so agreement also checks the library's orientation
+# filter.
+
+
+def _orientation(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """Signs of cross(b - a, c - a) over broadcast arrays: the float sign
+    where the determinant clears its error bound, the sign of the rational
+    determinant elsewhere."""
+    ax, ay, bx, by, cx, cy = np.broadcast_arrays(ax, ay, bx, by, cx, cy)
+    detl = (bx - ax) * (cy - ay)
+    detr = (by - ay) * (cx - ax)
+    det = detl - detr
+    sign = np.sign(det).astype(int)
+    # 4 eps bounds the rounding of the differences, the two products and
+    # their difference
+    for idx in zip(*np.nonzero(np.abs(det) <= 4.0 * np.finfo(float).eps * (np.abs(detl) + np.abs(detr)))):
+        x0, y0, x1, y1, x2, y2 = (Fraction(float(u[idx])) for u in (ax, ay, bx, by, cx, cy))
+        exact = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        sign[idx] = (exact > 0) - (exact < 0)
+    return sign
 
 
 def all_pairs_is_simple(v: np.ndarray) -> bool:
     """True if no two non-adjacent edges intersect and no vertex folds back
-    onto the previous edge, by the dense N x N test of every edge pair."""
+    onto the previous edge, by the dense N x N test of every edge pair with
+    exact orientations."""
     v = np.asarray(v, dtype=float)
     n = len(v)
     a = v
     b = np.roll(v, -1, axis=0)
-    e = b - a
-    e_next = np.roll(e, -1, axis=0)
-    cross_consec = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
-    dot_consec = (e * e_next).sum(axis=1)
-    if bool(((cross_consec == 0.0) & (dot_consec < 0.0)).any()):
+    c = np.roll(v, -2, axis=0)
+    # a fold-back: a, b, c collinear and the edges a b and b c opposed
+    turn = _orientation(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c[:, 0], c[:, 1])
+    dot_consec = ((b - a) * (c - b)).sum(axis=1)
+    if bool(((turn == 0) & (dot_consec < 0.0)).any()):
         return False
 
     ax, ay = a[:, 0], a[:, 1]
     bx, by = b[:, 0], b[:, 1]
-    ex, ey = e[:, 0], e[:, 1]
     # d1[i,j]: side of edge j's line that edge i's start point falls on, etc.
-    d1 = ex[None, :] * (ay[:, None] - ay[None, :]) - ey[None, :] * (ax[:, None] - ax[None, :])
-    d2 = ex[None, :] * (by[:, None] - ay[None, :]) - ey[None, :] * (bx[:, None] - ax[None, :])
-    d3 = ex[:, None] * (ay[None, :] - ay[:, None]) - ey[:, None] * (ax[None, :] - ax[:, None])
-    d4 = ex[:, None] * (by[None, :] - ay[:, None]) - ey[:, None] * (bx[None, :] - ax[:, None])
+    d1 = _orientation(ax[None, :], ay[None, :], bx[None, :], by[None, :], ax[:, None], ay[:, None])
+    d2 = _orientation(ax[None, :], ay[None, :], bx[None, :], by[None, :], bx[:, None], by[:, None])
+    d3 = _orientation(ax[:, None], ay[:, None], bx[:, None], by[:, None], ax[None, :], ay[None, :])
+    d4 = _orientation(ax[:, None], ay[:, None], bx[:, None], by[:, None], bx[None, :], by[None, :])
     proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
         ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
     )
@@ -219,21 +238,10 @@ def strict_inside(x: float, y: float, W: np.ndarray, W1: np.ndarray) -> Optional
     cand = up | dn
     if not cand.any():
         return False
-    detl = (wx1 - wx0) * (y - wy0)
-    detr = (wy1 - wy0) * (x - wx0)
-    det = detl - detr
-    # 4 eps bounds the rounding of the two products and their difference
-    ambiguous = cand & (np.abs(det) <= 4.0 * np.finfo(float).eps * (np.abs(detl) + np.abs(detr)))
-    if ambiguous.any():
-        det = det.copy()
-        for idx in np.flatnonzero(ambiguous):
-            exact = (Fraction(wx1[idx]) - Fraction(wx0[idx])) * (Fraction(y) - Fraction(wy0[idx])) - (
-                Fraction(wy1[idx]) - Fraction(wy0[idx])
-            ) * (Fraction(x) - Fraction(wx0[idx]))
-            if exact == 0:
-                return None
-            det[idx] = float(exact > 0) - float(exact < 0)
-    wn = int(np.count_nonzero(up & (det > 0))) - int(np.count_nonzero(dn & (det < 0)))
+    turn = _orientation(wx0[cand], wy0[cand], wx1[cand], wy1[cand], x, y)
+    if (turn == 0).any():
+        return None
+    wn = int(np.count_nonzero(up[cand] & (turn > 0))) - int(np.count_nonzero(dn[cand] & (turn < 0)))
     return wn != 0
 
 

@@ -24,7 +24,7 @@ from curveflow.geometry import (
 )
 
 from curveflow.femcore import normal_weights
-from curveflow.metrics import _classify_points
+from curveflow.metrics import _classify_points, manifold_distance
 
 import oracles
 
@@ -215,9 +215,27 @@ def test_is_simple_rejects_fold_back():
     assert not is_simple(poly)
 
 
+def test_is_simple_accepts_vertex_rounded_off_a_far_edge():
+    # vertex 3 is v0 + t (v1 - v0) rounded, strictly left of edge 0-1; float
+    # orientations called it a touch, and the distance refused the curve
+    v = np.array(
+        [
+            [0.4810504304369479, 0.49552305507899924],
+            [-0.25608449114897586, 1.338675999647002],
+            [-0.9877560498683843, 0.3966265746445991],
+            [-0.0031908666526250795, 1.049410089279034],
+            [-0.20906583398318973, -1.3831122164469738],
+            [0.011229450748757062, -0.58590483412755],
+        ]
+    )
+    assert is_simple(v) is True
+    assert manifold_distance(v, v) == 0.0
+
+
 # integer-lattice polygons (touching vertices, collinear overlaps, fold-backs,
-# repeated vertices), random star polygons, and stars with one vertex pulled
-# across the curve
+# repeated vertices), random star polygons, stars with one vertex pulled
+# across the curve, and stars with one vertex moved onto the rounded point of
+# an edge it does not end, which float orientations misjudge
 lattice_polygons = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=9).map(
     lambda pts: np.array(pts, dtype=float)
 )
@@ -236,7 +254,19 @@ def star_polygons(draw, pulled=False):
     return v
 
 
-any_polygon = st.one_of(lattice_polygons, star_polygons(), star_polygons(pulled=True))
+@st.composite
+def stars_with_a_vertex_on_an_edge(draw):
+    v = draw(star_polygons())
+    n = len(v)
+    m = draw(st.integers(0, n - 1))
+    k = (m + 1 + draw(st.integers(0, n - 3))) % n
+    v[m] = v[k] + draw(st.floats(0.1, 0.9)) * (v[(k + 1) % n] - v[k])
+    return v
+
+
+any_polygon = st.one_of(
+    lattice_polygons, star_polygons(), star_polygons(pulled=True), stars_with_a_vertex_on_an_edge()
+)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)

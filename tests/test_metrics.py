@@ -155,7 +155,7 @@ def test_split_parameters_of_a_touch_and_an_overlap():
     # that edge, covering [2/3, 1] of its own length
     def per_edge(P, Q):
         # the flat (edge, t) cuts and the overlap dicts as one list per edge
-        cutsP, cutsQ, overlapsP, overlapsQ = _collect_params(P, Q)
+        cutsP, cutsQ, overlapsP, overlapsQ = _collect_params(P, np.roll(P, -1, axis=0), Q, np.roll(Q, -1, axis=0))
         cuts = [[t[edge == k].tolist() for k in range(len(v))] for v, (edge, t) in ((P, cutsP), (Q, cutsQ))]
         overlaps = [[spans.get(k, []) for k in range(len(v))] for v, spans in ((P, overlapsP), (Q, overlapsQ))]
         return (*cuts, *overlaps)
