@@ -249,15 +249,19 @@ def cli_converge(config_path: str) -> int:
     else:
         outcomes = [_converge_level(c) for c in configs]
 
+    # the first failure in level order, of a run or of a distance, ends the table
     failure: Optional[str] = None
-    terminal: List[np.ndarray] = []
+    errors: List[float] = []
     for i, outcome in enumerate(outcomes):
         if not outcome["ok"]:
             failure = f"level {i} (tau={taus[i]}, N={configs[i].N}): {outcome['error']}"
             break
-        terminal.append(outcome["vertices"])
-
-    errors = [manifold_distance(a, b) for a, b in zip(terminal, terminal[1:])]
+        try:
+            if i > 0:
+                errors.append(manifold_distance(outcomes[i - 1]["vertices"], outcome["vertices"]))
+        except ValueError as exc:
+            failure = f"distance of level {i - 1} (N={configs[i - 1].N}) and level {i} (N={configs[i].N}): {exc}"
+            break
     rows = convergence_rows([(taus[j], 1.0 / configs[j].N, error) for j, error in enumerate(errors)])
 
     os.makedirs(out_dir, exist_ok=True)

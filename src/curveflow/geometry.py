@@ -204,38 +204,26 @@ def generate_rectangle(width: float, height: float, N: int) -> PolygonalCurve:
     return PolygonalCurve(np.vstack(pieces))
 
 
-def _starts_inside(lo: np.ndarray, hi: np.ndarray, starts: np.ndarray, side: str):
-    """Index arrays (i, j) of every pair with starts[j] in [lo[i], hi[i]]
-    ((lo[i], hi[i]] with side "right"), each pair once and in no particular
-    order: one sorted range of the starts per interval."""
-    order = np.argsort(starts)
-    first = np.searchsorted(starts[order], lo, side)
-    count = np.searchsorted(starts[order], hi, "right") - first
-    owner = np.repeat(np.arange(len(lo)), count)
-    offset = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
-    return owner, order[np.repeat(first, count) + offset]
-
-
-def _overlapping(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray):
-    """Index arrays (i, j) of every pair of closed intervals
-    [lo_a[i], hi_a[i]] and [lo_b[j], hi_b[j]] that overlap, each pair once
-    and in no particular order.  Two-sided sort-and-sweep: two closed
-    intervals overlap exactly when b starts inside a, or a starts inside b
-    strictly after b starts, one `_starts_inside` pass each.  O((n + m)
-    log(n + m) + K) time and O(n + m + K) memory for K pairs."""
-    i1, j1 = _starts_inside(lo_a, hi_a, lo_b, "left")
-    j2, i2 = _starts_inside(lo_b, hi_b, lo_a, "right")
-    return np.concatenate((i1, i2)), np.concatenate((j1, j2))
-
-
-def _box_pairs(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray):
-    """Index arrays (i, j) of the pairs of closed axis-aligned boxes
-    [lo_a[i], hi_a[i]] and [lo_b[j], hi_b[j]] ((n, 2) and (m, 2) corner
-    arrays) that overlap: the x-overlaps of the sweep, filtered by
-    y-overlap."""
-    i, j = _overlapping(lo_a[:, 0], hi_a[:, 0], lo_b[:, 0], hi_b[:, 0])
-    keep = (lo_a[i, 1] <= hi_b[j, 1]) & (lo_b[j, 1] <= hi_a[i, 1])
-    return i[keep], j[keep]
+def _box_pairs(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray, side: str):
+    """Index arrays (i, j) of every pair of closed boxes [lo_a[i], hi_a[i]]
+    and [lo_b[j], hi_b[j]] ((n, d) and (m, d) corner arrays) where b starts
+    inside a on the first axis ([lo, hi], or (lo, hi] with side "right")
+    and the two overlap on every later axis, each pair once, in no set
+    order.  Of two overlapping boxes the later-starting one starts inside
+    the other, so a "left" pass of a against b and a "right" pass of b
+    against a list every overlapping pair once.  One sort-and-sweep of b's
+    starts: O((n + m) log m + K) time and memory for K first-axis pairs."""
+    order = np.argsort(lo_b[:, 0])
+    starts = lo_b[:, 0][order]
+    first = np.searchsorted(starts, lo_a[:, 0], side)
+    count = np.searchsorted(starts, hi_a[:, 0], "right") - first
+    # box i of a takes b's sorted starts first[i], ..., first[i] + count[i] - 1
+    i = np.repeat(np.arange(len(lo_a)), count)
+    j = order[np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count - first, count)]
+    for k in range(1, lo_a.shape[1]):
+        keep = (lo_a[:, k][i] <= hi_b[:, k][j]) & (lo_b[:, k][j] <= hi_a[:, k][i])
+        i, j = i[keep], j[keep]
+    return i, j
 
 
 _FILTER = 3.33e-16  # relative error bound of the two-product orientation test
@@ -258,52 +246,49 @@ def _orient_all(ax, ay, bx, by, cx, cy) -> np.ndarray:
     return o
 
 
+def _pair_orientations(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
+    """`_orient_all` signs of K segment pairs ab, cd ((K, 2) endpoint arrays):
+    the sides of line cd that a and b fall on, then of line ab for c and d."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a.T, b.T, c.T, d.T
+    return (_orient_all(cx, cy, dx, dy, ax, ay), _orient_all(cx, cy, dx, dy, bx, by),
+            _orient_all(ax, ay, bx, by, cx, cy), _orient_all(ax, ay, bx, by, dx, dy))
+
+
 def is_simple(curve) -> bool:
     """True if no two non-adjacent edges intersect and no vertex folds back
     onto the previous edge.  Every orientation is exact: the float filter
     with a rational fallback that the distance path uses.  Two edges that
-    share a point have overlapping closed bounding boxes, and of two
-    overlapping boxes the one that starts later in x starts inside the other,
-    so one sort-and-sweep lists each candidate pair once (pairs with equal
-    x-starts twice); the predicates run only on the non-adjacent pairs whose
-    boxes also overlap in y (Shamos & Hoey, FOCS 1976).  O(N log N + K) time
-    and O(N + K) memory, where K, the number of edges whose x-start lies in
+    share a point have overlapping closed bounding boxes, so one `_box_pairs`
+    pass of the edge boxes against themselves lists each candidate pair once
+    (pairs with equal x-starts twice), and `_pair_orientations` runs on the
+    non-adjacent ones (Shamos & Hoey, FOCS 1976).  O(N log N + K) time and
+    O(N + K) memory, where K, the number of edges whose x-start lies in
     another edge's x-extent, is O(N) for smooth curves."""
-    v = _as_vertices(curve)
-    n = len(v)
-    a = v
-    b = np.roll(v, -1, axis=0)
-    c = np.roll(v, -2, axis=0)
+    a = _as_vertices(curve)
+    n = len(a)
+    b = np.roll(a, -1, axis=0)
+    c = np.roll(a, -2, axis=0)
     opposed = ((b - a) * (c - b)).sum(axis=1) < 0.0
     if bool((opposed & (_orient_all(*a.T, *b.T, *c.T) == 0)).any()):
         return False
 
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    i, j = _starts_inside(lo[:, 0], hi[:, 0], lo[:, 0], "left")
-    keep = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
-    i, j = i[keep], j[keep]
+    i, j = _box_pairs(lo, hi, lo, hi, "left")
     # drop i == j and the adjacent pairs, which share a vertex
     gap = (j - i) % n
     keep = (gap > 1) & (gap < n - 1)
     i, j = i[keep], j[keep]
 
-    ax, ay = a[i, 0], a[i, 1]
-    bx, by = b[i, 0], b[i, 1]
-    cx, cy = a[j, 0], a[j, 1]
-    dx, dy = b[j, 0], b[j, 1]
-    # o1: side of edge j's line that edge i's start point falls on, etc.
-    o1 = _orient_all(cx, cy, dx, dy, ax, ay)
-    o2 = _orient_all(cx, cy, dx, dy, bx, by)
-    o3 = _orient_all(ax, ay, bx, by, cx, cy)
-    o4 = _orient_all(ax, ay, bx, by, dx, dy)
+    ai, bi, aj, bj = a[i], b[i], a[j], b[j]
+    o1, o2, o3, o4 = _pair_orientations(ai, bi, aj, bj)
     proper = (o1 * o2 < 0) & (o3 * o4 < 0)
 
     def within(p, k):
         # inside edge k's closed box, which for a point on its line is on it
         return ((lo[k] <= p) & (p <= hi[k])).all(axis=1)
 
-    touch = ((o1 == 0) & within(a[i], j)) | ((o2 == 0) & within(b[i], j))
-    touch |= ((o3 == 0) & within(a[j], i)) | ((o4 == 0) & within(b[j], i))
+    touch = ((o1 == 0) & within(ai, j)) | ((o2 == 0) & within(bi, j))
+    touch |= ((o3 == 0) & within(aj, i)) | ((o4 == 0) & within(bj, i))
     return not bool((proper | touch).any())
 
 

@@ -5,12 +5,13 @@ The manifold distance |O1 \\ O2| + |O2 \\ O1| of the enclosed regions is
 computed from one exact polygon intersection: both boundaries are split at
 every mutual crossing or collinear-contact parameter, and each sub-segment
 contributes its Green's-theorem term 0.5 * cross(start, end) when it lies on
-the boundary of the intersection region.  Candidate pairs come from a
-sort-and-sweep, never from all pairs: edge pairs whose bounding boxes
-overlap, and for the winding test of a sub-segment's sample point only the
-edges whose y-range holds it, so time and memory grow with N + M plus the
-number of candidates.  Sidedness decisions, here and in the simplicity test
-that validates each curve, use the package's one orientation predicate,
+the boundary of the intersection region.  Candidate pairs come from the
+simplicity test's sort-and-sweep, `geometry._box_pairs`, never from all
+pairs: edge pairs whose bounding boxes overlap, from its two-sided form, and
+for the winding test of a sub-segment's sample point only the edges whose
+y-range holds it, so time and memory grow with N + M plus the number of
+candidates.  Sidedness decisions, here and in the simplicity test that
+validates each curve, use the package's one orientation predicate,
 `geometry._orient_all`: a floating point filter with an exact rational
 fallback, so coincident geometry (identical curves, shared edges, touching
 vertices) is classified deterministically rather than by perturbation.
@@ -32,7 +33,7 @@ from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import _as_vertices, _box_pairs, _nonzero_edge_lengths, _orient_all, _overlapping, _require_finite, _shoelace, _write_text, is_simple
+from .geometry import _as_vertices, _box_pairs, _nonzero_edge_lengths, _orient_all, _pair_orientations, _require_finite, _shoelace, _write_text, is_simple
 
 __all__ = [
     "DiagnosticsRow",
@@ -142,8 +143,9 @@ def _classify_points(px: np.ndarray, py: np.ndarray, W: np.ndarray, W1: np.ndarr
     edges W -> W1.  Returns boolean arrays (inside, on_boundary); inside is
     meaningful only off the boundary.  A point is paired only with the edges
     whose closed y-range holds its y, which are all edges that can lie flat
-    through it or cross its rightward ray."""
-    s, e = _overlapping(py, py, np.minimum(W[:, 1], W1[:, 1]), np.maximum(W[:, 1], W1[:, 1]))
+    through it or cross its rightward ray: a point overlaps a y-range when
+    it starts inside it, so one `_box_pairs` pass of the points lists them."""
+    e, s = _box_pairs(np.minimum(W[:, 1:], W1[:, 1:]), np.maximum(W[:, 1:], W1[:, 1:]), py[:, None], py[:, None], "left")
     x, y = px[s], py[s]
     wx0, wy0 = W[e, 0], W[e, 1]
     wx1, wy1 = W1[e, 0], W1[e, 1]
@@ -167,25 +169,24 @@ def _collect_params(P: np.ndarray, P1: np.ndarray, Q: np.ndarray, Q1: np.ndarray
     recorded collinear-overlap intervals {edge: [(t_lo, t_hi,
     other_edge_index), ...]}; a sub-segment contained in such an interval
     lies exactly on the other boundary, which is decided structurally here,
-    never from sampled points.  The orientations and the proper crossings
-    of all candidate pairs are array passes; only pairs with a zero
-    orientation (collinear overlaps and endpoint touches) run in Python.
+    never from sampled points.  Two `_box_pairs` passes list the edge pairs
+    whose boxes overlap; their `_pair_orientations` and proper crossings
+    are array passes, and only pairs with a zero orientation (collinear
+    overlaps and endpoint touches) run in Python.
     """
-    ii, jj = _box_pairs(np.minimum(P, P1), np.maximum(P, P1), np.minimum(Q, Q1), np.maximum(Q, Q1))
-    p0x, p0y, p1x, p1y = P[ii, 0], P[ii, 1], P1[ii, 0], P1[ii, 1]
-    q0x, q0y, q1x, q1y = Q[jj, 0], Q[jj, 1], Q1[jj, 0], Q1[jj, 1]
-    o1 = _orient_all(q0x, q0y, q1x, q1y, p0x, p0y)
-    o2 = _orient_all(q0x, q0y, q1x, q1y, p1x, p1y)
-    o3 = _orient_all(p0x, p0y, p1x, p1y, q0x, q0y)
-    o4 = _orient_all(p0x, p0y, p1x, p1y, q1x, q1y)
+    lo_p, hi_p, lo_q, hi_q = np.minimum(P, P1), np.maximum(P, P1), np.minimum(Q, Q1), np.maximum(Q, Q1)
+    (i1, j1), (j2, i2) = _box_pairs(lo_p, hi_p, lo_q, hi_q, "left"), _box_pairs(lo_q, hi_q, lo_p, hi_p, "right")
+    ii, jj = np.concatenate((i1, i2)), np.concatenate((j1, j2))
+    p0, p1, q0, q1 = P[ii], P1[ii], Q[jj], Q1[jj]
+    o1, o2, o3, o4 = _pair_orientations(p0, p1, q0, q1)
 
     # proper interior crossings
     c = (o1 * o2 < 0) & (o3 * o4 < 0)
-    dpx, dpy = p1x[c] - p0x[c], p1y[c] - p0y[c]
-    dqx, dqy = q1x[c] - q0x[c], q1y[c] - q0y[c]
+    (p0x, p0y), (q0x, q0y) = p0[c].T, q0[c].T
+    (dpx, dpy), (dqx, dqy) = (p1[c] - p0[c]).T, (q1[c] - q0[c]).T
     denom = dpx * dqy - dpy * dqx
-    t = ((q0x[c] - p0x[c]) * dqy - (q0y[c] - p0y[c]) * dqx) / denom
-    s = -((p0x[c] - q0x[c]) * dpy - (p0y[c] - q0y[c]) * dpx) / denom
+    t = ((q0x - p0x) * dqy - (q0y - p0y) * dqx) / denom
+    s = -((p0x - q0x) * dpy - (p0y - q0y) * dpx) / denom
 
     # pairs with a zero orientation, in lexicographic (i, j) order: the order
     # of each edge's overlap list decides which overlap _boundary_pieces_area

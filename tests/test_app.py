@@ -526,6 +526,37 @@ def test_converge_failure_exits_two(tmp_path, monkeypatch, capsys):
         assert (out / "eoc.csv").read_text(encoding="ascii") == "tau,h,error,order\n"
 
 
+@pytest.mark.parametrize(
+    "taus, named, rows",
+    [("0.01 0.005", "level 0 (N=8) and level 1 (N=16)", 0), ("0.0025 0.005 0.01", "level 1 (N=16) and level 2 (N=8)", 1)],
+    ids=["first-pair", "after-a-row"],
+)
+def test_converge_distance_on_a_self_intersecting_level_is_a_numerical_failure(tmp_path, monkeypatch, capsys, taus, named, rows):
+    # at N=8 the run completes on a curve that is not simple, which the
+    # distance refuses; the rows before that distance are still written
+    out = tmp_path / "study"
+    cfg = write_config(
+        tmp_path / "study.cfg",
+        f"""\
+        scheme = sp-euler
+        shape = rectangle
+        width = 10
+        height = 0.5
+        T = 0.01
+        taus = {taus}
+        path = 0.08h
+        out = {out}
+        """,
+    )
+    usable_cpus(monkeypatch, 1)
+    assert main(["converge", "--config", cfg]) == 2
+    assert named in capsys.readouterr().err
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure == f"distance of {named}: curve is self-intersecting"
+    lines = (out / "eoc.csv").read_text(encoding="ascii").splitlines()
+    assert lines[0] == "tau,h,error,order" and len(lines) == 1 + rows
+
+
 def test_converge_leaves_no_child_process(tmp_path, monkeypatch):
     usable_cpus(monkeypatch, 2)
     assert multiprocessing.active_children() == []

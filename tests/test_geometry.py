@@ -2,6 +2,7 @@
 
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from curveflow.geometry import (
     PolygonalCurve,
+    _box_pairs,
     edge_lengths,
     edge_vectors,
     generate_ellipse,
@@ -285,6 +287,52 @@ def test_point_classification_matches_per_point_oracle(W, extra):
     inside, on_boundary = _classify_points(pts[:, 0], pts[:, 1], W, W1)
     got = [None if on else bool(ins) for ins, on in zip(inside, on_boundary)]
     assert got == [oracles.strict_inside(x, y, W, W1) for x, y in pts]
+
+
+@st.composite
+def grid_boxes(draw, d):
+    # corners on a 5-point grid: zero-width boxes, equal starts and shared
+    # extents are common, as on the sides of a rectangle
+    n = draw(st.integers(0, 12))
+    corners = draw(st.lists(st.integers(0, 4), min_size=2 * n * d, max_size=2 * n * d))
+    u = np.array(corners, dtype=float).reshape(2, n, d)
+    return u.min(axis=0), u.max(axis=0)
+
+
+def all_pairs_box_pairs(lo_a, hi_a, lo_b, hi_b, first_axis):
+    # every (i, j) whose extents on axis 0 pass first_axis(lo_a, hi_a, lo_b,
+    # hi_b) and whose boxes overlap on every later axis, by a loop
+    return Counter(
+        (i, j)
+        for i in range(len(lo_a))
+        for j in range(len(lo_b))
+        if first_axis(lo_a[i, 0], hi_a[i, 0], lo_b[j, 0], hi_b[j, 0])
+        and all(lo_a[i, k] <= hi_b[j, k] and lo_b[j, k] <= hi_a[i, k] for k in range(1, lo_a.shape[1]))
+    )
+
+
+STARTS_INSIDE = {
+    "left": lambda lo_a, hi_a, lo_b, hi_b: lo_a <= lo_b <= hi_a,
+    "right": lambda lo_a, hi_a, lo_b, hi_b: lo_a < lo_b <= hi_a,
+}
+
+
+def overlap(lo_a, hi_a, lo_b, hi_b):
+    return lo_a <= hi_b and lo_b <= hi_a
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from((1, 2)), st.sampled_from(("left", "right")), st.booleans())
+def test_box_pairs_match_all_pairs_loop(data, d, side, against_itself):
+    lo_a, hi_a = data.draw(grid_boxes(d))
+    lo_b, hi_b = (lo_a, hi_a) if against_itself else data.draw(grid_boxes(d))
+    i, j = _box_pairs(lo_a, hi_a, lo_b, hi_b, side)
+    assert Counter(zip(i.tolist(), j.tolist())) == all_pairs_box_pairs(lo_a, hi_a, lo_b, hi_b, STARTS_INSIDE[side])
+    # with a pass of b against a on the other side, every overlapping pair
+    # is listed exactly once
+    j2, i2 = _box_pairs(lo_b, hi_b, lo_a, hi_a, "right" if side == "left" else "left")
+    both = Counter(zip(i.tolist() + i2.tolist(), j.tolist() + j2.tolist()))
+    assert both == all_pairs_box_pairs(lo_a, hi_a, lo_b, hi_b, overlap)
 
 
 # ---------------------------------------------------------------------------
